@@ -50,10 +50,9 @@ _VARIANT_DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat record of one invocation: command, flags, output plumbing."""
+    """Flat record of one invocation: command and output plumbing."""
 
     command: str
-    flags: dict
     fmt: str
     output: str | None
     seed: int
@@ -164,10 +163,12 @@ def parse_sweep(spec: str, default_count: int = 50) -> np.ndarray:
 
 def _descriptor_from_flags(args) -> dict:
     defaults = _VARIANT_DEFAULTS[args.variant]
-    n = args.n if args.n is not None else defaults["n"]
-    # every variant except euclidean demands an integer dimension
-    desc = {"variant": args.variant,
-            "n": float(n) if args.variant == "euclidean" else int(n)}
+    n = float(args.n if args.n is not None else defaults["n"])
+    # every variant except euclidean demands an integer dimension; a
+    # fractional one stays as given for the space to reject
+    if args.variant != "euclidean" and n.is_integer():
+        n = int(n)
+    desc = {"variant": args.variant, "n": n}
     if args.variant == "warped":
         desc["a"] = args.a if args.a is not None else defaults["a"]
         desc["beta"] = args.beta if args.beta is not None else defaults["beta"]
@@ -396,12 +397,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = RunConfig(command=args.command,
-                        flags={k: v for k, v in vars(args).items()
-                               if k not in ("command", "format", "output",
-                                            "seed", "tol")},
-                        fmt=args.format, output=args.output,
-                        seed=args.seed, tol=args.tol)
+        cfg = RunConfig(command=args.command, fmt=args.format,
+                        output=args.output, seed=args.seed, tol=args.tol)
         text, passed = _DISPATCH[args.command](cfg, args)
         _write(cfg, text)
     except (DomainError, UnsupportedOperationError) as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .specfun import bessel_first_zero, log_gamma, omega
+from .specfun import bessel_first_zero, log_gamma, log_omega, omega
 
 _ENDPOINT_SLACK = 1.0 + 1e-12
 
@@ -124,7 +124,7 @@ def gn_constant(params: SobolevParams) -> float:
     log_num = ((th / p + th / n) * math.log(pp / n)
                + math.log(s) / (a * p)
                + (th / p - 1.0 / (a * p)) * math.log(A))
-    log_den = (th / n) * (math.log(omega(n)) + log_beta)
+    log_den = (th / n) * (log_omega(n) + log_beta)
     return math.exp(th * math.log((a - 1.0) / pp) + log_num - log_den)
 
 
@@ -151,7 +151,7 @@ def fk_constant(n: float, avr: float) -> float:
         raise DomainError(f"fk_constant requires n >= 2, got {n!r}")
     _check_avr(avr)
     j = _half_order_zero(float(n))
-    return j * j * (omega(n) * avr) ** (2.0 / n)
+    return j * j * math.exp((2.0 / n) * (log_omega(n) + math.log(avr)))
 
 
 def rayleigh_constant(n: float, avr: float) -> float:
@@ -160,7 +160,7 @@ def rayleigh_constant(n: float, avr: float) -> float:
         raise DomainError(f"rayleigh_constant requires n >= 2, got {n!r}")
     _check_avr(avr)
     j = _half_order_zero(float(n))
-    return j ** -2.0 * (omega(n) * avr) ** (-2.0 / n)
+    return math.exp(-(2.0 / n) * (log_omega(n) + math.log(avr))) / (j * j)
 
 
 def noncollapse_lower_bound(params: SobolevParams, C: float) -> float:
@@ -183,7 +183,7 @@ def isoperimetric_constant(N: float, avr: float) -> float:
     if not (isinstance(N, (int, float)) and math.isfinite(N) and N > 1.0):
         raise DomainError(f"isoperimetric_constant requires N > 1, got {N!r}")
     _check_avr(avr)
-    return N * omega(N) ** (1.0 / N) * avr ** (1.0 / N)
+    return N * math.exp((log_omega(N) + math.log(avr)) / N)
 
 
 def sharp_constants(params: SobolevParams, avr: float) -> SharpConstants:

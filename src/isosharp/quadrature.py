@@ -19,7 +19,9 @@ from scipy import integrate as _si
 
 from .errors import ConvergenceError
 
+# 12-point Gauss-Legendre rule moved from [-1, 1] onto [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
 
 
 def integrate(f, a, b, rel_tol=1e-11, abs_tol=1e-13, points=None, limit=200,
@@ -52,21 +54,28 @@ def integrate(f, a, b, rel_tol=1e-11, abs_tol=1e-13, points=None, limit=200,
             + integrate(f, mid, b, rel_tol, abs_tol, points, limit, _depth + 1))
 
 
+def gauss_panels(f, a, b):
+    """12-point Gauss-Legendre integrals of ``f`` over the panels [a, b].
+
+    ``a`` and ``b`` are arrays of one shape; the result has that shape.
+    ``f`` must accept a 1-D numpy array, and is called once for all panels.
+    """
+    a = np.asarray(a, dtype=float)
+    h = np.asarray(b, dtype=float) - a
+    x = a[..., None] + h[..., None] * _GL_NODES
+    vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    return (vals @ _GL_WEIGHTS) * h
+
+
 def gauss_on_segments(f, breaks):
     """Composite 12-point Gauss-Legendre over consecutive segments.
 
-    ``f`` must accept a numpy array.  Meant for integrands built from a
-    piecewise-cubic interpolant whose breakpoints are ``breaks``: each
-    segment is smooth, so the fixed rule converges at spectral order and
-    the total cost is a single vectorized evaluation.
+    Meant for integrands built from a piecewise-cubic interpolant whose
+    breakpoints are ``breaks``: each segment is smooth, so the fixed rule
+    converges at spectral order and the total cost is a single vectorized
+    evaluation.
     """
     breaks = np.asarray(breaks, dtype=float)
-    a = breaks[:-1]
-    h = np.diff(breaks)
-    keep = h > 0
-    a, h = a[keep], h[keep]
-    if a.size == 0:
+    if breaks.size < 2:
         return 0.0
-    x = a[:, None] + (_GL_NODES[None, :] + 1.0) * (h[:, None] / 2.0)
-    vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    return float(np.sum(vals @ _GL_WEIGHTS * (h / 2.0)))
+    return float(np.sum(gauss_panels(f, breaks[:-1], breaks[1:])))

@@ -7,7 +7,8 @@ By construction every superlevel set keeps its measure, so Lq norms are
 preserved (Cavalieri) while gradient norms can only shrink modulo the AVR
 factor (Polya-Szego).  This module computes distribution functions, the
 rearrangement itself, both norms by two independent routes, and the co-area
-and layer-cake identities used to certify them.
+and layer-cake identities used to certify them.  Ball volumes and sphere
+measures come from the space's own ``volume`` and ``content``.
 
 Functions are supported on [0, r_end] of their grid; values are interpolated
 shape-preservingly between nodes unless exact callables are attached.
@@ -15,7 +16,6 @@ shape-preservingly between nodes unless exact callables are attached.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +23,9 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, InvariantViolation
 from .quadrature import integrate
-from .spaces import Euclidean, ModelSpace, WarpedProduct, avr, vol_ball
+from .spaces import Euclidean, ModelSpace, PowerLawSpace, _require_radial, avr
 from .specfun import omega
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _JUMP = 2.0 ** -30   # relative ramp width standing in for a jump discontinuity
 
 
@@ -181,69 +180,6 @@ class DistributionProfile:
         return cls(rows[:, 0], rows[:, 1])
 
 
-# ---------------------------------------------------------------------------
-# fast ball volumes
-
-def volume_function(space: ModelSpace, r_max: float):
-    """Returns vol(B_r) as a cheap vectorized callable on [0, r_max].
-
-    Power-law spaces evaluate their closed form.  Warped products get a
-    cumulative composite Gauss-Legendre table over segments sized to the
-    profile's curvature scale, plus an exact 12-point tail from the nearest
-    table node, so each call costs one density evaluation batch.
-    """
-    if not isinstance(space, WarpedProduct):
-        coef = vol_ball(space, 1.0)
-        N = space.effective_dimension
-
-        def vol_power(r):
-            r = np.asarray(r, dtype=float)
-            return coef * np.clip(r, 0.0, None) ** N
-        return vol_power
-
-    n, prof = space.n, space.profile
-    coef = n * omega(float(n))
-
-    def density(r):
-        return coef * np.asarray(prof.F(r), dtype=float) ** (n - 1)
-
-    beta = getattr(prof, "beta", None)
-    pieces = [np.array([0.0, r_max])]
-    if beta is not None:
-        bend = min(60.0 / beta, r_max)
-        k = max(4, int(math.ceil(bend * beta * 4.0)))
-        pieces.append(np.linspace(0.0, bend, k + 1))
-    if hasattr(prof, "s_grid"):
-        pieces.append(np.asarray(prof.s_grid)[np.asarray(prof.s_grid) < r_max])
-    pieces.append(np.linspace(0.0, r_max, 65))
-    breaks = np.unique(np.concatenate(pieces))
-
-    lo, hi = breaks[:-1], breaks[1:]
-    half = (hi - lo) / 2.0
-    x = lo[:, None] + (_GL_NODES[None, :] + 1.0) * half[:, None]
-    seg = (density(x) @ _GL_WEIGHTS) * half
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-
-    def vol_warped(r):
-        r = np.clip(np.asarray(r, dtype=float), 0.0, r_max)
-        idx = np.searchsorted(breaks, r, side="right") - 1
-        idx = np.clip(idx, 0, breaks.size - 2)
-        a = breaks[idx]
-        h = (r - a) / 2.0
-        xs = a[..., None] + (_GL_NODES + 1.0) * h[..., None]
-        partial = (density(xs) @ _GL_WEIGHTS) * h
-        return cum[idx] + partial
-    return vol_warped
-
-
-def _require_radial(space):
-    if not space.radial_supported:
-        from .errors import UnsupportedOperationError
-        raise UnsupportedOperationError(
-            "rearrangement needs radial ball volumes; "
-            f"{space.descriptor()['variant']} does not provide them")
-
-
 def _check_monotone_probe(u: RadialFunction):
     vals = np.asarray(u.value(u.r_grid), dtype=float)
     scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
@@ -279,9 +215,8 @@ def distribution(space: ModelSpace, u: RadialFunction,
         raise DomainError("t_grid must be 1-D and strictly descending")
     if np.any(t < 0.0):
         raise DomainError("levels must be nonnegative")
-    vol = volume_function(space, u.r_end)
     radii = np.array([_level_radius(u, float(ti)) for ti in t])
-    vols = np.where(radii > 0.0, vol(radii), 0.0)
+    vols = space.volume(radii)
     return DistributionProfile(t, vols, radii=radii)
 
 
@@ -290,23 +225,18 @@ def euclidean_rearrangement(space: ModelSpace, u: RadialFunction) -> RadialFunct
     _require_radial(space)
     _check_monotone_probe(u)
     N = space.effective_dimension
-    vol = volume_function(space, u.r_end)
-    vols = np.asarray(vol(u.r_grid), dtype=float)
+    vols = space.volume(u.r_grid)
     s_grid = (np.clip(vols, 0.0, None) / omega(N)) ** (1.0 / N)
     s_grid[0] = 0.0
     value_fn = deriv_fn = None
-    if not isinstance(space, WarpedProduct):
+    if isinstance(space, PowerLawSpace):
         # rho is linear for power-law volumes: exact callables transport
-        c = (vol_ball(space, 1.0) / omega(N)) ** (1.0 / N)
+        c = (space.unit_ball_volume / omega(N)) ** (1.0 / N)
         if u.value_fn is not None:
             value_fn = lambda s, f=u.value_fn, c=c: f(np.asarray(s) / c)
         if u.deriv_fn is not None:
             deriv_fn = lambda s, f=u.deriv_fn, c=c: f(np.asarray(s) / c) / c
     return RadialFunction(s_grid, u.values.copy(), value_fn, deriv_fn)
-
-
-def _content_density(space: ModelSpace):
-    return lambda r: space._content(r)
 
 
 def _grid_points(u: RadialFunction):
@@ -327,18 +257,16 @@ def lq_norm(space: ModelSpace, u: RadialFunction, q: float) -> float:
     _check_monotone_probe(u)
     if not (isinstance(q, (int, float)) and q > 0.0):
         raise DomainError(f"norm exponent must be positive, got {q!r}")
-    content = _content_density(space)
     direct = integrate(
-        lambda r: abs(float(u.value(r))) ** q * float(content(r)),
+        lambda r: abs(float(u.value(r))) ** q * float(space.content(r)),
         0.0, u.r_end, rel_tol=1e-10, abs_tol=1e-14, points=_grid_points(u))
     height = u.height
     if height <= 0.0:
         return 0.0
-    vol = volume_function(space, u.r_end)
-
     def cav(t):
         r = _level_radius(u, t)
-        return q * t ** (q - 1.0) * (float(vol(r)) if r > 0.0 else 0.0)
+        vol = float(space.volume(r)) if r > 0.0 else 0.0
+        return q * t ** (q - 1.0) * vol
 
     cavalieri = integrate(cav, 0.0, height, rel_tol=1e-10, abs_tol=1e-14)
     gap = abs(direct - cavalieri)
@@ -354,9 +282,8 @@ def grad_lp_norm(space: ModelSpace, u: RadialFunction, p: float) -> float:
     _require_radial(space)
     if not (isinstance(p, (int, float)) and p > 1.0):
         raise DomainError(f"gradient exponent must exceed 1, got {p!r}")
-    content = _content_density(space)
     val = integrate(
-        lambda r: abs(float(u.deriv(r))) ** p * float(content(r)),
+        lambda r: abs(float(u.deriv(r))) ** p * float(space.content(r)),
         0.0, u.r_end, rel_tol=1e-10, abs_tol=1e-14, points=_grid_points(u))
     return max(val, 0.0) ** (1.0 / p)
 
@@ -413,7 +340,6 @@ def coarea_derivative_check(space: ModelSpace, u: RadialFunction,
     profile = distribution(space, u, t_grid)
     t, V = profile.t_grid, profile.volumes
     radii = profile.radii
-    content = _content_density(space)
     rows, skipped = [], []
     for i in range(1, t.size - 1):
         r_i = float(radii[i])
@@ -423,7 +349,7 @@ def coarea_derivative_check(space: ModelSpace, u: RadialFunction,
             continue
         dvdt = float((V[i + 1] - V[i - 1]) / (t[i + 1] - t[i - 1]))
         lhs = -dvdt
-        rhs = float(content(r_i)) / abs(slope)
+        rhs = float(space.content(r_i)) / abs(slope)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         rows.append(CoareaRow(t=float(t[i]), minus_v_prime=lhs,
                               coarea_value=rhs, rel_err=rel))
@@ -441,15 +367,11 @@ def layer_cake_radial_integral(space: ModelSpace, f, f_prime,
     Cross-checked against the direct radial quadrature int f(r) dA(r) to
     1e-8 relative; the layer-cake value is returned.
     """
-    _require_radial(space)
-    if not (isinstance(R, (int, float)) and R > 0.0 and math.isfinite(R)):
-        raise DomainError(f"radius must be a positive real, got {R!r}")
-    vol = volume_function(space, R)
-    layer = float(f(R)) * float(vol(R)) - integrate(
-        lambda r: float(f_prime(r)) * float(vol(r)), 0.0, R,
+    _require_radial(space, R)
+    layer = float(f(R)) * float(space.volume(R)) - integrate(
+        lambda r: float(f_prime(r)) * float(space.volume(r)), 0.0, R,
         rel_tol=1e-11, abs_tol=1e-14)
-    content = _content_density(space)
-    direct = integrate(lambda r: float(f(r)) * float(content(r)), 0.0, R,
+    direct = integrate(lambda r: float(f(r)) * float(space.content(r)), 0.0, R,
                        rel_tol=1e-11, abs_tol=1e-14)
     if abs(layer - direct) > 1e-8 * max(abs(layer), abs(direct), 1e-300):
         raise InvariantViolation(

@@ -278,7 +278,7 @@ class ZInclusionResult:
 def z_inclusion_check(space: FiniteMetricMeasureSpace, omega, x0,
                       R: float, s: float, slack: float = 0.0,
                       interpolant_slack: float = 0.0) -> ZInclusionResult:
-    """Z_s(Omega, B(x0, R)) against the s(d0+R)-neighborhood of Omega.
+    """Z_s(Omega, B(x0, R)) against the closed s(d0+R)-neighborhood of Omega.
 
     d0 = diam(Omega).  Every interpolant z between x in Omega and y in
     the ball satisfies d(x,z) = s d(x,y) <= s (d0 + R), so the inclusion
@@ -299,7 +299,9 @@ def z_inclusion_check(space: FiniteMetricMeasureSpace, omega, x0,
     z_set = interpolant_set(space, InterpolantQuery(
         A=omega, B=ball, s=s, slack=interpolant_slack))
     radius = s * (d0 + R) + slack
-    hood = eps_neighborhood(space, omega, radius)
+    # the closed neighbourhood d <= radius: below the next float up, the
+    # strict test of eps_neighborhood admits exactly the distances <= radius
+    hood = eps_neighborhood(space, omega, np.nextafter(radius, np.inf))
     hood_set = set(hood)
     violating = next((z for z in z_set if z not in hood_set), None)
     return ZInclusionResult(passed=violating is None, violating=violating,

@@ -10,11 +10,15 @@ CD(0,N) sense) and Euclidean volume growth:
     MonomialHalfSpace(n,aw) half-space {x_n > 0} weighted by x_n^aw
     AleQuotient(n, k)       R^n/G at infinity, Card(G) = k; no radial data
 
-The first four expose exact or quadrature ball volumes vol(B_r), analytic
-Minkowski contents (sphere measures), and the asymptotic volume ratio
-AVR = lim vol(B_r)/(omega_N r^N) with N the effective dimension.  The ALE
-variant carries only its AVR = 1/k: computing its ball volumes would need
-metric data this package does not model, so radial operations reject it.
+The first four own the radial geometry every other module builds on: the
+ball volume ``volume(r)`` = vol(B_r) and its derivative, the sphere measure
+``content(r)``, both taking and returning arrays, and the asymptotic volume
+ratio AVR = lim vol(B_r)/(omega_N r^N) with N the effective dimension.  The
+power-law spaces (Euclidean, cone, monomial) have vol(B_r) = c r^N exactly;
+the warped product integrates its sphere measure once into a cumulative
+table.  The ALE variant carries only its AVR = 1/k: computing its ball
+volumes would need metric data this package does not model, so radial
+operations reject it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, UnsupportedOperationError
-from .quadrature import integrate
+from .quadrature import gauss_panels, integrate
 from .specfun import omega
 
 _SLACK = 1.0 + 1e-12
@@ -50,6 +54,12 @@ class WarpingProfile:
 
     @property
     def asymptote(self) -> float:
+        raise NotImplementedError
+
+    @property
+    def breaks(self):
+        """Ascending s-grid from 0 on whose segments f is smooth; beyond
+        the last point f equals its asymptote, so F is affine there."""
         raise NotImplementedError
 
 
@@ -80,6 +90,12 @@ class ExponentialTail(WarpingProfile):
     @property
     def asymptote(self) -> float:
         return self.a
+
+    @property
+    def breaks(self):
+        # quarter decay lengths out to s = 60/beta, where e^{-beta s} < 1e-26
+        # leaves f equal to a and F affine to double precision
+        return np.linspace(0.0, 60.0 / self.beta, 241)
 
 
 class SampledProfile(WarpingProfile):
@@ -135,6 +151,10 @@ class SampledProfile(WarpingProfile):
     def asymptote(self) -> float:
         return self._f_end
 
+    @property
+    def breaks(self):
+        return self.s_grid
+
 
 # ---------------------------------------------------------------------------
 # model spaces
@@ -149,14 +169,34 @@ class ModelSpace:
     def avr(self) -> float:
         raise NotImplementedError
 
-    def _vol(self, r: float) -> float:
-        raise NotImplementedError
+    def volume(self, r):
+        """vol(B_r) about the pole, elementwise over the array r >= 0."""
+        raise UnsupportedOperationError(
+            f"{type(self).__name__} carries no radial ball-volume model")
 
-    def _content(self, r):
-        raise NotImplementedError
+    def content(self, r):
+        """Sphere measure (Minkowski content of B_r), d/dr of volume."""
+        raise UnsupportedOperationError(
+            f"{type(self).__name__} carries no radial perimeter model")
 
     def descriptor(self) -> dict:
         raise NotImplementedError
+
+
+class PowerLawSpace(ModelSpace):
+    """vol(B_r) = c r^N exactly; a subclass supplies c = unit_ball_volume."""
+
+    def volume(self, r):
+        N = self.effective_dimension
+        return self.unit_ball_volume * np.asarray(r, dtype=float) ** N
+
+    def content(self, r):
+        N = self.effective_dimension
+        return N * self.unit_ball_volume * np.asarray(r, dtype=float) ** (N - 1.0)
+
+    def avr(self) -> float:
+        N = self.effective_dimension
+        return min(self.unit_ball_volume / omega(N), 1.0)
 
 
 def _check_int(value, what, minimum):
@@ -165,7 +205,7 @@ def _check_int(value, what, minimum):
 
 
 @dataclass(frozen=True)
-class Euclidean(ModelSpace):
+class Euclidean(PowerLawSpace):
     """Flat space; real dimension n > 1 admitted (CD(0,N) statements)."""
 
     n: float
@@ -179,15 +219,9 @@ class Euclidean(ModelSpace):
     def effective_dimension(self) -> float:
         return float(self.n)
 
-    def avr(self) -> float:
-        return 1.0
-
-    def _vol(self, r):
-        return omega(self.n) * r ** float(self.n)
-
-    def _content(self, r):
-        n = float(self.n)
-        return n * omega(n) * np.asarray(r, dtype=float) ** (n - 1.0)
+    @cached_property
+    def unit_ball_volume(self) -> float:
+        return omega(self.n)
 
     def descriptor(self):
         return {"variant": "euclidean", "n": float(self.n)}
@@ -211,15 +245,47 @@ class WarpedProduct(ModelSpace):
         # vol(B_r)/(omega_n r^n) -> a^{n-1} by L'Hospital on F(r)/r -> a
         return float(self.profile.asymptote) ** (self.n - 1)
 
-    def _vol(self, r):
-        n = self.n
-        prof = self.profile
-        return n * omega(float(n)) * integrate(
-            lambda s: prof.F(s) ** (n - 1), 0.0, r, rel_tol=1e-11, abs_tol=1e-14)
+    @cached_property
+    def _sphere_coef(self) -> float:
+        return self.n * omega(float(self.n))
 
-    def _content(self, r):
-        n = float(self.n)
-        return n * omega(n) * self.profile.F(r) ** (n - 1.0)
+    def content(self, r):
+        F = np.asarray(self.profile.F(r), dtype=float)
+        return self._sphere_coef * F ** (self.n - 1)
+
+    @cached_property
+    def _volume_table(self):
+        """(breaks, cumulative volume at each break) up to the last profile
+        break.
+
+        The profile's breaks are joined by a dyadic grid down to 2^-100 of
+        the last, so no segment past the first spans more than a factor 2
+        in radius: on such a segment, or any part of one, the 12-point rule
+        holds F^{n-1} to ~1e-14 relative for n up to 30.
+        """
+        end = float(self.profile.breaks[-1])
+        breaks = np.unique(np.concatenate(
+            [self.profile.breaks, end * 2.0 ** -np.arange(1, 101)]))
+        seg = gauss_panels(self.content, breaks[:-1], breaks[1:])
+        return breaks, np.concatenate([[0.0], np.cumsum(seg)])
+
+    def volume(self, r):
+        r = np.asarray(r, dtype=float)
+        breaks, cum = self._volume_table
+        end = breaks[-1]
+        inside = np.minimum(r, end)
+        idx = np.clip(np.searchsorted(breaks, inside, side="right") - 1,
+                      0, breaks.size - 2)
+        vol = cum[idx] + gauss_panels(self.content, breaks[idx], inside)
+        if not np.any(r > end):
+            return vol
+        # past the last break F = F_e + a (r - end) is affine, and
+        # n omega_n int F^{n-1} = omega_n F_e^n ((1 + d)^n - 1) / a exactly
+        n, a = self.n, float(self.profile.asymptote)
+        F_e = float(self.profile.F(end))
+        d = a * (np.maximum(r, end) - end) / F_e
+        growth = np.expm1(n * np.log1p(d))
+        return vol + self._sphere_coef * F_e ** n * growth / (n * a)
 
     def descriptor(self):
         if not isinstance(self.profile, ExponentialTail):
@@ -231,7 +297,7 @@ class WarpedProduct(ModelSpace):
 
 
 @dataclass(frozen=True)
-class EuclideanCone(ModelSpace):
+class EuclideanCone(PowerLawSpace):
     """Metric cone over an n-dimensional link of total measure m_M.
 
     Only (n, m_M) matter for ball volumes and contents; the link itself is
@@ -253,21 +319,16 @@ class EuclideanCone(ModelSpace):
     def effective_dimension(self) -> float:
         return float(self.n + 1)
 
-    def avr(self) -> float:
-        return min(self.m_M / ((self.n + 1) * omega(float(self.n + 1))), 1.0)
-
-    def _vol(self, r):
-        return self.m_M * r ** (self.n + 1) / (self.n + 1)
-
-    def _content(self, r):
-        return self.m_M * np.asarray(r, dtype=float) ** self.n
+    @cached_property
+    def unit_ball_volume(self) -> float:
+        return self.m_M / (self.n + 1)
 
     def descriptor(self):
         return {"variant": "cone", "n": float(self.n), "m_M": float(self.m_M)}
 
 
 @dataclass(frozen=True)
-class MonomialHalfSpace(ModelSpace):
+class MonomialHalfSpace(PowerLawSpace):
     """Half-space {x_n > 0} in R^n with weight w(x) = x_n^alpha_w.
 
     w^{1/alpha_w} = x_n is linear hence concave, so the space is CD(0, N)
@@ -288,14 +349,14 @@ class MonomialHalfSpace(ModelSpace):
             raise DomainError(f"weight exponent must be >= 0, got {self.alpha_w!r}")
         if self.n + self.alpha_w <= 1.0:
             raise DomainError("effective dimension n + alpha_w must exceed 1")
-        if self.unit_ball_weight > omega(self.effective_dimension) * _SLACK:
+        if self.unit_ball_volume > omega(self.effective_dimension) * _SLACK:
             raise DomainError(
-                f"weighted unit-ball volume {self.unit_ball_weight:g} exceeds "
+                f"weighted unit-ball volume {self.unit_ball_volume:g} exceeds "
                 f"omega_N = {omega(self.effective_dimension):g}; AVR would "
                 "exceed 1 outside the model's admissible regime")
 
     @cached_property
-    def unit_ball_weight(self) -> float:
+    def unit_ball_volume(self) -> float:
         """Lambda = int over the unit half-ball of x_n^alpha_w, by quadrature."""
         a = float(self.alpha_w)
         if self.n == 1:
@@ -309,16 +370,6 @@ class MonomialHalfSpace(ModelSpace):
     @property
     def effective_dimension(self) -> float:
         return float(self.n) + float(self.alpha_w)
-
-    def avr(self) -> float:
-        return min(self.unit_ball_weight / omega(self.effective_dimension), 1.0)
-
-    def _vol(self, r):
-        return self.unit_ball_weight * r ** self.effective_dimension
-
-    def _content(self, r):
-        N = self.effective_dimension
-        return N * self.unit_ball_weight * np.asarray(r, dtype=float) ** (N - 1.0)
 
     def descriptor(self):
         return {"variant": "monomial", "n": float(self.n),
@@ -344,14 +395,6 @@ class AleQuotient(ModelSpace):
     def avr(self) -> float:
         return 1.0 / self.k
 
-    def _vol(self, r):
-        raise UnsupportedOperationError(
-            "ALE quotients carry no radial ball-volume model")
-
-    def _content(self, r):
-        raise UnsupportedOperationError(
-            "ALE quotients carry no radial perimeter model")
-
     def descriptor(self):
         return {"variant": "ale", "n": float(self.n), "k": float(self.k)}
 
@@ -369,16 +412,26 @@ def _require_radial(space, r=None):
         raise DomainError(f"radius must be a positive real, got {r!r}")
 
 
+def _representable(value, what, r):
+    # positive for every r > 0: 0 is underflow, inf overflow
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} at r={r!r} lies outside double precision")
+    return value
+
+
 def vol_ball(space: ModelSpace, r: float) -> float:
     """Measure of the metric ball of radius r about the pole."""
     _require_radial(space, r)
-    return float(space._vol(float(r)))
+    with np.errstate(over="ignore"):
+        return _representable(float(space.volume(float(r))), "ball volume", r)
 
 
 def minkowski_content_ball(space: ModelSpace, r: float) -> float:
     """Outer Minkowski content (sphere measure) of the radius-r ball."""
     _require_radial(space, r)
-    return float(space._content(float(r)))
+    with np.errstate(over="ignore"):
+        return _representable(float(space.content(float(r))),
+                              "sphere measure", r)
 
 
 def avr(space: ModelSpace) -> float:
@@ -410,11 +463,7 @@ def avr_numeric(space: ModelSpace, r_max: float, samples: int = 16) -> AvrEstima
     ratios = tuple((float(r), vol_ball(space, float(r)) / (omega(N) * float(r) ** N))
                    for r in radii)
     estimate = ratios[-1][1]
-    if isinstance(space, WarpedProduct):
-        lower = float(space.profile.asymptote) ** (space.n - 1)
-    else:
-        lower = estimate
-    return AvrEstimate(estimate=estimate, lower=min(lower, estimate),
+    return AvrEstimate(estimate=estimate, lower=min(space.avr(), estimate),
                        upper=estimate, samples=ratios)
 
 
@@ -536,7 +585,7 @@ def weighted_avr_lambda(space: MonomialHalfSpace) -> WeightedAvr:
     """Lambda_alpha = int_{B(1), x_n>0} x_n^alpha_w and the derived AVR."""
     if not isinstance(space, MonomialHalfSpace):
         raise DomainError("weighted_avr_lambda applies to MonomialHalfSpace only")
-    return WeightedAvr(lam=space.unit_ball_weight, avr=space.avr())
+    return WeightedAvr(lam=space.unit_ball_volume, avr=space.avr())
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +600,28 @@ def space_from_descriptor(record: dict) -> ModelSpace:
     if unknown:
         raise DomainError(f"unknown descriptor keys: {sorted(unknown)}")
     variant = record.get("variant")
+
+    def whole(key):
+        # integral values become int; any other passes on, for the
+        # constructor's integer check to reject rather than truncate
+        value = float(record[key])
+        return int(value) if value.is_integer() else value
+
     try:
         if variant == "euclidean":
             return Euclidean(n=float(record["n"]))
         if variant == "warped":
             return WarpedProduct(
-                n=int(record["n"]),
+                n=whole("n"),
                 profile=ExponentialTail(a=float(record["a"]),
                                         beta=float(record["beta"])))
         if variant == "cone":
-            return EuclideanCone(n=int(record["n"]), m_M=float(record["m_M"]))
+            return EuclideanCone(n=whole("n"), m_M=float(record["m_M"]))
         if variant == "monomial":
-            return MonomialHalfSpace(n=int(record["n"]),
+            return MonomialHalfSpace(n=whole("n"),
                                      alpha_w=float(record["alpha_w"]))
         if variant == "ale":
-            return AleQuotient(n=int(record["n"]), k=int(record["k"]))
+            return AleQuotient(n=whole("n"), k=whole("k"))
     except KeyError as missing:
         raise DomainError(f"descriptor missing field {missing}") from None
     raise DomainError(f"unknown variant {variant!r}")

@@ -145,11 +145,16 @@ def beta(a: float, b: float) -> float:
     return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
 
 
-def omega(N: float) -> float:
-    """Volume of the unit ball in dimension N, real N >= 1 allowed."""
+def log_omega(N: float) -> float:
+    """log of the unit-ball volume omega_N, finite for every real N >= 1."""
     if not (isinstance(N, (int, float)) and math.isfinite(N) and N >= 1):
         raise DomainError(f"omega requires real N >= 1, got {N!r}")
-    return math.exp(0.5 * N * math.log(math.pi) - log_gamma(1.0 + 0.5 * N))
+    return 0.5 * N * math.log(math.pi) - log_gamma(1.0 + 0.5 * N)
+
+
+def omega(N: float) -> float:
+    """Volume of the unit ball in dimension N, real N >= 1 allowed."""
+    return math.exp(log_omega(N))
 
 
 _SERIES_SWITCH = 9.0

@@ -37,7 +37,7 @@ from .rearrange import (
     lq_norm,
     polya_szego_check,
 )
-from .spaces import ModelSpace, avr, vol_ball
+from .spaces import ModelSpace, _require_radial, avr, vol_ball
 from .specfun import DEFAULT_PRECISION, Precision, bessel_first_zero, bessel_j, gamma, omega
 
 
@@ -132,10 +132,6 @@ def truncated_extremal(params: SobolevParams, lam: float = 1.0,
 # ---------------------------------------------------------------------------
 # quotients
 
-def _descriptor(space: ModelSpace) -> dict:
-    return space.descriptor()
-
-
 def sobolev_quotient(space: ModelSpace, u: RadialFunction,
                      p: float) -> QuotientReport:
     """|u|_{p*} / |grad u|_p against the sharp constant S = AT AVR^{-1/n}."""
@@ -149,7 +145,7 @@ def sobolev_quotient(space: ModelSpace, u: RadialFunction,
     rhs = sobolev_constant(params, avr(space))
     return QuotientReport(
         lhs=lhs, rhs_constant=rhs, quotient=quotient, margin=rhs - quotient,
-        space=_descriptor(space),
+        space=space.descriptor(),
         params={"p": p, "p_star": params.p_star, "direction": "upper"})
 
 
@@ -171,7 +167,7 @@ def gn_quotient(space: ModelSpace, u: RadialFunction,
     rhs = gn_sharp_constant(params, avr(space))
     return QuotientReport(
         lhs=top, rhs_constant=rhs, quotient=quotient, margin=rhs - quotient,
-        space=_descriptor(space),
+        space=space.descriptor(),
         params={"p": p, "alpha": alpha, "theta": theta, "direction": "upper"})
 
 
@@ -220,9 +216,7 @@ def fk_eigenvalue(space: ModelSpace, R: float,
     closed form j_{N/2-1}^2/R^2 is widened geometrically, then bisected on
     the sign of phi(R).
     """
-    if not (isinstance(R, (int, float)) and R > 0.0 and math.isfinite(R)):
-        raise DomainError(f"radius must be a positive real, got {R!r}")
-    vol_ball(space, R)    # rejects non-radial spaces up front
+    _require_radial(space, R)
     N = space.effective_dimension
     nu = N / 2.0 - 1.0
     r0 = R * 1e-8
@@ -230,10 +224,17 @@ def fk_eigenvalue(space: ModelSpace, R: float,
     uniform = np.linspace(0.1 * R, R, steps)
     r = np.unique(np.concatenate([graded, uniform]))
     mids = 0.5 * (r[:-1] + r[1:])
-    A_nodes = np.asarray(space._content(r), dtype=float)
-    A_mids = np.asarray(space._content(mids), dtype=float)
-
-    guess = (bessel_first_zero(nu) / R) ** 2
+    with np.errstate(over="ignore"):
+        A_nodes = space.content(r)
+        A_mids = space.content(mids)
+    k = bessel_first_zero(nu) / R
+    guess = k * k
+    # the density rises with r, so its nodes bound it on the midpoints too
+    if not (math.isfinite(guess) and np.isfinite(A_nodes[-1])
+            and A_nodes[0] > 0.0):
+        raise DomainError(
+            f"radius {R!r} puts the radial density or the eigenvalue "
+            "outside double precision")
     lo, hi = 0.5 * guess, 2.0 * guess
     iterations = 0
     while _shoot(lo, r, mids, A_nodes, A_mids, N) <= 0.0:
@@ -291,7 +292,7 @@ def fk_check(space: ModelSpace, R: float,
     rhs = fk_constant(N, avr(space))
     return QuotientReport(
         lhs=eig.lambda_1, rhs_constant=rhs, quotient=quotient,
-        margin=quotient - rhs, space=_descriptor(space),
+        margin=quotient - rhs, space=space.descriptor(),
         params={"R": R, "vol": vol, "direction": "lower"})
 
 
@@ -548,7 +549,7 @@ def _polya_rows(space, p):
             label=f"{label}" if p == 2.0 else f"{label},p={p}",
             report=QuotientReport(
                 lhs=res.lhs, rhs_constant=1.0, quotient=res.ratio,
-                margin=res.ratio - 1.0, space=_descriptor(space),
+                margin=res.ratio - 1.0, space=space.descriptor(),
                 params={"p": p, "direction": "lower"})))
     return rows
 
@@ -561,7 +562,7 @@ def run_suite(space: ModelSpace, name: str, p: float = 2.0,
     A suite passes iff every row's margin clears -1e-6 times the relevant
     constant (1 for ratio-style rows).
     """
-    desc = _descriptor(space)
+    desc = space.descriptor()
     N = space.effective_dimension
     if name == "polya-szego":
         rows = _polya_rows(space, p)

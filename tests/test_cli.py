@@ -73,6 +73,38 @@ class TestConstantsCommand:
         assert doc["values"]["fk"] == pytest.approx(18.168414535537232)
 
 
+    @pytest.mark.parametrize("p", [None, 2.0])
+    def test_large_dimension_against_mpmath(self, capsys, p):
+        # omega_2000 underflows; every constant is assembled in log space
+        import mpmath as mp
+        n = 2000
+        argv = ["constants", "--n", str(n)] + (["--p", str(p)] if p else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        table = {k: float(v) for k, v in
+                 (ln.split(",") for ln in out.splitlines()[1:])}
+        with mp.workdps(30):
+            nu = mp.mpf(n) / 2 - 1
+            j = mp.findroot(lambda x: mp.besselj(nu, x),
+                            nu + mp.mpf("1.8557571") * mp.cbrt(nu))
+            omega_n = mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1)
+            fk = j ** 2 * omega_n ** (mp.mpf(2) / n)
+            want = {"omega_n": omega_n, "fk": fk, "rayleigh": 1 / fk,
+                    "isoperimetric": n * omega_n ** (mp.mpf(1) / n), "avr": 1}
+            if p:
+                # Aubin-Talenti; at the Sobolev endpoint GN coincides with it
+                p = mp.mpf(p)
+                ratio = (mp.gamma(1 + mp.mpf(n) / 2) * mp.gamma(n)
+                         / (mp.gamma(n / p) * mp.gamma(1 + n - n / p)))
+                at = (mp.pi ** mp.mpf(-0.5) * mp.mpf(n) ** (-1 / p)
+                      * ((p - 1) / (n - p)) ** (1 - 1 / p)
+                      * ratio ** (mp.mpf(1) / n))
+                want.update(at=at, theta=1, gn=at, sobolev=at, gn_sharp=at)
+        assert set(table) == set(want)
+        for key, value in want.items():
+            assert table[key] == pytest.approx(float(value), rel=1e-10), key
+
+
 class TestSpaceCommand:
     def test_warped_sweep_final_ratio(self, capsys):
         code, out, _ = run_cli(capsys, "space", "--variant", "warped",
@@ -179,6 +211,14 @@ class TestSandboxCommand:
         assert table["z_set"] != ""
         assert "neighborhood" in table
 
+    @pytest.mark.parametrize("graph", ["path5", "grid5"])
+    def test_interpolant_on_the_boundary_passes(self, capsys, graph):
+        # z at distance exactly s(d0+R) lies in the closed neighbourhood
+        code, out, _ = run_cli(capsys, "sandbox", "z-inclusion",
+                               "--graph", graph)
+        assert code == 0
+        assert "passed,True" in out.splitlines()
+
     def test_bm_deficit_table(self, capsys):
         code, out, _ = run_cli(capsys, "sandbox", "bm", "--n", "2",
                                "--h", "0.015625")
@@ -238,3 +278,23 @@ class TestPlumbing:
 
     def test_missing_subcommand_exit_2(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        # a fractional dimension where the variant needs an integer
+        ("space", "--variant", "warped", "--n", "2.7"),
+        ("space", "--variant", "cone", "--n", "2.7", "--m", "3"),
+        ("space", "--variant", "monomial", "--n", "2.7"),
+        ("space", "--variant", "ale", "--n", "2.7"),
+        # ball volumes past double precision, above and below
+        ("space", "--variant", "euclidean", "--n", "2.5",
+         "--sweep", "1:1e300:log:5"),
+        ("space", "--variant", "euclidean", "--n", "3",
+         "--sweep", "1e-300:1:log:5"),
+        # an eigenvalue j^2/R^2 past double precision
+        ("verify", "faber-krahn", "--variant", "euclidean", "--n", "3",
+         "--R", "1e-300"),
+    ])
+    def test_bad_input_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and out == ""

@@ -18,7 +18,6 @@ from isosharp.rearrange import (
     layer_cake_radial_integral,
     lq_norm,
     polya_szego_check,
-    volume_function,
 )
 from isosharp.spaces import (
     EuclideanCone,
@@ -131,19 +130,6 @@ class TestDistribution:
         back = DistributionProfile.from_csv(path)
         assert np.array_equal(back.t_grid, prof.t_grid)
         assert np.array_equal(back.volumes, prof.volumes)
-
-
-class TestVolumeFunction:
-    def test_warped_table_matches_adaptive_quadrature(self):
-        space = warped(n=3, a=0.4, beta=2.5)
-        vol = volume_function(space, 20.0)
-        for r in (0.05, 0.7, 3.3, 11.0, 20.0):
-            assert float(vol(r)) == pytest.approx(vol_ball(space, r), rel=1e-11)
-
-    def test_power_law_exact(self):
-        vol = volume_function(MonomialHalfSpace(2, 1.0), 5.0)
-        assert float(vol(2.0)) == pytest.approx(vol_ball(MonomialHalfSpace(2, 1.0), 2.0),
-                                                rel=1e-14)
 
 
 class TestRearrangement:

@@ -27,6 +27,8 @@ from isosharp.spaces import (
 )
 from isosharp.specfun import omega
 
+from oracles import warped_volume_oracle
+
 
 def warped(n=3, a=0.5, beta=2.0):
     return WarpedProduct(n=n, profile=ExponentialTail(a=a, beta=beta))
@@ -53,6 +55,8 @@ class TestEuclidean:
             vol_ball(Euclidean(3), -1.0)
         with pytest.raises(DomainError):
             vol_ball(Euclidean(3), 0.0)
+        with pytest.raises(DomainError):
+            vol_ball(Euclidean(2.5), 1e300)    # overflows, not inf
 
 
 class TestWarpedProduct:
@@ -110,6 +114,28 @@ class TestWarpedProduct:
             ExponentialTail(a=1.2, beta=1.0)
         with pytest.raises(DomainError):
             ExponentialTail(a=0.5, beta=0.0)
+
+
+class TestVolume:
+    def test_warped_matches_mpmath(self):
+        space = warped(n=3, a=0.4, beta=2.5)
+        radii = (0.05, 0.7, 3.3, 11.0, 20.0)
+        got = space.volume(np.array(radii))
+        assert got.shape == (len(radii),)
+        for r, v in zip(radii, got):
+            assert v == pytest.approx(warped_volume_oracle(3, 0.4, 2.5, r),
+                                      rel=1e-11)
+
+    def test_warped_far_radius_matches_mpmath(self):
+        # past the profile's curvature scale, where the volume grows like r^n
+        space = warped(n=2, a=0.5, beta=1.0)
+        assert vol_ball(space, 1e4) == pytest.approx(
+            warped_volume_oracle(2, 0.5, 1.0, 1e4), rel=1e-12)
+
+    def test_power_law_exact(self):
+        # Lambda = 2/3 for the half-plane weighted by x_2, N = 3
+        assert float(MonomialHalfSpace(2, 1.0).volume(2.0)) == pytest.approx(
+            16.0 / 3.0, rel=1e-14)
 
 
 class TestSampledProfile:
