@@ -50,9 +50,8 @@ _VARIANT_DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat record of one invocation: command and output plumbing."""
+    """Flat record of one invocation's output plumbing."""
 
-    command: str
     fmt: str
     output: str | None
     seed: int
@@ -397,8 +396,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = RunConfig(command=args.command, fmt=args.format,
-                        output=args.output, seed=args.seed, tol=args.tol)
+        cfg = RunConfig(fmt=args.format, output=args.output, seed=args.seed,
+                        tol=args.tol)
         text, passed = _DISPATCH[args.command](cfg, args)
         _write(cfg, text)
     except (DomainError, UnsupportedOperationError) as exc:

@@ -1,12 +1,19 @@
-"""Thin adaptive-quadrature wrapper.
+"""Quadrature rules, one per kind of integrand.
 
 Everything integrable in this package is a smooth or piecewise-smooth radial
-profile, so QUADPACK does the heavy lifting.  ``integrate`` adds the two
-things the callers actually need on top of scipy.integrate.quad: a quiet
-retry that subdivides the interval when the adaptive scheme reports trouble,
-and a composite fixed-order Gauss rule for integrands defined piecewise on a
-known breakpoint grid (interpolants), where handing QUADPACK hundreds of
-kinks would be slower and less accurate.
+profile, and the representation decides the rule:
+
+* an exact callable (a closed-form profile, a Bessel test function) may
+  kink anywhere, for instance inside a grid segment, so it goes to
+  QUADPACK through ``integrate``, which adds a quiet retry that subdivides
+  the interval when the adaptive scheme reports trouble;
+* an integrand built from a piecewise-cubic interpolant is smooth between
+  known breakpoints, so it goes to the composite fixed-order Gauss rule of
+  ``gauss_on_segments``, on those breakpoints and a dyadic grading
+  (``dyadic_breaks``) toward the points where it has an algebraic endpoint
+  behaviour.  Handing QUADPACK hundreds of kinks instead is slower and
+  less accurate: ``integrate`` thins its break points to about 80, and
+  every missed kink costs a subdivision retry.
 """
 
 from __future__ import annotations
@@ -79,3 +86,21 @@ def gauss_on_segments(f, breaks):
     if breaks.size < 2:
         return 0.0
     return float(np.sum(gauss_panels(f, breaks[:-1], breaks[1:])))
+
+
+def dyadic_breaks(breaks, targets):
+    """``breaks`` joined with points graded dyadically toward each target.
+
+    Toward a target x the points x - (x - lo) 2^-k and x + (hi - x) 2^-k,
+    k = 1..100, are added, [lo, hi] being the span of ``breaks``.  Past
+    the segments next to x, no segment spans more than a factor 2 in its
+    distance to x, so a fixed rule resolves an algebraic behaviour at x
+    (r^(N-1) at r = 0 for real N, a square-root level radius at a flat
+    node).  Returns the ascending union.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    lo, hi = breaks[0], breaks[-1]
+    x = np.asarray(targets, dtype=float)[:, None]
+    step = 2.0 ** -np.arange(1, 101)
+    return np.unique(np.concatenate(
+        [breaks, (x - (x - lo) * step).ravel(), (x + (hi - x) * step).ravel()]))

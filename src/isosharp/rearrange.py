@@ -11,7 +11,10 @@ and layer-cake identities used to certify them.  Ball volumes and sphere
 measures come from the space's own ``volume`` and ``content``.
 
 Functions are supported on [0, r_end] of their grid; values are interpolated
-shape-preservingly between nodes unless exact callables are attached.
+shape-preservingly between nodes unless exact callables are attached.  The
+representation picks the quadrature: an exact callable goes to adaptive
+QUADPACK, an interpolant to a composite Gauss rule on its own breakpoints
+(see ``isosharp.quadrature``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, InvariantViolation
-from .quadrature import integrate
+from .quadrature import dyadic_breaks, gauss_on_segments, integrate
 from .spaces import Euclidean, ModelSpace, PowerLawSpace, _require_radial, avr
 from .specfun import omega
 
@@ -55,16 +58,18 @@ class RadialFunction:
         self.values = v
         self.value_fn = value_fn
         self.deriv_fn = deriv_fn
-        self._interp = PchipInterpolator(r, v, extrapolate=False)
-        self._interp_deriv = self._interp.derivative()
         self.r_end = float(r[-1])
+        # the interpolant runs on x = r / r_end: in r its cubic coefficients
+        # scale like r_end^-3 and overflow on tiny supports
+        self._interp = PchipInterpolator(r / self.r_end, v, extrapolate=False)
+        self._interp_deriv = self._interp.derivative()
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
         if self.value_fn is not None:
             return self.value_fn(r)
         clamped = np.clip(r, 0.0, self.r_end)
-        return self._interp(clamped)
+        return self._interp(clamped / self.r_end)
 
     def deriv(self, r):
         r = np.asarray(r, dtype=float)
@@ -72,7 +77,7 @@ class RadialFunction:
             return self.deriv_fn(r)
         clamped = np.clip(r, 0.0, self.r_end)
         return np.where((r <= 0.0) | (r >= self.r_end), 0.0,
-                        self._interp_deriv(clamped))
+                        self._interp_deriv(clamped / self.r_end) / self.r_end)
 
     @property
     def height(self) -> float:
@@ -188,21 +193,26 @@ def _check_monotone_probe(u: RadialFunction):
             "profile is not nonincreasing on its own grid")
 
 
-def _level_radius(u: RadialFunction, t: float) -> float:
-    """r(t) = sup{r : u(r) > t} on [0, r_end], by bisection."""
-    if not float(u.value(0.0)) > t:
-        return 0.0
-    if float(u.value(u.r_end)) > t:
-        return u.r_end
-    lo, hi = 0.0, u.r_end
-    tol = 1e-13 * max(1.0, u.r_end)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if float(u.value(mid)) > t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _level_radii(u: RadialFunction, t) -> np.ndarray:
+    """r(t) = sup{r : u(r) > t} on [0, r_end] for a level or an array of
+    levels, by bisection.
+
+    The node values bracket each r(t) between two grid nodes (0 when
+    u(0) <= t, r_end when u(r_end) > t); all levels are then bisected
+    together on the profile, in as many halvings as the widest bracket
+    needs to reach 1e-13 r_end.
+    """
+    t = np.asarray(t, dtype=float)
+    # the nodes valued above t are the first k of the grid
+    k = np.searchsorted(-u.values, -t)
+    lo = u.r_grid[np.maximum(k - 1, 0)]
+    width = u.r_grid[np.minimum(k, u.values.size - 1)] - lo
+    tol = 1e-13 * u.r_end
+    t = t[()]   # a single level compares as a numpy scalar: cheaper per step
+    for _ in range(int(np.ceil(np.log2(max(np.max(width), tol) / tol)))):
+        width = 0.5 * width
+        lo = lo + width * (u.value(lo + width) > t)
+    return lo + 0.5 * width
 
 
 def distribution(space: ModelSpace, u: RadialFunction,
@@ -215,7 +225,7 @@ def distribution(space: ModelSpace, u: RadialFunction,
         raise DomainError("t_grid must be 1-D and strictly descending")
     if np.any(t < 0.0):
         raise DomainError("levels must be nonnegative")
-    radii = np.array([_level_radius(u, float(ti)) for ti in t])
+    radii = _level_radii(u, t)
     vols = space.volume(radii)
     return DistributionProfile(t, vols, radii=radii)
 
@@ -246,29 +256,95 @@ def _grid_points(u: RadialFunction):
     return list(map(float, interior))
 
 
-def lq_norm(space: ModelSpace, u: RadialFunction, q: float) -> float:
-    """Lq(m) norm of u, computed by two routes that must agree to 1e-7.
+def _node_slopes(u: RadialFunction) -> np.ndarray:
+    return u._interp_deriv(u._interp.x)
 
-    Direct: int |u|^q against the space's radial area density.  Cavalieri:
-    int_0^L q t^{q-1} V(t) dt through the distribution function.  The
-    Cavalieri value is returned; disagreement raises InvariantViolation.
+
+def _interpolant_integral(space: ModelSpace, u: RadialFunction, g,
+                          vanishing) -> float:
+    """int_0^{r_end} g(r) dA(r) for g = |w|^power, w being u or u' (a cubic
+    or a quadratic between nodes) and ``vanishing`` the nodes where w is 0.
+
+    Composite Gauss on u's grid joined with the space's own breaks, graded
+    toward r = 0, where dA ~ r^(N-1) is not smooth for real N, and toward
+    each node where w vanishes next to a nonconstant segment, where
+    |w|^power has an algebraic end.
+    """
+    live = np.diff(u.values) != 0.0
+    edges = vanishing & (np.append(live, False) | np.insert(live, 0, False))
+    own = space.breaks
+    breaks = np.concatenate([u.r_grid, own[own < u.r_end]])
+    targets = np.append(u.r_grid[edges], 0.0)
+    return gauss_on_segments(lambda r: g(r) * space.content(r),
+                             dyadic_breaks(breaks, targets))
+
+
+def _cavalieri_interpolant(space: ModelSpace, u: RadialFunction,
+                           q: float) -> float:
+    """int_0^L q t^{q-1} V(t) dt for an interpolant, composite Gauss in t.
+
+    V jumps at plateau values, and r(t) has a square-root end at the value
+    of a node where the slope is 0, so the breaks are the node values,
+    graded toward those flat values, toward t = 0 (t^{q-1}) and toward
+    t = L, where V ~ r(t)^N is not smooth for real N.
+    """
+    levels = np.append(u.values, 0.0)
+    flat = u.values[_node_slopes(u) == 0.0]
+    breaks = dyadic_breaks(np.unique(levels),
+                           np.unique(np.concatenate([flat, levels[[0, -1]]])))
+    return gauss_on_segments(
+        lambda t: q * t ** (q - 1.0) * space.volume(_level_radii(u, t)),
+        breaks)
+
+
+def lq_routes(space: ModelSpace, u: RadialFunction, q: float) -> tuple:
+    """(direct, cavalieri): int |u|^q dm by two independent routes.
+
+    Direct: int |u|^q against the space's radial area density, in r.
+    Cavalieri: int_0^L q t^{q-1} V(t) dt through the distribution function,
+    in t.  A profile with an exact value callable takes adaptive QUADPACK
+    on both routes, since its kinks need not lie on grid nodes.  An
+    interpolant-only profile is smooth between known breakpoints and takes
+    a composite Gauss rule on both: in r on its grid, in t on its node
+    values with a batched level radius.
     """
     _require_radial(space)
     _check_monotone_probe(u)
     if not (isinstance(q, (int, float)) and q > 0.0):
         raise DomainError(f"norm exponent must be positive, got {q!r}")
-    direct = integrate(
-        lambda r: abs(float(u.value(r))) ** q * float(space.content(r)),
-        0.0, u.r_end, rel_tol=1e-10, abs_tol=1e-14, points=_grid_points(u))
+    if u.value_fn is None:
+        direct = _interpolant_integral(
+            space, u, lambda r: np.abs(u.value(r)) ** q, u.values == 0.0)
+    else:
+        direct = integrate(
+            lambda r: abs(float(u.value(r))) ** q * float(space.content(r)),
+            0.0, u.r_end, rel_tol=1e-10, abs_tol=1e-14,
+            points=_grid_points(u))
     height = u.height
     if height <= 0.0:
-        return 0.0
+        return direct, 0.0
+    if u.value_fn is None:
+        return direct, _cavalieri_interpolant(space, u, q)
+
     def cav(t):
-        r = _level_radius(u, t)
+        r = float(_level_radii(u, t))
         vol = float(space.volume(r)) if r > 0.0 else 0.0
         return q * t ** (q - 1.0) * vol
 
-    cavalieri = integrate(cav, 0.0, height, rel_tol=1e-10, abs_tol=1e-14)
+    return direct, integrate(cav, 0.0, height, rel_tol=1e-10, abs_tol=1e-14)
+
+
+def lq_norm(space: ModelSpace, u: RadialFunction, q: float) -> float:
+    """Lq(m) norm of u, computed by two routes that must agree to 1e-7.
+
+    The routes are those of ``lq_routes``: the direct r-integral and the
+    Cavalieri t-integral.  A profile with an exact value callable takes
+    adaptive QUADPACK on both, because its kinks may fall inside a grid
+    segment; an interpolant-only profile takes a composite Gauss rule on
+    its own breakpoints, because it is smooth between them.  The Cavalieri
+    value is returned; disagreement raises InvariantViolation.
+    """
+    direct, cavalieri = lq_routes(space, u, q)
     gap = abs(direct - cavalieri)
     if gap > 1e-7 * max(abs(direct), abs(cavalieri), 1e-300):
         raise InvariantViolation(
@@ -278,13 +354,23 @@ def lq_norm(space: ModelSpace, u: RadialFunction, q: float) -> float:
 
 
 def grad_lp_norm(space: ModelSpace, u: RadialFunction, p: float) -> float:
-    """(int |u'(r)|^p dm)^{1/p}: radial Dirichlet seminorm of the profile."""
+    """(int |u'(r)|^p dm)^{1/p}: radial Dirichlet seminorm of the profile.
+
+    An exact derivative callable goes to adaptive QUADPACK; the slope of an
+    interpolant, smooth between nodes, to composite Gauss on its grid.
+    """
     _require_radial(space)
     if not (isinstance(p, (int, float)) and p > 1.0):
         raise DomainError(f"gradient exponent must exceed 1, got {p!r}")
-    val = integrate(
-        lambda r: abs(float(u.deriv(r))) ** p * float(space.content(r)),
-        0.0, u.r_end, rel_tol=1e-10, abs_tol=1e-14, points=_grid_points(u))
+    if u.deriv_fn is None:
+        val = _interpolant_integral(space, u,
+                                    lambda r: np.abs(u.deriv(r)) ** p,
+                                    _node_slopes(u) == 0.0)
+    else:
+        val = integrate(
+            lambda r: abs(float(u.deriv(r))) ** p * float(space.content(r)),
+            0.0, u.r_end, rel_tol=1e-10, abs_tol=1e-14,
+            points=_grid_points(u))
     return max(val, 0.0) ** (1.0 / p)
 
 
@@ -365,14 +451,18 @@ def layer_cake_radial_integral(space: ModelSpace, f, f_prime,
     """int_{B(R)} f(d(x)) dm via f(R) vol(B_R) - int_0^R f'(r) vol(B_r) dr.
 
     Cross-checked against the direct radial quadrature int f(r) dA(r) to
-    1e-8 relative; the layer-cake value is returned.
+    1e-8 relative; the layer-cake value is returned.  Both quadratures
+    split at the space's last break, past which the density changes
+    character (F turns affine on a warped product); all its breaks would
+    multiply the evaluations of f.
     """
     _require_radial(space, R)
+    tail = space.breaks[-1:]
     layer = float(f(R)) * float(space.volume(R)) - integrate(
         lambda r: float(f_prime(r)) * float(space.volume(r)), 0.0, R,
-        rel_tol=1e-11, abs_tol=1e-14)
+        rel_tol=1e-11, abs_tol=1e-14, points=tail)
     direct = integrate(lambda r: float(f(r)) * float(space.content(r)), 0.0, R,
-                       rel_tol=1e-11, abs_tol=1e-14)
+                       rel_tol=1e-11, abs_tol=1e-14, points=tail)
     if abs(layer - direct) > 1e-8 * max(abs(layer), abs(direct), 1e-300):
         raise InvariantViolation(
             f"layer cake value {layer!r} disagrees with direct "

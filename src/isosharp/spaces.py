@@ -31,7 +31,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, UnsupportedOperationError
-from .quadrature import gauss_panels, integrate
+from .quadrature import dyadic_breaks, gauss_panels, integrate
 from .specfun import omega
 
 _SLACK = 1.0 + 1e-12
@@ -179,6 +179,13 @@ class ModelSpace:
         raise UnsupportedOperationError(
             f"{type(self).__name__} carries no radial perimeter model")
 
+    @property
+    def breaks(self):
+        """Ascending radii from 0 where the content may lose smoothness;
+        past the last one it is smooth (F is affine on a warped product).
+        Empty for the power-law spaces, smooth for every r > 0."""
+        return np.empty(0)
+
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -253,6 +260,11 @@ class WarpedProduct(ModelSpace):
         F = np.asarray(self.profile.F(r), dtype=float)
         return self._sphere_coef * F ** (self.n - 1)
 
+    @property
+    def breaks(self):
+        # past the profile's last break F is affine
+        return self.profile.breaks
+
     @cached_property
     def _volume_table(self):
         """(breaks, cumulative volume at each break) up to the last profile
@@ -263,9 +275,7 @@ class WarpedProduct(ModelSpace):
         in radius: on such a segment, or any part of one, the 12-point rule
         holds F^{n-1} to ~1e-14 relative for n up to 30.
         """
-        end = float(self.profile.breaks[-1])
-        breaks = np.unique(np.concatenate(
-            [self.profile.breaks, end * 2.0 ** -np.arange(1, 101)]))
+        breaks = dyadic_breaks(self.profile.breaks, [0.0])
         seg = gauss_panels(self.content, breaks[:-1], breaks[1:])
         return breaks, np.concatenate([[0.0], np.cumsum(seg)])
 

@@ -5,13 +5,16 @@ these, never the other way around.  The Bessel oracle is the raw ascending
 power series summed term by term; zeros come from plain sign-change
 bisection on that series.  Gamma facts are checked against the C library
 through math.gamma / math.lgamma, which shares no code with the package's
-Lanczos kernel.  Warped-product ball volumes come from mpmath tanh-sinh
-quadrature at 30 digits.
+Lanczos kernel.  Warped-product ball volumes, and norms of a
+piecewise-cubic interpolant, come from mpmath tanh-sinh quadrature at 30
+digits.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
+from scipy.interpolate import PchipInterpolator
 
 
 def bessel_series_oracle(nu, x, terms=300):
@@ -79,3 +82,75 @@ def warped_volume_oracle(n, a, beta, r):
         top = F(r)
         total = mp.quad(lambda s: (F(s) / top) ** (n - 1), pts)
         return float(n * omega_n * top ** (n - 1) * total)
+
+
+def _ppoly_mp(pp):
+    """mpmath evaluator of a scipy PPoly, its pieces read off in double."""
+    x = pp.x
+    coef = [[mp.mpf(float(c)) for c in col] for col in pp.c.T]
+    knots = [mp.mpf(float(v)) for v in x]
+
+    def piece(i):
+        def ev(r):
+            dx = r - knots[i]
+            total = mp.mpf(0)
+            for c in coef[i]:
+                total = total * dx + c
+            return total
+        return ev
+
+    def ev(r):
+        i = min(max(int(np.searchsorted(x, float(r), side="right")) - 1, 0),
+                len(coef) - 1)
+        return piece(i)(r)
+
+    return ev, piece
+
+
+def euclidean_content_mp(N):
+    """r -> N omega_N r^(N-1), its constant at 30 digits."""
+    with mp.workdps(30):
+        N = mp.mpf(N)
+        coef = N * mp.pi ** (N / 2) / mp.gamma(N / 2 + 1)
+    return lambda r: coef * r ** (N - 1)
+
+
+def sampled_warped_content_mp(n, s_grid, f_values):
+    """r -> n omega_n F(r)^(n-1), F the integral of the PCHIP of (s, f),
+    continued affinely with slope f(s_end) past the last node."""
+    F_ev, _ = _ppoly_mp(PchipInterpolator(s_grid, f_values).antiderivative())
+    with mp.workdps(30):
+        s_end, f_end = mp.mpf(float(s_grid[-1])), mp.mpf(float(f_values[-1]))
+        F_end = F_ev(s_end)
+        nn = mp.mpf(n)
+        coef = nn * mp.pi ** (nn / 2) / mp.gamma(nn / 2 + 1)
+
+    def content(r):
+        F = F_ev(r) if r <= s_end else F_end + f_end * (r - s_end)
+        return coef * F ** (n - 1)
+
+    return content
+
+
+def pchip_radial_oracle(r_grid, values, content, power, derivative=False,
+                        cuts=()):
+    """int_0^{r_end} |g(r)|^power content(r) dr at 30 digits, g the PCHIP
+    interpolant of (r_grid, values) or, with ``derivative``, its slope.
+
+    The cubic pieces come from scipy's PchipInterpolator; each piece, cut
+    further at ``cuts`` (the kinks of ``content``), is one tanh-sinh panel,
+    which also absorbs the r^(N-1) end at 0 for real N.
+    """
+    pp = PchipInterpolator(r_grid, values)
+    if derivative:
+        pp = pp.derivative()
+    _, piece = _ppoly_mp(pp)
+    edges = sorted(set(map(float, r_grid))
+                   | {float(c) for c in cuts if 0.0 < c < r_grid[-1]})
+    with mp.workdps(30):
+        total = mp.mpf(0)
+        for a, b in zip(edges, edges[1:]):
+            g = piece(int(np.searchsorted(pp.x, a, side="right")) - 1)
+            total += mp.quad(lambda r: abs(g(r)) ** power * content(r),
+                             [mp.mpf(a), mp.mpf(b)])
+        return float(total)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,27 @@ class TestVerifyCommand:
                              "euclidean", "--n", "2", "--R", "1",
                              "--tol", "100")
         assert code == 0
+
+    def test_fk_sweep_far_radius_on_warped(self, capsys):
+        # the layer-cake cross-check once tripped here (exit 1): the direct
+        # quadrature missed where F turns affine, by 1.3e-7 at R=5000
+        code, out, _ = run_cli(capsys, "verify", "fk-sweep", "--variant",
+                               "warped", "--n", "2", "--a", "0.7", "--beta",
+                               "1.0", "--R", "2", "--R", "5000")
+        assert code == 0
+        assert len(data_rows(out)[1]) == 2
+
+    def test_faber_krahn_tiny_radius_is_quiet(self, capsys):
+        # the eigenfunction interpolant on a 1e-108-wide grid once
+        # overflowed in its cubic coefficients, with a warning on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", "faber-krahn",
+                                     "--variant", "warped", "--n", "3",
+                                     "--R", "1e-100")
+        assert code == 0
+        assert err == ""
+        assert float(data_rows(out)[1][0][6]) > 0.0
 
     def test_bad_dimension_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "sobolev", "--variant",

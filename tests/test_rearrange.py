@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isosharp.rearrange as rearrange
 from isosharp.errors import DomainError, InvariantViolation
 from isosharp.rearrange import (
     DistributionProfile,
@@ -17,6 +18,7 @@ from isosharp.rearrange import (
     grad_lp_norm,
     layer_cake_radial_integral,
     lq_norm,
+    lq_routes,
     polya_szego_check,
 )
 from isosharp.spaces import (
@@ -24,10 +26,17 @@ from isosharp.spaces import (
     Euclidean,
     ExponentialTail,
     MonomialHalfSpace,
+    SampledProfile,
     WarpedProduct,
     vol_ball,
 )
 from isosharp.specfun import omega
+from isosharp.verify import curated_profiles
+from oracles import (
+    euclidean_content_mp,
+    pchip_radial_oracle,
+    sampled_warped_content_mp,
+)
 
 
 def tent(r_max=1.0, nodes=201):
@@ -225,6 +234,72 @@ class TestNorms:
             grad_lp_norm(Euclidean(2), tent(), 1.0)
 
 
+# interpolant-only profiles (no exact callables) on a 41-node grid: a smooth
+# bump, and a shelf whose plateau end and support end are flat nodes
+_R41 = np.linspace(0.0, 2.0, 41)
+_INTERPOLANTS = {
+    "bump": np.maximum(np.exp(-_R41 ** 2) - math.exp(-4.0), 0.0),
+    "shelf": np.clip(1.6 - _R41, 0.0, 1.0),
+}
+# a sampled warping whose breaks fall between the profiles' nodes
+_S = np.array([0.0, 0.35, 0.8, 1.3, 2.9])
+_F = np.array([1.0, 0.9, 0.72, 0.6, 0.55])
+
+
+def _interpolant_spaces():
+    return {
+        "euclidean_1.3": (Euclidean(1.3), euclidean_content_mp(1.3), ()),
+        "euclidean_2.5": (Euclidean(2.5), euclidean_content_mp(2.5), ()),
+        "sampled_warped_3": (WarpedProduct(3, SampledProfile(_S, _F)),
+                             sampled_warped_content_mp(3, _S, _F), _S),
+    }
+
+
+class TestInterpolantNorms:
+    @pytest.mark.parametrize("space_name", sorted(_interpolant_spaces()))
+    def test_norms_match_mpmath(self, space_name):
+        space, content, cuts = _interpolant_spaces()[space_name]
+        for values in _INTERPOLANTS.values():
+            u = RadialFunction(_R41, values)
+            grad = pchip_radial_oracle(_R41, values, content, 1.5,
+                                       derivative=True, cuts=cuts)
+            assert grad_lp_norm(space, u, 1.5) == pytest.approx(
+                grad ** (1.0 / 1.5), rel=1e-11)
+            mass = pchip_radial_oracle(_R41, values, content, 3.5,
+                                       cuts=cuts)
+            assert lq_norm(space, u, 3.5) == pytest.approx(
+                mass ** (1.0 / 3.5), rel=1e-11)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cavalieri_tracks_direct_on_rearrangements(self, n):
+        space = warped(n=n, a=0.5, beta=1.0)
+        for label, u in curated_profiles():
+            star = euclidean_rearrangement(space, u)
+            assert star.value_fn is None
+            for q in (1.0, 2.0, 6.0):
+                direct, cavalieri = lq_routes(Euclidean(n), star, q)
+                assert abs(direct - cavalieri) <= 1e-9 * direct, (label, q)
+
+    def test_no_quadpack_call(self, monkeypatch):
+        calls = []
+        real = rearrange.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rearrange, "integrate", counted)
+        space = warped(n=3, a=0.5, beta=1.0)
+        u = RadialFunction(_R41, _INTERPOLANTS["shelf"])
+        lq_norm(space, u, 2.0)
+        grad_lp_norm(space, u, 2.0)
+        polya_szego_check(space, RadialFunction(_R41, _INTERPOLANTS["bump"]),
+                          2.0)
+        assert calls == []
+        lq_norm(space, tent(), 2.0)      # an exact callable still takes it
+        assert calls
+
+
 class TestPolyaSzego:
     def test_identity_on_euclidean(self):
         res = polya_szego_check(Euclidean(2), gaussian(), 2.0)
@@ -312,6 +387,23 @@ class TestLayerCake:
                                          lambda r: r * r,
                                          lambda r: 2.0 * r, 1.0)
         assert val == pytest.approx(2 * math.pi / 5.0, rel=1e-10)
+
+    @pytest.mark.parametrize("n,a,beta,R", [(2, 0.7, 1.0, 5000.0),
+                                            (2, 0.45, 2.5, 1e4),
+                                            (3, 0.5, 1.0, 2e4)])
+    def test_far_radius_on_warped_matches_composite_gauss(self, n, a, beta, R):
+        # both quadratures must split where F turns affine; without it the
+        # direct one was off by 1.3e-7 at n=2, a=0.7, R=5000
+        space = warped(n=n, a=a, beta=beta)
+        val = layer_cake_radial_integral(
+            space, lambda r: (1.0 - r / R) ** 2,
+            lambda r: -2.0 * (1.0 - r / R) / R, R)
+        x, w = np.polynomial.legendre.leggauss(20)
+        edges = np.linspace(0.0, R, 4001)
+        half = np.diff(edges)[:, None] / 2.0
+        r = edges[:-1, None] + half * (x + 1.0)
+        ref = np.sum(((1.0 - r / R) ** 2 * space.content(r)) * half * w)
+        assert val == pytest.approx(ref, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
