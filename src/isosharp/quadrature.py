@@ -1,24 +1,20 @@
 """Quadrature rules, one per kind of integrand.
 
-Everything integrable in this package is a smooth or piecewise-smooth radial
-profile, and the representation decides the rule:
-
-* an exact callable (a closed-form profile, a Bessel test function) may
-  kink anywhere, for instance inside a grid segment, so it goes to
-  QUADPACK through ``integrate``, which adds a quiet retry that subdivides
-  the interval when the adaptive scheme reports trouble;
-* an integrand built from a piecewise-cubic interpolant is smooth between
-  known breakpoints, so it goes to the composite fixed-order Gauss rule of
-  ``gauss_on_segments``, on those breakpoints and a dyadic grading
-  (``dyadic_breaks``) toward the points where it has an algebraic endpoint
-  behaviour.  Handing QUADPACK hundreds of kinks instead is slower and
-  less accurate: ``integrate`` thins its break points to about 80, and
-  every missed kink costs a subdivision retry.
+* A radial profile, whether an interpolant or an exact callable, is smooth
+  between the nodes of its grid (every kink of a callable lies on a node),
+  so its norms go to the composite fixed-order Gauss rule of
+  ``gauss_on_segments``, on those nodes and a dyadic grading
+  (``dyadic_breaks``) toward the points where the integrand has an
+  algebraic endpoint behaviour.  One vectorized evaluation covers the
+  whole integral.
+* An arbitrary callable with unknown breaks (a layer-cake integrand, a
+  Bessel level integral, a unit-ball weight) goes to QUADPACK through
+  ``integrate``, which adds a quiet retry that subdivides the interval when
+  the adaptive scheme reports trouble.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -29,25 +25,22 @@ from .errors import ConvergenceError
 # 12-point Gauss-Legendre rule moved from [-1, 1] onto [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
+_LIMIT = 200   # QUADPACK's subinterval budget per call
 
 
-def integrate(f, a, b, rel_tol=1e-11, abs_tol=1e-13, points=None, limit=200,
-              _depth=0):
-    """Adaptive integral of ``f`` over [a, b]; b may be math.inf."""
+def integrate(f, a, b, rel_tol=1e-11, abs_tol=1e-13, points=None, _depth=0):
+    """Adaptive integral of ``f`` over the finite interval [a, b]."""
     if not b > a:
         if b == a:
             return 0.0
         raise ValueError(f"bad interval [{a}, {b}]")
-    kw = dict(epsabs=abs_tol, epsrel=rel_tol, limit=limit)
-    if points is not None and math.isfinite(b):
-        pts = [p for p in points if a < p < b]
-        # QUADPACK caps break points; thin out rather than fail
-        if len(pts) > 80:
-            pts = pts[:: len(pts) // 80 + 1]
-        kw["points"] = pts or None
+    if points is not None:
+        points = [p for p in points if a < p < b] or None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _si.IntegrationWarning)
-        val, err, info, *msg = _si.quad(f, a, b, full_output=1, **kw)
+        val, err, info, *msg = _si.quad(f, a, b, epsabs=abs_tol,
+                                        epsrel=rel_tol, limit=_LIMIT,
+                                        points=points, full_output=1)
     ok = not msg and err <= 10 * (abs_tol + rel_tol * abs(val))
     if ok:
         return val
@@ -55,10 +48,9 @@ def integrate(f, a, b, rel_tol=1e-11, abs_tol=1e-13, points=None, limit=200,
         raise ConvergenceError(
             f"quadrature failed to converge on [{a}, {b}] (err={err:g})",
             bracket=(a, b))
-    # subdivide and retry; split infinite tails at a finite knee
-    mid = a + max(1.0, abs(a)) if math.isinf(b) else 0.5 * (a + b)
-    return (integrate(f, a, mid, rel_tol, abs_tol, points, limit, _depth + 1)
-            + integrate(f, mid, b, rel_tol, abs_tol, points, limit, _depth + 1))
+    mid = 0.5 * (a + b)
+    return (integrate(f, a, mid, rel_tol, abs_tol, points, _depth + 1)
+            + integrate(f, mid, b, rel_tol, abs_tol, points, _depth + 1))
 
 
 def gauss_panels(f, a, b):
@@ -77,10 +69,9 @@ def gauss_panels(f, a, b):
 def gauss_on_segments(f, breaks):
     """Composite 12-point Gauss-Legendre over consecutive segments.
 
-    Meant for integrands built from a piecewise-cubic interpolant whose
-    breakpoints are ``breaks``: each segment is smooth, so the fixed rule
-    converges at spectral order and the total cost is a single vectorized
-    evaluation.
+    Meant for integrands that are smooth on each segment between
+    ``breaks``: the fixed rule then converges at spectral order, and the
+    total cost is a single vectorized evaluation.
     """
     breaks = np.asarray(breaks, dtype=float)
     if breaks.size < 2:

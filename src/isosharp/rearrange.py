@@ -12,9 +12,10 @@ measures come from the space's own ``volume`` and ``content``.
 
 Functions are supported on [0, r_end] of their grid; values are interpolated
 shape-preservingly between nodes unless exact callables are attached.  The
-representation picks the quadrature: an exact callable goes to adaptive
-QUADPACK, an interpolant to a composite Gauss rule on its own breakpoints
-(see ``isosharp.quadrature``).
+grid is the profile's break list either way: u is smooth between nodes, so
+every norm is a composite Gauss rule on the grid (see
+``isosharp.quadrature``).  Only the layer-cake identity, whose integrands
+are arbitrary callables, takes adaptive QUADPACK.
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ class RadialFunction:
 
     Stored as grid samples with a monotone piecewise-cubic interpolant.
     Exact callables (value_fn, deriv_fn) may be attached when the profile
-    has a closed form; quadratures then bypass the interpolant entirely.
+    has a closed form; evaluations then bypass the interpolant entirely.
+    The grid is the profile's break list: the quadratures take u to be
+    smooth between consecutive nodes, which the interpolant is by
+    construction and an exact callable must be, so every kink of a
+    callable (a truncation, the end of a plateau) has to be a node.
     The function is treated as compactly supported in [0, r_end]: for norms
     to be exact the last sample should be zero (or negligibly small).
     """
@@ -78,6 +83,14 @@ class RadialFunction:
         clamped = np.clip(r, 0.0, self.r_end)
         return np.where((r <= 0.0) | (r >= self.r_end), 0.0,
                         self._interp_deriv(clamped / self.r_end) / self.r_end)
+
+    def node_slopes(self) -> np.ndarray:
+        """u' at the grid nodes: the exact derivative when one is attached,
+        the interpolant's slopes otherwise (exactly 0 where PCHIP sets a
+        node flat)."""
+        if self.deriv_fn is not None:
+            return np.asarray(self.deriv_fn(self.r_grid), dtype=float)
+        return self._interp_deriv(self._interp.x) / self.r_end
 
     @property
     def height(self) -> float:
@@ -132,6 +145,13 @@ class RadialFunction:
     @classmethod
     def from_callable(cls, fn, r_max, nodes=401, deriv=None,
                       grid=None) -> "RadialFunction":
+        """Samples ``fn`` (and keeps it, with ``deriv``) on ``grid``, by
+        default ``nodes`` equal steps over [0, r_max].
+
+        ``fn`` must be smooth between consecutive grid nodes: a kink inside
+        a segment is invisible to the Gauss rules of the norms, so pass a
+        grid that contains every kink.
+        """
         if grid is None:
             grid = np.linspace(0.0, float(r_max), int(nodes))
         g = np.asarray(grid, dtype=float)
@@ -249,21 +269,10 @@ def euclidean_rearrangement(space: ModelSpace, u: RadialFunction) -> RadialFunct
     return RadialFunction(s_grid, u.values.copy(), value_fn, deriv_fn)
 
 
-def _grid_points(u: RadialFunction):
-    interior = u.r_grid[1:-1]
-    if interior.size > 60:
-        interior = interior[:: interior.size // 60 + 1]
-    return list(map(float, interior))
-
-
-def _node_slopes(u: RadialFunction) -> np.ndarray:
-    return u._interp_deriv(u._interp.x)
-
-
-def _interpolant_integral(space: ModelSpace, u: RadialFunction, g,
-                          vanishing) -> float:
-    """int_0^{r_end} g(r) dA(r) for g = |w|^power, w being u or u' (a cubic
-    or a quadratic between nodes) and ``vanishing`` the nodes where w is 0.
+def _radial_integral(space: ModelSpace, u: RadialFunction, g,
+                     vanishing) -> float:
+    """int_0^{r_end} g(r) dA(r) for g = |w|^power, w being u or u' (smooth
+    between nodes) and ``vanishing`` the nodes where w is 0.
 
     Composite Gauss on u's grid joined with the space's own breaks, graded
     toward r = 0, where dA ~ r^(N-1) is not smooth for real N, and toward
@@ -279,17 +288,19 @@ def _interpolant_integral(space: ModelSpace, u: RadialFunction, g,
                              dyadic_breaks(breaks, targets))
 
 
-def _cavalieri_interpolant(space: ModelSpace, u: RadialFunction,
-                           q: float) -> float:
-    """int_0^L q t^{q-1} V(t) dt for an interpolant, composite Gauss in t.
+def _cavalieri_integral(space: ModelSpace, u: RadialFunction,
+                        q: float) -> float:
+    """int_0^L q t^{q-1} V(t) dt, composite Gauss in t.
 
+    r(t) is smooth between node values, since u is smooth between nodes.
     V jumps at plateau values, and r(t) has a square-root end at the value
     of a node where the slope is 0, so the breaks are the node values,
     graded toward those flat values, toward t = 0 (t^{q-1}) and toward
-    t = L, where V ~ r(t)^N is not smooth for real N.
+    t = L, where V ~ r(t)^N is not smooth for real N.  The level radii of
+    all Gauss nodes are bisected together.
     """
     levels = np.append(u.values, 0.0)
-    flat = u.values[_node_slopes(u) == 0.0]
+    flat = u.values[u.node_slopes() == 0.0]
     breaks = dyadic_breaks(np.unique(levels),
                            np.unique(np.concatenate([flat, levels[[0, -1]]])))
     return gauss_on_segments(
@@ -300,49 +311,27 @@ def _cavalieri_interpolant(space: ModelSpace, u: RadialFunction,
 def lq_routes(space: ModelSpace, u: RadialFunction, q: float) -> tuple:
     """(direct, cavalieri): int |u|^q dm by two independent routes.
 
-    Direct: int |u|^q against the space's radial area density, in r.
-    Cavalieri: int_0^L q t^{q-1} V(t) dt through the distribution function,
-    in t.  A profile with an exact value callable takes adaptive QUADPACK
-    on both routes, since its kinks need not lie on grid nodes.  An
-    interpolant-only profile is smooth between known breakpoints and takes
-    a composite Gauss rule on both: in r on its grid, in t on its node
-    values with a batched level radius.
+    Direct: int |u|^q against the space's radial area density, a composite
+    Gauss rule in r on u's grid.  Cavalieri: int_0^L q t^{q-1} V(t) dt
+    through the distribution function, a composite Gauss rule in t on u's
+    node values with a batched level-radius bisection.
     """
     _require_radial(space)
     _check_monotone_probe(u)
     if not (isinstance(q, (int, float)) and q > 0.0):
         raise DomainError(f"norm exponent must be positive, got {q!r}")
-    if u.value_fn is None:
-        direct = _interpolant_integral(
-            space, u, lambda r: np.abs(u.value(r)) ** q, u.values == 0.0)
-    else:
-        direct = integrate(
-            lambda r: abs(float(u.value(r))) ** q * float(space.content(r)),
-            0.0, u.r_end, rel_tol=1e-10, abs_tol=1e-14,
-            points=_grid_points(u))
-    height = u.height
-    if height <= 0.0:
-        return direct, 0.0
-    if u.value_fn is None:
-        return direct, _cavalieri_interpolant(space, u, q)
-
-    def cav(t):
-        r = float(_level_radii(u, t))
-        vol = float(space.volume(r)) if r > 0.0 else 0.0
-        return q * t ** (q - 1.0) * vol
-
-    return direct, integrate(cav, 0.0, height, rel_tol=1e-10, abs_tol=1e-14)
+    direct = _radial_integral(
+        space, u, lambda r: np.abs(u.value(r)) ** q, u.values == 0.0)
+    return direct, _cavalieri_integral(space, u, q)
 
 
 def lq_norm(space: ModelSpace, u: RadialFunction, q: float) -> float:
     """Lq(m) norm of u, computed by two routes that must agree to 1e-7.
 
     The routes are those of ``lq_routes``: the direct r-integral and the
-    Cavalieri t-integral.  A profile with an exact value callable takes
-    adaptive QUADPACK on both, because its kinks may fall inside a grid
-    segment; an interpolant-only profile takes a composite Gauss rule on
-    its own breakpoints, because it is smooth between them.  The Cavalieri
-    value is returned; disagreement raises InvariantViolation.
+    Cavalieri t-integral, each a composite Gauss rule on the profile's own
+    breakpoints.  The Cavalieri value is returned; disagreement raises
+    InvariantViolation.
     """
     direct, cavalieri = lq_routes(space, u, q)
     gap = abs(direct - cavalieri)
@@ -356,21 +345,14 @@ def lq_norm(space: ModelSpace, u: RadialFunction, q: float) -> float:
 def grad_lp_norm(space: ModelSpace, u: RadialFunction, p: float) -> float:
     """(int |u'(r)|^p dm)^{1/p}: radial Dirichlet seminorm of the profile.
 
-    An exact derivative callable goes to adaptive QUADPACK; the slope of an
-    interpolant, smooth between nodes, to composite Gauss on its grid.
+    u' is smooth between nodes, exact or interpolated, so the integral is
+    the composite Gauss rule of the direct Lq route on u's grid.
     """
     _require_radial(space)
     if not (isinstance(p, (int, float)) and p > 1.0):
         raise DomainError(f"gradient exponent must exceed 1, got {p!r}")
-    if u.deriv_fn is None:
-        val = _interpolant_integral(space, u,
-                                    lambda r: np.abs(u.deriv(r)) ** p,
-                                    _node_slopes(u) == 0.0)
-    else:
-        val = integrate(
-            lambda r: abs(float(u.deriv(r))) ** p * float(space.content(r)),
-            0.0, u.r_end, rel_tol=1e-10, abs_tol=1e-14,
-            points=_grid_points(u))
+    val = _radial_integral(space, u, lambda r: np.abs(u.deriv(r)) ** p,
+                           u.node_slopes() == 0.0)
     return max(val, 0.0) ** (1.0 / p)
 
 

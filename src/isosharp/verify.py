@@ -475,10 +475,11 @@ def curated_profiles() -> list:
 
     def trapezoid(r_in, r_out):
         w = r_out - r_in
+        # the kink at r_in must be a node; the even grid misses it
         return RadialFunction.from_callable(
             lambda r, a=r_in, b=r_out, w=w: np.clip(
                 (b - np.asarray(r)) / w, 0.0, 1.0),
-            r_out, nodes=161,
+            r_out, grid=np.union1d(np.linspace(0.0, r_out, 161), [r_in]),
             deriv=lambda r, a=r_in, b=r_out, w=w: np.where(
                 (np.asarray(r) > a) & (np.asarray(r) < b), -1.0 / w, 0.0))
 

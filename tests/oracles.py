@@ -6,8 +6,8 @@ power series summed term by term; zeros come from plain sign-change
 bisection on that series.  Gamma facts are checked against the C library
 through math.gamma / math.lgamma, which shares no code with the package's
 Lanczos kernel.  Warped-product ball volumes, and norms of a
-piecewise-cubic interpolant, come from mpmath tanh-sinh quadrature at 30
-digits.
+piecewise-cubic interpolant or of a closed-form profile, come from mpmath
+tanh-sinh quadrature at 30 digits.
 """
 
 import math
@@ -154,3 +154,17 @@ def pchip_radial_oracle(r_grid, values, content, power, derivative=False,
             total += mp.quad(lambda r: abs(g(r)) ** power * content(r),
                              [mp.mpf(a), mp.mpf(b)])
         return float(total)
+
+
+def callable_radial_oracle(fn, content, power, edges):
+    """int |fn(r)|^power content(r) dr at 30 digits, over [edges[0],
+    edges[-1]] with one tanh-sinh panel between consecutive ``edges``.
+
+    ``fn`` takes and returns mpmath numbers and must be smooth inside each
+    panel: put its kinks among the edges.
+    """
+    with mp.workdps(30):
+        pts = [mp.mpf(float(e)) for e in edges]
+        return float(sum(
+            mp.quad(lambda r: abs(fn(r)) ** power * content(r), [a, b])
+            for a, b in zip(pts, pts[1:])))

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isosharp.rearrange as rearrange
+from isosharp.constants import SobolevParams
 from isosharp.errors import DomainError, InvariantViolation
 from isosharp.rearrange import (
     DistributionProfile,
@@ -31,8 +33,9 @@ from isosharp.spaces import (
     vol_ball,
 )
 from isosharp.specfun import omega
-from isosharp.verify import curated_profiles
+from isosharp.verify import curated_profiles, truncated_extremal
 from oracles import (
+    callable_radial_oracle,
     euclidean_content_mp,
     pchip_radial_oracle,
     sampled_warped_content_mp,
@@ -295,9 +298,40 @@ class TestInterpolantNorms:
         grad_lp_norm(space, u, 2.0)
         polya_szego_check(space, RadialFunction(_R41, _INTERPOLANTS["bump"]),
                           2.0)
+        lq_norm(space, tent(), 2.0)      # exact callables take the same rule
+        grad_lp_norm(space, tent(), 2.0)
         assert calls == []
-        lq_norm(space, tent(), 2.0)      # an exact callable still takes it
-        assert calls
+
+
+class TestExactCallableNorms:
+    """Closed-form profiles on their own grids, against mpmath."""
+
+    def test_truncated_extremal_lq_matches_mpmath(self):
+        # h(r) = (1 + r^2)^(-1/2), shifted to vanish at r_cut = 1000
+        u = truncated_extremal(SobolevParams(3, 2))
+        shift = (1 + mp.mpf(1000) ** 2) ** -0.5
+        edges = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
+        mass = callable_radial_oracle(lambda r: (1 + r * r) ** -0.5 - shift,
+                                      euclidean_content_mp(3), 6, edges)
+        assert lq_norm(Euclidean(3), u, 6) == pytest.approx(
+            mass ** (1.0 / 6), rel=1e-13)
+
+    @pytest.mark.parametrize("label,r_in,r_out", [
+        ("trapezoid_0.5_1.5", 0.5, 1.5), ("trapezoid_1_3", 1.0, 3.0)])
+    def test_trapezoid_norms_match_mpmath(self, label, r_in, r_out):
+        # the kink at r_in falls inside a segment of an even grid
+        u = dict(curated_profiles())[label]
+        space, content = Euclidean(2.5), euclidean_content_mp(2.5)
+        a, b = mp.mpf(r_in), mp.mpf(r_out)
+        edges = [0.0, r_in, r_out]
+        grad = callable_radial_oracle(
+            lambda r: 0 if r < a else 1 / (b - a), content, 1.5, edges)
+        assert grad_lp_norm(space, u, 1.5) == pytest.approx(
+            grad ** (1.0 / 1.5), rel=1e-12)
+        mass = callable_radial_oracle(
+            lambda r: 1 if r < a else (b - r) / (b - a), content, 3.5, edges)
+        assert lq_norm(space, u, 3.5) == pytest.approx(
+            mass ** (1.0 / 3.5), rel=1e-12)
 
 
 class TestPolyaSzego:
