@@ -1,56 +1,19 @@
-"""Quadrature rules, one per kind of integrand.
+"""The package's one quadrature rule: composite 12-point Gauss-Legendre.
 
-* A radial profile, whether an interpolant or an exact callable, is smooth
-  between the nodes of its grid (every kink of a callable lies on a node),
-  so its norms go to the composite fixed-order Gauss rule of
-  ``gauss_on_segments``, on those nodes and a dyadic grading
-  (``dyadic_breaks``) toward the points where the integrand has an
-  algebraic endpoint behaviour.  One vectorized evaluation covers the
-  whole integral.
-* An arbitrary callable with unknown breaks (a layer-cake integrand, a
-  Bessel level integral, a unit-ball weight) goes to QUADPACK through
-  ``integrate``, which adds a quiet retry that subdivides the interval when
-  the adaptive scheme reports trouble.
+Every integrand in the package is smooth between breakpoints known in
+advance (a radial profile between its grid nodes, a space's density between
+its own breaks), so each integral is ``gauss_on_segments`` on those breaks,
+graded dyadically (``dyadic_breaks``) toward any algebraic endpoint
+behaviour: one vectorized evaluation whose cost is known before it runs.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy import integrate as _si
-
-from .errors import ConvergenceError
 
 # 12-point Gauss-Legendre rule moved from [-1, 1] onto [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
-_LIMIT = 200   # QUADPACK's subinterval budget per call
-
-
-def integrate(f, a, b, rel_tol=1e-11, abs_tol=1e-13, points=None, _depth=0):
-    """Adaptive integral of ``f`` over the finite interval [a, b]."""
-    if not b > a:
-        if b == a:
-            return 0.0
-        raise ValueError(f"bad interval [{a}, {b}]")
-    if points is not None:
-        points = [p for p in points if a < p < b] or None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _si.IntegrationWarning)
-        val, err, info, *msg = _si.quad(f, a, b, epsabs=abs_tol,
-                                        epsrel=rel_tol, limit=_LIMIT,
-                                        points=points, full_output=1)
-    ok = not msg and err <= 10 * (abs_tol + rel_tol * abs(val))
-    if ok:
-        return val
-    if _depth >= 8:
-        raise ConvergenceError(
-            f"quadrature failed to converge on [{a}, {b}] (err={err:g})",
-            bracket=(a, b))
-    mid = 0.5 * (a + b)
-    return (integrate(f, a, mid, rel_tol, abs_tol, points, _depth + 1)
-            + integrate(f, mid, b, rel_tol, abs_tol, points, _depth + 1))
 
 
 def gauss_panels(f, a, b):

@@ -14,11 +14,12 @@ The first four own the radial geometry every other module builds on: the
 ball volume ``volume(r)`` = vol(B_r) and its derivative, the sphere measure
 ``content(r)``, both taking and returning arrays, and the asymptotic volume
 ratio AVR = lim vol(B_r)/(omega_N r^N) with N the effective dimension.  The
-power-law spaces (Euclidean, cone, monomial) have vol(B_r) = c r^N exactly;
-the warped product integrates its sphere measure once into a cumulative
-table.  The ALE variant carries only its AVR = 1/k: computing its ball
-volumes would need metric data this package does not model, so radial
-operations reject it.
+power-law spaces (Euclidean, cone, monomial) have vol(B_r) = c r^N exactly,
+with c in closed form (a beta function for the monomial weight); the warped
+product integrates its sphere measure once into a cumulative Gauss table.
+The ALE variant carries only its AVR = 1/k: computing its ball volumes
+would need metric data this package does not model, so radial operations
+reject it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, UnsupportedOperationError
-from .quadrature import dyadic_breaks, gauss_panels, integrate
-from .specfun import omega
+from .quadrature import dyadic_breaks, gauss_panels
+from .specfun import beta, omega
 
 _SLACK = 1.0 + 1e-12
 
@@ -343,8 +344,8 @@ class MonomialHalfSpace(PowerLawSpace):
 
     w^{1/alpha_w} = x_n is linear hence concave, so the space is CD(0, N)
     with effective dimension N = n + alpha_w.  The unit-ball weighted
-    volume Lambda = int_{B(1), x_n>0} w is computed once by quadrature over
-    slices.  Construction requires Lambda <= omega_N so that AVR <= 1; for
+    volume Lambda = int_{B(1), x_n>0} w has a closed form in the beta
+    function.  Construction requires Lambda <= omega_N so that AVR <= 1; for
     very large alpha_w relative to n the monomial model leaves that regime
     and is rejected.
     """
@@ -367,15 +368,14 @@ class MonomialHalfSpace(PowerLawSpace):
 
     @cached_property
     def unit_ball_volume(self) -> float:
-        """Lambda = int over the unit half-ball of x_n^alpha_w, by quadrature."""
+        """Lambda = int over the unit half-ball of x_n^alpha_w: slices at
+        x_n = t are (n-1)-balls of radius sqrt(1-t^2), which integrate to
+        omega_{n-1} B((a+1)/2, (n+1)/2) / 2, and to 1/(a+1) for n = 1."""
         a = float(self.alpha_w)
         if self.n == 1:
-            return integrate(lambda t: t ** a, 0.0, 1.0)
-        # slice at x_n = t: an (n-1)-ball of radius sqrt(1-t^2)
-        w_slice = omega(float(self.n - 1))
-        return integrate(
-            lambda t: w_slice * t ** a * (1.0 - t * t) ** (0.5 * (self.n - 1)),
-            0.0, 1.0, rel_tol=1e-12, abs_tol=1e-14)
+            return 1.0 / (a + 1.0)
+        return (omega(float(self.n - 1))
+                * 0.5 * beta(0.5 * (a + 1.0), 0.5 * (self.n + 1)))
 
     @property
     def effective_dimension(self) -> float:

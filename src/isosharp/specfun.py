@@ -6,8 +6,10 @@ stays within ~1e-14 relative error all the way up to the overflow edge.
 Bessel functions of the first kind for real nonnegative order are evaluated
 by the ascending power series for small argument and by Miller backward
 recurrence otherwise; the recurrence is normalized by the Neumann series
-identity, which works for non-integer order too.  First positive zeros come
-from McMahon / Olver-type initial guesses refined by bracketed Newton.
+identity, which works for non-integer order too.  Both kernels are
+duck-typed, so an array argument runs the same arithmetic elementwise.
+First positive zeros come from McMahon / Olver-type initial guesses refined
+by bracketed Newton.
 
 Everything here is plain arithmetic on purpose: this module is the kernel
 the rest of the package is checked against, so it must not import a library
@@ -160,77 +162,110 @@ def omega(N: float) -> float:
 _SERIES_SWITCH = 9.0
 
 
+def _leading(nu, x):
+    # (x/2)^nu / Gamma(nu + 1), the first term of the ascending series
+    scale = math.exp(-log_gamma(nu + 1.0) / nu) if nu else 1.0
+    return (0.5 * scale * x) ** nu
+
+
 def _bessel_series(nu, x):
-    # ascending series; safe for x <= ~9 where the terms never grow enough
-    # to cost more than ~1e-13 absolute in cancellation
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if nu == 0.0:
-        term = 1.0
-    else:
-        term = math.exp(nu * math.log(0.5 * x) - log_gamma(nu + 1.0))
-    total = term
+    # ascending series over its first term, J_nu(x) / _leading(nu, x); safe
+    # for x <= ~9 where the terms never grow enough to cost more than
+    # ~1e-13 absolute in cancellation.  Duck-typed like the Miller kernel:
+    # an array x runs elementwise until every element converges
+    vector = hasattr(x, "all")
+    term = total = 1.0
     q = 0.25 * x * x
     for k in range(1, 400):
-        term *= -q / (k * (nu + k))
-        total += term
-        if abs(term) <= 1e-17 * (abs(total) + 1e-300) and k > 3:
+        term = term * (-q / (k * (nu + k)))
+        total = total + term
+        done = abs(term) <= 1e-17 * (abs(total) + 1e-300)
+        if k > 3 and (done.all() if vector else done):
             return total
-    raise ConvergenceError(f"bessel series stalled at nu={nu}, x={x}")
+    raise ConvergenceError(f"bessel series stalled at nu={nu}")
 
 
 def _bessel_miller(nu, x):
     # backward recurrence from well above the turning point, normalized by
     #   (x/2)^f = sum_k (f+2k) Gamma(f+k)/k! * J_{f+2k}(x)
-    # which reduces to the classical J_0 + 2*sum J_2k = 1 when f = 0
+    # which reduces to the classical J_0 + 2*sum J_2k = 1 when f = 0; an
+    # array starts at the order its largest x needs
     nint = int(math.floor(nu + 1e-12))
     f = nu - nint
     if f < 1e-12:
         f = 0.0
         nint = int(round(nu))
-    top = max(x, nu)
+    vector = hasattr(x, "any")
+    top = max(x.max() if vector else x, nu)
     m_start = nint + int(top - nint + 20 + 12.0 * top ** (1.0 / 3.0))
     if m_start % 2:
         m_start += 1
     jp = 0.0
     j = 1e-30
     norm = 0.0
-    result = None
+    result = 0.0
     for m in range(m_start, 0, -1):
         # step J at order f+m down to order f+(m-1)
         jm1 = (2.0 * (f + m) / x) * j - jp
         jp, j = j, jm1
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            if result is not None:
-                result *= 1e-250
+        big = abs(j) > 1e250
+        if big.any() if vector else big:
+            shrink = 1e-250 ** big      # 1e-250 where big, 1 elsewhere
+            j, jp, norm, result = (j * shrink, jp * shrink, norm * shrink,
+                                   result * shrink)
         order = m - 1
         if order == nint:
             result = j
         if order % 2 == 0:
             k = order // 2
             if f == 0.0:
-                norm += j if k == 0 else 2.0 * j
+                norm = norm + (j if k == 0 else 2.0 * j)
             else:
                 c = math.exp(log_gamma(f + k) - log_gamma(k + 1.0)) * (f + 2 * k)
-                norm += c * j
+                norm = norm + c * j
     if f == 0.0:
         return result / norm
-    return result * math.exp(f * math.log(0.5 * x)) / norm
+    return result * (0.5 * x) ** f / norm
 
 
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind, real order nu >= 0, x >= 0."""
+def _by_path(nu, x, series, miller):
+    # validates (nu, x) and sends each x to the series (x <= 9) or Miller
+    # path; a float gives a float, an array an array of its shape
     if not (isinstance(nu, (int, float)) and math.isfinite(nu) and nu >= 0):
         raise DomainError(f"bessel_j requires order nu >= 0, got {nu!r}")
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
-        raise DomainError(f"bessel_j requires argument x >= 0, got {x!r}")
-    nu, x = float(nu), float(x)
-    if x <= _SERIES_SWITCH:
-        return _bessel_series(nu, x)
-    return _bessel_miller(nu, x)
+    nu = float(nu)
+    scalar = isinstance(x, (int, float))
+    lo, hi = (x, x) if scalar or not x.size else (x.min(), x.max())
+    if not (lo >= 0 and math.isfinite(hi)):
+        raise DomainError(f"bessel_j requires finite x >= 0, got {x!r}")
+    if scalar:
+        x = float(x)
+        return series(nu, x) if x <= _SERIES_SWITCH else miller(nu, x)
+    x = x.astype(float)     # a copy, which becomes the result
+    small = x <= _SERIES_SWITCH
+    if small.any():
+        x[small] = series(nu, x[small])
+    if not small.all():
+        x[~small] = miller(nu, x[~small])
+    return x
+
+
+def bessel_j(nu: float, x):
+    """Bessel function of the first kind, real order nu >= 0, x >= 0.
+
+    ``x`` is a float or a numpy array; an array gives an array of its
+    shape, each element on the path (series or Miller) its size selects.
+    """
+    return _by_path(nu, x,
+                    lambda nu, x: _leading(nu, x) * _bessel_series(nu, x),
+                    _bessel_miller)
+
+
+def bessel_j_scaled(nu: float, x):
+    """Gamma(nu + 1) (2/x)^nu J_nu(x), float or array as in ``bessel_j``:
+    1 at x = 0, and representable where J_nu(x) and (x/2)^nu underflow."""
+    return _by_path(nu, x, _bessel_series,
+                    lambda nu, x: _bessel_miller(nu, x) / _leading(nu, x))
 
 
 def bessel_j_prime(nu: float, x: float) -> float:
@@ -296,12 +331,15 @@ def bessel_first_zero(nu: float, precision: Precision = DEFAULT_PRECISION) -> fl
         else:
             return x
         dfx = bessel_j_prime(nu, x)
-        step_ok = dfx != 0.0
-        if step_ok:
-            x_new = x - fx / dfx
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
+        x_new = 0.5 * (lo + hi)
+        if dfx != 0.0:
+            step = fx / dfx
+            # a converged step may land on a bracket end (x itself when the
+            # guess is exact), which the bracket test below would reject
+            if abs(step) <= precision.abs_tol * max(1.0, abs(x)):
+                return x - step
+            if lo < x - step < hi:
+                x_new = x - step
         if abs(x_new - x) <= precision.abs_tol * max(1.0, abs(x)):
             return x_new
         x = x_new

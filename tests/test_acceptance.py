@@ -230,8 +230,8 @@ def test_criterion_10_round_trips():
     for sp in (Euclidean(2), warped(2, 0.5), EuclideanCone(2, 4.0),
                MonomialHalfSpace(2, 1.0)):
         for fn, dfn, R in (
-                (lambda r: 1.0, lambda r: 0.0, 2.0),
-                (lambda r: math.exp(-r), lambda r: -math.exp(-r), 3.0),
+                (np.ones_like, np.zeros_like, 2.0),
+                (lambda r: np.exp(-r), lambda r: -np.exp(-r), 3.0),
                 (lambda r: 1.0 / (1.0 + r * r),
                  lambda r: -2.0 * r / (1.0 + r * r) ** 2, 5.0)):
             cases.append((sp, fn, dfn, R))

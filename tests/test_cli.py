@@ -196,6 +196,14 @@ class TestVerifyCommand:
         assert code == 0
         assert len(data_rows(out)[1]) == 2
 
+    def test_fk_sweep_default_radii_on_warped(self, capsys):
+        # the mass integral's 1/R bias is 1.2e-2 at the last default radius
+        # (500), so this argv exited 1 before the limits were extrapolated
+        code, out, _ = run_cli(capsys, "verify", "fk-sweep", "--variant",
+                               "warped", "--n", "3", "--a", "0.45")
+        assert code == 0
+        assert len(data_rows(out)[1]) == 8
+
     def test_faber_krahn_tiny_radius_is_quiet(self, capsys):
         # the eigenfunction interpolant on a 1e-108-wide grid once
         # overflowed in its cubic coefficients, with a warning on stderr

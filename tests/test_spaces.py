@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -213,6 +214,18 @@ class TestMonomialHalfSpace:
             ref = w_slice * b / 2.0
             lam = weighted_avr_lambda(MonomialHalfSpace(n, aw)).lam
             assert lam == pytest.approx(ref, rel=1e-10)
+
+    def test_lambda_matches_mpmath(self):
+        # Lambda = pi^((n-1)/2) Gamma((aw+1)/2) / (2 Gamma(1 + (n+aw)/2)),
+        # which is 1/(aw+1) at n = 1
+        for n, aw in [(1, 0.5), (1, 3.0), (2, 0.0), (2, 1.0), (2, 7.0),
+                      (3, 0.3), (3, 2.5), (5, 1.0), (10, 2.5), (30, 0.5)]:
+            with mp.workdps(30):
+                ref = (mp.pi ** (mp.mpf(n - 1) / 2)
+                       * mp.gamma(mp.mpf(aw + 1) / 2)
+                       / (2 * mp.gamma(1 + mp.mpf(n + aw) / 2)))
+            lam = MonomialHalfSpace(n, aw).unit_ball_volume
+            assert lam == pytest.approx(float(ref), rel=2e-14), (n, aw)
 
     def test_lambda_against_grid_quadrature(self):
         # 2-D half-disc integral of y^aw on a fine midpoint grid

@@ -1,13 +1,14 @@
 """Special-function kernel tests.
 
-Expected values were frozen from three sources: closed forms, the pure
-series/bisection oracles in oracles.py, and a high-precision sweep done with
-mpmath at development time (mpmath is not a dependency; the literals are
-pinned here).
+Expected values come from closed forms, the pure series/bisection oracles
+in oracles.py, literals frozen from a high-precision mpmath sweep, and
+mpmath itself at test time (a test-only oracle: the kernel never imports
+it).
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from isosharp.errors import ConvergenceError, DomainError
 from isosharp.specfun import (Precision, bessel_first_zero, bessel_j,
-                              bessel_j_prime, beta, gamma, log_gamma, omega)
+                              bessel_j_prime, bessel_j_scaled, beta, gamma,
+                              log_gamma, omega)
 
 from oracles import bessel_series_oracle, bessel_zero_oracle
 
@@ -123,6 +125,48 @@ def test_bessel_j_frozen_spot_values():
         assert bessel_j(nu, x) == pytest.approx(want, abs=5e-14), (nu, x)
 
 
+@pytest.mark.parametrize("nu", [0.25, 1.5, 7.3, 20.5, 47.75, 99.5])
+def test_bessel_j_array_and_scalar_match_mpmath(nu):
+    # non-integer orders up to ~100, x from 0 to well past the series
+    # switch; the array runs one Miller recurrence for all its x > 9
+    xs = np.concatenate([[0.0, 0.3, 4.0, 8.99, 9.01],
+                         np.linspace(12.0, 150.0, 12)])
+    with mp.workdps(30):
+        want = np.array([float(mp.besselj(nu, float(x))) for x in xs])
+    got = bessel_j(nu, xs)
+    assert got.shape == xs.shape
+    assert np.max(np.abs(got - want)) <= 5e-14
+    for x, w in zip(xs, want):
+        assert bessel_j(nu, float(x)) == pytest.approx(w, abs=5e-14), x
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 7.3, 49.75, 120.0])
+def test_bessel_j_scaled_matches_mpmath(nu):
+    # Gamma(nu+1) (2/x)^nu J_nu(x) is 1 at 0 and stays finite where J_nu
+    # underflows (x = 1e-3 at nu = 120)
+    xs = np.array([0.0, 1e-3, 0.5, 6.0, 8.99, 9.01, 20.0, 60.0])
+    with mp.workdps(40):
+        want = [1.0] + [float(mp.gamma(nu + 1) * (2 / mp.mpf(x)) ** nu
+                              * mp.besselj(nu, x)) for x in xs[1:]]
+    got = bessel_j_scaled(nu, xs)
+    scalar = [bessel_j_scaled(nu, float(x)) for x in xs]
+    for x, g, s1, w in zip(xs, got, scalar, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=5e-14), x
+        assert s1 == pytest.approx(w, rel=1e-12, abs=5e-14), x
+
+
+def test_bessel_j_array_keeps_shape():
+    xs = np.array([[0.0, 2.0], [11.0, 40.0]])
+    got = bessel_j(2.5, xs)
+    assert got.shape == (2, 2)
+    assert got[1, 0] == pytest.approx(bessel_j(2.5, 11.0), abs=5e-14)
+    assert bessel_j(0.5, np.asarray(3.0)).shape == ()
+    with pytest.raises(DomainError):
+        bessel_j(1.0, np.array([1.0, -2.0]))
+    with pytest.raises(DomainError):
+        bessel_j(1.0, np.array([1.0, np.nan]))
+
+
 def test_bessel_j_domain_errors():
     with pytest.raises(DomainError):
         bessel_j(-1.0, 2.0)
@@ -151,6 +195,19 @@ def test_first_zero_examples():
     assert bessel_first_zero(0.0) == pytest.approx(J0_ZERO, abs=1e-11)
     assert bessel_first_zero(0.5) == pytest.approx(math.pi, abs=1e-11)
     assert bessel_first_zero(1.0) == pytest.approx(J1_ZERO, abs=1e-11)
+
+
+def test_first_zero_half_order_is_pi():
+    # the McMahon guess is exact at nu = 1/2; the converged Newton step
+    # must be taken, not rejected for landing on the bracket end
+    assert bessel_first_zero(0.5) == pytest.approx(math.pi, rel=1e-15)
+
+
+def test_first_zero_matches_mpmath():
+    for nu in (0.0, 0.25, 0.5, 1.0, 1.5, 2.5, 7.5, 15.0, 33.5, 64.25, 99.5):
+        with mp.workdps(30):
+            want = float(mp.besseljzero(nu, 1))
+        assert bessel_first_zero(nu) == pytest.approx(want, rel=1e-14), nu
 
 
 def test_first_zero_against_series_bisection_oracle():

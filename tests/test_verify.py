@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import isosharp.verify as verify
 from isosharp.constants import SobolevParams, aubin_talenti, fk_constant, gn_constant
 from isosharp.errors import ConvergenceError, DomainError
 from isosharp.rearrange import RadialFunction, grad_lp_norm, lq_norm
@@ -218,6 +219,15 @@ class TestSweep:
                                        abs=1e-9)
             assert i1 == pytest.approx(i0, abs=1e-9)
 
+    @pytest.mark.parametrize("nu", [0.25, 0.75, 1.5, 2.5, 4.0, 9.0])
+    def test_level_integrals_match_orthogonality(self, nu):
+        # I0 = I1 = J_{nu+1}(j_nu)^2 / 2; t^(2 nu + 1) is not smooth at 0
+        # for non-integer nu, which the graded rule must resolve
+        i0, i1 = bessel_level_integrals(nu)
+        closed = bessel_j(nu + 1.0, bessel_first_zero(nu)) ** 2 / 2.0
+        assert i0 == pytest.approx(closed, rel=1e-13)
+        assert i1 == pytest.approx(closed, rel=1e-13)
+
     def test_profile_center_value_and_derivative(self):
         u = bessel_test_profile(4.0, 2.0)    # nu = 1
         j1 = bessel_first_zero(1.0)
@@ -244,6 +254,45 @@ class TestSweep:
         assert table.limits["mass_rel_err"] < 0.01
         assert table.tail_rel_gap < 0.02
         assert table.passed
+
+    def test_limits_extrapolate_in_inverse_radius(self):
+        # at R = 500 the raw mass bias (1.2e-2) is over the 1% gate; the
+        # 1/R extrapolation from the two largest rows lands near 1e-4
+        table = fk_sharpness_sweep(warped(3, 0.45, 1.0),
+                                   np.geomspace(2.0, 500.0, 8))
+        lim = table.limits
+        assert lim["mass_rel_err"] > 0.01
+        assert lim["mass_extrapolated_rel_err"] < 1e-3
+        assert lim["grad_extrapolated_rel_err"] < 1e-3
+        assert lim["grad_extrapolated_rel_err"] < lim["grad_rel_err"]
+        assert table.limits_ok and table.passed
+
+    def test_single_radius_limit_is_the_raw_value(self):
+        table = fk_sharpness_sweep(warped(2, 0.5, 1.0), [500.0])
+        lim = table.limits
+        assert lim["grad_extrapolated"] == lim["grad_actual"]
+        assert lim["mass_extrapolated"] == lim["mass_actual"]
+        assert lim["mass_extrapolated_rel_err"] == lim["mass_rel_err"]
+
+    @pytest.mark.parametrize("N,radii", [(60.0, np.geomspace(2.0, 500.0, 8)),
+                                         (101.5, [0.01, 0.02])])
+    def test_large_dimension_sweep(self, N, radii):
+        # near r = 0, r^-nu overflows while J_nu(k r) underflows; the graded
+        # layer-cake rule samples there, so the profile is built from the
+        # scaled Bessel function
+        table = fk_sharpness_sweep(Euclidean(N), radii)
+        assert table.passed
+        for row in table.rows:
+            assert row.quotient == pytest.approx(table.lambda_g, rel=1e-12)
+
+    def test_wrong_avr_fails_the_limits(self, monkeypatch):
+        # the extrapolated limits must still catch a wrong expected value
+        space = warped(3, 0.45, 1.0)
+        monkeypatch.setattr(verify, "avr", lambda sp: 1.03 * sp.avr())
+        table = fk_sharpness_sweep(space, np.geomspace(2.0, 500.0, 8))
+        assert table.limits["mass_extrapolated_rel_err"] > 0.01
+        assert not table.limits_ok
+        assert not table.passed
 
     def test_rejects_empty_or_negative_radii(self):
         with pytest.raises(DomainError):
