@@ -38,12 +38,11 @@ from .rearrange import (
     polya_szego_check,
 )
 from .spaces import ModelSpace, _require_radial, avr, vol_ball
-from .specfun import (bessel_first_zero, bessel_j, bessel_j_scaled, gamma,
-                      omega)
+from .specfun import (bessel_first_zero, bessel_j, bessel_j_scaled,
+                      log_gamma, omega)
 
 _EXTREMAL_NODES = 241   # grid of the truncated extremal, geometric to r_cut
 _SHOOT_STEPS = 1100     # RK4 steps on [R/10, R]; a third as many graded below
-_MAX_SHOOTS = 100       # bracket widenings and bisections of one eigenvalue
 _BESSEL_NODES = 257     # grid of a Bessel test profile
 
 
@@ -180,45 +179,47 @@ def gn_quotient(space: ModelSpace, u: RadialFunction,
 # ---------------------------------------------------------------------------
 # radial Dirichlet eigenvalue by shooting
 
-def _shoot(lam, r, mids, A_nodes, A_mids, N, record=False):
-    """RK4 on phi' = psi/A, psi' = -lam A phi from r[0] with series data."""
-    r0 = r[0]
-    phi = 1.0 - lam * r0 * r0 / (2.0 * N)
-    psi = -lam * A_nodes[0] * r0 / N
-    trace = [phi] if record else None
-    for k in range(r.size - 1):
-        h = r[k + 1] - r[k]
-        a0, am, a1 = A_nodes[k], A_mids[k], A_nodes[k + 1]
-        d1p = psi / a0
-        d1q = -lam * a0 * phi
-        p2 = phi + 0.5 * h * d1p
-        q2 = psi + 0.5 * h * d1q
-        d2p = q2 / am
-        d2q = -lam * am * p2
-        p3 = phi + 0.5 * h * d2p
-        q3 = psi + 0.5 * h * d2q
-        d3p = q3 / am
-        d3q = -lam * am * p3
-        p4 = phi + h * d3p
-        q4 = psi + h * d3q
-        d4p = q4 / a1
-        d4q = -lam * a1 * p4
-        phi += h * (d1p + 2.0 * d2p + 2.0 * d3p + d4p) / 6.0
-        psi += h * (d1q + 2.0 * d2q + 2.0 * d3q + d4q) / 6.0
-        if record:
-            trace.append(phi)
-    return (phi, trace) if record else phi
+def _trace(mu, s0, h, rho_mid, rho_end, N):
+    """phi at every node of the RK4 scheme for -(A phi')' = mu A phi, R = 1.
+
+    The state is (phi, psi/A), so one step is the 2x2 matrix of RK4 on
+    [[0, 1/rho], [-mu rho, 0]] with rho = A/A_k, rescaled by A_k/A_{k+1}
+    at its end: only the density ratios enter, never 1/A.  The matrices of
+    all steps are built at once and multiplied by a doubling prefix scan.
+    """
+    F = np.zeros((3, h.size, 2, 2))
+    for F_i, rho in zip(F, (1.0, rho_mid, rho_end)):
+        F_i[:, 0, 1] = 1.0 / rho
+        F_i[:, 1, 0] = -mu * rho
+    F0, Fm, F1 = F
+    eye = np.eye(2)
+    h = h[:, None, None]
+    k2 = Fm @ (eye + 0.5 * h * F0)
+    k3 = Fm @ (eye + 0.5 * h * k2)
+    k4 = F1 @ (eye + h * k3)
+    M = eye + h / 6.0 * (F0 + 2.0 * k2 + 2.0 * k3 + k4)
+    M[:, 1] /= rho_end[:, None]
+    step = 1
+    while step < M.shape[0]:
+        M[step:] = M[step:] @ M[:-step]
+        step *= 2
+    start = np.array([1.0 - mu * s0 * s0 / (2.0 * N), -mu * s0 / N])
+    return np.concatenate([start[:1], M[:, 0] @ start])
 
 
 def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
     """First Dirichlet eigenvalue of the radial Laplacian on B(R).
 
     Solves -(A phi')' = lam A phi with A the space's radial area density,
-    phi'(0)=0, phi(R)=0.  A fourth-order one-step scheme integrates from a
-    series start near zero on a grid graded geometrically through the
-    coordinate singularity; the eigenvalue bracket seeded by the Euclidean
-    closed form j_{N/2-1}^2/R^2 is widened geometrically, then bisected on
-    the sign of phi(R).
+    phi'(0)=0, phi(R)=0, in units of R (mu = lam R^2).  A fourth-order
+    one-step scheme integrates from a series start near zero on a grid
+    graded geometrically through the coordinate singularity; ``_trace``
+    returns its node values for one mu.  By Sturm oscillation mu lies below
+    the first eigenvalue exactly when phi > 0 at every node, so that test
+    is bisected from mu = 0 (phi = 1) up to 2 j_{N/2-1}^2, twice Cheng's
+    bound mu_1 <= j^2 (equality on power-law spaces).  ``iterations``
+    counts trace evaluations; the eigenfunction and ``mismatch`` = |phi(R)|
+    come from the trace at the returned eigenvalue.
     """
     _require_radial(space, R)
     N = space.effective_dimension
@@ -227,47 +228,37 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
     graded = np.geomspace(r0, 0.1 * R, _SHOOT_STEPS // 3)
     uniform = np.linspace(0.1 * R, R, _SHOOT_STEPS)
     r = np.unique(np.concatenate([graded, uniform]))
-    mids = 0.5 * (r[:-1] + r[1:])
     with np.errstate(over="ignore"):
         A_nodes = space.content(r)
-        A_mids = space.content(mids)
-    k = bessel_first_zero(nu) / R
-    guess = k * k
+        A_mids = space.content(0.5 * (r[:-1] + r[1:]))
+    j = bessel_first_zero(nu)
+    k = j / R
     # the density rises with r, so its nodes bound it on the midpoints too
-    if not (math.isfinite(guess) and np.isfinite(A_nodes[-1])
+    if not (0.0 < k * k < math.inf and np.isfinite(A_nodes[-1])
             and A_nodes[0] > 0.0):
         raise DomainError(
             f"radius {R!r} puts the radial density or the eigenvalue "
             "outside double precision")
-    lo, hi = 0.5 * guess, 2.0 * guess
-    iterations = 0
-    while _shoot(lo, r, mids, A_nodes, A_mids, N) <= 0.0:
-        lo *= 0.5
-        iterations += 1
-        if iterations > _MAX_SHOOTS:
-            raise ConvergenceError(
-                f"no lower shooting bracket below lambda={lo:g}",
-                bracket=(lo, hi))
-    while _shoot(hi, r, mids, A_nodes, A_mids, N) > 0.0:
-        hi *= 2.0
-        iterations += 1
-        if iterations > _MAX_SHOOTS:
-            raise ConvergenceError(
-                f"no sign change up to lambda={hi:g}", bracket=(lo, hi))
+    steps = (r0 / R, np.diff(r) / R, A_mids / A_nodes[:-1],
+             A_nodes[1:] / A_nodes[:-1], N)
+    lo, hi = 0.0, 2.0 * j * j
+    if np.all(_trace(hi, *steps) > 0.0):
+        raise ConvergenceError(
+            f"no sign change up to lambda={hi / R / R:g}",
+            bracket=(0.0, hi / R / R))
+    iterations = 1          # trace evaluations, the final one included
     while hi - lo > 1e-12 * hi:
         iterations += 1
-        if iterations > _MAX_SHOOTS:
-            raise ConvergenceError(
-                f"bisection stalled at width {hi - lo:g}", bracket=(lo, hi))
         mid = 0.5 * (lo + hi)
-        if _shoot(mid, r, mids, A_nodes, A_mids, N) > 0.0:
+        if np.all(_trace(mid, *steps) > 0.0):
             lo = mid
         else:
             hi = mid
-    lam = 0.5 * (lo + hi)
-    end, trace = _shoot(lam, r, mids, A_nodes, A_mids, N, record=True)
+    mu = 0.5 * (lo + hi)
+    trace = _trace(mu, *steps)
+    iterations += 1
 
-    vals = np.minimum.accumulate(np.clip(np.asarray(trace), 0.0, None))
+    vals = np.minimum.accumulate(np.clip(trace, 0.0, None))
     vals[-1] = 0.0
     grid = np.concatenate([[0.0], r])
     vals = np.concatenate([[1.0], vals])
@@ -277,8 +268,8 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
     keep = np.unique(np.concatenate([[0, grid.size - 1],
                                      np.arange(2, grid.size, stride)]))
     phi = RadialFunction(grid[keep], vals[keep])
-    return EigenResult(lambda_1=lam, eigenfunction=phi,
-                       iterations=iterations, mismatch=abs(end))
+    return EigenResult(lambda_1=mu / R / R, eigenfunction=phi,
+                       iterations=iterations, mismatch=abs(trace[-1]))
 
 
 def fk_check(space: ModelSpace, R: float) -> QuotientReport:
@@ -324,13 +315,14 @@ def bessel_test_profile(N: float, R: float) -> RadialFunction:
     """u_R(r) = r^{-nu} J_nu(k r), nu = N/2 - 1, k = j_nu / R, on [0, R].
 
     Formed as u_R = c S_nu(k r) and u_R' = -c k x S_{nu+1}(x) / (2 nu + 2)
-    with c = u_R(0) = (k/2)^nu / Gamma(nu + 1) and S = ``bessel_j_scaled``,
-    which stays finite at large nu and small r where r^{-nu} does not.
+    with c = u_R(0) = (k/2)^nu / Gamma(nu + 1), formed in log space, and
+    S = ``bessel_j_scaled``, which stays finite at large nu and small r
+    where r^{-nu} does not.
     """
     nu = N / 2.0 - 1.0
     jnu = bessel_first_zero(nu)
     k = jnu / R
-    c = (k / 2.0) ** nu / gamma(nu + 1.0)
+    c = math.exp(nu * math.log(k / 2.0) - log_gamma(nu + 1.0))
 
     def val(r):
         x = np.minimum(k * np.asarray(r, dtype=float), jnu)
@@ -389,6 +381,9 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
     lambda_g = fk_constant(N, avr(space))
     rows = []
     for R in R_sorted:
+        # the volume guard rejects radii outside double precision before
+        # the profile's scale c is formed
+        vol = vol_ball(space, R)
         u = bessel_test_profile(N, R)
         k = jnu / R
 
@@ -405,7 +400,6 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
         den = layer_cake_radial_integral(
             space, lambda r: u.value(r) ** 2,
             lambda r: 2.0 * u.value(r) * u.deriv(r), R)
-        vol = vol_ball(space, R)
         q = num / den * vol ** (2.0 / N)
         rows.append(FkSweepRow(R=R, quotient=q, grad_integral=num,
                                mass_integral=den, vol=vol,

@@ -216,6 +216,25 @@ class TestVerifyCommand:
         assert err == ""
         assert float(data_rows(out)[1][0][6]) > 0.0
 
+    def test_faber_krahn_equality_in_high_dimension(self, capsys):
+        # from n = 12 on the bisection once settled on a higher eigenvalue
+        # (margin 1857 at n = 20)
+        code, out, _ = run_cli(capsys, "verify", "faber-krahn", "--variant",
+                               "euclidean", "--n", "20")
+        assert code == 0
+        _, rows = data_rows(out)
+        assert len(rows) == 3
+        for row in rows:
+            assert abs(float(row[6])) <= 1e-6 * float(row[4])
+
+    def test_fk_sweep_large_dimension(self, capsys):
+        # the Bessel profile's scale (k/2)^nu / Gamma(nu + 1) is formed in
+        # log space; (k/2)^169 alone overflows here
+        code, out, err = run_cli(capsys, "verify", "fk-sweep", "--variant",
+                                 "euclidean", "--n", "340", "--R", "1")
+        assert code == 0 and err == ""
+        assert len(data_rows(out)[1]) == 1
+
     def test_bad_dimension_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "sobolev", "--variant",
                                "euclidean", "--n", "2", "--p", "2")
@@ -323,6 +342,10 @@ class TestPlumbing:
         # an eigenvalue j^2/R^2 past double precision
         ("verify", "faber-krahn", "--variant", "euclidean", "--n", "3",
          "--R", "1e-300"),
+        # a ball volume past double precision ahead of the Bessel profile's
+        # scale (k/2)^nu / Gamma(nu + 1), which once overflowed first
+        ("verify", "fk-sweep", "--variant", "euclidean", "--n", "340",
+         "--R", "0.5", "--R", "1"),
     ])
     def test_bad_input_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -147,6 +147,13 @@ class TestEigenvalue:
             res = fk_eigenvalue(Euclidean(n), 1.0)
             assert res.lambda_1 == pytest.approx(lam, rel=1e-9)
             assert res.mismatch < 1e-9
+        # from n = 12 on (j_{nu,2}/j_{nu,1})^2 < 2, so an eigenvalue
+        # bracket reaching 2 j^2 also holds the second eigenvalue
+        for n in (12, 16, 20, 30, 40):
+            res = fk_eigenvalue(Euclidean(n), 1.0)
+            lam = bessel_first_zero(n / 2.0 - 1.0) ** 2
+            assert res.lambda_1 == pytest.approx(lam, rel=1e-8)
+            assert res.mismatch < 1e-9
 
     def test_scaling_law(self):
         base = fk_eigenvalue(Euclidean(3), 1.0).lambda_1
@@ -169,11 +176,20 @@ class TestEigenvalue:
     def test_rayleigh_quotient_consistency(self):
         # the reported eigenvalue and the eigenfunction must agree through
         # the independent norm machinery
-        for sp, R in ((Euclidean(3), 1.0), (warped(2, 0.5, 1.0), 5.0)):
+        cases = [(Euclidean(3), 1.0), (warped(2, 0.5, 1.0), 5.0)]
+        cases += [(sp, R) for sp in (warped(12, 0.5), warped(20, 0.2))
+                  for R in (1.0, 5.0)]
+        for sp, R in cases:
             res = fk_eigenvalue(sp, R)
             rq = (grad_lp_norm(sp, res.eigenfunction, 2.0)
                   / lq_norm(sp, res.eigenfunction, 2.0)) ** 2
             assert rq == pytest.approx(res.lambda_1, rel=1e-5)
+            if isinstance(sp, WarpedProduct):
+                # Cheng's comparison: lambda_1(B_R) <= j_{n/2-1}^2 / R^2
+                # under nonnegative Ricci curvature, so a higher root
+                # cannot pass for lambda_1
+                j2 = bessel_first_zero(sp.n / 2.0 - 1.0) ** 2
+                assert res.lambda_1 < j2 / R ** 2
 
     def test_rejects_bad_radius_and_space(self):
         with pytest.raises(DomainError):
