@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -153,8 +154,8 @@ def parse_sweep(spec: str, default_count: int = 50) -> np.ndarray:
             raise DomainError(f"bad sweep count in {spec!r}") from None
     if count < 2:
         raise DomainError("sweep needs at least two radii")
-    if not 0.0 < start < stop:
-        raise DomainError("sweep requires 0 < start < stop")
+    if not 0.0 < start < stop < math.inf:
+        raise DomainError("sweep requires 0 < start < stop < inf")
     if mode == "log":
         return np.geomspace(start, stop, count)
     return np.linspace(start, stop, count)

@@ -19,6 +19,7 @@ it; the Sobolev/GN/FK constants keep the constraints of their theorems.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,8 +30,10 @@ _ENDPOINT_SLACK = 1.0 + 1e-12
 
 
 def _check_avr(avr):
-    if not (isinstance(avr, (int, float)) and 0.0 < avr <= 1.0):
-        raise DomainError(f"avr must lie in (0, 1], got {avr!r}")
+    # below the smallest normal double, avr^(-1/n) (n near 1) and the
+    # Rayleigh constant can overflow
+    if not (isinstance(avr, (int, float)) and sys.float_info.min <= avr <= 1.0):
+        raise DomainError(f"avr must be a normal double in (0, 1], got {avr!r}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ joined with the space's breaks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, InvariantViolation
 from .quadrature import dyadic_breaks, gauss_on_segments
-from .spaces import Euclidean, ModelSpace, PowerLawSpace, _require_radial, avr
+from .spaces import Euclidean, ModelSpace, PowerLawSpace, avr, vol_ball
 from .specfun import omega
 
 _JUMP = 2.0 ** -30   # relative ramp width standing in for a jump discontinuity
@@ -240,7 +241,6 @@ def _level_radii(u: RadialFunction, t) -> np.ndarray:
 def distribution(space: ModelSpace, u: RadialFunction,
                  t_grid) -> DistributionProfile:
     """Superlevel volumes V(t) = vol({u > t}) on a descending level grid."""
-    _require_radial(space)
     _check_monotone_probe(u)
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) >= 0.0):
@@ -254,7 +254,6 @@ def distribution(space: ModelSpace, u: RadialFunction,
 
 def euclidean_rearrangement(space: ModelSpace, u: RadialFunction) -> RadialFunction:
     """The equimeasurable nonincreasing radial profile on Euclidean(N)."""
-    _require_radial(space)
     _check_monotone_probe(u)
     N = space.effective_dimension
     vols = space.volume(u.r_grid)
@@ -286,8 +285,13 @@ def _radial_integral(space: ModelSpace, u: RadialFunction, g,
     own = space.breaks
     breaks = np.concatenate([u.r_grid, own[own < u.r_end]])
     targets = np.append(u.r_grid[edges], 0.0)
-    return gauss_on_segments(lambda r: g(r) * space.content(r),
-                             dyadic_breaks(breaks, targets))
+    with np.errstate(over="ignore"):
+        value = gauss_on_segments(lambda r: g(r) * space.content(r),
+                                  dyadic_breaks(breaks, targets))
+    if not value < math.inf:
+        raise DomainError("a power of the profile or its slope overflows "
+                          "double precision")
+    return value
 
 
 def _cavalieri_integral(space: ModelSpace, u: RadialFunction,
@@ -318,10 +322,10 @@ def lq_routes(space: ModelSpace, u: RadialFunction, q: float) -> tuple:
     through the distribution function, a composite Gauss rule in t on u's
     node values with a batched level-radius bisection.
     """
-    _require_radial(space)
     _check_monotone_probe(u)
-    if not (isinstance(q, (int, float)) and q > 0.0):
-        raise DomainError(f"norm exponent must be positive, got {q!r}")
+    if not (isinstance(q, (int, float)) and 0.0 < q < math.inf):
+        raise DomainError(f"norm exponent must be positive and finite, "
+                          f"got {q!r}")
     direct = _radial_integral(
         space, u, lambda r: np.abs(u.value(r)) ** q, u.values == 0.0)
     return direct, _cavalieri_integral(space, u, q)
@@ -350,9 +354,9 @@ def grad_lp_norm(space: ModelSpace, u: RadialFunction, p: float) -> float:
     u' is smooth between nodes, exact or interpolated, so the integral is
     the composite Gauss rule of the direct Lq route on u's grid.
     """
-    _require_radial(space)
-    if not (isinstance(p, (int, float)) and p > 1.0):
-        raise DomainError(f"gradient exponent must exceed 1, got {p!r}")
+    if not (isinstance(p, (int, float)) and 1.0 < p < math.inf):
+        raise DomainError(f"gradient exponent must be finite and exceed 1, "
+                          f"got {p!r}")
     val = _radial_integral(space, u, lambda r: np.abs(u.deriv(r)) ** p,
                            u.node_slopes() == 0.0)
     return max(val, 0.0) ** (1.0 / p)
@@ -408,23 +412,19 @@ def coarea_derivative_check(space: ModelSpace, u: RadialFunction,
     degenerate).
     """
     profile = distribution(space, u, t_grid)
-    t, V = profile.t_grid, profile.volumes
-    radii = profile.radii
-    rows, skipped = [], []
-    for i in range(1, t.size - 1):
-        r_i = float(radii[i])
-        slope = float(u.deriv(r_i))
-        if abs(slope) < 1e-8 or r_i <= 0.0 or r_i >= u.r_end:
-            skipped.append(float(t[i]))
-            continue
-        dvdt = float((V[i + 1] - V[i - 1]) / (t[i + 1] - t[i - 1]))
-        lhs = -dvdt
-        rhs = float(space.content(r_i)) / abs(slope)
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        rows.append(CoareaRow(t=float(t[i]), minus_v_prime=lhs,
-                              coarea_value=rhs, rel_err=rel))
-    max_rel = max((row.rel_err for row in rows), default=0.0)
-    return CoareaReport(rows=tuple(rows), skipped=tuple(skipped),
+    t, V, radii = profile.t_grid, profile.volumes, profile.radii[1:-1]
+    slope = np.abs(u.deriv(radii))
+    content = space.content(radii)
+    regular = (slope >= 1e-8) & (radii > 0.0) & (radii < u.r_end)
+    lhs = -((V[2:] - V[:-2]) / (t[2:] - t[:-2]))[regular]
+    rhs = content[regular] / slope[regular]
+    rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+    rows = tuple(CoareaRow(t=t_i, minus_v_prime=l, coarea_value=c, rel_err=e)
+                 for t_i, l, c, e in zip(t[1:-1][regular].tolist(),
+                                         lhs.tolist(), rhs.tolist(),
+                                         rel.tolist()))
+    max_rel = float(np.max(rel, initial=0.0))
+    return CoareaReport(rows=rows, skipped=tuple(t[1:-1][~regular].tolist()),
                         passed=bool(max_rel <= 1e-4),
                         max_rel_err=max_rel,
                         degenerate=not rows)
@@ -442,12 +442,12 @@ def layer_cake_radial_integral(space: ModelSpace, f, f_prime,
     warped product), graded dyadically toward r = 0, where r^(N-1) is not
     smooth for real N.
     """
-    _require_radial(space, R)
+    volume = vol_ball(space, R)
     own = space.breaks
     breaks = dyadic_breaks(
         np.concatenate([np.linspace(0.0, R, _LAYER_PANELS + 1), own[own < R]]),
         [0.0])
-    layer = float(f(breaks[-1:])[0] * space.volume(R)) - gauss_on_segments(
+    layer = float(f(breaks[-1:])[0] * volume) - gauss_on_segments(
         lambda r: f_prime(r) * space.volume(r), breaks)
     direct = gauss_on_segments(lambda r: f(r) * space.content(r), breaks)
     if abs(layer - direct) > 1e-8 * max(abs(layer), abs(direct), 1e-300):

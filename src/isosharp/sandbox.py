@@ -23,6 +23,8 @@ from scipy.sparse.csgraph import shortest_path
 from .errors import DomainError, InvariantViolation
 
 _TRI_SLACK = 1e-12    # relative slack for float path-sum triangle checks
+# finest lattice: one axis pairs up to (1/h + 1)^2 points, 8 MB of doubles
+_MIN_SPACING = 2.0 ** -10
 
 
 @dataclass(frozen=True)
@@ -183,6 +185,8 @@ def random_space(seed: int, max_nodes: int = 60) -> FiniteMetricMeasureSpace:
     A random Hamiltonian path guarantees connectivity; extra edges are
     dropped in with a random density.  Deterministic per seed.
     """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     if max_nodes < 2:
         raise DomainError("need room for at least two nodes")
     rng = np.random.default_rng(seed)
@@ -373,8 +377,9 @@ def brunn_minkowski_report(n: int, h: float, box_a, box_b, s: float,
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"dimension must be a positive integer, got {n!r}")
-    if not 0.0 < h <= 0.5:
-        raise DomainError(f"lattice spacing must lie in (0, 0.5], got {h!r}")
+    if not _MIN_SPACING <= h <= 0.5:
+        raise DomainError(
+            f"lattice spacing must lie in [2^-10, 0.5], got {h!r}")
     m = round(1.0 / h)
     if abs(m * h - 1.0) > 1e-9:
         raise DomainError(f"1/h must be an integer, got h={h!r}")

@@ -20,6 +20,12 @@ product integrates its sphere measure once into a cumulative Gauss table.
 The ALE variant carries only its AVR = 1/k: computing its ball volumes
 would need metric data this package does not model, so radial operations
 reject it.
+
+``vol_ball`` and ``minkowski_content_ball`` take a radius (float result) or
+an array of radii (array result) through one guard: every radius positive
+and finite, every value inside double precision.  The sweeps and checks
+below make one array call each, and the sharp isoperimetric bound they
+compare against is ``constants.isoperimetric_constant``.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .constants import isoperimetric_constant
 from .errors import DomainError, UnsupportedOperationError
 from .quadrature import dyadic_breaks, gauss_panels
 from .specfun import beta, omega
@@ -74,8 +81,12 @@ class ExponentialTail(WarpingProfile):
     def __post_init__(self):
         if not (isinstance(self.a, (int, float)) and 0.0 < self.a <= 1.0):
             raise DomainError(f"profile limit a must lie in (0,1], got {self.a}")
-        if not (isinstance(self.beta, (int, float)) and self.beta > 0.0):
-            raise DomainError(f"profile rate beta must be > 0, got {self.beta}")
+        # the breaks end at 60/beta, which must be finite too
+        if not (isinstance(self.beta, (int, float))
+                and 0.0 < self.beta < math.inf and 60.0 / self.beta < math.inf):
+            raise DomainError(
+                f"profile rate beta must be positive with 60/beta finite, "
+                f"got {self.beta}")
 
     def f(self, s):
         return self.a + (1.0 - self.a) * np.exp(-self.beta * np.asarray(s, float))
@@ -204,7 +215,12 @@ class PowerLawSpace(ModelSpace):
 
     def avr(self) -> float:
         N = self.effective_dimension
-        return min(self.unit_ball_volume / omega(N), 1.0)
+        omega_N, c = omega(N), self.unit_ball_volume
+        if not (0.0 < omega_N < math.inf and 0.0 < c < math.inf):
+            raise DomainError(
+                f"unit-ball volumes omega_N = {omega_N:g} and c = {c:g} at "
+                f"N = {N:g} lie outside double precision")
+        return min(c / omega_N, 1.0)
 
 
 def _check_int(value, what, minimum):
@@ -230,6 +246,9 @@ class Euclidean(PowerLawSpace):
     @cached_property
     def unit_ball_volume(self) -> float:
         return omega(self.n)
+
+    def avr(self) -> float:
+        return 1.0
 
     def descriptor(self):
         return {"variant": "euclidean", "n": float(self.n)}
@@ -293,7 +312,7 @@ class WarpedProduct(ModelSpace):
         # past the last break F = F_e + a (r - end) is affine, and
         # n omega_n int F^{n-1} = omega_n F_e^n ((1 + d)^n - 1) / a exactly
         n, a = self.n, float(self.profile.asymptote)
-        F_e = float(self.profile.F(end))
+        F_e = self.profile.F(end)      # an array, so F_e^n may overflow to inf
         d = a * (np.maximum(r, end) - end) / F_e
         growth = np.expm1(n * np.log1p(d))
         return vol + self._sphere_coef * F_e ** n * growth / (n * a)
@@ -412,36 +431,37 @@ class AleQuotient(ModelSpace):
 # ---------------------------------------------------------------------------
 # operations
 
-def _require_radial(space, r=None):
-    if not space.radial_supported:
-        raise UnsupportedOperationError(
-            f"operation needs radial geometry; {space.descriptor()['variant']} "
-            "does not support it")
-    if r is not None and not (isinstance(r, (int, float)) and math.isfinite(r)
-                              and r > 0.0):
+def _radii(r) -> np.ndarray:
+    """r as a float array (0-d for one radius), every radius positive and
+    finite."""
+    radii = np.asarray(r)
+    if radii.dtype.kind not in "iuf" or not np.all(
+            (radii > 0.0) & (radii < math.inf)):
         raise DomainError(f"radius must be a positive real, got {r!r}")
+    return radii.astype(float)
 
 
-def _representable(value, what, r):
-    # positive for every r > 0: 0 is underflow, inf overflow
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{what} at r={r!r} lies outside double precision")
-    return value
+def _guarded(r, evaluate, what):
+    """evaluate(radii), a float for a radius and an array for an array; every
+    value positive and finite (0 is underflow and inf overflow for r > 0)."""
+    radii = _radii(r)
+    with np.errstate(all="ignore"):
+        values = np.asarray(evaluate(radii), dtype=float)
+    outside = ~((values > 0.0) & (values < math.inf))
+    if outside.any():
+        raise DomainError(f"{what} at r={float(radii[outside][0])!r} lies "
+                          "outside double precision")
+    return values if radii.ndim else float(values)
 
 
-def vol_ball(space: ModelSpace, r: float) -> float:
-    """Measure of the metric ball of radius r about the pole."""
-    _require_radial(space, r)
-    with np.errstate(over="ignore"):
-        return _representable(float(space.volume(float(r))), "ball volume", r)
+def vol_ball(space: ModelSpace, r):
+    """Measure of the metric ball of radius r (or of each r) about the pole."""
+    return _guarded(r, space.volume, "ball volume")
 
 
-def minkowski_content_ball(space: ModelSpace, r: float) -> float:
-    """Outer Minkowski content (sphere measure) of the radius-r ball."""
-    _require_radial(space, r)
-    with np.errstate(over="ignore"):
-        return _representable(float(space.content(float(r))),
-                              "sphere measure", r)
+def minkowski_content_ball(space: ModelSpace, r):
+    """Outer Minkowski content (sphere measure) of each radius-r ball."""
+    return _guarded(r, space.content, "sphere measure")
 
 
 def avr(space: ModelSpace) -> float:
@@ -465,16 +485,16 @@ def avr_numeric(space: ModelSpace, r_max: float, samples: int = 16) -> AvrEstima
     lower bound comes from the profile tail (f >= its asymptote pointwise,
     giving vol >= AVR omega_N r^N), and is exact for the power-law spaces.
     """
-    _require_radial(space, r_max)
     if samples < 2:
         raise DomainError("need at least 2 sample radii")
     N = space.effective_dimension
-    radii = np.geomspace(r_max / 100.0, r_max, int(samples))
-    ratios = tuple((float(r), vol_ball(space, float(r)) / (omega(N) * float(r) ** N))
-                   for r in radii)
-    estimate = ratios[-1][1]
+    radii = r_max * np.geomspace(0.01, 1.0, int(samples))
+    ratios = vol_ball(space, radii) / _guarded(
+        radii, lambda r: omega(N) * r ** N, "Euclidean ball volume")
+    estimate = float(ratios[-1])
     return AvrEstimate(estimate=estimate, lower=min(space.avr(), estimate),
-                       upper=estimate, samples=ratios)
+                       upper=estimate,
+                       samples=tuple(zip(radii.tolist(), ratios.tolist())))
 
 
 @dataclass(frozen=True)
@@ -487,15 +507,15 @@ class MonotoneReport:
 
 def bishop_gromov_check(space: ModelSpace, r_grid) -> MonotoneReport:
     """vol(B_r)/r^N must be nonincreasing along the grid (1e-10 slack)."""
-    r_grid = [float(r) for r in r_grid]
-    if any(b <= a for a, b in zip(r_grid, r_grid[1:])):
+    radii = np.asarray(r_grid, dtype=float)
+    if np.any(np.diff(radii) <= 0.0):
         raise DomainError("r_grid must be strictly ascending")
     N = space.effective_dimension
-    ratios = tuple(vol_ball(space, r) / r ** N for r in r_grid)
-    increases = [b - a for a, b in zip(ratios, ratios[1:])]
-    max_inc = max(increases) if increases else 0.0
-    slack = 1e-10 * max(1.0, max(abs(x) for x in ratios))
-    return MonotoneReport(radii=tuple(r_grid), ratios=ratios,
+    ratios = vol_ball(space, radii) / _guarded(radii, lambda r: r ** N, "r^N")
+    max_inc = float(np.diff(ratios).max()) if ratios.size > 1 else 0.0
+    slack = 1e-10 * float(np.max(np.abs(ratios), initial=1.0))
+    return MonotoneReport(radii=tuple(radii.tolist()),
+                          ratios=tuple(ratios.tolist()),
                           passed=max_inc <= slack, max_increase=max_inc)
 
 
@@ -535,12 +555,10 @@ def isoperimetric_deficit(space: ModelSpace, r: float) -> DeficitResult:
     lhs = Minkowski content, rhs = N omega_N^{1/N} AVR^{1/N} vol^{(N-1)/N};
     the theorem asserts lhs >= rhs, with equality exactly on cones.
     """
-    _require_radial(space, r)
     N = space.effective_dimension
     lhs = minkowski_content_ball(space, r)
     vol = vol_ball(space, r)
-    rhs = (N * omega(N) ** (1.0 / N) * avr(space) ** (1.0 / N)
-           * vol ** ((N - 1.0) / N))
+    rhs = isoperimetric_constant(N, avr(space)) * vol ** ((N - 1.0) / N)
     return DeficitResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
 
 
@@ -568,20 +586,19 @@ def isoperimetric_sharpness_sweep(space: ModelSpace, r_list) -> SweepTable:
     everywhere and converges to it as r grows; tail_gap reports how far the
     last row still is.
     """
-    _require_radial(space)
-    N = space.effective_dimension
-    bound = N * omega(N) ** (1.0 / N) * avr(space) ** (1.0 / N)
-    rows = []
-    for r in r_list:
-        r = float(r)
-        vol = vol_ball(space, r)
-        content = minkowski_content_ball(space, r)
-        ratio = content / vol ** ((N - 1.0) / N)
-        rows.append(SweepRow(r=r, vol=vol, mink_content=content, ratio=ratio,
-                             sharp_bound=bound, margin=ratio - bound))
-    if not rows:
+    radii = np.asarray(r_list, dtype=float)
+    if radii.size == 0:
         raise DomainError("empty radius list")
-    return SweepTable(rows=tuple(rows), sharp_bound=bound,
+    N = space.effective_dimension
+    vol = vol_ball(space, radii)
+    content = minkowski_content_ball(space, radii)
+    bound = isoperimetric_constant(N, avr(space))
+    ratio = content / vol ** ((N - 1.0) / N)
+    rows = tuple(SweepRow(r=r, vol=v, mink_content=c, ratio=q,
+                          sharp_bound=bound, margin=q - bound)
+                 for r, v, c, q in zip(radii.tolist(), vol.tolist(),
+                                       content.tolist(), ratio.tolist()))
+    return SweepTable(rows=rows, sharp_bound=bound,
                       tail_gap=abs(rows[-1].ratio - bound))
 
 

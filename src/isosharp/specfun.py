@@ -160,6 +160,9 @@ def omega(N: float) -> float:
 
 
 _SERIES_SWITCH = 9.0
+# the Miller recurrence starts near order nu in pure Python, so a first zero
+# costs about 3 us per unit of order: 30 ms at this bound
+_MAX_ZERO_ORDER = 1e4
 
 
 def _leading(nu, x):
@@ -299,8 +302,9 @@ def _first_zero_guess(nu):
 
 def bessel_first_zero(nu: float, precision: Precision = DEFAULT_PRECISION) -> float:
     """Smallest positive zero of J_nu, by bracketed Newton iteration."""
-    if not (isinstance(nu, (int, float)) and math.isfinite(nu) and nu >= 0):
-        raise DomainError(f"bessel_first_zero requires nu >= 0, got {nu!r}")
+    if not (isinstance(nu, (int, float)) and 0 <= nu <= _MAX_ZERO_ORDER):
+        raise DomainError(f"bessel_first_zero requires 0 <= nu <= "
+                          f"{_MAX_ZERO_ORDER:g}, got {nu!r}")
     nu = float(nu)
     guess = _first_zero_guess(nu)
     # J_nu > 0 on (0, j_nu) and the next zero is more than 2 away, so a +-1

@@ -37,7 +37,7 @@ from .rearrange import (
     lq_norm,
     polya_szego_check,
 )
-from .spaces import ModelSpace, _require_radial, avr, vol_ball
+from .spaces import ModelSpace, _radii, avr, minkowski_content_ball, vol_ball
 from .specfun import (bessel_first_zero, bessel_j, bessel_j_scaled,
                       log_gamma, omega)
 
@@ -72,6 +72,15 @@ class EigenResult:
 # ---------------------------------------------------------------------------
 # extremal families
 
+def _h(lam, pp, expo, r):
+    # h(r) = (lam + r^{p'})^expo with expo = 1/(1-alpha), r >= 0 or an array
+    return (lam + r ** pp) ** expo
+
+
+def _h_deriv(lam, pp, expo, r):
+    return expo * pp * r ** (pp - 1.0) * (lam + r ** pp) ** (expo - 1.0)
+
+
 def extremal_h(alpha: float, p: float, lam: float, r: float) -> float:
     """h(r) = (lam + r^{p'})^{1/(1-alpha)}: the sharp-quotient profile."""
     if not (isinstance(alpha, (int, float)) and alpha > 1.0):
@@ -82,18 +91,13 @@ def extremal_h(alpha: float, p: float, lam: float, r: float) -> float:
         raise DomainError(f"lambda must be positive, got {lam!r}")
     if not (isinstance(r, (int, float)) and r >= 0.0):
         raise DomainError(f"radius must be nonnegative, got {r!r}")
-    pp = p / (p - 1.0)
-    return (lam + r ** pp) ** (1.0 / (1.0 - alpha))
+    return _h(lam, p / (p - 1.0), 1.0 / (1.0 - alpha), r)
 
 
 def extremal_h_deriv(alpha: float, p: float, lam: float, r: float) -> float:
     """d/dr of extremal_h; zero at r=0, negative elsewhere."""
-    if r == 0.0:
-        extremal_h(alpha, p, lam, 0.0)   # parameter validation
-        return 0.0
-    pp = p / (p - 1.0)
-    expo = 1.0 / (1.0 - alpha)
-    return expo * pp * r ** (pp - 1.0) * (lam + r ** pp) ** (expo - 1.0)
+    extremal_h(alpha, p, lam, r)   # parameter validation
+    return _h_deriv(lam, p / (p - 1.0), 1.0 / (1.0 - alpha), r)
 
 
 def truncated_extremal(params: SobolevParams, lam: float = 1.0,
@@ -109,25 +113,23 @@ def truncated_extremal(params: SobolevParams, lam: float = 1.0,
     """
     if not (isinstance(lam, (int, float)) and lam > 0.0):
         raise DomainError(f"lambda must be positive, got {lam!r}")
-    alpha, p = params.alpha, params.p
     pp = params.p_prime
+    expo = 1.0 / (1.0 - params.alpha)
     if r_cut is None:
         r_cut = 1000.0 * lam ** (1.0 / pp)
     if not r_cut > 0.0:
         raise DomainError("truncation radius must be positive")
-    expo = 1.0 / (1.0 - alpha)
-    shift = (lam + r_cut ** pp) ** expo
+    shift = _h(lam, pp, expo, r_cut)
 
     def val(r):
         r = np.asarray(r, dtype=float)
-        h = (lam + np.abs(r) ** pp) ** expo
+        h = _h(lam, pp, expo, np.abs(r))
         return np.where(r <= r_cut, np.maximum(h - shift, 0.0), 0.0)
 
     def dval(r):
         r = np.asarray(r, dtype=float)
-        rr = np.maximum(np.abs(r), 1e-300)
-        core = expo * pp * rr ** (pp - 1.0) * (lam + rr ** pp) ** (expo - 1.0)
-        return np.where((r <= 0.0) | (r >= r_cut), 0.0, core)
+        return np.where((r <= 0.0) | (r >= r_cut), 0.0,
+                        _h_deriv(lam, pp, expo, np.abs(r)))
 
     grid = np.concatenate([[0.0], np.geomspace(r_cut * 1e-6, r_cut,
                                                _EXTREMAL_NODES - 1)])
@@ -221,24 +223,21 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
     counts trace evaluations; the eigenfunction and ``mismatch`` = |phi(R)|
     come from the trace at the returned eigenvalue.
     """
-    _require_radial(space, R)
     N = space.effective_dimension
     nu = N / 2.0 - 1.0
-    r0 = R * 1e-8
+    r0 = float(_radii(R)) * 1e-8      # R is checked before the grid uses it
     graded = np.geomspace(r0, 0.1 * R, _SHOOT_STEPS // 3)
     uniform = np.linspace(0.1 * R, R, _SHOOT_STEPS)
     r = np.unique(np.concatenate([graded, uniform]))
-    with np.errstate(over="ignore"):
-        A_nodes = space.content(r)
-        A_mids = space.content(0.5 * (r[:-1] + r[1:]))
+    # the density rises with r, so guarding it at the nodes covers the
+    # midpoints too
+    A_nodes = minkowski_content_ball(space, r)
+    A_mids = space.content(0.5 * (r[:-1] + r[1:]))
     j = bessel_first_zero(nu)
     k = j / R
-    # the density rises with r, so its nodes bound it on the midpoints too
-    if not (0.0 < k * k < math.inf and np.isfinite(A_nodes[-1])
-            and A_nodes[0] > 0.0):
+    if not 0.0 < k * k < math.inf:
         raise DomainError(
-            f"radius {R!r} puts the radial density or the eigenvalue "
-            "outside double precision")
+            f"radius {R!r} puts the eigenvalue outside double precision")
     steps = (r0 / R, np.diff(r) / R, A_mids / A_nodes[:-1],
              A_nodes[1:] / A_nodes[:-1], N)
     lo, hi = 0.0, 2.0 * j * j

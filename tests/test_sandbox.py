@@ -247,6 +247,9 @@ class TestBrunnMinkowski:
                                    [(0, 1)] * 2, 0.5)
         with pytest.raises(DomainError):
             brunn_minkowski_report(1, 1 / 32, [(0, 1)], [(0, 1)], 1.5)
+        # finer than 2^-10 the pairwise lattice table outgrows ~8 MB an axis
+        with pytest.raises(DomainError):
+            brunn_minkowski_report(1, 2.0 ** -11, [(0, 1)], [(0, 1)], 0.5)
 
 
 class TestSerialization:

@@ -42,6 +42,7 @@ class TestEuclidean:
         assert minkowski_content_ball(e3, 2.0) == pytest.approx(
             16 * math.pi, rel=1e-13)
         assert avr(e3) == 1.0
+        assert avr(Euclidean(500)) == 1.0    # omega_500 underflows to 0
 
     def test_real_dimension(self):
         # fractional N appears as a rearrangement target
@@ -58,6 +59,13 @@ class TestEuclidean:
             vol_ball(Euclidean(3), 0.0)
         with pytest.raises(DomainError):
             vol_ball(Euclidean(2.5), 1e300)    # overflows, not inf
+        # an array is rejected as a whole for one bad radius among good ones
+        for bad in (float("nan"), float("inf"), 0.0, -1.0):
+            for guarded in (vol_ball, minkowski_content_ball):
+                with pytest.raises(DomainError):
+                    guarded(Euclidean(3), np.array([0.5, bad, 2.0]))
+        with pytest.raises(DomainError):
+            vol_ball(Euclidean(2.5), np.array([1.0, 1e300]))
 
 
 class TestWarpedProduct:
@@ -115,6 +123,32 @@ class TestWarpedProduct:
             ExponentialTail(a=1.2, beta=1.0)
         with pytest.raises(DomainError):
             ExponentialTail(a=0.5, beta=0.0)
+
+
+_ARRAY_SPACES = {
+    "euclidean_2.5": Euclidean(2.5),
+    "cone": EuclideanCone(2, 2.0),
+    "monomial": MonomialHalfSpace(2, 1.5),
+    "warped_2": WarpedProduct(2, ExponentialTail(0.5, 1.0)),
+    "warped_3": WarpedProduct(3, ExponentialTail(0.6, 2.0)),
+    "sampled_warped": WarpedProduct(3, SampledProfile(
+        np.linspace(0.0, 8.0, 161),
+        ExponentialTail(0.6, 1.5).f(np.linspace(0.0, 8.0, 161)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_SPACES))
+def test_array_and_scalar_radii_agree(name):
+    # radii inside the first break segment, across breaks, past the last
+    space = _ARRAY_SPACES[name]
+    radii = np.array([1e-3, 0.37, 1.0, 2.9, 7.5, 40.0, 1e3])
+    for guarded in (vol_ball, minkowski_content_ball):
+        values = guarded(space, radii)
+        assert values.shape == radii.shape
+        for r, value in zip(radii, values):
+            scalar = guarded(space, float(r))
+            assert isinstance(scalar, float)
+            assert value == pytest.approx(scalar, rel=1e-15, abs=0)
 
 
 class TestVolume:
@@ -258,6 +292,8 @@ class TestMonomialHalfSpace:
         with pytest.raises(DomainError):
             MonomialHalfSpace(2, -0.5)
         with pytest.raises(DomainError):
+            avr(MonomialHalfSpace(500, 1.0))  # Lambda and omega_N underflow
+        with pytest.raises(DomainError):
             weighted_avr_lambda(Euclidean(3))
 
 
@@ -312,6 +348,8 @@ class TestStructuralChecks:
             report = bishop_gromov_check(space, grid)
             assert report.passed, report
             assert report.max_increase <= 1e-10
+        # the warped ratio falls strictly, so every step is a decrease
+        assert bishop_gromov_check(warped(), grid).max_increase < 0.0
 
     def test_bishop_gromov_flags_bad_profile(self):
         bad = SampledProfile([0.0, 1.0, 2.0, 3.0], [1.0, 1.3, 1.8, 2.5],
