@@ -309,13 +309,16 @@ class WarpedProduct(ModelSpace):
         vol = cum[idx] + gauss_panels(self.content, breaks[idx], inside)
         if not np.any(r > end):
             return vol
-        # past the last break F = F_e + a (r - end) is affine, and
-        # n omega_n int F^{n-1} = omega_n F_e^n ((1 + d)^n - 1) / a exactly
+        # past the last break F = F_e + a s, s = r - end, is affine, and
+        # n omega_n int F^{n-1} = omega_n (F^n - F_e^n) / a exactly; F^n
+        # (1 - (F_e/F)^n) stays finite where F_e^n underflows and (F/F_e)^n
+        # overflows
         n, a = self.n, float(self.profile.asymptote)
-        F_e = self.profile.F(end)      # an array, so F_e^n may overflow to inf
-        d = a * (np.maximum(r, end) - end) / F_e
-        growth = np.expm1(n * np.log1p(d))
-        return vol + self._sphere_coef * F_e ** n * growth / (n * a)
+        F_e = self.profile.F(end)
+        s = np.maximum(r, end) - end
+        F = F_e + a * s
+        tail = F ** n * -np.expm1(-n * np.log1p(a * s / F_e))
+        return vol + self._sphere_coef * tail / (n * a)
 
     def descriptor(self):
         if not isinstance(self.profile, ExponentialTail):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .constants import (
     SobolevParams,
@@ -119,7 +120,11 @@ def truncated_extremal(params: SobolevParams, lam: float = 1.0,
         r_cut = 1000.0 * lam ** (1.0 / pp)
     if not r_cut > 0.0:
         raise DomainError("truncation radius must be positive")
-    shift = _h(lam, pp, expo, r_cut)
+    try:
+        shift = _h(lam, pp, expo, float(r_cut))
+    except OverflowError:       # float ** raises where numpy would give inf
+        raise DomainError(f"r_cut^p' = {r_cut!r}^{pp!r} lies outside double "
+                          "precision") from None
 
     def val(r):
         r = np.asarray(r, dtype=float)
@@ -181,32 +186,45 @@ def gn_quotient(space: ModelSpace, u: RadialFunction,
 # ---------------------------------------------------------------------------
 # radial Dirichlet eigenvalue by shooting
 
+def _mul(a, b):
+    """Entrywise 2x2 product a @ b of matrices held as (m00, m01, m10, m11)."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
 def _trace(mu, s0, h, rho_mid, rho_end, N):
     """phi at every node of the RK4 scheme for -(A phi')' = mu A phi, R = 1.
 
     The state is (phi, psi/A), so one step is the 2x2 matrix of RK4 on
     [[0, 1/rho], [-mu rho, 0]] with rho = A/A_k, rescaled by A_k/A_{k+1}
-    at its end: only the density ratios enter, never 1/A.  The matrices of
-    all steps are built at once and multiplied by a doubling prefix scan.
+    at its end: only the density ratios enter, never 1/A.  Each matrix is
+    held as its four entries, arrays over all steps, and the steps are
+    multiplied by a doubling prefix scan of explicit 2x2 products.
     """
-    F = np.zeros((3, h.size, 2, 2))
-    for F_i, rho in zip(F, (1.0, rho_mid, rho_end)):
-        F_i[:, 0, 1] = 1.0 / rho
-        F_i[:, 1, 0] = -mu * rho
-    F0, Fm, F1 = F
-    eye = np.eye(2)
-    h = h[:, None, None]
-    k2 = Fm @ (eye + 0.5 * h * F0)
-    k3 = Fm @ (eye + 0.5 * h * k2)
-    k4 = F1 @ (eye + h * k3)
-    M = eye + h / 6.0 * (F0 + 2.0 * k2 + 2.0 * k3 + k4)
-    M[:, 1] /= rho_end[:, None]
+    one, zero = np.ones_like(h), np.zeros_like(h)
+    F0, Fm, F1 = ((zero, 1.0 / rho, -mu * rho, zero)
+                  for rho in (one, rho_mid, rho_end))
+
+    def plus_eye(c, K):     # I + c K
+        return (1.0 + c * K[0], c * K[1], c * K[2], 1.0 + c * K[3])
+
+    k2 = _mul(Fm, plus_eye(0.5 * h, F0))
+    k3 = _mul(Fm, plus_eye(0.5 * h, k2))
+    k4 = _mul(F1, plus_eye(h, k3))
+    M = [e + h / 6.0 * (f0 + 2.0 * f2 + 2.0 * f3 + f4)
+         for e, f0, f2, f3, f4 in zip((one, zero, zero, one), F0, k2, k3, k4)]
+    M[2] /= rho_end
+    M[3] /= rho_end
     step = 1
-    while step < M.shape[0]:
-        M[step:] = M[step:] @ M[:-step]
+    while step < h.size:
+        later = _mul([m[step:] for m in M], [m[:-step] for m in M])
+        for m, v in zip(M, later):
+            m[step:] = v
         step *= 2
-    start = np.array([1.0 - mu * s0 * s0 / (2.0 * N), -mu * s0 / N])
-    return np.concatenate([start[:1], M[:, 0] @ start])
+    start = (1.0 - mu * s0 * s0 / (2.0 * N), -mu * s0 / N)
+    return np.concatenate([start[:1], M[0] * start[0] + M[1] * start[1]])
 
 
 def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
@@ -216,16 +234,22 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
     phi'(0)=0, phi(R)=0, in units of R (mu = lam R^2).  A fourth-order
     one-step scheme integrates from a series start near zero on a grid
     graded geometrically through the coordinate singularity; ``_trace``
-    returns its node values for one mu.  By Sturm oscillation mu lies below
-    the first eigenvalue exactly when phi > 0 at every node, so that test
-    is bisected from mu = 0 (phi = 1) up to 2 j_{N/2-1}^2, twice Cheng's
-    bound mu_1 <= j^2 (equality on power-law spaces).  ``iterations``
-    counts trace evaluations; the eigenfunction and ``mismatch`` = |phi(R)|
-    come from the trace at the returned eigenvalue.
+    returns its node values for one mu.  By Sturm oscillation the node
+    values change sign once for every eigenvalue below mu.  So the top of
+    [0, 2 j_{N/2-1}^2], twice Cheng's bound mu_1 <= j^2 (equality on
+    power-law spaces), is bisected until it shows exactly one sign change;
+    inside that bracket phi(R) changes sign only at mu_1, and Brent's
+    method finds it to 1e-12 relative.  ``iterations`` counts trace
+    evaluations, Brent's included; the eigenfunction and ``mismatch`` =
+    |phi(R)| come from the trace at the returned eigenvalue.
     """
     N = space.effective_dimension
     nu = N / 2.0 - 1.0
-    r0 = float(_radii(R)) * 1e-8      # R is checked before the grid uses it
+    R = float(_radii(R))      # R and r0 are checked before the grid uses them
+    r0 = R * 1e-8
+    if not r0 > 0.0:
+        raise DomainError(f"radius {R!r} puts the first grid node R*1e-8 "
+                          "outside double precision")
     graded = np.geomspace(r0, 0.1 * R, _SHOOT_STEPS // 3)
     uniform = np.linspace(0.1 * R, R, _SHOOT_STEPS)
     r = np.unique(np.concatenate([graded, uniform]))
@@ -240,22 +264,40 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
             f"radius {R!r} puts the eigenvalue outside double precision")
     steps = (r0 / R, np.diff(r) / R, A_mids / A_nodes[:-1],
              A_nodes[1:] / A_nodes[:-1], N)
+    # phi(R) by mu, one entry per trace (phi = 1 at mu = 0); only the end
+    # values are kept, since holding every trace fragments the heap
+    ends = {0.0: 1.0}
+
+    def nodes(mu):
+        trace = _trace(mu, *steps)
+        ends[mu] = trace[-1]
+        return trace
+
+    def sign_changes(mu):
+        positive = nodes(mu) > 0.0
+        return np.count_nonzero(positive[1:] != positive[:-1])
+
     lo, hi = 0.0, 2.0 * j * j
-    if np.all(_trace(hi, *steps) > 0.0):
+    changes = sign_changes(hi)
+    if changes == 0:
         raise ConvergenceError(
             f"no sign change up to lambda={hi / R / R:g}",
             bracket=(0.0, hi / R / R))
-    iterations = 1          # trace evaluations, the final one included
-    while hi - lo > 1e-12 * hi:
-        iterations += 1
+    while changes > 1:
+        if hi - lo <= 1e-12 * hi:
+            raise ConvergenceError(
+                "no bracket holds lambda_1 alone",
+                bracket=(lo / R / R, hi / R / R))
         mid = 0.5 * (lo + hi)
-        if np.all(_trace(mid, *steps) > 0.0):
+        mid_changes = sign_changes(mid)
+        if mid_changes == 0:
             lo = mid
         else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
+            hi, changes = mid, mid_changes
+    mu = brentq(lambda m: ends[m] if m in ends else nodes(m)[-1], lo, hi,
+                rtol=1e-12)
     trace = _trace(mu, *steps)
-    iterations += 1
+    iterations = len(ends)      # the traces in ends but mu = 0, and this one
 
     vals = np.minimum.accumulate(np.clip(trace, 0.0, None))
     vals[-1] = 0.0

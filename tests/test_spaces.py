@@ -167,6 +167,14 @@ class TestVolume:
         assert vol_ball(space, 1e4) == pytest.approx(
             warped_volume_oracle(2, 0.5, 1.0, 1e4), rel=1e-12)
 
+    @pytest.mark.parametrize("n, r", [(2, 1.0), (3, 2.0), (3, 1e4), (12, 7.0)])
+    def test_warped_tiny_decay_length_matches_mpmath(self, n, r):
+        # past the last break F_e^n underflows while (F/F_e)^n overflows;
+        # their product, the volume, is of order a r^n
+        space = warped(n=n, a=0.5, beta=1e300)
+        assert vol_ball(space, r) == pytest.approx(
+            warped_volume_oracle(n, 0.5, 1e300, r), rel=1e-12)
+
     def test_power_law_exact(self):
         # Lambda = 2/3 for the half-plane weighted by x_2, N = 3
         assert float(MonomialHalfSpace(2, 1.0).volume(2.0)) == pytest.approx(

@@ -191,6 +191,16 @@ class TestEigenvalue:
                 j2 = bessel_first_zero(sp.n / 2.0 - 1.0) ** 2
                 assert res.lambda_1 < j2 / R ** 2
 
+    def test_trace_count(self):
+        # the bracket and Brent's method need about 11 traces; a bisection
+        # of the Sturm test alone to 1e-12 took 43
+        spaces = (Euclidean(3), EuclideanCone(2, 2.0 * math.pi),
+                  MonomialHalfSpace(2, 1.0), warped(2, 0.5, 1.0),
+                  warped(3, 0.5, 1.0))
+        for sp in spaces:
+            for R in (1.0, 5.0):
+                assert fk_eigenvalue(sp, R).iterations <= 20
+
     def test_rejects_bad_radius_and_space(self):
         with pytest.raises(DomainError):
             fk_eigenvalue(Euclidean(3), 0.0)
