@@ -290,23 +290,19 @@ def cmd_verify(cfg: RunConfig, args) -> tuple:
         params = SobolevParams(n=space.effective_dimension, p=args.p,
                                alpha=args.alpha)
     result = run_suite(space, args.suite, p=args.p, params=params,
-                       R_list=args.R)
-    passed = result.passed
-    if cfg.tol is not None:
-        passed = bool(all(row.report.margin >= -cfg.tol
-                          for row in result.rows))
+                       R_list=args.R, tol=cfg.tol)
     rows = [(result.name, desc["variant"], row.label, row.report.lhs,
              row.report.rhs_constant, row.report.quotient, row.report.margin)
             for row in result.rows]
     if cfg.fmt == "json":
         payload = {"command": "verify", "suite": result.name,
-                   "descriptor": desc, "passed": passed,
+                   "descriptor": desc, "passed": result.passed,
                    "rows": [{**row.report.as_dict(), "label": row.label}
                             for row in result.rows]}
-        return _json_doc(payload), passed
+        return _json_doc(payload), result.passed
     text = _csv_table(("suite", "variant", "label", "lhs", "rhs_constant",
                        "quotient", "margin"), rows)
-    return text, passed
+    return text, result.passed
 
 
 def cmd_sandbox(cfg: RunConfig, args) -> tuple:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError
 from .specfun import bessel_first_zero, log_gamma, log_omega, omega
@@ -143,17 +142,12 @@ def gn_sharp_constant(params: SobolevParams, avr: float) -> float:
     return gn_constant(params) * avr ** (-gn_theta(params) / params.n)
 
 
-@lru_cache(maxsize=None)
-def _half_order_zero(n: float) -> float:
-    return bessel_first_zero(0.5 * n - 1.0)
-
-
 def fk_constant(n: float, avr: float) -> float:
     """Lam_g = j_{n/2-1}^2 (omega_n avr)^{2/n}: sharp Faber-Krahn constant."""
     if not (isinstance(n, (int, float)) and math.isfinite(n) and n >= 2.0):
         raise DomainError(f"fk_constant requires n >= 2, got {n!r}")
     _check_avr(avr)
-    j = _half_order_zero(float(n))
+    j = bessel_first_zero(0.5 * n - 1.0)
     return j * j * math.exp((2.0 / n) * (log_omega(n) + math.log(avr)))
 
 
@@ -162,7 +156,7 @@ def rayleigh_constant(n: float, avr: float) -> float:
     if not (isinstance(n, (int, float)) and math.isfinite(n) and n >= 2.0):
         raise DomainError(f"rayleigh_constant requires n >= 2, got {n!r}")
     _check_avr(avr)
-    j = _half_order_zero(float(n))
+    j = bessel_first_zero(0.5 * n - 1.0)
     return math.exp(-(2.0 / n) * (log_omega(n) + math.log(avr))) / (j * j)
 
 

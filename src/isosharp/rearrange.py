@@ -10,11 +10,11 @@ rearrangement itself, both norms by two independent routes, and the co-area
 and layer-cake identities used to certify them.  Ball volumes and sphere
 measures come from the space's own ``volume`` and ``content``.
 
-Functions are supported on [0, r_end] of their grid; values are interpolated
-shape-preservingly between nodes unless exact callables are attached.  The
-grid is the profile's break list either way: u is smooth between nodes, so
-every norm is a composite Gauss rule on the grid (see
-``isosharp.quadrature``).  The layer-cake identity, whose integrands are
+Functions are supported on [0, r_end] of their grid, and are either
+sampled (interpolated shape-preservingly between nodes) or exact (closed-form
+value and slope).  The grid is the profile's break list either way: u is
+smooth between nodes, so every norm is a composite Gauss rule on the grid
+(see ``isosharp.quadrature``).  The layer-cake identity, whose integrands are
 vectorized callables smooth on (0, R], takes the same rule on equal panels
 joined with the space's breaks.
 """
@@ -37,11 +37,14 @@ _LAYER_PANELS = 16   # equal Gauss panels on [0, R] for the layer-cake routes
 
 
 class RadialFunction:
-    """Nonnegative nonincreasing radial profile u(r) on [0, r_end].
+    """Nonnegative nonincreasing radial profile u(r) on [0, r_end], of one
+    of two kinds.
 
-    Stored as grid samples with a monotone piecewise-cubic interpolant.
-    Exact callables (value_fn, deriv_fn) may be attached when the profile
-    has a closed form; evaluations then bypass the interpolant entirely.
+    A sampled profile is its grid samples and the monotone piecewise-cubic
+    (PCHIP) interpolant through them.  An exact profile carries the closed
+    forms ``value_fn`` and ``deriv_fn`` together and builds no interpolant;
+    its samples only locate its levels.  Passing one callable without the
+    other raises DomainError.
     The grid is the profile's break list: the quadratures take u to be
     smooth between consecutive nodes, which the interpolant is by
     construction and an exact callable must be, so every kink of a
@@ -62,15 +65,20 @@ class RadialFunction:
         scale = max(1.0, float(v[0]))
         if np.any(np.diff(v) > 1e-12 * scale):
             raise DomainError("values must be nonincreasing")
+        if (value_fn is None) != (deriv_fn is None):
+            raise DomainError("an exact profile needs value_fn and deriv_fn "
+                              "together")
         self.r_grid = r
         self.values = v
         self.value_fn = value_fn
         self.deriv_fn = deriv_fn
         self.r_end = float(r[-1])
-        # the interpolant runs on x = r / r_end: in r its cubic coefficients
-        # scale like r_end^-3 and overflow on tiny supports
-        self._interp = PchipInterpolator(r / self.r_end, v, extrapolate=False)
-        self._interp_deriv = self._interp.derivative()
+        if value_fn is None:
+            # the interpolant runs on x = r / r_end: in r its cubic
+            # coefficients scale like r_end^-3 and overflow on tiny supports
+            self._interp = PchipInterpolator(r / self.r_end, v,
+                                             extrapolate=False)
+            self._interp_deriv = self._interp.derivative()
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -88,9 +96,9 @@ class RadialFunction:
                         self._interp_deriv(clamped / self.r_end) / self.r_end)
 
     def node_slopes(self) -> np.ndarray:
-        """u' at the grid nodes: the exact derivative when one is attached,
-        the interpolant's slopes otherwise (exactly 0 where PCHIP sets a
-        node flat)."""
+        """u' at the grid nodes: the exact derivative of an exact profile,
+        the interpolant's slopes of a sampled one (exactly 0 where PCHIP
+        sets a node flat)."""
         if self.deriv_fn is not None:
             return np.asarray(self.deriv_fn(self.r_grid), dtype=float)
         return self._interp_deriv(self._interp.x) / self.r_end
@@ -114,18 +122,21 @@ class RadialFunction:
     def scaled(self, c: float) -> "RadialFunction":
         if not c > 0.0:
             raise DomainError("scale factor must be positive")
-        vf = (lambda r, f=self.value_fn: c * f(r)) if self.value_fn else None
-        df = (lambda r, f=self.deriv_fn: c * f(r)) if self.deriv_fn else None
+        vf = df = None
+        if self.value_fn is not None:
+            vf = lambda r, f=self.value_fn: c * f(r)
+            df = lambda r, f=self.deriv_fn: c * f(r)
         return RadialFunction(self.r_grid, c * self.values, vf, df)
 
     def dilated(self, c: float) -> "RadialFunction":
         """Argument dilation r -> c r; the support shrinks by 1/c."""
         if not c > 0.0:
             raise DomainError("dilation factor must be positive")
-        vf = (lambda r, f=self.value_fn, c=c:
-              f(c * np.asarray(r, dtype=float))) if self.value_fn else None
-        df = (lambda r, f=self.deriv_fn, c=c:
-              c * f(c * np.asarray(r, dtype=float))) if self.deriv_fn else None
+        vf = df = None
+        if self.value_fn is not None:
+            vf = lambda r, f=self.value_fn: f(c * np.asarray(r, dtype=float))
+            df = lambda r, f=self.deriv_fn: (
+                c * f(c * np.asarray(r, dtype=float)))
         return RadialFunction(self.r_grid / c, self.values, vf, df)
 
     @classmethod
@@ -146,10 +157,10 @@ class RadialFunction:
         return cls(grid, vals, value_fn=step, deriv_fn=zero)
 
     @classmethod
-    def from_callable(cls, fn, r_max, nodes=401, deriv=None,
-                      grid=None) -> "RadialFunction":
-        """Samples ``fn`` (and keeps it, with ``deriv``) on ``grid``, by
-        default ``nodes`` equal steps over [0, r_max].
+    def from_callable(cls, fn, r_max, nodes=401, grid=None, *,
+                      deriv) -> "RadialFunction":
+        """The exact profile of ``fn`` and its slope ``deriv``, sampled on
+        ``grid``, by default ``nodes`` equal steps over [0, r_max].
 
         ``fn`` must be smooth between consecutive grid nodes: a kink inside
         a segment is invisible to the Gauss rules of the norms, so pass a
@@ -260,13 +271,11 @@ def euclidean_rearrangement(space: ModelSpace, u: RadialFunction) -> RadialFunct
     s_grid = (np.clip(vols, 0.0, None) / omega(N)) ** (1.0 / N)
     s_grid[0] = 0.0
     value_fn = deriv_fn = None
-    if isinstance(space, PowerLawSpace):
-        # rho is linear for power-law volumes: exact callables transport
+    if isinstance(space, PowerLawSpace) and u.value_fn is not None:
+        # rho is linear for power-law volumes: an exact profile transports
         c = (space.unit_ball_volume / omega(N)) ** (1.0 / N)
-        if u.value_fn is not None:
-            value_fn = lambda s, f=u.value_fn, c=c: f(np.asarray(s) / c)
-        if u.deriv_fn is not None:
-            deriv_fn = lambda s, f=u.deriv_fn, c=c: f(np.asarray(s) / c) / c
+        value_fn = lambda s, f=u.value_fn: f(np.asarray(s) / c)
+        deriv_fn = lambda s, f=u.deriv_fn: f(np.asarray(s) / c) / c
     return RadialFunction(s_grid, u.values.copy(), value_fn, deriv_fn)
 
 

@@ -317,7 +317,9 @@ class WarpedProduct(ModelSpace):
         F_e = self.profile.F(end)
         s = np.maximum(r, end) - end
         F = F_e + a * s
-        tail = F ** n * -np.expm1(-n * np.log1p(a * s / F_e))
+        with np.errstate(over="ignore"):
+            # a s / F_e may overflow; log1p(inf) = inf gives the exact limit
+            tail = F ** n * -np.expm1(-n * np.log1p(a * s / F_e))
         return vol + self._sphere_coef * tail / (n * a)
 
     def descriptor(self):

@@ -9,7 +9,7 @@ recurrence otherwise; the recurrence is normalized by the Neumann series
 identity, which works for non-integer order too.  Both kernels are
 duck-typed, so an array argument runs the same arithmetic elementwise.
 First positive zeros come from McMahon / Olver-type initial guesses refined
-by bracketed Newton.
+by bracketed Newton, once per order.
 
 Everything here is plain arithmetic on purpose: this module is the kernel
 the rest of the package is checked against, so it must not import a library
@@ -19,7 +19,7 @@ that would make the checks circular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 
@@ -42,23 +42,6 @@ _LANCZOS_COEF = (
 _SQRT_TWO_PI = 2.5066282746310002
 _LOG_SQRT_TWO_PI = 0.9189385332046727
 _GAMMA_OVERFLOW = 171.62
-
-
-@dataclass(frozen=True)
-class Precision:
-    """Iteration budget for root finders and eigenvalue solvers."""
-
-    abs_tol: float = 1e-12
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if int(self.max_iter) < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-DEFAULT_PRECISION = Precision()
 
 
 def _two_sum(a, b):
@@ -160,6 +143,10 @@ def omega(N: float) -> float:
 
 
 _SERIES_SWITCH = 9.0
+# Newton budget of the first zero: step tolerance (relative above 1) and
+# the iteration cap of each bracket widening and of the refinement
+_ABS_TOL = 1e-12
+_MAX_ITER = 100
 # the Miller recurrence starts near order nu in pure Python, so a first zero
 # costs about 3 us per unit of order: 30 ms at this bound
 _MAX_ZERO_ORDER = 1e4
@@ -300,12 +287,17 @@ def _first_zero_guess(nu):
             - 0.0908 / (c ** 5) + 0.043 / (c ** 7))
 
 
-def bessel_first_zero(nu: float, precision: Precision = DEFAULT_PRECISION) -> float:
-    """Smallest positive zero of J_nu, by bracketed Newton iteration."""
+def bessel_first_zero(nu: float) -> float:
+    """Smallest positive zero of J_nu, by bracketed Newton iteration,
+    computed once per order."""
     if not (isinstance(nu, (int, float)) and 0 <= nu <= _MAX_ZERO_ORDER):
         raise DomainError(f"bessel_first_zero requires 0 <= nu <= "
                           f"{_MAX_ZERO_ORDER:g}, got {nu!r}")
-    nu = float(nu)
+    return _first_zero(float(nu))
+
+
+@lru_cache(maxsize=256)
+def _first_zero(nu: float) -> float:
     guess = _first_zero_guess(nu)
     # J_nu > 0 on (0, j_nu) and the next zero is more than 2 away, so a +-1
     # window around a decent guess brackets the first zero and nothing else
@@ -315,18 +307,18 @@ def bessel_first_zero(nu: float, precision: Precision = DEFAULT_PRECISION) -> fl
     while bessel_j(nu, lo) <= 0.0:
         lo = max(0.5 * lo, lo - 1.0)
         it += 1
-        if it > precision.max_iter:
+        if it > _MAX_ITER:
             raise ConvergenceError(
                 f"no positive bracket endpoint for nu={nu}", bracket=(lo, hi))
     it = 0
     while bessel_j(nu, hi) >= 0.0:
         hi += 1.0
         it += 1
-        if it > precision.max_iter:
+        if it > _MAX_ITER:
             raise ConvergenceError(
                 f"no sign change located for nu={nu}", bracket=(lo, hi))
     x = min(max(guess, lo), hi)
-    for _ in range(precision.max_iter):
+    for _ in range(_MAX_ITER):
         fx = bessel_j(nu, x)
         if fx > 0.0:
             lo = x
@@ -340,11 +332,11 @@ def bessel_first_zero(nu: float, precision: Precision = DEFAULT_PRECISION) -> fl
             step = fx / dfx
             # a converged step may land on a bracket end (x itself when the
             # guess is exact), which the bracket test below would reject
-            if abs(step) <= precision.abs_tol * max(1.0, abs(x)):
+            if abs(step) <= _ABS_TOL * max(1.0, abs(x)):
                 return x - step
             if lo < x - step < hi:
                 x_new = x - step
-        if abs(x_new - x) <= precision.abs_tol * max(1.0, abs(x)):
+        if abs(x_new - x) <= _ABS_TOL * max(1.0, abs(x)):
             return x_new
         x = x_new
     raise ConvergenceError(

@@ -248,6 +248,13 @@ class TestVerifyCommand:
         assert code == 0 and err == ""
         assert len(data_rows(out)[1]) == 1
 
+    def test_sobolev_near_p_one_is_quiet(self, capsys):
+        # p' = 101: the truncated extremal underflows to a step past r = 1,
+        # and an interpolant through it once warned of an overflow
+        code, _, err = run_cli(capsys, "verify", "sobolev", "--variant",
+                               "euclidean", "--n", "3", "--p", "1.01")
+        assert (code, err) == (0, "")
+
     def test_bad_dimension_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "sobolev", "--variant",
                                "euclidean", "--n", "2", "--p", "2")
@@ -312,6 +319,19 @@ class TestTolPlumbing:
                                "--tol", "1e-30")
         assert code == 1
         assert data_rows(out)
+
+
+    def test_tol_keeps_the_fk_sweep_limit_check(self, capsys):
+        # two small radii put the extrapolated limits 92% (grad) and 138%
+        # (mass) off; a loose margin tolerance must not pass them
+        code, out, _ = run_cli(capsys, "verify", "fk-sweep", "--variant",
+                               "warped", "--n", "3", "--R", "1", "--R", "1.5",
+                               "--tol", "1e-3", "--format", "json")
+        assert code == 1
+        assert '"passed": false' in out
+        code, _, _ = run_cli(capsys, "verify", "fk-sweep", "--variant",
+                             "euclidean", "--n", "3", "--tol", "1e-6")
+        assert code == 0
 
 
 class TestPlumbing:

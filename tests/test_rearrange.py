@@ -9,6 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isosharp import rearrange
 from isosharp.constants import SobolevParams
 from isosharp.errors import DomainError, InvariantViolation
 from isosharp.rearrange import (
@@ -33,8 +34,9 @@ from isosharp.spaces import (
     vol_ball,
 )
 from isosharp.specfun import omega
-from isosharp.verify import (bessel_level_integrals, curated_profiles,
-                             fk_sharpness_sweep, truncated_extremal)
+from isosharp.verify import (bessel_level_integrals, bessel_test_profile,
+                             curated_profiles, fk_sharpness_sweep,
+                             truncated_extremal)
 from oracles import (
     callable_radial_oracle,
     euclidean_content_mp,
@@ -74,6 +76,35 @@ class TestRadialFunction:
             RadialFunction([0.0, 1.0], [1.0, -0.1])    # negative value
         with pytest.raises(DomainError):
             RadialFunction([0.0], [1.0])
+
+    def test_half_exact_profiles_rejected(self):
+        # an exact profile carries its value and its slope together
+        grid, vals = [0.0, 1.0], [1.0, 0.0]
+
+        def f(r):
+            return 1.0 - np.asarray(r)
+
+        with pytest.raises(DomainError):
+            RadialFunction(grid, vals, value_fn=f)
+        with pytest.raises(DomainError):
+            RadialFunction(grid, vals, deriv_fn=f)
+        with pytest.raises(DomainError):
+            RadialFunction.from_callable(f, 1.0, deriv=None)
+
+    def test_exact_profiles_build_no_interpolant(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("PCHIP built for an exact profile")
+
+        monkeypatch.setattr(rearrange, "PchipInterpolator", forbidden)
+        profiles = [u for _, u in curated_profiles()]
+        profiles += [truncated_extremal(SobolevParams(n=3.0, p=2.0)),
+                     bessel_test_profile(3.0, 2.0),
+                     RadialFunction.plateau(1.0, 1.0)]
+        for u in profiles:
+            u.scaled(2.0).dilated(0.5)
+            euclidean_rearrangement(Euclidean(3), u)
+        with pytest.raises(AssertionError):
+            RadialFunction([0.0, 1.0], [1.0, 0.0])   # sampled: PCHIP
 
     def test_support_radius(self):
         u = RadialFunction([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.0, 0.0])
@@ -132,7 +163,8 @@ class TestDistribution:
 
     def test_nonmonotone_callable_flagged(self):
         u = RadialFunction([0.0, 0.5, 1.0], [1.0, 0.6, 0.2],
-                           value_fn=lambda r: np.asarray(r) ** 2)
+                           value_fn=lambda r: np.asarray(r) ** 2,
+                           deriv_fn=lambda r: 2.0 * np.asarray(r))
         with pytest.raises(InvariantViolation):
             distribution(Euclidean(2), u, [0.8, 0.4])
 

@@ -175,6 +175,14 @@ class TestVolume:
         assert vol_ball(space, r) == pytest.approx(
             warped_volume_oracle(n, 0.5, 1e300, r), rel=1e-12)
 
+    def test_warped_tail_volume_called_directly_is_quiet(self):
+        # a s / F_e overflows outside vol_ball's guard; log1p(inf) = inf
+        # gives the exact limit pi a r^2 (warnings are errors in the suite)
+        space = warped(n=2, a=0.5, beta=1e300)
+        vol = space.volume(np.array([1.0, 1e100]))
+        assert vol == pytest.approx([0.5 * math.pi, 0.5 * math.pi * 1e200],
+                                    rel=1e-12)
+
     def test_power_law_exact(self):
         # Lambda = 2/3 for the half-plane weighted by x_2, N = 3
         assert float(MonomialHalfSpace(2, 1.0).volume(2.0)) == pytest.approx(

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isosharp.errors import ConvergenceError, DomainError
-from isosharp.specfun import (Precision, bessel_first_zero, bessel_j,
-                              bessel_j_prime, bessel_j_scaled, beta, gamma,
-                              log_gamma, omega)
+from isosharp import specfun
+from isosharp.specfun import (bessel_first_zero, bessel_j, bessel_j_prime,
+                              bessel_j_scaled, beta, gamma, log_gamma, omega)
 
 from oracles import bessel_series_oracle, bessel_zero_oracle
 
@@ -231,10 +231,30 @@ def test_first_zero_large_order():
     assert bessel_first_zero(15.0) == pytest.approx(want, abs=1e-10)
 
 
-def test_first_zero_iteration_budget():
+def test_first_zero_iteration_budget(monkeypatch):
+    # zeros are cached by order, so the starved budget needs an order that
+    # no other test asks for
+    monkeypatch.setattr(specfun, "_ABS_TOL", 1e-30)
+    monkeypatch.setattr(specfun, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as exc:
-        bessel_first_zero(0.0, Precision(abs_tol=1e-30, max_iter=3))
+        bessel_first_zero(0.123456789)
     assert exc.value.bracket is not None
+
+
+def test_first_zero_cached_by_order():
+    nu = 2.718281828
+    first = bessel_first_zero(nu)
+    assert bessel_first_zero(nu) is first
+    with mp.workdps(30):
+        want = float(mp.besseljzero(nu, 1))
+    assert first == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("nu", [-1.0, 1e5, math.nan, "1", [1.0],
+                                np.array([1.0])])
+def test_first_zero_rejects_bad_orders(nu):
+    with pytest.raises(DomainError):
+        bessel_first_zero(nu)
 
 
 def test_omega_examples():
@@ -254,11 +274,3 @@ def test_omega_direct_formula_consistency():
 def test_omega_domain_error():
     with pytest.raises(DomainError):
         omega(0.5)
-
-
-def test_precision_validation():
-    with pytest.raises(DomainError):
-        Precision(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        Precision(max_iter=0)
-    assert Precision().max_iter >= 1
