@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, InvariantViolation
-from .quadrature import dyadic_breaks, gauss_on_segments
+from .quadrature import dyadic_breaks, gauss_on_segments, pchip
 from .spaces import Euclidean, ModelSpace, PowerLawSpace, avr, vol_ball
 from .specfun import omega
 
@@ -58,8 +57,10 @@ class RadialFunction:
         v = np.asarray(values, dtype=float)
         if r.ndim != 1 or r.shape != v.shape or r.size < 2:
             raise DomainError("need matching 1-D grids of length >= 2")
-        if r[0] != 0.0 or np.any(np.diff(r) <= 0.0):
-            raise DomainError("r_grid must ascend strictly from 0")
+        if (r[0] != 0.0 or not np.all(np.isfinite(r))
+                or np.any(np.diff(r) <= 0.0)):
+            raise DomainError("r_grid must be finite and ascend strictly "
+                              "from 0")
         if not np.all(np.isfinite(v)) or np.any(v < 0.0):
             raise DomainError("values must be finite and nonnegative")
         scale = max(1.0, float(v[0]))
@@ -76,24 +77,20 @@ class RadialFunction:
         if value_fn is None:
             # the interpolant runs on x = r / r_end: in r its cubic
             # coefficients scale like r_end^-3 and overflow on tiny supports
-            self._interp = PchipInterpolator(r / self.r_end, v,
-                                             extrapolate=False)
-            self._interp_deriv = self._interp.derivative()
+            self._interp = pchip(r / self.r_end, v)
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
         if self.value_fn is not None:
             return self.value_fn(r)
-        clamped = np.clip(r, 0.0, self.r_end)
-        return self._interp(clamped / self.r_end)
+        return self._interp(r / self.r_end)
 
     def deriv(self, r):
         r = np.asarray(r, dtype=float)
         if self.deriv_fn is not None:
             return self.deriv_fn(r)
-        clamped = np.clip(r, 0.0, self.r_end)
         return np.where((r <= 0.0) | (r >= self.r_end), 0.0,
-                        self._interp_deriv(clamped / self.r_end) / self.r_end)
+                        self._interp.deriv(r / self.r_end) / self.r_end)
 
     def node_slopes(self) -> np.ndarray:
         """u' at the grid nodes: the exact derivative of an exact profile,
@@ -101,7 +98,7 @@ class RadialFunction:
         sets a node flat)."""
         if self.deriv_fn is not None:
             return np.asarray(self.deriv_fn(self.r_grid), dtype=float)
-        return self._interp_deriv(self._interp.x) / self.r_end
+        return self._interp.d / self.r_end
 
     @property
     def height(self) -> float:

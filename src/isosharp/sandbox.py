@@ -14,11 +14,10 @@ fixed seed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import DomainError, InvariantViolation
 
@@ -73,9 +72,13 @@ class FiniteMetricMeasureSpace:
         if len(pts) > 1 and not np.all(off[~np.isinf(off)] > 0.0):
             raise InvariantViolation("dist(x,y)=0 for distinct points")
         slack = _TRI_SLACK * max(float(d.max()), 1.0)
-        # d(x,z) <= d(x,y) + d(y,z) for all triples, vectorized
-        through = d[:, :, None] + d[None, :, :]
-        worst = float((d[:, None, :] - through).max())
+        # d(x,z) <= d(x,y) + d(y,z) for all triples, vectorized over blocks
+        # of y that keep each temporary near 2^20 floats
+        step = max(1, 2**20 // d.size)
+        worst = max(
+            float((d[:, None, :] - (d[:, y:y + step, None]
+                                    + d[None, y:y + step, :])).max())
+            for y in range(0, len(pts), step))
         if worst > slack:
             raise InvariantViolation(
                 f"triangle inequality violated by {worst:g}")
@@ -135,25 +138,37 @@ class FiniteMetricMeasureSpace:
 
 
 def from_edges(points, edges) -> FiniteMetricMeasureSpace:
-    """Space whose metric is the shortest-path closure of weighted edges."""
+    """Space whose metric is the shortest-path closure of weighted edges.
+
+    An edge listed more than once keeps its least weight.  Dijkstra's
+    method runs from every source at once: each step settles, in each row,
+    the nearest unsettled point u and relaxes D[s, :] <- D[s, u] + W[u, :],
+    so each path is summed from its source, as one-source Dijkstra sums
+    it.  That takes O(n^2) memory and O(n^3) time.
+    """
     pts = list(points)
     idx = {p: i for i, p in enumerate(pts)}
     n = len(pts)
-    rows, cols, data = [], [], []
+    W = np.full((n, n), math.inf)
     for u, v, w in edges:
-        if w <= 0.0:
-            raise DomainError(f"edge weight must be positive, got {w!r}")
+        if not 0.0 < w < math.inf:
+            raise DomainError(
+                f"edge weight must be positive and finite, got {w!r}")
         i, j = idx[u], idx[v]
         if i == j:
             raise DomainError(f"self loop at {u!r}")
-        rows += [i, j]
-        cols += [j, i]
-        data += [w, w]
-    graph = csr_matrix((data, (rows, cols)), shape=(n, n))
-    dist = shortest_path(graph, method="D", directed=False)
+        W[i, j] = W[j, i] = min(W[i, j], w)
+    np.fill_diagonal(W, 0.0)
+    dist = W.copy()             # each source settled, its edges relaxed
+    settled = np.eye(n, dtype=bool)
+    rows = np.arange(n)
+    for _ in range(n - 1):
+        u = np.argmin(np.where(settled, math.inf, dist), axis=1)
+        settled[rows, u] = True
+        np.minimum(dist, dist[rows, u, None] + W[u], out=dist)
     if np.any(np.isinf(dist)):
         raise DomainError("edge list is not connected")
-    # per-source float accumulation can differ by an ulp across directions
+    # path sums from the two ends can differ by an ulp
     dist = np.minimum(dist, dist.T)
     return FiniteMetricMeasureSpace(pts, dist)
 

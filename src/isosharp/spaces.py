@@ -35,11 +35,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .constants import isoperimetric_constant
 from .errors import DomainError, UnsupportedOperationError
-from .quadrature import dyadic_breaks, gauss_panels
+from .quadrature import dyadic_breaks, gauss_panels, pchip
 from .specfun import beta, omega
 
 _SLACK = 1.0 + 1e-12
@@ -127,6 +126,8 @@ class SampledProfile(WarpingProfile):
             raise DomainError("profile needs matching 1-D grids of length >= 2")
         if s[0] != 0.0 or np.any(np.diff(s) <= 0.0):
             raise DomainError("profile grid must ascend from s=0")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(f))):
+            raise DomainError("profile grid and values must be finite")
         if strict:
             if abs(f[0] - 1.0) > 1e-12:
                 raise DomainError(f"profile must start at f(0)=1, got {f[0]}")
@@ -136,27 +137,22 @@ class SampledProfile(WarpingProfile):
                 raise DomainError("profile must be nonincreasing")
         self.s_grid = s
         self.f_values = f
-        self._interp = PchipInterpolator(s, f, extrapolate=False)
-        self._deriv = self._interp.derivative()
-        self._anti = self._interp.antiderivative()
+        self._interp = pchip(s, f)
         self._s_end = float(s[-1])
         self._f_end = float(f[-1])
-        self._F_end = float(self._anti(self._s_end))
+        self._F_end = float(self._interp.antideriv(self._s_end))
 
     def f(self, s):
         s = np.asarray(s, dtype=float)
-        inside = np.minimum(s, self._s_end)
-        return np.where(s <= self._s_end, self._interp(inside), self._f_end)
+        return np.where(s <= self._s_end, self._interp(s), self._f_end)
 
     def f_prime(self, s):
         s = np.asarray(s, dtype=float)
-        inside = np.minimum(s, self._s_end)
-        return np.where(s <= self._s_end, self._deriv(inside), 0.0)
+        return np.where(s <= self._s_end, self._interp.deriv(s), 0.0)
 
     def F(self, s):
         s = np.asarray(s, dtype=float)
-        inside = np.minimum(s, self._s_end)
-        return np.where(s <= self._s_end, self._anti(inside),
+        return np.where(s <= self._s_end, self._interp.antideriv(s),
                         self._F_end + self._f_end * (s - self._s_end))
 
     @property

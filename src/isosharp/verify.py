@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import (
     SobolevParams,
@@ -45,6 +44,9 @@ from .specfun import (bessel_first_zero, bessel_j, bessel_j_scaled,
 _EXTREMAL_NODES = 241   # grid of the truncated extremal, geometric to r_cut
 _SHOOT_STEPS = 1100     # RK4 steps on [R/10, R]; a third as many graded below
 _BESSEL_NODES = 257     # grid of a Bessel test profile
+_BRENT_XTOL = 2e-12     # Brent stops within _BRENT_XTOL + _BRENT_RTOL |mu|
+_BRENT_RTOL = 1e-12
+_BRENT_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -236,6 +238,48 @@ def _trace(mu, s0, h, rho_mid, rho_end, N):
     return np.concatenate([start[:1], M[0] * start[0] + M[1] * start[1]])
 
 
+def _brent(f, a, b, fa, fb):
+    """The root of f in [a, b], given fa = f(a) != 0 and fb = f(b) of the
+    other sign or 0, by Brent's method (*Algorithms for Minimization
+    without Derivatives*, 1973, ch. 4) to within the tolerances: inverse
+    quadratic or secant steps while they shrink the bracket fast enough,
+    bisection otherwise, step for step as in scipy's ``brentq``.
+    """
+    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_STEPS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # xcur becomes the better of the two bracket ends
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+        if stry is not None and (
+                2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise ConvergenceError("Brent's method did not converge in "
+                           f"{_BRENT_MAX_STEPS} steps")
+
+
 def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
     """First Dirichlet eigenvalue of the radial Laplacian on B(R).
 
@@ -273,21 +317,21 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
             f"radius {R!r} puts the eigenvalue outside double precision")
     steps = (r0 / R, np.diff(r) / R, A_mids / A_nodes[:-1],
              A_nodes[1:] / A_nodes[:-1], N)
-    # phi(R) by mu, one entry per trace (phi = 1 at mu = 0); only the end
-    # values are kept, since holding every trace fragments the heap
-    ends = {0.0: 1.0}
+    traces = 0
 
     def nodes(mu):
-        trace = _trace(mu, *steps)
-        ends[mu] = trace[-1]
-        return trace
+        nonlocal traces
+        traces += 1
+        return _trace(mu, *steps)
 
-    def sign_changes(mu):
-        positive = nodes(mu) > 0.0
-        return np.count_nonzero(positive[1:] != positive[:-1])
+    def end_and_changes(mu):
+        trace = nodes(mu)
+        positive = trace > 0.0
+        return trace[-1], np.count_nonzero(positive[1:] != positive[:-1])
 
     lo, hi = 0.0, 2.0 * j * j
-    changes = sign_changes(hi)
+    end_lo = 1.0                # phi = 1 at mu = 0
+    end_hi, changes = end_and_changes(hi)
     if changes == 0:
         raise ConvergenceError(
             f"no sign change up to lambda={hi / R / R:g}",
@@ -298,15 +342,13 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
                 "no bracket holds lambda_1 alone",
                 bracket=(lo / R / R, hi / R / R))
         mid = 0.5 * (lo + hi)
-        mid_changes = sign_changes(mid)
+        end_mid, mid_changes = end_and_changes(mid)
         if mid_changes == 0:
-            lo = mid
+            lo, end_lo = mid, end_mid
         else:
-            hi, changes = mid, mid_changes
-    mu = brentq(lambda m: ends[m] if m in ends else nodes(m)[-1], lo, hi,
-                rtol=1e-12)
-    trace = _trace(mu, *steps)
-    iterations = len(ends)      # the traces in ends but mu = 0, and this one
+            hi, end_hi, changes = mid, end_mid, mid_changes
+    mu = _brent(lambda m: nodes(m)[-1], lo, hi, end_lo, end_hi)
+    trace = nodes(mu)
 
     vals = np.minimum.accumulate(np.clip(trace, 0.0, None))
     vals[-1] = 0.0
@@ -319,7 +361,7 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
                                      np.arange(2, grid.size, stride)]))
     phi = RadialFunction(grid[keep], vals[keep])
     return EigenResult(lambda_1=mu / R / R, eigenfunction=phi,
-                       iterations=iterations, mismatch=abs(trace[-1]))
+                       iterations=traces, mismatch=abs(trace[-1]))
 
 
 def fk_check(space: ModelSpace, R: float) -> QuotientReport:

@@ -453,10 +453,15 @@ _ARGV = st.one_of(
         lambda v: ["sandbox", "z-inclusion", "--graph", v[0]] + v[1]),
     st.tuples(st.sampled_from(["1", "2"]), _INT).map(
         lambda v: ["sandbox", "z-inclusion", "--seeds", v[0], "--seed", v[1]]),
-    st.tuples(st.sampled_from(["euclidean", "warped", "cone", "monomial"]),
-              st.lists(_FLOAT, max_size=2)).map(
-        lambda v: ["verify", "faber-krahn", "--variant", v[0]]
-        + sum((["--R", R] for R in v[1]), [])),
+    st.tuples(st.sampled_from(["polya-szego", "sobolev", "gn"]),
+              st.sampled_from(["euclidean", "warped", "cone", "monomial"]),
+              _flags(n=_FLOAT, p=_FLOAT, alpha=_FLOAT)).map(
+        lambda v: ["verify", v[0], "--variant", v[1]] + v[2]),
+    st.tuples(st.sampled_from(["faber-krahn", "fk-sweep"]),
+              st.sampled_from(["euclidean", "warped", "cone", "monomial"]),
+              st.lists(_FLOAT, max_size=3)).map(
+        lambda v: ["verify", v[0], "--variant", v[1]]
+        + sum((["--R", R] for R in v[2]), [])),
 )
 
 

@@ -1,11 +1,14 @@
 """Rearrangement, Cavalieri norms, Polya-Szego, co-area, layer cake."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +37,7 @@ from isosharp.spaces import (
     vol_ball,
 )
 from isosharp.specfun import omega
-from isosharp.verify import (bessel_level_integrals, bessel_test_profile,
-                             curated_profiles, fk_sharpness_sweep,
+from isosharp.verify import (bessel_test_profile, curated_profiles,
                              truncated_extremal)
 from oracles import (
     callable_radial_oracle,
@@ -76,6 +78,8 @@ class TestRadialFunction:
             RadialFunction([0.0, 1.0], [1.0, -0.1])    # negative value
         with pytest.raises(DomainError):
             RadialFunction([0.0], [1.0])
+        with pytest.raises(DomainError):
+            RadialFunction([0.0, 1.0, np.inf], [1.0, 0.5, 0.0])  # endless
 
     def test_half_exact_profiles_rejected(self):
         # an exact profile carries its value and its slope together
@@ -95,7 +99,7 @@ class TestRadialFunction:
         def forbidden(*args, **kwargs):
             raise AssertionError("PCHIP built for an exact profile")
 
-        monkeypatch.setattr(rearrange, "PchipInterpolator", forbidden)
+        monkeypatch.setattr(rearrange, "pchip", forbidden)
         profiles = [u for _, u in curated_profiles()]
         profiles += [truncated_extremal(SobolevParams(n=3.0, p=2.0)),
                      bessel_test_profile(3.0, 2.0),
@@ -316,25 +320,64 @@ class TestInterpolantNorms:
                 direct, cavalieri = lq_routes(Euclidean(n), star, q)
                 assert abs(direct - cavalieri) <= 1e-9 * direct, (label, q)
 
-    def test_no_quadpack_call(self, monkeypatch):
-        # every integral is a fixed Gauss rule: none may reach QUADPACK
-        def forbidden(*args, **kwargs):
-            raise AssertionError("QUADPACK called")
 
-        monkeypatch.setattr(scipy.integrate, "quad", forbidden)
-        space = warped(n=3, a=0.5, beta=1.0)
-        u = RadialFunction(_R41, _INTERPOLANTS["shelf"])
-        lq_norm(space, u, 2.0)
-        grad_lp_norm(space, u, 2.0)
-        polya_szego_check(space, RadialFunction(_R41, _INTERPOLANTS["bump"]),
-                          2.0)
-        lq_norm(space, tent(), 2.0)      # exact callables take the same rule
-        grad_lp_norm(space, tent(), 2.0)
-        layer_cake_radial_integral(space, np.ones_like, np.zeros_like, 4.0)
-        fk_sharpness_sweep(space, [2.0, 20.0])
-        bessel_level_integrals.cache_clear()
-        bessel_level_integrals(0.5)
-        assert MonomialHalfSpace(3, 0.5).unit_ball_volume > 0.0
+# numpy is the only runtime dependency: the interpolated and exact norms,
+# the layer cake, the Bessel and eigenvalue routes, a sampled warping, the
+# sandbox and the CLI all run in a fresh interpreter that loads no scipy
+_NUMPY_ALONE = """
+import contextlib, io, json, sys
+import numpy as np
+from isosharp.cli import main
+from isosharp.rearrange import (RadialFunction, grad_lp_norm,
+                                layer_cake_radial_integral, lq_norm,
+                                polya_szego_check)
+from isosharp.sandbox import seeded_z_inclusion
+from isosharp.spaces import (ExponentialTail, MonomialHalfSpace,
+                             SampledProfile, WarpedProduct)
+from isosharp.verify import (bessel_level_integrals, curated_profiles,
+                             fk_eigenvalue, fk_sharpness_sweep)
+
+space = WarpedProduct(3, ExponentialTail(0.5, 1.0))
+r = np.linspace(0.0, 2.0, 41)
+shelf = RadialFunction(r, np.clip(1.6 - r, 0.0, 1.0))
+lq_norm(space, shelf, 2.0)
+grad_lp_norm(space, shelf, 2.0)
+polya_szego_check(space, RadialFunction(r, np.maximum(np.exp(-r * r)
+                                                      - np.exp(-4.0), 0.0)),
+                  2.0)
+tent = dict(curated_profiles())["tent_1"]
+lq_norm(space, tent, 2.0)
+grad_lp_norm(space, tent, 2.0)
+layer_cake_radial_integral(space, np.ones_like, np.zeros_like, 4.0)
+fk_sharpness_sweep(space, [2.0, 20.0])
+bessel_level_integrals(0.5)
+assert MonomialHalfSpace(3, 0.5).unit_ball_volume > 0.0
+fk_eigenvalue(space, 1.0)
+sampled = WarpedProduct(3, SampledProfile([0.0, 0.35, 0.8, 1.3, 2.9],
+                                          [1.0, 0.9, 0.72, 0.6, 0.55]))
+lq_norm(sampled, shelf, 2.0)
+fk_eigenvalue(sampled, 1.0)
+seeded_z_inclusion(3)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify", "polya-szego", "--variant", "warped", "--n", "2"]),
+             main(["sandbox", "z-inclusion", "--seeds", "2"])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_runs_on_numpy_alone():
+    src = os.path.dirname(os.path.dirname(rearrange.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_ALONE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    report = json.loads(done.stdout)
+    assert report["codes"] == [0, 0]
+    assert report["scipy"] == []
 
 
 class TestExactCallableNorms:

@@ -53,6 +53,41 @@ class TestSpaceConstruction:
         with pytest.raises(DomainError):
             from_edges(range(4), [(0, 1, 1.0), (2, 3, 1.0)])
 
+    def test_repeated_edges_keep_their_least_weight(self):
+        both = from_edges(["a", "b"], [("a", "b", 1.0), ("b", "a", 1.0)])
+        assert both.dist[0, 1] == 1.0
+        heavier = from_edges(["a", "b"], [("a", "b", 1.0), ("b", "a", 1.0),
+                                          ("a", "b", 5.0)])
+        assert heavier.dist[0, 1] == 1.0
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_edge_weight_rejected(self, w):
+        with pytest.raises(DomainError, match="edge weight"):
+            from_edges(["a", "b"], [("a", "b", w)])
+
+    def test_closure_matches_scipy_dijkstra(self, monkeypatch):
+        # scipy's Dijkstra on the same edges is the reference, bit for bit
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        import isosharp.sandbox as sandbox
+        built = []
+        own = sandbox.from_edges
+
+        def record(points, edges):
+            built.append(list(edges))
+            return own(points, edges)
+
+        monkeypatch.setattr(sandbox, "from_edges", record)
+        for seed in range(200):
+            sp = random_space(seed)
+            i, j, w = np.array(built[-1]).T
+            n = sp.n_points
+            rows, cols = np.append(i, j).astype(int), np.append(j, i).astype(int)
+            graph = csr_matrix((np.append(w, w), (rows, cols)), shape=(n, n))
+            ref = shortest_path(graph, method="D", directed=False)
+            assert np.array_equal(sp.dist, np.minimum(ref, ref.T)), seed
+
 
 class TestInterpolants:
     def test_s_zero_returns_a(self):
@@ -271,6 +306,33 @@ class TestSerialization:
             for j, q in enumerate(sp.points):
                 d = loaded.dist[loaded.index(str(p)), loaded.index(str(q))]
                 assert d == pytest.approx(sp.dist[i, j], abs=1e-12)
+
+    def test_edges_listed_both_ways(self, tmp_path):
+        f = tmp_path / "edges.csv"
+        f.write_text("u,v,weight\na,b,1.0\nb,a,1.0\nb,c,2.5\nc,b,2.5\n")
+        loaded = FiniteMetricMeasureSpace.from_edge_csv(f)
+        assert loaded.points == ("a", "b", "c")
+        assert np.array_equal(loaded.dist, [[0.0, 1.0, 3.5], [1.0, 0.0, 2.5],
+                                            [3.5, 2.5, 0.0]])
+
+    def test_long_path_csv_matches_scipy_dijkstra(self, tmp_path):
+        # the longest shortest path has n - 1 hops, and the closure still
+        # needs only n x n arrays
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        n = 400
+        w = np.random.default_rng(7).uniform(1.0, 2.0, n - 1)
+        f = tmp_path / "path.csv"
+        f.write_text("u,v,weight\n" + "".join(
+            f"p{i},p{i + 1},{float(w[i])!r}\n" for i in range(n - 1)))
+        loaded = FiniteMetricMeasureSpace.from_edge_csv(f)
+        order = [loaded.index(f"p{i}") for i in range(n)]
+        graph = csr_matrix((w, (np.arange(n - 1), np.arange(1, n))),
+                           shape=(n, n))
+        ref = shortest_path(graph, method="D", directed=False)
+        ref = np.minimum(ref, ref.T)
+        assert np.array_equal(loaded.dist[np.ix_(order, order)], ref)
 
     def test_malformed_csv_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"

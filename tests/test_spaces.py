@@ -218,8 +218,13 @@ class TestSampledProfile:
             SampledProfile([0.0, 1.0], [1.0, 0.0])       # hits zero
         with pytest.raises(DomainError):
             SampledProfile([0.5, 1.0], [1.0, 0.9])       # grid misses s=0
-        # strict=False admits all of the above shapes
+        # strict=False admits all of the above shapes, but no non-finite
+        # sample, which no interpolant can pass through
         SampledProfile([0.0, 1.0, 2.0], [1.0, 1.1, 1.3], strict=False)
+        with pytest.raises(DomainError):
+            SampledProfile([0.0, 1.0, 2.0], [1.0, np.nan, 0.9], strict=False)
+        with pytest.raises(DomainError):
+            SampledProfile([0.0, 1.0, np.inf], [1.0, 0.9, 0.8])
 
 
 class TestEuclideanCone:

@@ -201,6 +201,38 @@ class TestEigenvalue:
             for R in (1.0, 5.0):
                 assert fk_eigenvalue(sp, R).iterations <= 20
 
+    def test_brent_matches_scipy_brentq(self, monkeypatch):
+        # the port takes the bracket-end values the Sturm loop already has;
+        # scipy's brentq asks for f(a) and f(b) again, served here from them
+        from scipy.optimize import brentq
+
+        def scipy_brent(f, a, b, fa, fb):
+            ends = {a: fa, b: fb}
+            return brentq(lambda m: ends[m] if m in ends else f(m), a, b,
+                          xtol=2e-12, rtol=1e-12, maxiter=100)
+
+        spaces = (Euclidean(2), Euclidean(3), Euclidean(7.5),
+                  EuclideanCone(2, 5.0), MonomialHalfSpace(3, 0.5),
+                  warped(2, 0.5, 1.0), warped(3, 0.1, 3.0),
+                  warped(5, 0.9, 0.2))
+        radii = (0.01, 1.0, 3.0, 20.0)
+        ours = [fk_eigenvalue(sp, R) for sp in spaces for R in radii]
+        monkeypatch.setattr(verify, "_brent", scipy_brent)
+        for res, (sp, R) in zip(ours, [(sp, R) for sp in spaces
+                                       for R in radii]):
+            ref = fk_eigenvalue(sp, R)
+            assert type(res.lambda_1) is float
+            assert res.lambda_1 == ref.lambda_1, (sp, R)
+            assert res.iterations == ref.iterations, (sp, R)
+
+    def test_brent_root_and_budget(self, monkeypatch):
+        root = verify._brent(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0)
+        assert abs(root - math.sqrt(2.0)) <= 2e-12
+        assert verify._brent(lambda x: x - 4.0, 3.0, 4.0, -1.0, 0.0) == 4.0
+        monkeypatch.setattr(verify, "_BRENT_MAX_STEPS", 3)
+        with pytest.raises(ConvergenceError):
+            verify._brent(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0)
+
     def test_rejects_bad_radius_and_space(self):
         with pytest.raises(DomainError):
             fk_eigenvalue(Euclidean(3), 0.0)
