@@ -28,7 +28,7 @@ from .errors import ConvergenceError, DomainError, InvariantViolation, \
     UnsupportedOperationError
 from .sandbox import brunn_minkowski_report, grid_graph, path_graph, \
     seeded_z_inclusion, z_inclusion_check
-from .spaces import avr, bishop_gromov_check, curvature_check, \
+from .spaces import bishop_gromov_check, curvature_check, \
     isoperimetric_sharpness_sweep, space_from_descriptor
 from .specfun import omega
 from .verify import SUITE_NAMES, run_suite
@@ -239,7 +239,7 @@ def cmd_constants(cfg: RunConfig, args) -> tuple:
 def cmd_space(cfg: RunConfig, args) -> tuple:
     desc = _descriptor_from_flags(args)
     space = space_from_descriptor(desc)
-    diag = {"avr": avr(space)}
+    diag = {"avr": space.avr()}
     passed = True
 
     radial = space.radial_supported
@@ -256,7 +256,7 @@ def cmd_space(cfg: RunConfig, args) -> tuple:
         diag["bishop_gromov_max_increase"] = bg.max_increase
         passed = passed and bg.passed
         if desc["variant"] == "warped":
-            grid = np.linspace(0.0, min(60.0 / desc["beta"], 1000.0), 201)
+            grid = np.linspace(0.0, min(space.breaks[-1], 1000.0), 201)
             curv = curvature_check(space.profile, grid)
             diag["curvature_passed"] = curv.passed
             passed = passed and curv.passed

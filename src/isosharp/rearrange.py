@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation
 from .quadrature import dyadic_breaks, gauss_on_segments, pchip
-from .spaces import Euclidean, ModelSpace, PowerLawSpace, avr, vol_ball
+from .spaces import Euclidean, ModelSpace, PowerLawSpace, vol_ball
 from .specfun import omega
 
 _JUMP = 2.0 ** -30   # relative ramp width standing in for a jump discontinuity
@@ -385,7 +385,7 @@ def polya_szego_check(space: ModelSpace, u: RadialFunction,
     lhs = grad_lp_norm(space, u, p)
     star = euclidean_rearrangement(space, u)
     N = space.effective_dimension
-    rhs = avr(space) ** (1.0 / N) * grad_lp_norm(Euclidean(N), star, p)
+    rhs = space.avr() ** (1.0 / N) * grad_lp_norm(Euclidean(N), star, p)
     if rhs <= 0.0:
         raise DomainError("rearranged gradient vanishes; profile is flat")
     return PolyaSzegoResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs)

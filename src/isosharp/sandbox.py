@@ -26,7 +26,9 @@ _TRI_SLACK = 1e-12    # relative slack for float path-sum triangle checks
 _MIN_SPACING = 2.0 ** -10
 
 
-@dataclass(frozen=True)
+# eq=False: identity equality and hash; the generated ones would compare
+# the ndarray fields, which has no single truth value
+@dataclass(frozen=True, eq=False)
 class FiniteMetricMeasureSpace:
     """(points, dist, weights): a metric measure space at finite scale.
 

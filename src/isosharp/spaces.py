@@ -465,11 +465,6 @@ def minkowski_content_ball(space: ModelSpace, r):
     return _guarded(r, space.content, "sphere measure")
 
 
-def avr(space: ModelSpace) -> float:
-    """Asymptotic volume ratio, exact per variant."""
-    return float(space.avr())
-
-
 @dataclass(frozen=True)
 class AvrEstimate:
     estimate: float
@@ -559,7 +554,7 @@ def isoperimetric_deficit(space: ModelSpace, r: float) -> DeficitResult:
     N = space.effective_dimension
     lhs = minkowski_content_ball(space, r)
     vol = vol_ball(space, r)
-    rhs = isoperimetric_constant(N, avr(space)) * vol ** ((N - 1.0) / N)
+    rhs = isoperimetric_constant(N, space.avr()) * vol ** ((N - 1.0) / N)
     return DeficitResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
 
 
@@ -593,7 +588,7 @@ def isoperimetric_sharpness_sweep(space: ModelSpace, r_list) -> SweepTable:
     N = space.effective_dimension
     vol = vol_ball(space, radii)
     content = minkowski_content_ball(space, radii)
-    bound = isoperimetric_constant(N, avr(space))
+    bound = isoperimetric_constant(N, space.avr())
     ratio = content / vol ** ((N - 1.0) / N)
     rows = tuple(SweepRow(r=r, vol=v, mink_content=c, ratio=q,
                           sharp_bound=bound, margin=q - bound)

@@ -1,91 +1,27 @@
-"""Self-contained special-function kernel.
+"""Special functions the standard library lacks, plus its Gamma.
 
-Gamma and log-gamma use a Lanczos rational approximation (g = 7, 9 terms),
-with the large exponent assembled in double-double arithmetic so the result
-stays within ~1e-14 relative error all the way up to the overflow edge.
-Bessel functions of the first kind for real nonnegative order are evaluated
-by the ascending power series for small argument and by Miller backward
-recurrence otherwise; the recurrence is normalized by the Neumann series
-identity, which works for non-integer order too.  Both kernels are
-duck-typed, so an array argument runs the same arithmetic elementwise.
-First positive zeros come from McMahon / Olver-type initial guesses refined
-by bracketed Newton, once per order.
+Gamma and log-gamma are the C library's (``math.gamma``, ``math.lgamma``)
+behind this package's domain checks.  Bessel functions of the first kind
+for real nonnegative order are evaluated by the ascending power series for
+small argument and by Miller backward recurrence otherwise; the recurrence
+is normalized by the Neumann series identity, which works for non-integer
+order too.  Both kernels are duck-typed, so an array argument runs the
+same arithmetic elementwise.  First positive zeros start from McMahon /
+Olver-type guesses and are found by Brent's method, once per order; the
+same ``_brent`` finds the Faber-Krahn eigenvalue in ``verify``.
 
-Everything here is plain arithmetic on purpose: this module is the kernel
-the rest of the package is checked against, so it must not import a library
-that would make the checks circular.
+Everything else here is plain arithmetic on purpose: this module is the
+kernel the rest of the package is checked against, so it must not import a
+library that would make the checks circular.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
-
-# Godfrey's g = 9 coefficient set: intrinsic relative error < 1e-16 on
-# (0, 170], where the classic g = 7 nine-term set degrades to ~1e-13
-_LANCZOS_G = 9.0
-_LANCZOS_COEF = (
-    1.0000000000000002,
-    5716.400188274341,
-    -14815.30426768414,
-    14291.492776574785,
-    -6348.160217641459,
-    1301.608286058322,
-    -108.17670535143696,
-    2.605696505611756,
-    -0.007423452510201416,
-    5.384136432509564e-08,
-    -4.023533141268236e-09,
-)
-_SQRT_TWO_PI = 2.5066282746310002
-_LOG_SQRT_TWO_PI = 0.9189385332046727
-_GAMMA_OVERFLOW = 171.62
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    # Veltkamp split; exact product as hi + lo
-    p = a * b
-    c = 134217729.0 * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    c = 134217729.0 * b
-    bhi = c - (c - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _lanczos_sum(xm):
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (xm + i)
-    return acc
-
-
-_LN2_HI = 0.6931471805599453
-_LN2_LO = 2.3190468138462996e-17
-
-
-def _dd_log(t):
-    # log(t) as a hi/lo pair; the correction term removes the libm log
-    # rounding, which otherwise dominates gamma's error at large argument
-    m, k = math.frexp(t)
-    if m < 0.7071067811865476:
-        m *= 2.0
-        k -= 1
-    hi = math.log(m)
-    p, perr = _two_prod(m, math.exp(-hi))
-    lo = math.log1p((p - 1.0) + perr)
-    h1, l1 = _two_prod(float(k), _LN2_HI)
-    s, e1 = _two_sum(h1, hi)
-    return s, l1 + e1 + lo + k * _LN2_LO
 
 
 def _check_positive(x, what):
@@ -94,33 +30,22 @@ def _check_positive(x, what):
 
 
 def gamma(x: float) -> float:
-    """Gamma function for x > 0, relative error within ~1e-13 up to 170."""
+    """Gamma function for x > 0, the C library's; DomainError where it
+    overflows (x above ~171.6, or x below ~5.6e-309)."""
     _check_positive(x, "gamma")
-    if x > _GAMMA_OVERFLOW:
-        raise DomainError(f"gamma({x}) overflows double precision")
-    if x < 0.5:
-        return gamma(x + 1.0) / x
-    xm = x - 1.0
-    t = xm + _LANCZOS_G + 0.5
-    # exponent (xm + 0.5)*log(t) - t in double-double; a plain product loses
-    # ~1e-13 relative accuracy near the overflow edge
-    ls, ll = _dd_log(t)
-    hi, lo = _two_prod(xm + 0.5, ls)
-    lo += (xm + 0.5) * ll
-    ehi, e1 = _two_sum(hi, -t)
-    elo = lo + e1
-    return _SQRT_TWO_PI * _lanczos_sum(xm) * math.exp(ehi) * (1.0 + elo)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma({x!r}) overflows double precision") from None
 
 
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 (no overflow limit)."""
+    """log Gamma(x) for x > 0, the C library's; inf above ~2.55e305."""
     _check_positive(x, "log_gamma")
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    xm = x - 1.0
-    t = xm + _LANCZOS_G + 0.5
-    return (_LOG_SQRT_TWO_PI + (xm + 0.5) * math.log(t) - t
-            + math.log(_lanczos_sum(xm)))
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def beta(a: float, b: float) -> float:
@@ -143,12 +68,10 @@ def omega(N: float) -> float:
 
 
 _SERIES_SWITCH = 9.0
-# Newton budget of the first zero: step tolerance (relative above 1) and
-# the iteration cap of each bracket widening and of the refinement
-_ABS_TOL = 1e-12
+# step cap of each bracket widening of the first zero and of Brent's method
 _MAX_ITER = 100
 # the Miller recurrence starts near order nu in pure Python, so a first zero
-# costs about 3 us per unit of order: 30 ms at this bound
+# (6-7 J evaluations) costs about 2 us per unit of order: 18 ms at this bound
 _MAX_ZERO_ORDER = 1e4
 
 
@@ -258,19 +181,48 @@ def bessel_j_scaled(nu: float, x):
                     lambda nu, x: _bessel_miller(nu, x) / _leading(nu, x))
 
 
-def bessel_j_prime(nu: float, x: float) -> float:
-    """d/dx J_nu(x) via the recurrence J_nu' = J_{nu-1}/2 - J_{nu+1}/2."""
-    if x == 0.0:
-        if nu == 0.0:
-            return 0.0
-        if nu == 1.0:
-            return 0.5
-        if nu > 1.0:
-            return 0.0
-        raise DomainError(f"J_nu'(0) unbounded for 0 < nu < 1 (nu={nu})")
-    if nu >= 1.0:
-        return 0.5 * (bessel_j(nu - 1.0, x) - bessel_j(nu + 1.0, x))
-    return (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
+def _brent(f, a, b, fa, fb, xtol, rtol):
+    """The root of f in [a, b], given fa = f(a) != 0 and fb = f(b) of the
+    other sign or 0, by Brent's method (*Algorithms for Minimization
+    without Derivatives*, 1973, ch. 4) to within xtol + rtol |root|:
+    inverse quadratic or secant steps while they shrink the bracket fast
+    enough, bisection otherwise, step for step as in scipy's ``brentq``.
+    """
+    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # xcur becomes the better of the two bracket ends
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+        if stry is not None and (
+                2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    other = xpre if (fpre < 0.0) != (fcur < 0.0) else xblk
+    raise ConvergenceError(
+        f"Brent's method did not converge in {_MAX_ITER} steps",
+        bracket=(min(other, xcur), max(other, xcur)))
 
 
 def _first_zero_guess(nu):
@@ -288,8 +240,8 @@ def _first_zero_guess(nu):
 
 
 def bessel_first_zero(nu: float) -> float:
-    """Smallest positive zero of J_nu, by bracketed Newton iteration,
-    computed once per order."""
+    """Smallest positive zero of J_nu, by Brent's method in a bracket
+    around an asymptotic guess, computed once per order."""
     if not (isinstance(nu, (int, float)) and 0 <= nu <= _MAX_ZERO_ORDER):
         raise DomainError(f"bessel_first_zero requires 0 <= nu <= "
                           f"{_MAX_ZERO_ORDER:g}, got {nu!r}")
@@ -303,41 +255,23 @@ def _first_zero(nu: float) -> float:
     # window around a decent guess brackets the first zero and nothing else
     lo = max(guess - 1.0, 0.25 * guess)
     hi = guess + 1.0
+    j_lo, j_hi = bessel_j(nu, lo), bessel_j(nu, hi)
     it = 0
-    while bessel_j(nu, lo) <= 0.0:
+    while j_lo <= 0.0:
         lo = max(0.5 * lo, lo - 1.0)
+        j_lo = bessel_j(nu, lo)
         it += 1
         if it > _MAX_ITER:
             raise ConvergenceError(
                 f"no positive bracket endpoint for nu={nu}", bracket=(lo, hi))
     it = 0
-    while bessel_j(nu, hi) >= 0.0:
+    while j_hi >= 0.0:
         hi += 1.0
+        j_hi = bessel_j(nu, hi)
         it += 1
         if it > _MAX_ITER:
             raise ConvergenceError(
                 f"no sign change located for nu={nu}", bracket=(lo, hi))
-    x = min(max(guess, lo), hi)
-    for _ in range(_MAX_ITER):
-        fx = bessel_j(nu, x)
-        if fx > 0.0:
-            lo = x
-        elif fx < 0.0:
-            hi = x
-        else:
-            return x
-        dfx = bessel_j_prime(nu, x)
-        x_new = 0.5 * (lo + hi)
-        if dfx != 0.0:
-            step = fx / dfx
-            # a converged step may land on a bracket end (x itself when the
-            # guess is exact), which the bracket test below would reject
-            if abs(step) <= _ABS_TOL * max(1.0, abs(x)):
-                return x - step
-            if lo < x - step < hi:
-                x_new = x - step
-        if abs(x_new - x) <= _ABS_TOL * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-    raise ConvergenceError(
-        f"first-zero Newton did not converge for nu={nu}", bracket=(lo, hi))
+    # brentq's floor: the root to within 2 ulps
+    return _brent(lambda x: bessel_j(nu, x), lo, hi, j_lo, j_hi,
+                  0.0, 4.0 * sys.float_info.epsilon)

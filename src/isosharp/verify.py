@@ -37,8 +37,8 @@ from .rearrange import (
     lq_norm,
     polya_szego_check,
 )
-from .spaces import ModelSpace, _radii, avr, minkowski_content_ball, vol_ball
-from .specfun import (bessel_first_zero, bessel_j, bessel_j_scaled,
+from .spaces import ModelSpace, _radii, minkowski_content_ball, vol_ball
+from .specfun import (_brent, bessel_first_zero, bessel_j, bessel_j_scaled,
                       log_gamma, omega)
 
 _EXTREMAL_NODES = 241   # grid of the truncated extremal, geometric to r_cut
@@ -46,7 +46,6 @@ _SHOOT_STEPS = 1100     # RK4 steps on [R/10, R]; a third as many graded below
 _BESSEL_NODES = 257     # grid of a Bessel test profile
 _BRENT_XTOL = 2e-12     # Brent stops within _BRENT_XTOL + _BRENT_RTOL |mu|
 _BRENT_RTOL = 1e-12
-_BRENT_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ def sobolev_quotient(space: ModelSpace, u: RadialFunction,
         raise DomainError("profile has vanishing gradient")
     lhs = lq_norm(space, u, params.p_star)
     quotient = lhs / grad
-    rhs = sobolev_constant(params, avr(space))
+    rhs = sobolev_constant(params, space.avr())
     return QuotientReport(
         lhs=lhs, rhs_constant=rhs, quotient=quotient, margin=rhs - quotient,
         space=space.descriptor(),
@@ -187,7 +186,7 @@ def gn_quotient(space: ModelSpace, u: RadialFunction,
     top = lq_norm(space, u, alpha * p)
     low = lq_norm(space, u, alpha * (p - 1.0) + 1.0)
     quotient = top / (grad ** theta * low ** (1.0 - theta))
-    rhs = gn_sharp_constant(params, avr(space))
+    rhs = gn_sharp_constant(params, space.avr())
     return QuotientReport(
         lhs=top, rhs_constant=rhs, quotient=quotient, margin=rhs - quotient,
         space=space.descriptor(),
@@ -236,48 +235,6 @@ def _trace(mu, s0, h, rho_mid, rho_end, N):
         step *= 2
     start = (1.0 - mu * s0 * s0 / (2.0 * N), -mu * s0 / N)
     return np.concatenate([start[:1], M[0] * start[0] + M[1] * start[1]])
-
-
-def _brent(f, a, b, fa, fb):
-    """The root of f in [a, b], given fa = f(a) != 0 and fb = f(b) of the
-    other sign or 0, by Brent's method (*Algorithms for Minimization
-    without Derivatives*, 1973, ch. 4) to within the tolerances: inverse
-    quadratic or secant steps while they shrink the bracket fast enough,
-    bisection otherwise, step for step as in scipy's ``brentq``.
-    """
-    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX_STEPS):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            # xcur becomes the better of the two bracket ends
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-        if stry is not None and (
-                2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise ConvergenceError("Brent's method did not converge in "
-                           f"{_BRENT_MAX_STEPS} steps")
 
 
 def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
@@ -347,7 +304,13 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
             lo, end_lo = mid, end_mid
         else:
             hi, end_hi, changes = mid, end_mid, mid_changes
-    mu = _brent(lambda m: nodes(m)[-1], lo, hi, end_lo, end_hi)
+    try:
+        mu = _brent(lambda m: nodes(m)[-1], lo, hi, end_lo, end_hi,
+                    _BRENT_XTOL, _BRENT_RTOL)
+    except ConvergenceError as exc:     # its bracket is in mu; report lambda
+        lo, hi = exc.bracket
+        raise ConvergenceError(
+            str(exc), bracket=(lo / R / R, hi / R / R)) from None
     trace = nodes(mu)
 
     vals = np.minimum.accumulate(np.clip(trace, 0.0, None))
@@ -375,7 +338,7 @@ def fk_check(space: ModelSpace, R: float) -> QuotientReport:
     N = space.effective_dimension
     vol = vol_ball(space, R)
     quotient = eig.lambda_1 * vol ** (2.0 / N)
-    rhs = fk_constant(N, avr(space))
+    rhs = fk_constant(N, space.avr())
     return QuotientReport(
         lhs=eig.lambda_1, rhs_constant=rhs, quotient=quotient,
         margin=quotient - rhs, space=space.descriptor(),
@@ -470,7 +433,7 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
     N = space.effective_dimension
     nu = N / 2.0 - 1.0
     jnu = bessel_first_zero(nu)
-    lambda_g = fk_constant(N, avr(space))
+    lambda_g = fk_constant(N, space.avr())
     rows = []
     for R in R_sorted:
         # the volume guard rejects radii outside double precision before
@@ -497,7 +460,7 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
                                mass_integral=den, vol=vol,
                                margin=q - lambda_g))
     i0, i1 = bessel_level_integrals(nu)
-    coef = N * omega(N) * avr(space)
+    coef = N * omega(N) * space.avr()
     last = rows[-1]
     prev = rows[-2] if len(rows) > 1 else last
     limits = {}

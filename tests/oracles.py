@@ -3,9 +3,9 @@
 Deliberately separate from the package: the implementation must agree with
 these, never the other way around.  The Bessel oracle is the raw ascending
 power series summed term by term; zeros come from plain sign-change
-bisection on that series.  Gamma facts are checked against the C library
-through math.gamma / math.lgamma, which shares no code with the package's
-Lanczos kernel.  Warped-product ball volumes, and norms of a
+bisection on that series.  The package's Gamma is the C library's
+(math.gamma / math.lgamma), so the tests check it against mpmath at 30
+digits instead.  Warped-product ball volumes, and norms of a
 piecewise-cubic interpolant or of a closed-form profile, come from mpmath
 tanh-sinh quadrature at 30 digits.
 """

@@ -47,7 +47,8 @@ class TestConstantsCommand:
                                "--alpha", "3", "--avr", "1")
         assert code == 0
         table = dict(ln.split(",") for ln in out.splitlines()[1:])
-        assert table["at"] == "0.427260542862526"    # 15 significant digits
+        # mpmath's AT(3, 2) = 0.42726054286252666..., to 15 digits
+        assert table["at"] == "0.427260542862527"
         assert table["at"] == table["sobolev"] == table["gn"]
         assert float(table["theta"]) == 1.0
 
@@ -312,11 +313,14 @@ class TestTolPlumbing:
         assert err.startswith("error:")
 
     def test_tiny_tol_turns_rounding_into_failure(self, capsys):
-        # euclidean polya margins sit at -2e-16; a 1e-30 tolerance
+        # the euclidean fk-sweep margins are rounding, in [-3.2e-14,
+        # -3.6e-15]: the default tolerance passes them, and a 1e-30 one
         # reclassifies them as violations and the run exits 1
-        code, out, _ = run_cli(capsys, "verify", "polya-szego",
-                               "--variant", "euclidean", "--n", "3",
-                               "--tol", "1e-30")
+        argv = ("verify", "fk-sweep", "--variant", "euclidean", "--n", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert data_rows(out)
+        code, out, _ = run_cli(capsys, *argv, "--tol", "1e-30")
         assert code == 1
         assert data_rows(out)
 

@@ -25,6 +25,13 @@ class TestSpaceConstruction:
         assert sp.integer_metric
         assert sp.default_slack == 0.0
 
+    def test_equality_is_identity_and_spaces_hash(self):
+        # comparing the ndarray fields raised; a space equals only itself
+        sp, other = path_graph(3), path_graph(3)
+        assert sp == sp and sp != other
+        assert len({sp, other, sp}) == 2
+        assert hash(sp) == hash(sp)
+
     def test_triangle_violation_rejected(self):
         bad = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
         with pytest.raises(InvariantViolation):

@@ -15,7 +15,6 @@ from isosharp.spaces import (
     MonomialHalfSpace,
     SampledProfile,
     WarpedProduct,
-    avr,
     avr_numeric,
     bishop_gromov_check,
     curvature_check,
@@ -41,8 +40,8 @@ class TestEuclidean:
         assert vol_ball(e3, 2.0) == pytest.approx(32 * math.pi / 3, rel=1e-13)
         assert minkowski_content_ball(e3, 2.0) == pytest.approx(
             16 * math.pi, rel=1e-13)
-        assert avr(e3) == 1.0
-        assert avr(Euclidean(500)) == 1.0    # omega_500 underflows to 0
+        assert e3.avr() == 1.0
+        assert Euclidean(500).avr() == 1.0    # omega_500 underflows to 0
 
     def test_real_dimension(self):
         # fractional N appears as a rearrangement target
@@ -96,8 +95,8 @@ class TestWarpedProduct:
                 richardson, rel=1e-7)
 
     def test_avr_closed_form(self):
-        assert avr(warped(n=3, a=0.5)) == pytest.approx(0.25, rel=1e-14)
-        assert avr(warped(n=5, a=0.9, beta=0.3)) == pytest.approx(
+        assert warped(n=3, a=0.5).avr() == pytest.approx(0.25, rel=1e-14)
+        assert warped(n=5, a=0.9, beta=0.3).avr() == pytest.approx(
             0.9 ** 4, rel=1e-14)
 
     def test_a_equal_one_matches_euclidean(self):
@@ -107,7 +106,7 @@ class TestWarpedProduct:
             assert vol_ball(flat, r) == pytest.approx(vol_ball(e3, r), rel=1e-9)
             assert minkowski_content_ball(flat, r) == pytest.approx(
                 minkowski_content_ball(e3, r), rel=1e-9)
-        assert avr(flat) == pytest.approx(1.0, abs=1e-15)
+        assert flat.avr() == pytest.approx(1.0, abs=1e-15)
         d_flat = isoperimetric_deficit(flat, 2.0)
         d_eucl = isoperimetric_deficit(e3, 2.0)
         assert d_flat.ratio == pytest.approx(d_eucl.ratio, abs=1e-9)
@@ -232,11 +231,11 @@ class TestEuclideanCone:
         # link = unit 2-sphere, measure 4 pi: the cone is R^3
         cone = EuclideanCone(n=2, m_M=4 * math.pi)
         assert vol_ball(cone, 2.0) == pytest.approx(32 * math.pi / 3, rel=1e-13)
-        assert avr(cone) == pytest.approx(1.0, rel=1e-14)
+        assert cone.avr() == pytest.approx(1.0, rel=1e-14)
 
     def test_exact_isoperimetric_equality(self):
         cone = EuclideanCone(n=2, m_M=2 * math.pi)
-        assert avr(cone) == pytest.approx(0.5, rel=1e-14)
+        assert cone.avr() == pytest.approx(0.5, rel=1e-14)
         for r in (0.3, 1.0, 25.0):
             d = isoperimetric_deficit(cone, r)
             assert d.ratio == pytest.approx(1.0, abs=1e-12)
@@ -303,7 +302,7 @@ class TestMonomialHalfSpace:
     def test_effective_dimension_and_avr(self):
         space = MonomialHalfSpace(2, 1.0)
         assert space.effective_dimension == 3.0
-        assert avr(space) == pytest.approx((2.0 / 3.0) / omega(3.0), rel=1e-12)
+        assert space.avr() == pytest.approx((2.0 / 3.0) / omega(3.0), rel=1e-12)
 
     def test_admissible_regime(self):
         with pytest.raises(DomainError):
@@ -313,7 +312,7 @@ class TestMonomialHalfSpace:
         with pytest.raises(DomainError):
             MonomialHalfSpace(2, -0.5)
         with pytest.raises(DomainError):
-            avr(MonomialHalfSpace(500, 1.0))  # Lambda and omega_N underflow
+            MonomialHalfSpace(500, 1.0).avr()  # Lambda and omega_N underflow
         with pytest.raises(DomainError):
             weighted_avr_lambda(Euclidean(3))
 
@@ -321,7 +320,7 @@ class TestMonomialHalfSpace:
 class TestAleQuotient:
     def test_avr_only(self):
         space = AleQuotient(n=4, k=8)
-        assert avr(space) == pytest.approx(0.125, abs=0)
+        assert space.avr() == pytest.approx(0.125, abs=0)
         with pytest.raises(UnsupportedOperationError):
             vol_ball(space, 1.0)
         with pytest.raises(UnsupportedOperationError):
@@ -341,13 +340,13 @@ class TestAvrNumeric:
         for space in (Euclidean(3), EuclideanCone(2, 2 * math.pi),
                       MonomialHalfSpace(2, 1.0)):
             est = avr_numeric(space, r_max=10.0)
-            assert est.estimate == pytest.approx(avr(space), rel=1e-11)
-            assert est.lower <= avr(space) <= est.upper * (1 + 1e-12)
+            assert est.estimate == pytest.approx(space.avr(), rel=1e-11)
+            assert est.lower <= space.avr() <= est.upper * (1 + 1e-12)
 
     def test_warped_bracket_contains_avr(self):
         space = warped(n=3, a=0.5, beta=2.0)
         est = avr_numeric(space, r_max=500.0, samples=8)
-        true = avr(space)
+        true = space.avr()
         assert est.lower <= true <= est.upper
         assert est.estimate == pytest.approx(true, rel=5e-3)
         # samples carry the monotone ratio trace
@@ -446,7 +445,7 @@ class TestDescriptor:
             rec = space.descriptor()
             clone = space_from_descriptor(rec)
             assert clone.descriptor() == rec
-            assert avr(clone) == pytest.approx(avr(space), rel=1e-14)
+            assert clone.avr() == pytest.approx(space.avr(), rel=1e-14)
 
     def test_rejects_unknown(self):
         with pytest.raises(DomainError):

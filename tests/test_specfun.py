@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from isosharp.errors import ConvergenceError, DomainError
 from isosharp import specfun
-from isosharp.specfun import (bessel_first_zero, bessel_j, bessel_j_prime,
-                              bessel_j_scaled, beta, gamma, log_gamma, omega)
+from isosharp.specfun import (bessel_first_zero, bessel_j, bessel_j_scaled,
+                              beta, gamma, log_gamma, omega)
 
 from oracles import bessel_series_oracle, bessel_zero_oracle
 
@@ -35,13 +35,24 @@ def test_gamma_trivial_values():
     assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
 
 
-def test_gamma_matches_libm_to_contract():
-    # post: relative error <= 1e-13 on (0, 170]
-    xs = np.concatenate([np.linspace(0.02, 2.0, 160),
-                         np.linspace(2.0, 170.0, 400)])
-    for x in xs:
-        x = float(x)
-        assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-13), x
+def test_gamma_matches_mpmath_to_contract():
+    # post: relative error <= 1e-14 on (0, 171.6], up to the overflow edge
+    xs = np.concatenate([np.geomspace(1e-300, 0.02, 40),
+                         np.linspace(0.02, 2.0, 160),
+                         np.linspace(2.0, 171.6, 400)])
+    with mp.workdps(30):
+        for x in xs:
+            x = float(x)
+            want = float(mp.gamma(x))
+            assert gamma(x) == pytest.approx(want, rel=1e-14), x
+
+
+def test_gamma_overflow_edges_raise():
+    # Gamma(x) ~ 1/x overflows below ~5.6e-309, as above ~171.62
+    for bad in (5e-324, 1e-309, 171.7):
+        with pytest.raises(DomainError):
+            gamma(bad)
+    assert gamma(1e-308) == pytest.approx(1e308, rel=1e-14)
 
 
 def test_gamma_domain_errors():
@@ -57,10 +68,21 @@ def test_gamma_recurrence(x):
 
 
 def test_log_gamma_consistent_with_gamma():
-    for x in (0.3, 1.7, 12.0, 90.0, 168.0):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=0, abs=1e-12)
-    # no overflow limit in log space
-    assert log_gamma(5000.0) == pytest.approx(math.lgamma(5000.0), rel=1e-14)
+    # against mpmath: absolute 1e-12 on (0, 3], where log Gamma crosses 0
+    # at 1 and 2, and relative 1e-14 from 3 up to its overflow edge
+    small = np.concatenate([np.geomspace(1e-300, 0.3, 30),
+                            np.linspace(0.3, 3.0, 60)])
+    large = np.geomspace(3.0, 2.5e305, 200)
+    with mp.workdps(30):
+        for x in small:
+            want = float(mp.loggamma(float(x)))
+            assert log_gamma(float(x)) == pytest.approx(
+                want, rel=0, abs=1e-12), x
+        for x in large:
+            want = float(mp.loggamma(float(x)))
+            assert log_gamma(float(x)) == pytest.approx(want, rel=1e-14), x
+    # past ~2.55e305 log Gamma itself overflows
+    assert log_gamma(1e308) == math.inf
 
 
 def test_beta_trivial_values():
@@ -184,13 +206,6 @@ def test_bessel_recurrence_on_grid():
             assert abs(lhs - rhs) <= 1e-10, (nu, x)
 
 
-def test_bessel_j_prime_matches_difference_quotient():
-    for nu, x in [(0.0, 1.3), (1.0, 2.0), (2.5, 11.0), (0.5, 6.0)]:
-        h = 1e-6
-        fd = (bessel_j(nu, x + h) - bessel_j(nu, x - h)) / (2 * h)
-        assert bessel_j_prime(nu, x) == pytest.approx(fd, abs=1e-9)
-
-
 def test_first_zero_examples():
     assert bessel_first_zero(0.0) == pytest.approx(J0_ZERO, abs=1e-11)
     assert bessel_first_zero(0.5) == pytest.approx(math.pi, abs=1e-11)
@@ -198,8 +213,8 @@ def test_first_zero_examples():
 
 
 def test_first_zero_half_order_is_pi():
-    # the McMahon guess is exact at nu = 1/2; the converged Newton step
-    # must be taken, not rejected for landing on the bracket end
+    # the McMahon guess is exact at nu = 1/2, and Brent's method must
+    # land on it to within 2 ulps
     assert bessel_first_zero(0.5) == pytest.approx(math.pi, rel=1e-15)
 
 
@@ -234,7 +249,6 @@ def test_first_zero_large_order():
 def test_first_zero_iteration_budget(monkeypatch):
     # zeros are cached by order, so the starved budget needs an order that
     # no other test asks for
-    monkeypatch.setattr(specfun, "_ABS_TOL", 1e-30)
     monkeypatch.setattr(specfun, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as exc:
         bessel_first_zero(0.123456789)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import isosharp.specfun as specfun
 import isosharp.verify as verify
 from isosharp.constants import SobolevParams, aubin_talenti, fk_constant, gn_constant
 from isosharp.errors import ConvergenceError, DomainError
@@ -206,10 +207,10 @@ class TestEigenvalue:
         # scipy's brentq asks for f(a) and f(b) again, served here from them
         from scipy.optimize import brentq
 
-        def scipy_brent(f, a, b, fa, fb):
+        def scipy_brent(f, a, b, fa, fb, xtol, rtol):
             ends = {a: fa, b: fb}
             return brentq(lambda m: ends[m] if m in ends else f(m), a, b,
-                          xtol=2e-12, rtol=1e-12, maxiter=100)
+                          xtol=xtol, rtol=rtol, maxiter=100)
 
         spaces = (Euclidean(2), Euclidean(3), Euclidean(7.5),
                   EuclideanCone(2, 5.0), MonomialHalfSpace(3, 0.5),
@@ -226,12 +227,17 @@ class TestEigenvalue:
             assert res.iterations == ref.iterations, (sp, R)
 
     def test_brent_root_and_budget(self, monkeypatch):
-        root = verify._brent(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0)
+        tols = (verify._BRENT_XTOL, verify._BRENT_RTOL)
+        root = specfun._brent(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0,
+                              *tols)
         assert abs(root - math.sqrt(2.0)) <= 2e-12
-        assert verify._brent(lambda x: x - 4.0, 3.0, 4.0, -1.0, 0.0) == 4.0
-        monkeypatch.setattr(verify, "_BRENT_MAX_STEPS", 3)
-        with pytest.raises(ConvergenceError):
-            verify._brent(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0)
+        assert specfun._brent(lambda x: x - 4.0, 3.0, 4.0, -1.0, 0.0,
+                              *tols) == 4.0
+        monkeypatch.setattr(specfun, "_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError) as exc:
+            specfun._brent(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0, *tols)
+        lo, hi = exc.value.bracket
+        assert 0.0 <= lo < math.sqrt(2.0) < hi <= 2.0
 
     def test_rejects_bad_radius_and_space(self):
         with pytest.raises(DomainError):
@@ -346,7 +352,8 @@ class TestSweep:
     def test_wrong_avr_fails_the_limits(self, monkeypatch):
         # the extrapolated limits must still catch a wrong expected value
         space = warped(3, 0.45, 1.0)
-        monkeypatch.setattr(verify, "avr", lambda sp: 1.03 * sp.avr())
+        wrong = 1.03 * space.avr()
+        monkeypatch.setattr(type(space), "avr", lambda sp: wrong)
         table = fk_sharpness_sweep(space, np.geomspace(2.0, 500.0, 8))
         assert table.limits["mass_extrapolated_rel_err"] > 0.01
         assert not table.limits_ok
