@@ -28,11 +28,14 @@ def gauss_panels(f, a, b):
 
     ``a`` and ``b`` are arrays of one shape; the result has that shape.
     ``f`` must accept a 1-D numpy array, and is called once for all panels.
+    It may return several integrands stacked on leading axes; the result
+    then carries those axes in front.
     """
     a = np.asarray(a, dtype=float)
     h = np.asarray(b, dtype=float) - a
     x = a[..., None] + h[..., None] * _GL_NODES
-    vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    vals = np.asarray(f(x.ravel()), dtype=float)
+    vals = vals.reshape(vals.shape[:-1] + x.shape)
     return (vals @ _GL_WEIGHTS) * h
 
 
@@ -41,12 +44,14 @@ def gauss_on_segments(f, breaks):
 
     Meant for integrands that are smooth on each segment between
     ``breaks``: the fixed rule then converges at spectral order, and the
-    total cost is a single vectorized evaluation.
+    total cost is a single vectorized evaluation.  A float for one
+    integrand, an array for integrands stacked on leading axes.
     """
     breaks = np.asarray(breaks, dtype=float)
     if breaks.size < 2:
         return 0.0
-    return float(np.sum(gauss_panels(f, breaks[:-1], breaks[1:])))
+    total = gauss_panels(f, breaks[:-1], breaks[1:]).sum(-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def dyadic_breaks(breaks, targets):

@@ -56,7 +56,12 @@ def beta(a: float, b: float) -> float:
 
 
 def log_omega(N: float) -> float:
-    """log of the unit-ball volume omega_N, finite for every real N >= 1."""
+    """log of the unit-ball volume omega_N for real N >= 1.
+
+    Finite up to N ~ 5.12e305, where it is about -1.795e308.  Past that
+    log Gamma(1 + N/2) overflows and the result is -inf (``omega`` 0.0);
+    the true value leaves double precision from N ~ 5.128e305 on.
+    """
     if not (isinstance(N, (int, float)) and math.isfinite(N) and N >= 1):
         raise DomainError(f"omega requires real N >= 1, got {N!r}")
     return 0.5 * N * math.log(math.pi) - log_gamma(1.0 + 0.5 * N)

@@ -444,17 +444,19 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
 
         c = u.height
 
-        def second(r):      # u_R'' = -c k^2 (S_nu - S_{nu+1} (2nu+1)/(2nu+2))
+        def integrands(r):
+            # u, u' and u'' = -c k^2 (S_nu - S_{nu+1} (2nu+1)/(2nu+2)) from
+            # one S_nu and one S_{nu+1}; stacked (|u'|^2, u^2) and slopes
             x = np.minimum(k * r, jnu)
-            return -c * k * k * (bessel_j_scaled(nu, x) - bessel_j_scaled(
-                nu + 1.0, x) * (2.0 * nu + 1.0) / (2.0 * nu + 2.0))
+            s0 = bessel_j_scaled(nu, x)
+            s1 = bessel_j_scaled(nu + 1.0, x)
+            u0 = c * np.maximum(s0, 0.0)
+            u1 = -c * k * x / (2.0 * nu + 2.0) * s1
+            u2 = -c * k * k * (s0 - s1 * (2.0 * nu + 1.0) / (2.0 * nu + 2.0))
+            return (np.stack([u1 ** 2, u0 ** 2]),
+                    np.stack([2.0 * u1 * u2, 2.0 * u0 * u1]))
 
-        num = layer_cake_radial_integral(
-            space, lambda r: u.deriv(r) ** 2,
-            lambda r: 2.0 * u.deriv(r) * second(r), R)
-        den = layer_cake_radial_integral(
-            space, lambda r: u.value(r) ** 2,
-            lambda r: 2.0 * u.value(r) * u.deriv(r), R)
+        num, den = layer_cake_radial_integral(space, integrands, R).tolist()
         q = num / den * vol ** (2.0 / N)
         rows.append(FkSweepRow(R=R, quotient=q, grad_integral=num,
                                mass_integral=den, vol=vol,

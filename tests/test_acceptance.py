@@ -238,7 +238,8 @@ def test_criterion_10_round_trips():
     assert len(cases) == 12
     try:
         for sp, fn, dfn, R in cases:
-            layer_cake_radial_integral(sp, fn, dfn, R)
+            layer_cake_radial_integral(
+                sp, lambda r, fn=fn, dfn=dfn: (fn(r), dfn(r)), R)
     except InvariantViolation:
         ok = False
     _report(10, "constant and norm round trips close to stated tolerances",

@@ -411,6 +411,12 @@ class TestPlumbing:
         # a radius whose first shooting node R * 1e-8 underflows to 0
         ("verify", "faber-krahn", "--variant", "euclidean", "--n", "3",
          "--R", "5e-324"),
+        # the Bessel test function's layer-cake routes are NaN at radii
+        # this small: the check passed them and printed a row of NaNs
+        ("verify", "fk-sweep", "--variant", "euclidean", "--n", "3",
+         "--R", "1e-90"),
+        ("verify", "fk-sweep", "--variant", "euclidean", "--n", "3",
+         "--R", "1e-77"),
         # the extremal's r_cut^{p'} overflows as p' = p/(p-1) grows
         ("verify", "sobolev", "--variant", "euclidean", "--n", "3",
          "--p", "1.000001"),

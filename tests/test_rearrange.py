@@ -348,7 +348,8 @@ polya_szego_check(space, RadialFunction(r, np.maximum(np.exp(-r * r)
 tent = dict(curated_profiles())["tent_1"]
 lq_norm(space, tent, 2.0)
 grad_lp_norm(space, tent, 2.0)
-layer_cake_radial_integral(space, np.ones_like, np.zeros_like, 4.0)
+layer_cake_radial_integral(
+    space, lambda r: (np.ones_like(r), np.zeros_like(r)), 4.0)
 fk_sharpness_sweep(space, [2.0, 20.0])
 bessel_level_integrals(0.5)
 assert MonomialHalfSpace(3, 0.5).unit_ball_volume > 0.0
@@ -482,21 +483,20 @@ class TestCoarea:
 class TestLayerCake:
     def test_constant_function(self):
         space = warped(n=3, a=0.5, beta=2.0)
-        val = layer_cake_radial_integral(space, np.ones_like,
-                                         np.zeros_like, 4.0)
+        val = layer_cake_radial_integral(
+            space, lambda r: (np.ones_like(r), np.zeros_like(r)), 4.0)
         assert val == pytest.approx(vol_ball(space, 4.0), rel=1e-10)
 
     def test_linear_euclidean(self):
         # int_{B(1)} |x| dx = 2 pi / 3 in the plane
-        val = layer_cake_radial_integral(Euclidean(2), lambda r: r,
-                                         np.ones_like, 1.0)
+        val = layer_cake_radial_integral(
+            Euclidean(2), lambda r: (r, np.ones_like(r)), 1.0)
         assert val == pytest.approx(2 * math.pi / 3.0, rel=1e-10)
 
     def test_quadratic_on_cone(self):
         # m_M int_0^1 r^2 r^2 dr = 2 pi / 5
         val = layer_cake_radial_integral(EuclideanCone(2, 2 * math.pi),
-                                         lambda r: r * r,
-                                         lambda r: 2.0 * r, 1.0)
+                                         lambda r: (r * r, 2.0 * r), 1.0)
         assert val == pytest.approx(2 * math.pi / 5.0, rel=1e-10)
 
     @pytest.mark.parametrize("n,a,beta,R", [(2, 0.7, 1.0, 5000.0),
@@ -507,8 +507,8 @@ class TestLayerCake:
         # direct one was off by 1.3e-7 at n=2, a=0.7, R=5000
         space = warped(n=n, a=a, beta=beta)
         val = layer_cake_radial_integral(
-            space, lambda r: (1.0 - r / R) ** 2,
-            lambda r: -2.0 * (1.0 - r / R) / R, R)
+            space, lambda r: ((1.0 - r / R) ** 2, -2.0 * (1.0 - r / R) / R),
+            R)
         x, w = np.polynomial.legendre.leggauss(20)
         edges = np.linspace(0.0, R, 4001)
         half = np.diff(edges)[:, None] / 2.0
@@ -518,5 +518,38 @@ class TestLayerCake:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            layer_cake_radial_integral(Euclidean(2), lambda r: r,
-                                       np.ones_like, -1.0)
+            layer_cake_radial_integral(
+                Euclidean(2), lambda r: (r, np.ones_like(r)), -1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_integrand_raises(self, value):
+        # no comparison fails on NaN, and an inf on both routes agrees
+        with pytest.raises(DomainError):
+            layer_cake_radial_integral(
+                Euclidean(3),
+                lambda r: (np.full_like(r, value), np.zeros_like(r)), 1.0)
+
+    def test_stacked_integrands_equal_single_calls(self):
+        R = 7.0
+        pairs = [lambda r: (np.exp(-r), -np.exp(-r)),
+                 lambda r: ((1.0 - r / R) ** 2, -2.0 * (1.0 - r / R) / R),
+                 lambda r: (1.0 / (1.0 + r * r),
+                            -2.0 * r / (1.0 + r * r) ** 2)]
+
+        def stacked(r):
+            fs, slopes = zip(*(pair(r) for pair in pairs))
+            return np.stack(fs), np.stack(slopes)
+
+        for space in (warped(n=3, a=0.5, beta=1.0), Euclidean(2.5)):
+            got = layer_cake_radial_integral(space, stacked, R)
+            assert got.tolist() == [
+                layer_cake_radial_integral(space, pair, R) for pair in pairs]
+
+    def test_stack_with_a_wrong_slope_raises(self):
+        # the 1e-8 cross-check holds for each integrand of a stack
+        def stacked(r):
+            return (np.stack([r, r * r]),
+                    np.stack([np.ones_like(r), 2.1 * r]))
+
+        with pytest.raises(InvariantViolation, match="disagrees"):
+            layer_cake_radial_integral(warped(n=2), stacked, 3.0)

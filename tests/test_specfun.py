@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from isosharp.errors import ConvergenceError, DomainError
 from isosharp import specfun
 from isosharp.specfun import (bessel_first_zero, bessel_j, bessel_j_scaled,
-                              beta, gamma, log_gamma, omega)
+                              beta, gamma, log_gamma, log_omega, omega)
 
 from oracles import bessel_series_oracle, bessel_zero_oracle
 
@@ -283,6 +283,21 @@ def test_omega_direct_formula_consistency():
         N = float(N)
         direct = math.pi ** (N / 2) / gamma(1.0 + N / 2)
         assert omega(N) == pytest.approx(direct, rel=1e-13), N
+
+
+def test_log_omega_finite_up_to_its_documented_bound():
+    # finite (and right) just below N ~ 5.12e305; -inf above it, where the
+    # true value is itself below the most negative double
+    with mp.workdps(30):
+        for N in (5.1e305, 5.119e305):
+            exact = (mp.mpf(N) / 2 * mp.log(mp.pi)
+                     - mp.loggamma(1 + mp.mpf(N) / 2))
+            assert log_omega(N) == pytest.approx(float(exact), rel=1e-14), N
+        N = 5.2e305
+        assert (mp.mpf(N) / 2 * mp.log(mp.pi) - mp.loggamma(1 + mp.mpf(N) / 2)
+                < -mp.mpf(np.finfo(float).max))
+    assert log_omega(N) == -math.inf
+    assert omega(N) == 0.0
 
 
 def test_omega_domain_error():

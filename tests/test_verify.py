@@ -359,6 +359,28 @@ class TestSweep:
         assert not table.limits_ok
         assert not table.passed
 
+    def test_one_bessel_pair_and_volume_pass_per_radius(self, monkeypatch):
+        # per radius: S_nu and S_{nu+1} on the Gauss nodes and at R, the
+        # profile's samples and its height (6 calls), and V on the nodes
+        # besides the two guarded vol(B_R) (3 calls)
+        space = warped(3, 0.45, 1.0)
+        calls = {"bessel": 0, "volume": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(verify, "bessel_j_scaled",
+                            counted("bessel", verify.bessel_j_scaled))
+        monkeypatch.setattr(type(space), "volume",
+                            counted("volume", type(space).volume))
+        radii = [2.0, 20.0, 200.0]
+        fk_sharpness_sweep(space, radii)
+        assert calls["bessel"] <= 6 * len(radii)
+        assert calls["volume"] <= 3 * len(radii)
+
     def test_rejects_empty_or_negative_radii(self):
         with pytest.raises(DomainError):
             fk_sharpness_sweep(Euclidean(2), [])
