@@ -1,0 +1,28 @@
+#!/bin/sh
+# Runs the installed `isosharp` console script on a fixed list of argv and
+# checks each exit code against the CLI contract (0 pass, 1 check failed,
+# 2 bad input).  Stdout is discarded; a mismatch prints the argv and stops
+# with status 1.  Usage: sh ci/console_script.sh
+set -u
+
+expect() {
+    want=$1; shift
+    got=0
+    isosharp "$@" > /dev/null || got=$?
+    if [ "$got" -ne "$want" ]; then
+        echo "isosharp $*: exit $got, expected $want"
+        exit 1
+    fi
+}
+
+expect 0 constants --n 3 --p 2
+expect 0 verify sobolev --variant euclidean --n 3 --p 1.01
+expect 2 constants --n 3 --p 5
+expect 2 constants --n 1e308
+expect 0 verify fk-sweep --variant euclidean --n 60
+expect 0 verify fk-sweep --variant euclidean --n 3 --R 1e-90
+expect 0 verify fk-sweep --variant euclidean --n 3 --R 1e80
+expect 0 verify fk-sweep --variant warped --n 3 --a 0.45
+expect 0 verify polya-szego --variant warped --n 2
+expect 0 verify faber-krahn --variant warped --n 3
+expect 0 sandbox z-inclusion --seeds 20

@@ -295,10 +295,11 @@ def cmd_verify(cfg: RunConfig, args) -> tuple:
              row.report.rhs_constant, row.report.quotient, row.report.margin)
             for row in result.rows]
     if cfg.fmt == "json":
+        row_space = space.descriptor()
         payload = {"command": "verify", "suite": result.name,
                    "descriptor": desc, "passed": result.passed,
-                   "rows": [{**row.report.as_dict(), "label": row.label}
-                            for row in result.rows]}
+                   "rows": [{**row.report.as_dict(), "label": row.label,
+                             "space": row_space} for row in result.rows]}
         return _json_doc(payload), result.passed
     text = _csv_table(("suite", "variant", "label", "lhs", "rhs_constant",
                        "quotient", "margin"), rows)

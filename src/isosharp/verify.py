@@ -16,6 +16,7 @@ constant bounds the quotient from above (Sobolev, GN) or below
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,7 +44,6 @@ from .specfun import (_brent, bessel_first_zero, bessel_j, bessel_j_scaled,
 
 _EXTREMAL_NODES = 241   # grid of the truncated extremal, geometric to r_cut
 _SHOOT_STEPS = 1100     # RK4 steps on [R/10, R]; a third as many graded below
-_BESSEL_NODES = 257     # grid of a Bessel test profile
 _BRENT_XTOL = 2e-12     # Brent stops within _BRENT_XTOL + _BRENT_RTOL |mu|
 _BRENT_RTOL = 1e-12
 
@@ -54,13 +54,12 @@ class QuotientReport:
     rhs_constant: float
     quotient: float
     margin: float
-    space: dict
     params: dict
 
     def as_dict(self) -> dict:
         return {"lhs": self.lhs, "rhs_constant": self.rhs_constant,
                 "quotient": self.quotient, "margin": self.margin,
-                "space": dict(self.space), "params": dict(self.params)}
+                "params": dict(self.params)}
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,6 @@ def sobolev_quotient(space: ModelSpace, u: RadialFunction,
     rhs = sobolev_constant(params, space.avr())
     return QuotientReport(
         lhs=lhs, rhs_constant=rhs, quotient=quotient, margin=rhs - quotient,
-        space=space.descriptor(),
         params={"p": p, "p_star": params.p_star, "direction": "upper"})
 
 
@@ -189,7 +187,6 @@ def gn_quotient(space: ModelSpace, u: RadialFunction,
     rhs = gn_sharp_constant(params, space.avr())
     return QuotientReport(
         lhs=top, rhs_constant=rhs, quotient=quotient, margin=rhs - quotient,
-        space=space.descriptor(),
         params={"p": p, "alpha": alpha, "theta": theta, "direction": "upper"})
 
 
@@ -341,7 +338,7 @@ def fk_check(space: ModelSpace, R: float) -> QuotientReport:
     rhs = fk_constant(N, space.avr())
     return QuotientReport(
         lhs=eig.lambda_1, rhs_constant=rhs, quotient=quotient,
-        margin=quotient - rhs, space=space.descriptor(),
+        margin=quotient - rhs,
         params={"R": R, "vol": vol, "direction": "lower"})
 
 
@@ -366,31 +363,20 @@ def bessel_level_integrals(nu: float) -> tuple:
         for m in (nu, nu + 1.0))
 
 
-def bessel_test_profile(N: float, R: float) -> RadialFunction:
-    """u_R(r) = r^{-nu} J_nu(k r), nu = N/2 - 1, k = j_nu / R, on [0, R].
+def _bessel_jet(nu: float, x):
+    """(U, U', U'') of U(x) = S_nu(min(x, j_nu)), with U(0) = 1.
 
-    Formed as u_R = c S_nu(k r) and u_R' = -c k x S_{nu+1}(x) / (2 nu + 2)
-    with c = u_R(0) = (k/2)^nu / Gamma(nu + 1), formed in log space, and
-    S = ``bessel_j_scaled``, which stays finite at large nu and small r
-    where r^{-nu} does not.
+    S = ``bessel_j_scaled``, which stays finite at large nu and small x
+    where x^{-nu} J_nu(x) does not.  U is the test function
+    u_R(r) = r^{-nu} J_nu(k r) = c U(k r), k = j_nu / R, at unit height,
+    and U' = -x S_{nu+1} / (2 nu + 2), U'' = -U - (2 nu + 1) U' / x are
+    read from one S_nu and one S_{nu+1}.
     """
-    nu = N / 2.0 - 1.0
-    jnu = bessel_first_zero(nu)
-    k = jnu / R
-    c = math.exp(nu * math.log(k / 2.0) - log_gamma(nu + 1.0))
-
-    def val(r):
-        x = np.minimum(k * np.asarray(r, dtype=float), jnu)
-        return c * np.maximum(bessel_j_scaled(nu, x), 0.0)
-
-    def dval(r):
-        x = np.minimum(k * np.asarray(r, dtype=float), jnu)
-        return -c * k * x / (2.0 * nu + 2.0) * bessel_j_scaled(nu + 1.0, x)
-
-    grid = np.linspace(0.0, R, _BESSEL_NODES)
-    vals = val(grid)
-    vals[-1] = 0.0
-    return RadialFunction(grid, vals, value_fn=val, deriv_fn=dval)
+    x = np.minimum(x, bessel_first_zero(nu))
+    s0 = bessel_j_scaled(nu, x)
+    s1 = bessel_j_scaled(nu + 1.0, x)
+    return (np.maximum(s0, 0.0), -x / (2.0 * nu + 2.0) * s1,
+            (2.0 * nu + 1.0) / (2.0 * nu + 2.0) * s1 - s0)
 
 
 @dataclass(frozen=True)
@@ -436,30 +422,30 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
     lambda_g = fk_constant(N, space.avr())
     rows = []
     for R in R_sorted:
-        # the volume guard rejects radii outside double precision before
-        # the profile's scale c is formed
+        # the volume guard rejects radii outside double precision
         vol = vol_ball(space, R)
-        u = bessel_test_profile(N, R)
         k = jnu / R
 
-        c = u.height
-
         def integrands(r):
-            # u, u' and u'' = -c k^2 (S_nu - S_{nu+1} (2nu+1)/(2nu+2)) from
-            # one S_nu and one S_{nu+1}; stacked (|u'|^2, u^2) and slopes
-            x = np.minimum(k * r, jnu)
-            s0 = bessel_j_scaled(nu, x)
-            s1 = bessel_j_scaled(nu + 1.0, x)
-            u0 = c * np.maximum(s0, 0.0)
-            u1 = -c * k * x / (2.0 * nu + 2.0) * s1
-            u2 = -c * k * k * (s0 - s1 * (2.0 * nu + 1.0) / (2.0 * nu + 2.0))
-            return (np.stack([u1 ** 2, u0 ** 2]),
-                    np.stack([2.0 * u1 * u2, 2.0 * u0 * u1]))
+            # (U'(kr)^2, U(kr)^2) and their slopes in r
+            u, du, d2u = _bessel_jet(nu, k * r)
+            return (np.stack([du ** 2, u ** 2]),
+                    k * np.stack([2.0 * du * d2u, 2.0 * u * du]))
 
         num, den = layer_cake_radial_integral(space, integrands, R).tolist()
-        q = num / den * vol ** (2.0 / N)
-        rows.append(FkSweepRow(R=R, quotient=q, grad_integral=num,
-                               mass_integral=den, vol=vol,
+        # u_R = c U(kr) with c = (k/2)^nu / Gamma(nu + 1): c^2 cancels from
+        # Q and scales only the displayed integrals.  It stays below 1e307
+        # wherever vol(B_R) <= omega_N R^N passes its guard
+        c2 = math.exp(2.0 * (nu * math.log(k / 2.0) - log_gamma(nu + 1.0)))
+        grad, mass = c2 * k * k * num, c2 * den
+        # a subnormal integral has lost its leading digits
+        if not all(sys.float_info.min <= v < math.inf
+                   for v in (num, den, grad, mass)):
+            raise DomainError(f"radius {R!r} puts the test function's "
+                              "integrals outside double precision")
+        q = num / den * (k * vol ** (1.0 / N)) ** 2
+        rows.append(FkSweepRow(R=R, quotient=q, grad_integral=grad,
+                               mass_integral=mass, vol=vol,
                                margin=q - lambda_g))
     i0, i1 = bessel_level_integrals(nu)
     coef = N * omega(N) * space.avr()
@@ -513,12 +499,9 @@ def curated_profiles() -> list:
         w = r_out - r_in
         # a plateau, then a ramp: the kink at r_in must be a node, and the
         # even grid misses it
-        return RadialFunction.from_callable(
-            lambda r: np.clip((r_out - np.asarray(r)) / w, 0.0, 1.0),
-            r_out, grid=np.union1d(np.linspace(0.0, r_out, 161), [r_in]),
-            deriv=lambda r: np.where(
-                (np.asarray(r) > r_in) & (np.asarray(r) < r_out), -1.0 / w,
-                0.0))
+        return _cut(lambda r: np.minimum((r_out - r) / w, 1.0),
+                    lambda r: np.where(r > r_in, -1.0 / w, 0.0), r_out,
+                    np.union1d(np.linspace(0.0, r_out, 161), [r_in]))
 
     def quartic(m):
         # clipped at m, past which (1 - (r/m)^2)^2 would rise again
@@ -561,7 +544,6 @@ class SuiteRow:
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
-    space: dict
     rows: tuple
     passed: bool
 
@@ -574,7 +556,7 @@ def _polya_rows(space, p):
             label=f"{label}" if p == 2.0 else f"{label},p={p}",
             report=QuotientReport(
                 lhs=res.lhs, rhs_constant=1.0, quotient=res.ratio,
-                margin=res.ratio - 1.0, space=space.descriptor(),
+                margin=res.ratio - 1.0,
                 params={"p": p, "direction": "lower"})))
     return rows
 
@@ -588,7 +570,6 @@ def run_suite(space: ModelSpace, name: str, p: float = 2.0,
     times the relevant constant (1 for ratio-style rows); the fk-sweep
     also needs its extrapolated limits within 1%.
     """
-    desc = space.descriptor()
     N = space.effective_dimension
     limits_ok = True
     if name == "polya-szego":
@@ -617,7 +598,7 @@ def run_suite(space: ModelSpace, name: str, p: float = 2.0,
                          QuotientReport(lhs=row.grad_integral,
                                         rhs_constant=table.lambda_g,
                                         quotient=row.quotient,
-                                        margin=row.margin, space=desc,
+                                        margin=row.margin,
                                         params={"R": row.R,
                                                 "direction": "lower"}))
                 for row in table.rows]
@@ -627,4 +608,4 @@ def run_suite(space: ModelSpace, name: str, p: float = 2.0,
     if tol is None:
         tol = 1e-6 * rows[0].report.rhs_constant
     passed = bool(limits_ok and all(row.report.margin >= -tol for row in rows))
-    return SuiteResult(name=name, space=desc, rows=tuple(rows), passed=passed)
+    return SuiteResult(name=name, rows=tuple(rows), passed=passed)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import warnings
 
@@ -192,6 +193,18 @@ class TestVerifyCommand:
                              "--tol", "100")
         assert code == 0
 
+    def test_json_rows_carry_the_space_descriptor(self, capsys):
+        # reports carry numbers only; the command adds the space's own
+        # descriptor (n a float) to each JSON row
+        code, out, _ = run_cli(capsys, "verify", "faber-krahn", "--variant",
+                               "warped", "--n", "2", "--R", "1", "--R", "5",
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["descriptor"]["n"] == 2
+        assert [row["space"] for row in doc["rows"]] == 2 * [
+            {"variant": "warped", "n": 2.0, "a": 0.5, "beta": 1.0}]
+
     def test_fk_sweep_far_radius_on_warped(self, capsys):
         # the layer-cake cross-check once tripped here (exit 1): the direct
         # quadrature missed where F turns affine, by 1.3e-7 at R=5000
@@ -248,6 +261,27 @@ class TestVerifyCommand:
                                  "euclidean", "--n", "340", "--R", "1")
         assert code == 0 and err == ""
         assert len(data_rows(out)[1]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("euclidean", "--n", "3", "--R", "1e-90"),
+        ("euclidean", "--n", "3", "--R", "1e-77"),
+        ("euclidean", "--n", "3", "--R", "1e80"),
+        ("euclidean", "--n", "3", "--R", "1e100"),
+        ("euclidean", "--n", "2.5", "--R", "1e103"),
+        ("warped", "--n", "3", "--R", "1e80"),
+    ])
+    def test_fk_sweep_extreme_radii(self, capsys, argv):
+        # the test function is integrated at unit height and its scale c
+        # applied after; the slope 2 u' u'', of order c^2 k^3, once
+        # overflowed at R = 1e-90 (exit 2) and underflowed at R = 1e80
+        # (exit 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", "fk-sweep",
+                                     "--variant", *argv)
+        assert (code, err) == (0, "")
+        (row,) = data_rows(out)[1]
+        assert abs(float(row[5]) / float(row[4]) - 1.0) <= 1e-12
 
     def test_sobolev_near_p_one_is_quiet(self, capsys):
         # p' = 101: the truncated extremal underflows to a step past r = 1,
@@ -313,8 +347,8 @@ class TestTolPlumbing:
         assert err.startswith("error:")
 
     def test_tiny_tol_turns_rounding_into_failure(self, capsys):
-        # the euclidean fk-sweep margins are rounding, in [-3.2e-14,
-        # -3.6e-15]: the default tolerance passes them, and a 1e-30 one
+        # the euclidean fk-sweep margins are rounding, in [-3.6e-14,
+        # -7.1e-15]: the default tolerance passes them, and a 1e-30 one
         # reclassifies them as violations and the run exits 1
         argv = ("verify", "fk-sweep", "--variant", "euclidean", "--n", "3")
         code, out, _ = run_cli(capsys, *argv)
@@ -411,12 +445,13 @@ class TestPlumbing:
         # a radius whose first shooting node R * 1e-8 underflows to 0
         ("verify", "faber-krahn", "--variant", "euclidean", "--n", "3",
          "--R", "5e-324"),
-        # the Bessel test function's layer-cake routes are NaN at radii
-        # this small: the check passed them and printed a row of NaNs
+        # the unit-height test function's integrals leave double precision:
+        # subnormal beside a subnormal vol(B_R), and 0 at n = 60, where the
+        # mass integral is 1.8e-11 vol(B_R)
         ("verify", "fk-sweep", "--variant", "euclidean", "--n", "3",
-         "--R", "1e-90"),
-        ("verify", "fk-sweep", "--variant", "euclidean", "--n", "3",
-         "--R", "1e-77"),
+         "--R", "1e-103"),
+        ("verify", "fk-sweep", "--variant", "euclidean", "--n", "60",
+         "--R", "1e-5"),
         # the extremal's r_cut^{p'} overflows as p' = p/(p-1) grows
         ("verify", "sobolev", "--variant", "euclidean", "--n", "3",
          "--p", "1.000001"),

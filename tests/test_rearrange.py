@@ -37,8 +37,7 @@ from isosharp.spaces import (
     vol_ball,
 )
 from isosharp.specfun import omega
-from isosharp.verify import (bessel_test_profile, curated_profiles,
-                             truncated_extremal)
+from isosharp.verify import curated_profiles, truncated_extremal
 from oracles import (
     callable_radial_oracle,
     euclidean_content_mp,
@@ -102,7 +101,6 @@ class TestRadialFunction:
         monkeypatch.setattr(rearrange, "pchip", forbidden)
         profiles = [u for _, u in curated_profiles()]
         profiles += [truncated_extremal(SobolevParams(n=3.0, p=2.0)),
-                     bessel_test_profile(3.0, 2.0),
                      RadialFunction.plateau(1.0, 1.0)]
         for u in profiles:
             u.scaled(2.0).dilated(0.5)

@@ -14,13 +14,13 @@ from isosharp.spaces import (
     EuclideanCone,
     ExponentialTail,
     MonomialHalfSpace,
+    SampledProfile,
     WarpedProduct,
 )
 from isosharp.specfun import bessel_first_zero, bessel_j, gamma
 from isosharp.verify import (
     EigenResult,
     bessel_level_integrals,
-    bessel_test_profile,
     curated_profiles,
     extremal_h,
     extremal_h_deriv,
@@ -292,17 +292,31 @@ class TestSweep:
         assert i0 == pytest.approx(closed, rel=1e-13)
         assert i1 == pytest.approx(closed, rel=1e-13)
 
-    def test_profile_center_value_and_derivative(self):
-        u = bessel_test_profile(4.0, 2.0)    # nu = 1
-        j1 = bessel_first_zero(1.0)
-        k = j1 / 2.0
-        assert float(u.value(0.0)) == pytest.approx((k / 2.0) / gamma(2.0),
-                                                    rel=1e-12)
-        r = 0.9
-        h = 1e-6
-        num = (float(u.value(r + h)) - float(u.value(r - h))) / (2 * h)
-        assert float(u.deriv(r)) == pytest.approx(num, rel=1e-7)
-        assert u.compactly_supported
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 1.0, 29.0])
+    def test_jet_value_slopes_and_ode(self, nu):
+        # U(x) = S_nu(x) = Gamma(nu + 1) (2/x)^nu J_nu(x) up to j_nu:
+        # U(0) = 1, U' and U'' match central differences of U, and
+        # U'' + (2 nu + 1) U' / x + U = 0
+        jnu = bessel_first_zero(nu)
+        u, du, d2u = verify._bessel_jet(nu, np.array([0.0, jnu]))
+        assert (u[0], du[0]) == (1.0, 0.0)
+        assert u[1] == 0.0
+        x = np.linspace(0.05, 0.95, 19) * jnu
+        h = 1e-4
+        u, du, d2u = verify._bessel_jet(nu, x)
+        up, dup, _ = verify._bessel_jet(nu, x + h)
+        um, dum, _ = verify._bessel_jet(nu, x - h)
+        scale = np.max(np.abs(du))
+        assert np.allclose(du, (up - um) / (2.0 * h), rtol=0.0,
+                           atol=1e-7 * scale)
+        assert np.allclose(d2u, (dup - dum) / (2.0 * h), rtol=0.0,
+                           atol=1e-7 * scale)
+        assert np.allclose(d2u + (2.0 * nu + 1.0) * du / x + u, 0.0,
+                           rtol=0.0, atol=1e-13)
+        if nu <= 1.0:
+            closed = [gamma(nu + 1.0) * (2.0 / t) ** nu * bessel_j(nu, t)
+                      for t in x]
+            assert u == pytest.approx(closed, rel=1e-12)
 
     def test_euclidean_rows_sit_on_the_constant(self):
         table = fk_sharpness_sweep(Euclidean(2), [1.0, 10.0, 100.0])
@@ -360,9 +374,9 @@ class TestSweep:
         assert not table.passed
 
     def test_one_bessel_pair_and_volume_pass_per_radius(self, monkeypatch):
-        # per radius: S_nu and S_{nu+1} on the Gauss nodes and at R, the
-        # profile's samples and its height (6 calls), and V on the nodes
-        # besides the two guarded vol(B_R) (3 calls)
+        # per radius: S_nu and S_{nu+1} on the Gauss nodes and at R
+        # (4 calls), and V on the nodes besides the two guarded vol(B_R)
+        # (3 calls)
         space = warped(3, 0.45, 1.0)
         calls = {"bessel": 0, "volume": 0}
 
@@ -378,7 +392,7 @@ class TestSweep:
                             counted("volume", type(space).volume))
         radii = [2.0, 20.0, 200.0]
         fk_sharpness_sweep(space, radii)
-        assert calls["bessel"] <= 6 * len(radii)
+        assert calls["bessel"] <= 4 * len(radii)
         assert calls["volume"] <= 3 * len(radii)
 
     def test_rejects_empty_or_negative_radii(self):
@@ -429,7 +443,22 @@ class TestSuites:
         rep = sobolev_quotient(Euclidean(3), curated_profiles()[0][1], 2.0)
         d = rep.as_dict()
         assert d["margin"] == rep.margin
-        assert d["space"]["variant"] == "euclidean"
+        assert d["params"] == rep.params
+        assert "space" not in d     # the CLI adds the descriptor itself
+
+    def test_reports_on_a_space_without_descriptor(self):
+        # a sampled warping profile has no flat descriptor; the verifiers
+        # and suites raised UnsupportedOperationError when their reports
+        # carried one
+        space = WarpedProduct(3, SampledProfile([0.0, 0.35, 0.8, 1.3, 2.9],
+                                                [1.0, 0.9, 0.72, 0.6, 0.55]))
+        u = curated_profiles()[0][1]
+        assert sobolev_quotient(space, u, 2.0).margin > 0.0
+        params = SobolevParams(n=3.0, p=2.0, alpha=2.0)
+        assert gn_quotient(space, u, params).margin > 0.0
+        assert fk_check(space, 1.0).margin > 0.0
+        res = run_suite(space, "faber-krahn", R_list=[1.0])
+        assert res.passed and len(res.rows) == 1
 
 
 def test_dilated_profile_keeps_sobolev_quotient():
