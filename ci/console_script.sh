@@ -26,3 +26,7 @@ expect 0 verify fk-sweep --variant warped --n 3 --a 0.45
 expect 0 verify polya-szego --variant warped --n 2
 expect 0 verify faber-krahn --variant warped --n 3
 expect 0 sandbox z-inclusion --seeds 20
+expect 2 space --variant euclidean --n 3 --sweep 1e-107:1e-103:log:5
+expect 2 constants --n 3 --output /nonexistent-dir/x.csv
+expect 0 constants --n 3 --p 2 --format json
+expect 0 sandbox bm --format json

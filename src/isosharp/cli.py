@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -26,12 +26,12 @@ from .constants import SobolevParams, fk_constant, isoperimetric_constant, \
     rayleigh_constant, sharp_constants
 from .errors import ConvergenceError, DomainError, InvariantViolation, \
     UnsupportedOperationError
-from .sandbox import brunn_minkowski_report, grid_graph, path_graph, \
-    seeded_z_inclusion, z_inclusion_check
-from .spaces import bishop_gromov_check, curvature_check, \
+from .sandbox import BmReport, brunn_minkowski_report, grid_graph, \
+    path_graph, seeded_z_inclusion, z_inclusion_check
+from .spaces import SweepRow, bishop_gromov_check, curvature_check, \
     isoperimetric_sharpness_sweep, space_from_descriptor
 from .specfun import omega
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, QuotientReport, run_suite
 
 _NAMED_GRAPHS = {
     "path3": lambda: path_graph(3),
@@ -47,22 +47,6 @@ _VARIANT_DEFAULTS = {
     "monomial": {"n": 2, "alpha_w": 1.0},
     "ale": {"n": 2, "k": 2},
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat record of one invocation's output plumbing."""
-
-    fmt: str
-    output: str | None
-    seed: int
-    tol: float | None
-
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"unknown output format {self.fmt!r}")
-        if self.tol is not None and not self.tol > 0.0:
-            raise DomainError(f"tolerance must be positive, got {self.tol!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -205,6 +189,13 @@ def _csv_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field_columns(record_type, records, skip=()) -> tuple:
+    """(names, rows): the record type's fields in declared order, less those
+    in skip, and each record's values of them."""
+    names = tuple(f.name for f in fields(record_type) if f.name not in skip)
+    return names, [tuple(getattr(rec, k) for k in names) for rec in records]
+
+
 def _json_doc(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -212,31 +203,24 @@ def _json_doc(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 # subcommands: each returns (text, passed)
 
-def cmd_constants(cfg: RunConfig, args) -> tuple:
-    entries = []
+def cmd_constants(args) -> tuple:
     if args.p is not None:
         params = SobolevParams(n=args.n, p=args.p, alpha=args.alpha)
-        t = sharp_constants(params, args.avr)
-        entries = [("omega_n", t.omega_n), ("at", t.at), ("theta", t.theta),
-                   ("gn", t.gn), ("sobolev", t.sobolev),
-                   ("gn_sharp", t.gn_sharp), ("fk", t.fk),
-                   ("rayleigh", t.rayleigh),
-                   ("isoperimetric", isoperimetric_constant(args.n, args.avr)),
-                   ("avr", t.avr)]
+        entries = asdict(sharp_constants(params, args.avr)).items()
     else:
         entries = [("omega_n", omega(args.n)),
                    ("fk", fk_constant(args.n, args.avr)),
                    ("rayleigh", rayleigh_constant(args.n, args.avr)),
                    ("isoperimetric", isoperimetric_constant(args.n, args.avr)),
                    ("avr", args.avr)]
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _json_doc({"command": "constants",
                           "values": {k: float(v) for k, v in entries}}), True
     lines = ["name,value"] + [f"{k},{_fmt15(v)}" for k, v in entries]
     return "\n".join(lines) + "\n", True
 
 
-def cmd_space(cfg: RunConfig, args) -> tuple:
+def cmd_space(args) -> tuple:
     desc = _descriptor_from_flags(args)
     space = space_from_descriptor(desc)
     diag = {"avr": space.avr()}
@@ -263,26 +247,22 @@ def cmd_space(cfg: RunConfig, args) -> tuple:
         table = isoperimetric_sharpness_sweep(space, radii)
         diag["sharp_bound"] = table.sharp_bound
         diag["tail_gap"] = table.tail_gap
-        rows = [(row.r, row.vol, row.mink_content, row.ratio,
-                 row.sharp_bound, row.margin) for row in table.rows]
+        sweep = table.rows
     else:
-        rows = []
+        sweep = ()
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {"command": "space", "descriptor": desc,
                    "diagnostics": diag, "passed": passed,
-                   "rows": [dict(zip(("r", "vol", "mink_content", "ratio",
-                                      "sharp_bound", "margin"), r))
-                            for r in rows]}
+                   "rows": [asdict(row) for row in sweep]}
         return _json_doc(payload), passed
     head = [f"# {k}={_fmt15(v) if isinstance(v, float) else v}"
             for k, v in sorted(diag.items())]
-    body = _csv_table(("r", "vol", "mink_content", "ratio",
-                       "sharp_bound", "margin"), rows) if rows else ""
+    body = _csv_table(*_field_columns(SweepRow, sweep)) if sweep else ""
     return "\n".join(head) + ("\n" if head else "") + body, passed
 
 
-def cmd_verify(cfg: RunConfig, args) -> tuple:
+def cmd_verify(args) -> tuple:
     desc = _descriptor_from_flags(args)
     space = space_from_descriptor(desc)
     params = None
@@ -290,23 +270,24 @@ def cmd_verify(cfg: RunConfig, args) -> tuple:
         params = SobolevParams(n=space.effective_dimension, p=args.p,
                                alpha=args.alpha)
     result = run_suite(space, args.suite, p=args.p, params=params,
-                       R_list=args.R, tol=cfg.tol)
-    rows = [(result.name, desc["variant"], row.label, row.report.lhs,
-             row.report.rhs_constant, row.report.quotient, row.report.margin)
-            for row in result.rows]
-    if cfg.fmt == "json":
+                       R_list=args.R, tol=args.tol)
+    if args.format == "json":
         row_space = space.descriptor()
         payload = {"command": "verify", "suite": result.name,
                    "descriptor": desc, "passed": result.passed,
-                   "rows": [{**row.report.as_dict(), "label": row.label,
+                   "rows": [{**asdict(row.report), "label": row.label,
                              "space": row_space} for row in result.rows]}
         return _json_doc(payload), result.passed
-    text = _csv_table(("suite", "variant", "label", "lhs", "rhs_constant",
-                       "quotient", "margin"), rows)
+    names, cells = _field_columns(QuotientReport,
+                                  [row.report for row in result.rows],
+                                  skip=("params",))
+    rows = [(result.name, desc["variant"], row.label) + c
+            for row, c in zip(result.rows, cells)]
+    text = _csv_table(("suite", "variant", "label") + names, rows)
     return text, result.passed
 
 
-def cmd_sandbox(cfg: RunConfig, args) -> tuple:
+def cmd_sandbox(args) -> tuple:
     if args.experiment == "bm":
         if not (isinstance(args.n, int) and args.n >= 1):
             raise DomainError("bm needs a positive integer --n")
@@ -315,15 +296,12 @@ def cmd_sandbox(cfg: RunConfig, args) -> tuple:
         s_grid = [round(0.1 * k, 1) for k in range(11)]
         reports = [brunn_minkowski_report(args.n, args.h, box_a, box_b, s)
                    for s in s_grid]
-        rows = [(rep.s, rep.measure_a, rep.measure_b, rep.measure_z,
-                 rep.lhs, rep.rhs, rep.deficit, rep.c_estimate)
-                for rep in reports]
-        if cfg.fmt == "json":
+        if args.format == "json":
             return _json_doc({"command": "sandbox", "experiment": "bm",
-                              "rows": [rep.as_dict() for rep in reports],
+                              "rows": [asdict(rep) for rep in reports],
                               "passed": True}), True
-        return _csv_table(("s", "measure_a", "measure_b", "measure_z",
-                           "lhs", "rhs", "deficit", "c_estimate"), rows), True
+        return _csv_table(*_field_columns(BmReport, reports,
+                                          skip=("n", "h", "N"))), True
 
     if args.graph is not None:
         sp = _NAMED_GRAPHS[args.graph]()
@@ -332,11 +310,11 @@ def cmd_sandbox(cfg: RunConfig, args) -> tuple:
         R = args.R if args.R is not None else sp.diameter / 2.0
         res = z_inclusion_check(sp, omega_set, x0, R, args.s,
                                 slack=args.slack)
-        if cfg.fmt == "json":
+        if args.format == "json":
             return _json_doc({"command": "sandbox",
                               "experiment": "z-inclusion",
                               "graph": args.graph,
-                              "result": res.as_dict(),
+                              "result": asdict(res),
                               "passed": res.passed}), res.passed
         lines = ["name,value",
                  f"graph,{args.graph}",
@@ -354,37 +332,38 @@ def cmd_sandbox(cfg: RunConfig, args) -> tuple:
         raise DomainError("--seeds must be at least 1")
     rows = []
     all_passed = True
-    for seed in range(cfg.seed, cfg.seed + args.seeds):
+    for seed in range(args.seed, args.seed + args.seeds):
         res = seeded_z_inclusion(seed)
         all_passed = all_passed and res.passed
         rows.append((seed, len(res.z_set), res.d0, res.radius, res.passed))
+    names = ("seed", "z_count", "d0", "radius", "passed")
+    if args.format == "json":
+        payload = {"command": "sandbox", "experiment": "z-inclusion",
+                   "seeds": args.seeds, "passed": all_passed,
+                   "rows": [dict(zip(names, r)) for r in rows]}
+        return _json_doc(payload), all_passed
     summary = f"# {sum(1 for r in rows if r[4])}/{len(rows)} passed"
-    if cfg.fmt == "json":
-        return _json_doc({"command": "sandbox", "experiment": "z-inclusion",
-                          "seeds": args.seeds, "passed": all_passed,
-                          "rows": [dict(zip(("seed", "z_count", "d0",
-                                             "radius", "passed"), r))
-                                   for r in rows]}), all_passed
-    text = summary + "\n" + _csv_table(
-        ("seed", "z_count", "d0", "radius", "passed"), rows)
-    return text, all_passed
+    return summary + "\n" + _csv_table(names, rows), all_passed
 
 
 _DISPATCH = {"constants": cmd_constants, "space": cmd_space,
              "verify": cmd_verify, "sandbox": cmd_sandbox}
 
 
-def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.output is None:
+def _write(output, text: str) -> None:
+    if output is None:
         sys.stdout.write(text)
         return
-    path = cfg.output
+    path = output
     if not os.path.isabs(path):
         base = os.environ.get("ISOSHARP_OUTPUT_DIR")
         if base:
             path = os.path.join(base, path)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def main(argv=None) -> int:
@@ -394,10 +373,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = RunConfig(fmt=args.format, output=args.output, seed=args.seed,
-                        tol=args.tol)
-        text, passed = _DISPATCH[args.command](cfg, args)
-        _write(cfg, text)
+        if args.tol is not None and not args.tol > 0.0:
+            raise DomainError(f"tolerance must be positive, got {args.tol!r}")
+        text, passed = _DISPATCH[args.command](args)
+        _write(args.output, text)
     except (DomainError, UnsupportedOperationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -85,6 +85,7 @@ class SharpConstants:
     gn_sharp: float
     fk: float
     rayleigh: float
+    isoperimetric: float
     avr: float
 
 
@@ -195,5 +196,6 @@ def sharp_constants(params: SobolevParams, avr: float) -> SharpConstants:
         gn_sharp=gn_sharp_constant(params, avr),
         fk=fk_constant(params.n, avr),
         rayleigh=rayleigh_constant(params.n, avr),
+        isoperimetric=isoperimetric_constant(params.n, avr),
         avr=avr,
     )

@@ -289,12 +289,6 @@ class ZInclusionResult:
     radius: float
     d0: float
 
-    def as_dict(self) -> dict:
-        return {"passed": self.passed, "violating": self.violating,
-                "z_set": list(self.z_set),
-                "neighborhood": list(self.neighborhood),
-                "radius": self.radius, "d0": self.d0}
-
 
 def z_inclusion_check(space: FiniteMetricMeasureSpace, omega, x0,
                       R: float, s: float, slack: float = 0.0,
@@ -362,13 +356,6 @@ class BmReport:
     rhs: float
     deficit: float
     c_estimate: float
-
-    def as_dict(self) -> dict:
-        return {"n": self.n, "h": self.h, "s": self.s, "N": self.N,
-                "measure_a": self.measure_a, "measure_b": self.measure_b,
-                "measure_z": self.measure_z, "lhs": self.lhs,
-                "rhs": self.rhs, "deficit": self.deficit,
-                "c_estimate": self.c_estimate}
 
 
 def _axis_range(lo: float, hi: float, m: int) -> np.ndarray:

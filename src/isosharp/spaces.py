@@ -23,14 +23,16 @@ reject it.
 
 ``vol_ball`` and ``minkowski_content_ball`` take a radius (float result) or
 an array of radii (array result) through one guard: every radius positive
-and finite, every value inside double precision.  The sweeps and checks
-below make one array call each, and the sharp isoperimetric bound they
-compare against is ``constants.isoperimetric_constant``.
+and finite, every volume a normal double, every sphere measure positive and
+finite.  The sweeps and checks below make one array call each, and the
+sharp isoperimetric bound they compare against is
+``constants.isoperimetric_constant``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -442,13 +444,15 @@ def _radii(r) -> np.ndarray:
     return radii.astype(float)
 
 
-def _guarded(r, evaluate, what):
+def _guarded(r, evaluate, what, least=sys.float_info.min):
     """evaluate(radii), a float for a radius and an array for an array; every
-    value positive and finite (0 is underflow and inf overflow for r > 0)."""
+    value finite and >= least (0 is underflow and inf overflow for r > 0).
+    The default least admits normal doubles only: a subnormal has lost
+    leading digits."""
     radii = _radii(r)
     with np.errstate(all="ignore"):
         values = np.asarray(evaluate(radii), dtype=float)
-    outside = ~((values > 0.0) & (values < math.inf))
+    outside = ~((values >= least) & (values < math.inf))
     if outside.any():
         raise DomainError(f"{what} at r={float(radii[outside][0])!r} lies "
                           "outside double precision")
@@ -461,8 +465,12 @@ def vol_ball(space: ModelSpace, r):
 
 
 def minkowski_content_ball(space: ModelSpace, r):
-    """Outer Minkowski content (sphere measure) of each radius-r ball."""
-    return _guarded(r, space.content, "sphere measure")
+    """Outer Minkowski content (sphere measure) of each radius-r ball.
+
+    A positive subnormal passes: the Faber-Krahn shooting starts at radii
+    where it is subnormal at large n, and only ratios of densities enter.
+    """
+    return _guarded(r, space.content, "sphere measure", least=math.ulp(0.0))
 
 
 @dataclass(frozen=True)

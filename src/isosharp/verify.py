@@ -56,11 +56,6 @@ class QuotientReport:
     margin: float
     params: dict
 
-    def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs_constant": self.rhs_constant,
-                "quotient": self.quotient, "margin": self.margin,
-                "params": dict(self.params)}
-
 
 @dataclass(frozen=True)
 class EigenResult:

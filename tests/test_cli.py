@@ -396,8 +396,60 @@ class TestPlumbing:
         assert code == 0
         assert (tmp_path / "rel.csv").exists()
 
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        # a missing directory and a directory in place of the file
+        for target in (tmp_path / "missing" / "x.csv", tmp_path):
+            code, out, err = run_cli(capsys, "constants", "--n", "3",
+                                     "--output", str(target))
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: cannot write {target}: ")
+
     def test_missing_subcommand_exit_2(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+    @pytest.mark.parametrize("argv, columns, json_keys, json_record", [
+        (("constants", "--n", "3"),
+         "omega_n fk rayleigh isoperimetric avr",
+         "omega_n fk rayleigh isoperimetric avr", lambda d: d["values"]),
+        (("constants", "--n", "3", "--p", "2"),
+         "omega_n at theta gn sobolev gn_sharp fk rayleigh isoperimetric avr",
+         "omega_n at theta gn sobolev gn_sharp fk rayleigh isoperimetric avr",
+         lambda d: d["values"]),
+        (("space", "--variant", "euclidean", "--n", "3",
+          "--sweep", "1:10:log:3"),
+         "r vol mink_content ratio sharp_bound margin",
+         "r vol mink_content ratio sharp_bound margin",
+         lambda d: d["rows"][0]),
+        (("verify", "sobolev", "--variant", "euclidean", "--n", "3"),
+         "suite variant label lhs rhs_constant quotient margin",
+         "lhs rhs_constant quotient margin params label space",
+         lambda d: d["rows"][0]),
+        (("sandbox", "bm"),
+         "s measure_a measure_b measure_z lhs rhs deficit c_estimate",
+         "n h s N measure_a measure_b measure_z lhs rhs deficit c_estimate",
+         lambda d: d["rows"][0]),
+        (("sandbox", "z-inclusion", "--seeds", "2"),
+         "seed z_count d0 radius passed",
+         "seed z_count d0 radius passed", lambda d: d["rows"][0]),
+        (("sandbox", "z-inclusion", "--graph", "path5"),
+         "graph s R d0 radius passed violating z_set neighborhood",
+         "passed violating z_set neighborhood radius d0",
+         lambda d: d["result"]),
+    ])
+    def test_table_columns(self, capsys, argv, columns, json_keys,
+                           json_record):
+        # the record's field order is the output contract: the CSV header
+        # (the name column of a name,value table) in order, the JSON keys
+        # as a set
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header, rows = data_rows(out)
+        if header == ["name", "value"]:
+            header = [row[0] for row in rows]
+        assert header == columns.split()
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert set(json_record(json.loads(out))) == set(json_keys.split())
 
     @pytest.mark.parametrize("argv", [
         # a fractional dimension where the variant needs an integer
@@ -445,13 +497,18 @@ class TestPlumbing:
         # a radius whose first shooting node R * 1e-8 underflows to 0
         ("verify", "faber-krahn", "--variant", "euclidean", "--n", "3",
          "--R", "5e-324"),
-        # the unit-height test function's integrals leave double precision:
-        # subnormal beside a subnormal vol(B_R), and 0 at n = 60, where the
-        # mass integral is 1.8e-11 vol(B_R)
+        # a subnormal vol(B_R), which the volume guard rejects
         ("verify", "fk-sweep", "--variant", "euclidean", "--n", "3",
          "--R", "1e-103"),
         ("verify", "fk-sweep", "--variant", "euclidean", "--n", "60",
          "--R", "1e-5"),
+        ("space", "--variant", "euclidean", "--n", "3",
+         "--sweep", "1e-107:1e-103:log:5"),
+        # the unit-height test function's integrals leave double precision
+        # beside a normal vol(B_R): at n = 60 the mass integral is 1.8e-11
+        # vol(B_R), subnormal at R = 2e-5
+        ("verify", "fk-sweep", "--variant", "euclidean", "--n", "60",
+         "--R", "2e-5"),
         # the extremal's r_cut^{p'} overflows as p' = p/(p-1) grows
         ("verify", "sobolev", "--variant", "euclidean", "--n", "3",
          "--p", "1.000001"),

@@ -208,7 +208,7 @@ def test_all_constants_positive_random_sweep():
         prm = SobolevParams(n, p, alpha)
         rec = sharp_constants(prm, avr)
         for name in ("omega_n", "at", "theta", "gn", "sobolev", "gn_sharp",
-                     "fk", "rayleigh", "avr"):
+                     "fk", "rayleigh", "isoperimetric", "avr"):
             v = getattr(rec, name)
             assert math.isfinite(v) and v > 0.0, (name, prm, avr)
 

@@ -66,6 +66,13 @@ class TestEuclidean:
         with pytest.raises(DomainError):
             vol_ball(Euclidean(2.5), np.array([1.0, 1e300]))
 
+    def test_subnormal_volume_rejected(self):
+        # vol(B_r) = 4.2e-321 has lost its leading digits; the sphere
+        # measure may be subnormal (only density ratios use it)
+        with pytest.raises(DomainError):
+            vol_ball(Euclidean(3), 1e-107)
+        assert 0.0 < minkowski_content_ball(Euclidean(3), 1e-155) < 1e-308
+
 
 class TestWarpedProduct:
     def test_profile_limits(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -441,7 +442,7 @@ class TestSuites:
 
     def test_report_round_trips_to_dict(self):
         rep = sobolev_quotient(Euclidean(3), curated_profiles()[0][1], 2.0)
-        d = rep.as_dict()
+        d = dataclasses.asdict(rep)
         assert d["margin"] == rep.margin
         assert d["params"] == rep.params
         assert "space" not in d     # the CLI adds the descriptor itself
