@@ -30,3 +30,5 @@ expect 2 space --variant euclidean --n 3 --sweep 1e-107:1e-103:log:5
 expect 2 constants --n 3 --output /nonexistent-dir/x.csv
 expect 0 constants --n 3 --p 2 --format json
 expect 0 sandbox bm --format json
+expect 2 sandbox bm --n 300
+expect 2 space --variant ale --n 3 --k 4 --sweep 1:10:lin:5

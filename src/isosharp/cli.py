@@ -289,8 +289,6 @@ def cmd_verify(args) -> tuple:
 
 def cmd_sandbox(args) -> tuple:
     if args.experiment == "bm":
-        if not (isinstance(args.n, int) and args.n >= 1):
-            raise DomainError("bm needs a positive integer --n")
         box_a = [(0.0, 0.25)] * args.n
         box_b = [(0.5, 0.75)] * args.n
         s_grid = [round(0.1 * k, 1) for k in range(11)]

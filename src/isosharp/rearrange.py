@@ -169,19 +169,6 @@ class RadialFunction:
         vals = np.maximum(np.asarray(fn(g), dtype=float), 0.0)
         return cls(g, vals, value_fn=fn, deriv_fn=deriv)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("r,u\n")
-            for r, u in zip(self.r_grid, self.values):
-                fh.write(f"{float(r)!r},{float(u)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "RadialFunction":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if rows.shape[1] != 2:
-            raise DomainError("radial CSV must have two columns (r, u)")
-        return cls(rows[:, 0], rows[:, 1])
-
 
 class DistributionProfile:
     """V(t) = measure of {u > t}, tabulated on a descending level grid."""
@@ -201,19 +188,6 @@ class DistributionProfile:
         self.t_grid = t
         self.volumes = v
         self.radii = None if radii is None else np.asarray(radii, dtype=float)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("t,V\n")
-            for t, v in zip(self.t_grid, self.volumes):
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "DistributionProfile":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if rows.shape[1] != 2:
-            raise DomainError("distribution CSV must have two columns (t, V)")
-        return cls(rows[:, 0], rows[:, 1])
 
 
 def _check_monotone_probe(u: RadialFunction):

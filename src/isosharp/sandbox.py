@@ -13,9 +13,9 @@ fixed seed.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,36 +107,6 @@ class FiniteMetricMeasureSpace:
             return self.points.index(label)
         except ValueError:
             raise DomainError(f"unknown point id {label!r}") from None
-
-    def to_edge_csv(self, path) -> None:
-        """Complete upper-triangle edge list; loadable by from_edge_csv."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["u", "v", "weight"])
-            for i in range(self.n_points):
-                for j in range(i + 1, self.n_points):
-                    writer.writerow([self.points[i], self.points[j],
-                                     repr(float(self.dist[i, j]))])
-
-    @classmethod
-    def from_edge_csv(cls, path) -> "FiniteMetricMeasureSpace":
-        """Builds the shortest-path metric closure of an edge list."""
-        edges = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [h.strip() for h in header] != ["u", "v", "weight"]:
-                raise DomainError(f"expected header u,v,weight, got {header}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise DomainError(f"malformed edge row {row}")
-                edges.append((row[0].strip(), row[1].strip(), float(row[2])))
-        labels = sorted({u for u, _, _ in edges} | {v for _, v, _ in edges})
-        if not labels:
-            raise DomainError("edge list is empty")
-        return from_edges(labels, [(u, v, w) for u, v, w in edges])
 
 
 def from_edges(points, edges) -> FiniteMetricMeasureSpace:
@@ -374,7 +344,8 @@ def brunn_minkowski_report(n: int, h: float, box_a, box_b, s: float,
     """m(Z_s)^{1/N} vs (1-s) m(A)^{1/N} + s m(B)^{1/N} on the h-lattice.
 
     A and B are axis-aligned boxes in [0,1]^n, discretized by counting
-    measure count h^n.  Z_s collects the lattice roundings of the exact
+    measure count h^n; DomainError where h^n or a count leaves the normal
+    doubles.  Z_s collects the lattice roundings of the exact
     interpolants (1-s) a + s b, a factored per-axis product for boxes.
     The deficit is a discretization report, not a curvature statement:
     the contract is deficit >= -C h with the measured C returned.
@@ -396,6 +367,10 @@ def brunn_minkowski_report(n: int, h: float, box_a, box_b, s: float,
         N = float(n)
     if not N >= 1.0:
         raise DomainError(f"exponent dimension must be >= 1, got {N!r}")
+    cell = h ** n
+    if cell < sys.float_info.min:
+        raise DomainError(
+            f"cell volume h^n = {h!r}^{n} is not a normal double")
 
     count_a = count_b = count_z = 1
     for (alo, ahi), (blo, bhi) in zip(box_a, box_b):
@@ -405,9 +380,11 @@ def brunn_minkowski_report(n: int, h: float, box_a, box_b, s: float,
         count_b *= ib.size
         vals = (1.0 - s) * ia[:, None] + s * ib[None, :]
         count_z *= np.unique(np.floor(vals + 0.5).astype(int)).size
-    ma = count_a * h ** n
-    mb = count_b * h ** n
-    mz = count_z * h ** n
+    try:
+        ma, mb, mz = (count * cell for count in (count_a, count_b, count_z))
+    except OverflowError:       # a count above the largest double
+        raise DomainError(
+            f"a lattice count at n={n} overflows a double") from None
     lhs = mz ** (1.0 / N)
     rhs = (1.0 - s) * ma ** (1.0 / N) + s * mb ** (1.0 / N)
     deficit = lhs - rhs

@@ -547,26 +547,6 @@ def curvature_check(profile: WarpingProfile, grid) -> CurvatureReport:
 
 
 @dataclass(frozen=True)
-class DeficitResult:
-    lhs: float
-    rhs: float
-    ratio: float
-
-
-def isoperimetric_deficit(space: ModelSpace, r: float) -> DeficitResult:
-    """Sharp isoperimetric inequality evaluated on the radius-r ball.
-
-    lhs = Minkowski content, rhs = N omega_N^{1/N} AVR^{1/N} vol^{(N-1)/N};
-    the theorem asserts lhs >= rhs, with equality exactly on cones.
-    """
-    N = space.effective_dimension
-    lhs = minkowski_content_ball(space, r)
-    vol = vol_ball(space, r)
-    rhs = isoperimetric_constant(N, space.avr()) * vol ** ((N - 1.0) / N)
-    return DeficitResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
-
-
-@dataclass(frozen=True)
 class SweepRow:
     r: float
     vol: float
@@ -604,19 +584,6 @@ def isoperimetric_sharpness_sweep(space: ModelSpace, r_list) -> SweepTable:
                                        content.tolist(), ratio.tolist()))
     return SweepTable(rows=rows, sharp_bound=bound,
                       tail_gap=abs(rows[-1].ratio - bound))
-
-
-@dataclass(frozen=True)
-class WeightedAvr:
-    lam: float
-    avr: float
-
-
-def weighted_avr_lambda(space: MonomialHalfSpace) -> WeightedAvr:
-    """Lambda_alpha = int_{B(1), x_n>0} x_n^alpha_w and the derived AVR."""
-    if not isinstance(space, MonomialHalfSpace):
-        raise DomainError("weighted_avr_lambda applies to MonomialHalfSpace only")
-    return WeightedAvr(lam=space.unit_ball_volume, avr=space.avr())
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
-"""Special functions the standard library lacks, plus its Gamma.
+"""Special functions the standard library lacks.
 
-Gamma and log-gamma are the C library's (``math.gamma``, ``math.lgamma``)
-behind this package's domain checks.  Bessel functions of the first kind
-for real nonnegative order are evaluated by the ascending power series for
-small argument and by Miller backward recurrence otherwise; the recurrence
-is normalized by the Neumann series identity, which works for non-integer
-order too.  Both kernels are duck-typed, so an array argument runs the
-same arithmetic elementwise.  First positive zeros start from McMahon /
-Olver-type guesses and are found by Brent's method, once per order; the
-same ``_brent`` finds the Faber-Krahn eigenvalue in ``verify``.
+Log-gamma is the C library's ``math.lgamma`` behind this package's domain
+checks.  Bessel functions of the first kind for real nonnegative order are
+evaluated by the ascending power series for small argument and by Miller
+backward recurrence otherwise; the recurrence is normalized by the Neumann
+series identity, which works for non-integer order too.  Both kernels are
+duck-typed, so an array argument runs the same arithmetic elementwise.
+First positive zeros start from McMahon / Olver-type guesses and are found
+by Brent's method, once per order; the same ``_brent`` finds the
+Faber-Krahn eigenvalue in ``verify``.
 
 Everything else here is plain arithmetic on purpose: this module is the
 kernel the rest of the package is checked against, so it must not import a
@@ -27,16 +27,6 @@ from .errors import ConvergenceError, DomainError
 def _check_positive(x, what):
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
         raise DomainError(f"{what} requires a positive finite real, got {x!r}")
-
-
-def gamma(x: float) -> float:
-    """Gamma function for x > 0, the C library's; DomainError where it
-    overflows (x above ~171.6, or x below ~5.6e-309)."""
-    _check_positive(x, "gamma")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise DomainError(f"gamma({x!r}) overflows double precision") from None
 
 
 def log_gamma(x: float) -> float:

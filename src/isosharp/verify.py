@@ -77,25 +77,6 @@ def _h_deriv(lam, pp, expo, r):
     return expo * pp * r ** (pp - 1.0) * (lam + r ** pp) ** (expo - 1.0)
 
 
-def extremal_h(alpha: float, p: float, lam: float, r: float) -> float:
-    """h(r) = (lam + r^{p'})^{1/(1-alpha)}: the sharp-quotient profile."""
-    if not (isinstance(alpha, (int, float)) and alpha > 1.0):
-        raise DomainError(f"alpha must exceed 1, got {alpha!r}")
-    if not (isinstance(p, (int, float)) and p > 1.0):
-        raise DomainError(f"p must exceed 1, got {p!r}")
-    if not (isinstance(lam, (int, float)) and lam > 0.0):
-        raise DomainError(f"lambda must be positive, got {lam!r}")
-    if not (isinstance(r, (int, float)) and r >= 0.0):
-        raise DomainError(f"radius must be nonnegative, got {r!r}")
-    return _h(lam, p / (p - 1.0), 1.0 / (1.0 - alpha), r)
-
-
-def extremal_h_deriv(alpha: float, p: float, lam: float, r: float) -> float:
-    """d/dr of extremal_h; zero at r=0, negative elsewhere."""
-    extremal_h(alpha, p, lam, r)   # parameter validation
-    return _h_deriv(lam, p / (p - 1.0), 1.0 / (1.0 - alpha), r)
-
-
 def _cut(g, dg, cut: float, grid) -> RadialFunction:
     """The exact profile (g - g(cut))_+, with slope g' on [0, cut) and 0
     from cut on.

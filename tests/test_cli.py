@@ -512,6 +512,10 @@ class TestPlumbing:
         # the extremal's r_cut^{p'} overflows as p' = p/(p-1) grows
         ("verify", "sobolev", "--variant", "euclidean", "--n", "3",
          "--p", "1.000001"),
+        # a lattice cell volume (1/64)^n below the least normal double; n =
+        # 300 used to end in an OverflowError, n = 200 in zero measures
+        ("sandbox", "bm", "--n", "300"),
+        ("sandbox", "bm", "--n", "200"),
     ])
     def test_bad_input_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -549,7 +553,9 @@ _ARGV = st.one_of(
               _flags(n=_FLOAT, a=_FLOAT, beta=_FLOAT, m=_FLOAT,
                      alpha_w=_FLOAT, k=_INT, sweep=_SWEEP)).map(
         lambda v: ["space", "--variant", v[0]] + v[1]),
-    _flags(n=_INT, h=_FLOAT).map(lambda v: ["sandbox", "bm"] + v),
+    # bm's --n also around and past the least normal cell volume (1/64)^n
+    _flags(n=st.one_of(_INT, st.sampled_from(["170", "171", "300", "1100"])),
+           h=_FLOAT).map(lambda v: ["sandbox", "bm"] + v),
     st.tuples(st.sampled_from(["path3", "path5", "grid4", "grid5"]),
               _flags(s=_FLOAT, slack=_FLOAT, R=_FLOAT)).map(
         lambda v: ["sandbox", "z-inclusion", "--graph", v[0]] + v[1]),

@@ -16,7 +16,6 @@ from isosharp import rearrange
 from isosharp.constants import SobolevParams
 from isosharp.errors import DomainError, InvariantViolation
 from isosharp.rearrange import (
-    DistributionProfile,
     RadialFunction,
     coarea_derivative_check,
     distribution,
@@ -123,14 +122,6 @@ class TestRadialFunction:
         assert float(u.value(1.6)) == 0.0
         assert u.height == 2.0
 
-    def test_csv_round_trip(self, tmp_path):
-        u = tent(nodes=37)
-        path = tmp_path / "tent.csv"
-        u.to_csv(path)
-        back = RadialFunction.from_csv(path)
-        assert np.array_equal(back.r_grid, u.r_grid)
-        assert np.array_equal(back.values, u.values)
-
 
 class TestDistribution:
     def test_plateau_euclidean(self):
@@ -169,14 +160,6 @@ class TestDistribution:
                            deriv_fn=lambda r: 2.0 * np.asarray(r))
         with pytest.raises(InvariantViolation):
             distribution(Euclidean(2), u, [0.8, 0.4])
-
-    def test_csv_round_trip(self, tmp_path):
-        prof = distribution(Euclidean(2), tent(), np.linspace(0.9, 0.1, 9))
-        path = tmp_path / "dist.csv"
-        prof.to_csv(path)
-        back = DistributionProfile.from_csv(path)
-        assert np.array_equal(back.t_grid, prof.t_grid)
-        assert np.array_equal(back.volumes, prof.volumes)
 
 
 class TestRearrangement:

@@ -293,36 +293,49 @@ class TestBrunnMinkowski:
         with pytest.raises(DomainError):
             brunn_minkowski_report(1, 2.0 ** -11, [(0, 1)], [(0, 1)], 0.5)
 
+    def test_measures_outside_the_normal_doubles_rejected(self):
+        # 64^-170 = 2^-1020 is still normal, 64^-171 is not
+        rep = brunn_minkowski_report(170, 1 / 64, [(0, 0.25)] * 170,
+                                     [(0.5, 0.75)] * 170, 0.5)
+        assert rep.measure_a == 17 ** 170 * 64.0 ** -170
+        with pytest.raises(DomainError, match="cell volume"):
+            brunn_minkowski_report(171, 1 / 64, [(0, 0.25)] * 171,
+                                   [(0.5, 0.75)] * 171, 0.5)
+        # a normal cell 2^-700, but 3^700 lattice points overflow a double
+        with pytest.raises(DomainError, match="lattice count"):
+            brunn_minkowski_report(700, 0.5, [(0, 1)] * 700, [(0, 1)] * 700,
+                                   0.5)
+
+
+def edge_list(sp):
+    """Every pair of a space's points with its distance."""
+    return [(sp.points[i], sp.points[j], float(sp.dist[i, j]))
+            for i in range(sp.n_points) for j in range(i + 1, sp.n_points)]
+
 
 class TestSerialization:
-    def test_path_round_trip(self, tmp_path):
+    def test_path_round_trip(self):
+        # a metric is its own shortest-path closure
         sp = path_graph(3)
-        f = tmp_path / "edges.csv"
-        sp.to_edge_csv(f)
-        loaded = FiniteMetricMeasureSpace.from_edge_csv(f)
+        loaded = from_edges(sp.points, edge_list(sp))
         assert loaded.n_points == 3
         assert np.array_equal(loaded.dist, sp.dist)
 
-    def test_random_space_round_trip(self, tmp_path):
+    def test_random_space_round_trip(self):
         sp = random_space(42)
-        f = tmp_path / "space.csv"
-        sp.to_edge_csv(f)
-        loaded = FiniteMetricMeasureSpace.from_edge_csv(f)
-        assert loaded.n_points == sp.n_points
-        for i, p in enumerate(sp.points):
-            for j, q in enumerate(sp.points):
-                d = loaded.dist[loaded.index(str(p)), loaded.index(str(q))]
-                assert d == pytest.approx(sp.dist[i, j], abs=1e-12)
+        loaded = from_edges(sp.points, edge_list(sp))
+        assert loaded.points == sp.points
+        assert np.allclose(loaded.dist, sp.dist, rtol=0.0, atol=1e-12)
 
-    def test_edges_listed_both_ways(self, tmp_path):
-        f = tmp_path / "edges.csv"
-        f.write_text("u,v,weight\na,b,1.0\nb,a,1.0\nb,c,2.5\nc,b,2.5\n")
-        loaded = FiniteMetricMeasureSpace.from_edge_csv(f)
+    def test_edges_listed_both_ways(self):
+        loaded = from_edges(["a", "b", "c"],
+                            [("a", "b", 1.0), ("b", "a", 1.0),
+                             ("b", "c", 2.5), ("c", "b", 2.5)])
         assert loaded.points == ("a", "b", "c")
         assert np.array_equal(loaded.dist, [[0.0, 1.0, 3.5], [1.0, 0.0, 2.5],
                                             [3.5, 2.5, 0.0]])
 
-    def test_long_path_csv_matches_scipy_dijkstra(self, tmp_path):
+    def test_long_path_csv_matches_scipy_dijkstra(self):
         # the longest shortest path has n - 1 hops, and the closure still
         # needs only n x n arrays
         from scipy.sparse import csr_matrix
@@ -330,22 +343,14 @@ class TestSerialization:
 
         n = 400
         w = np.random.default_rng(7).uniform(1.0, 2.0, n - 1)
-        f = tmp_path / "path.csv"
-        f.write_text("u,v,weight\n" + "".join(
-            f"p{i},p{i + 1},{float(w[i])!r}\n" for i in range(n - 1)))
-        loaded = FiniteMetricMeasureSpace.from_edge_csv(f)
-        order = [loaded.index(f"p{i}") for i in range(n)]
+        loaded = from_edges([f"p{i}" for i in range(n)],
+                            [(f"p{i}", f"p{i + 1}", float(w[i]))
+                             for i in range(n - 1)])
         graph = csr_matrix((w, (np.arange(n - 1), np.arange(1, n))),
                            shape=(n, n))
         ref = shortest_path(graph, method="D", directed=False)
         ref = np.minimum(ref, ref.T)
-        assert np.array_equal(loaded.dist[np.ix_(order, order)], ref)
-
-    def test_malformed_csv_rejected(self, tmp_path):
-        f = tmp_path / "bad.csv"
-        f.write_text("a,b\n0,1\n")
-        with pytest.raises(DomainError):
-            FiniteMetricMeasureSpace.from_edge_csv(f)
+        assert np.array_equal(loaded.dist, ref)
 
 
 def test_random_space_deterministic():

@@ -18,12 +18,10 @@ from isosharp.spaces import (
     avr_numeric,
     bishop_gromov_check,
     curvature_check,
-    isoperimetric_deficit,
     isoperimetric_sharpness_sweep,
     minkowski_content_ball,
     space_from_descriptor,
     vol_ball,
-    weighted_avr_lambda,
 )
 from isosharp.specfun import omega
 
@@ -32,6 +30,12 @@ from oracles import warped_volume_oracle
 
 def warped(n=3, a=0.5, beta=2.0):
     return WarpedProduct(n=n, profile=ExponentialTail(a=a, beta=beta))
+
+
+def deficit_ratio(space, r):
+    """m+(B_r) over the sharp isoperimetric bound on the radius-r ball."""
+    table = isoperimetric_sharpness_sweep(space, [r])
+    return table.rows[0].ratio / table.sharp_bound
 
 
 class TestEuclidean:
@@ -114,9 +118,8 @@ class TestWarpedProduct:
             assert minkowski_content_ball(flat, r) == pytest.approx(
                 minkowski_content_ball(e3, r), rel=1e-9)
         assert flat.avr() == pytest.approx(1.0, abs=1e-15)
-        d_flat = isoperimetric_deficit(flat, 2.0)
-        d_eucl = isoperimetric_deficit(e3, 2.0)
-        assert d_flat.ratio == pytest.approx(d_eucl.ratio, abs=1e-9)
+        assert deficit_ratio(flat, 2.0) == pytest.approx(
+            deficit_ratio(e3, 2.0), abs=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -244,8 +247,7 @@ class TestEuclideanCone:
         cone = EuclideanCone(n=2, m_M=2 * math.pi)
         assert cone.avr() == pytest.approx(0.5, rel=1e-14)
         for r in (0.3, 1.0, 25.0):
-            d = isoperimetric_deficit(cone, r)
-            assert d.ratio == pytest.approx(1.0, abs=1e-12)
+            assert deficit_ratio(cone, r) == pytest.approx(1.0, abs=1e-12)
 
     def test_link_measure_bound(self):
         with pytest.raises(DomainError):
@@ -258,12 +260,12 @@ class TestEuclideanCone:
 
 class TestMonomialHalfSpace:
     def test_lambda_examples(self):
-        assert weighted_avr_lambda(MonomialHalfSpace(1, 1.0)).lam == \
+        assert MonomialHalfSpace(1, 1.0).unit_ball_volume == \
             pytest.approx(0.5, rel=1e-12)
-        assert weighted_avr_lambda(MonomialHalfSpace(2, 1.0)).lam == \
+        assert MonomialHalfSpace(2, 1.0).unit_ball_volume == \
             pytest.approx(2.0 / 3.0, rel=1e-12)
         # alpha_w = 0 degenerates to the unweighted half-ball
-        assert weighted_avr_lambda(MonomialHalfSpace(3, 0.0)).lam == \
+        assert MonomialHalfSpace(3, 0.0).unit_ball_volume == \
             pytest.approx(omega(3.0) / 2.0, rel=1e-12)
 
     def test_lambda_against_beta_closed_form(self):
@@ -273,7 +275,7 @@ class TestMonomialHalfSpace:
             b = (math.gamma((aw + 1) / 2.0) * math.gamma((n + 1) / 2.0)
                  / math.gamma((aw + n) / 2.0 + 1.0))
             ref = w_slice * b / 2.0
-            lam = weighted_avr_lambda(MonomialHalfSpace(n, aw)).lam
+            lam = MonomialHalfSpace(n, aw).unit_ball_volume
             assert lam == pytest.approx(ref, rel=1e-10)
 
     def test_lambda_matches_mpmath(self):
@@ -297,14 +299,13 @@ class TestMonomialHalfSpace:
         xg, yg = np.meshgrid(xs, ys)
         inside = xg * xg + yg * yg <= 1.0
         ref = float(np.sum(yg[inside] ** aw)) * (2.0 / m) * (1.0 / m)
-        lam = weighted_avr_lambda(MonomialHalfSpace(2, aw)).lam
+        lam = MonomialHalfSpace(2, aw).unit_ball_volume
         assert lam == pytest.approx(ref, rel=2e-3)
 
     def test_exact_isoperimetric_equality(self):
         space = MonomialHalfSpace(2, 1.0)
         for r in (0.5, 4.0):
-            assert isoperimetric_deficit(space, r).ratio == pytest.approx(
-                1.0, abs=1e-12)
+            assert deficit_ratio(space, r) == pytest.approx(1.0, abs=1e-12)
 
     def test_effective_dimension_and_avr(self):
         space = MonomialHalfSpace(2, 1.0)
@@ -320,8 +321,6 @@ class TestMonomialHalfSpace:
             MonomialHalfSpace(2, -0.5)
         with pytest.raises(DomainError):
             MonomialHalfSpace(500, 1.0).avr()  # Lambda and omega_N underflow
-        with pytest.raises(DomainError):
-            weighted_avr_lambda(Euclidean(3))
 
 
 class TestAleQuotient:
@@ -414,11 +413,10 @@ class TestSharpnessSweep:
         for space in (Euclidean(4), warped(n=3, a=0.6, beta=1.0),
                       EuclideanCone(3, 5.0), MonomialHalfSpace(3, 0.5)):
             for r in grid:
-                assert isoperimetric_deficit(space, float(r)).ratio >= 1 - 1e-9
+                assert deficit_ratio(space, float(r)) >= 1 - 1e-9
 
     def test_warped_deficit_strictly_positive(self):
-        d = isoperimetric_deficit(warped(), 1.0)
-        assert d.ratio > 1.0 + 1e-6
+        assert deficit_ratio(warped(), 1.0) > 1.0 + 1e-6
 
     def test_sweep_ratio_nonincreasing_and_converges(self):
         space = warped(n=3, a=0.5, beta=2.0)

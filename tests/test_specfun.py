@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from isosharp.errors import ConvergenceError, DomainError
 from isosharp import specfun
 from isosharp.specfun import (bessel_first_zero, bessel_j, bessel_j_scaled,
-                              beta, gamma, log_gamma, log_omega, omega)
+                              beta, log_gamma, log_omega, omega)
 
 from oracles import bessel_series_oracle, bessel_zero_oracle
 
@@ -27,44 +27,6 @@ J1_ZERO = 3.831705970207512
 J32_ZERO = 4.493409457909064   # j_{3/2}, frozen from mpmath
 J2_ZERO = 5.135622301840683
 J72_ZERO = 6.98793200050052    # j_{7/2}
-
-
-def test_gamma_trivial_values():
-    assert gamma(1.0) == pytest.approx(1.0, rel=1e-13)
-    assert gamma(0.5) == pytest.approx(1.7724538509055159, rel=1e-13)
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
-
-
-def test_gamma_matches_mpmath_to_contract():
-    # post: relative error <= 1e-14 on (0, 171.6], up to the overflow edge
-    xs = np.concatenate([np.geomspace(1e-300, 0.02, 40),
-                         np.linspace(0.02, 2.0, 160),
-                         np.linspace(2.0, 171.6, 400)])
-    with mp.workdps(30):
-        for x in xs:
-            x = float(x)
-            want = float(mp.gamma(x))
-            assert gamma(x) == pytest.approx(want, rel=1e-14), x
-
-
-def test_gamma_overflow_edges_raise():
-    # Gamma(x) ~ 1/x overflows below ~5.6e-309, as above ~171.62
-    for bad in (5e-324, 1e-309, 171.7):
-        with pytest.raises(DomainError):
-            gamma(bad)
-    assert gamma(1e-308) == pytest.approx(1e308, rel=1e-14)
-
-
-def test_gamma_domain_errors():
-    for bad in (0.0, -1.0, math.nan, math.inf, 2000.0):
-        with pytest.raises(DomainError):
-            gamma(bad)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=0.1, max_value=80.0))
-def test_gamma_recurrence(x):
-    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
 
 
 def test_log_gamma_consistent_with_gamma():
@@ -281,7 +243,7 @@ def test_omega_direct_formula_consistency():
     # real N allowed; compare the log-space route with the direct formula
     for N in np.concatenate([np.linspace(1.0, 60.0, 49), [2.5, 3.7, 11.3]]):
         N = float(N)
-        direct = math.pi ** (N / 2) / gamma(1.0 + N / 2)
+        direct = math.pi ** (N / 2) / math.gamma(1.0 + N / 2)
         assert omega(N) == pytest.approx(direct, rel=1e-13), N
 
 

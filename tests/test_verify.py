@@ -18,13 +18,11 @@ from isosharp.spaces import (
     SampledProfile,
     WarpedProduct,
 )
-from isosharp.specfun import bessel_first_zero, bessel_j, gamma
+from isosharp.specfun import bessel_first_zero, bessel_j
 from isosharp.verify import (
     EigenResult,
     bessel_level_integrals,
     curated_profiles,
-    extremal_h,
-    extremal_h_deriv,
     fk_check,
     fk_eigenvalue,
     fk_sharpness_sweep,
@@ -47,30 +45,36 @@ def warped(n=3, a=0.5, beta=1.0):
     return WarpedProduct(n, ExponentialTail(a, beta))
 
 
+def family(alpha, p, lam):
+    """The (lam, p', 1/(1-alpha)) arguments of verify's h and h'."""
+    return lam, p / (p - 1.0), 1.0 / (1.0 - alpha)
+
+
 class TestExtremal:
     def test_value_at_origin(self):
         # h(0) = lam^{1/(1-alpha)}
-        assert extremal_h(3.0, 2.0, 4.0, 0.0) == pytest.approx(0.5, rel=1e-14)
-        assert extremal_h(2.0, 2.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
+        assert verify._h(*family(3.0, 2.0, 4.0), 0.0) == pytest.approx(
+            0.5, rel=1e-14)
+        assert verify._h(*family(2.0, 2.0, 1.0), 1.0) == pytest.approx(
+            0.5, rel=1e-14)
 
     def test_deriv_matches_difference_quotient(self):
         for alpha, p, lam, r in [(2.0, 2.0, 1.0, 0.7), (3.0, 2.0, 2.0, 1.3),
                                  (2.5, 1.5, 0.5, 2.0)]:
             h = 1e-6 * max(1.0, r)
-            num = (extremal_h(alpha, p, lam, r + h)
-                   - extremal_h(alpha, p, lam, r - h)) / (2 * h)
-            assert extremal_h_deriv(alpha, p, lam, r) == pytest.approx(num, rel=1e-8)
-        assert extremal_h_deriv(2.0, 2.0, 1.0, 0.0) == 0.0
+            args = family(alpha, p, lam)
+            num = (verify._h(*args, r + h) - verify._h(*args, r - h)) / (2 * h)
+            assert verify._h_deriv(*args, r) == pytest.approx(num, rel=1e-8)
+        assert verify._h_deriv(*family(2.0, 2.0, 1.0), 0.0) == 0.0
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(DomainError):
-            extremal_h(1.0, 2.0, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            extremal_h(2.0, 1.0, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            extremal_h(2.0, 2.0, 0.0, 0.5)
-        with pytest.raises(DomainError):
-            extremal_h(2.0, 2.0, 1.0, -0.1)
+        # alpha and p are SobolevParams' to check; lam and r_cut the family's
+        params = SobolevParams(n=3, p=2, alpha=2.0)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                truncated_extremal(params, lam=bad)
+            with pytest.raises(DomainError):
+                truncated_extremal(params, r_cut=bad)
 
     def test_truncation_support_and_shift(self):
         params = SobolevParams(n=3, p=2, alpha=2.0)
@@ -315,7 +319,7 @@ class TestSweep:
         assert np.allclose(d2u + (2.0 * nu + 1.0) * du / x + u, 0.0,
                            rtol=0.0, atol=1e-13)
         if nu <= 1.0:
-            closed = [gamma(nu + 1.0) * (2.0 / t) ** nu * bessel_j(nu, t)
+            closed = [math.gamma(nu + 1.0) * (2.0 / t) ** nu * bessel_j(nu, t)
                       for t in x]
             assert u == pytest.approx(closed, rel=1e-12)
 
