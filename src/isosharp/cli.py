@@ -40,10 +40,12 @@ _NAMED_GRAPHS = {
     "grid5": lambda: grid_graph(5, 5),
 }
 
+# each variant's own space flags (argparse dest) and their defaults; None
+# marks a required flag
 _VARIANT_DEFAULTS = {
     "euclidean": {"n": 3},
     "warped": {"n": 2, "a": 0.5, "beta": 1.0},
-    "cone": {"n": 2},
+    "cone": {"n": 2, "m": None},
     "monomial": {"n": 2, "alpha_w": 1.0},
     "ale": {"n": 2, "k": 2},
 }
@@ -146,25 +148,26 @@ def parse_sweep(spec: str, default_count: int = 50) -> np.ndarray:
 
 
 def _descriptor_from_flags(args) -> dict:
+    """The space descriptor from the variant's own flags, each given or
+    defaulted; a flag of another variant raises DomainError."""
     defaults = _VARIANT_DEFAULTS[args.variant]
-    n = float(args.n if args.n is not None else defaults["n"])
+    desc = {"variant": args.variant}
+    for flag in dict.fromkeys(k for own in _VARIANT_DEFAULTS.values()
+                              for k in own):
+        value = getattr(args, flag)
+        if flag not in defaults:
+            if value is not None:
+                raise DomainError(f"{args.variant} takes no "
+                                  f"--{flag.replace('_', '-')}")
+        elif value is None and defaults[flag] is None:   # cone's --m
+            raise DomainError("cone requires --m (link total measure)")
+        else:
+            desc["m_M" if flag == "m" else flag] = (
+                defaults[flag] if value is None else value)
     # every variant except euclidean demands an integer dimension; a
     # fractional one stays as given for the space to reject
-    if args.variant != "euclidean" and n.is_integer():
-        n = int(n)
-    desc = {"variant": args.variant, "n": n}
-    if args.variant == "warped":
-        desc["a"] = args.a if args.a is not None else defaults["a"]
-        desc["beta"] = args.beta if args.beta is not None else defaults["beta"]
-    elif args.variant == "cone":
-        if args.m is None:
-            raise DomainError("cone requires --m (link total measure)")
-        desc["m_M"] = args.m
-    elif args.variant == "monomial":
-        desc["alpha_w"] = (args.alpha_w if args.alpha_w is not None
-                           else defaults["alpha_w"])
-    elif args.variant == "ale":
-        desc["k"] = args.k if args.k is not None else defaults["k"]
+    n = float(desc["n"])
+    desc["n"] = int(n) if args.variant != "euclidean" and n.is_integer() else n
     return desc
 
 

@@ -22,6 +22,7 @@ joined with the space's breaks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ from .quadrature import dyadic_breaks, gauss_on_segments, pchip
 from .spaces import Euclidean, ModelSpace, PowerLawSpace, vol_ball
 from .specfun import omega
 
-_JUMP = 2.0 ** -30   # relative ramp width standing in for a jump discontinuity
 _LAYER_PANELS = 16   # equal Gauss panels on [0, R] for the layer-cake routes
 
 
@@ -78,6 +78,14 @@ class RadialFunction:
             # the interpolant runs on x = r / r_end: in r its cubic
             # coefficients scale like r_end^-3 and overflow on tiny supports
             self._interp = pchip(r / self.r_end, v)
+        else:
+            # checked once, here: a sampled profile's interpolant takes the
+            # node values at the nodes, which are checked above
+            probe = np.asarray(value_fn(r), dtype=float)
+            scale = max(1.0, float(np.max(np.abs(probe), initial=0.0)))
+            if np.any(np.diff(probe) > 1e-10 * scale):
+                raise InvariantViolation(
+                    "profile is not nonincreasing on its own grid")
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -100,102 +108,17 @@ class RadialFunction:
             return np.asarray(self.deriv_fn(self.r_grid), dtype=float)
         return self._interp.d / self.r_end
 
-    @property
-    def height(self) -> float:
-        return float(self.value(0.0))
 
-    @property
-    def support_radius(self) -> float:
-        positive = np.nonzero(self.values > 0.0)[0]
-        if positive.size == 0:
-            return 0.0
-        last = min(positive[-1] + 1, self.values.size - 1)
-        return float(self.r_grid[last])
-
-    @property
-    def compactly_supported(self) -> bool:
-        return self.values[-1] == 0.0
-
-    def scaled(self, c: float) -> "RadialFunction":
-        if not c > 0.0:
-            raise DomainError("scale factor must be positive")
-        vf = df = None
-        if self.value_fn is not None:
-            vf = lambda r, f=self.value_fn: c * f(r)
-            df = lambda r, f=self.deriv_fn: c * f(r)
-        return RadialFunction(self.r_grid, c * self.values, vf, df)
-
-    def dilated(self, c: float) -> "RadialFunction":
-        """Argument dilation r -> c r; the support shrinks by 1/c."""
-        if not c > 0.0:
-            raise DomainError("dilation factor must be positive")
-        vf = df = None
-        if self.value_fn is not None:
-            vf = lambda r, f=self.value_fn: f(c * np.asarray(r, dtype=float))
-            df = lambda r, f=self.deriv_fn: (
-                c * f(c * np.asarray(r, dtype=float)))
-        return RadialFunction(self.r_grid / c, self.values, vf, df)
-
-    @classmethod
-    def plateau(cls, height: float, radius: float) -> "RadialFunction":
-        """Indicator-style profile: height on [0, radius], zero after."""
-        if not (height > 0.0 and radius > 0.0):
-            raise DomainError("plateau needs positive height and radius")
-        grid = [0.0, radius, radius * (1.0 + _JUMP)]
-        vals = [height, height, 0.0]
-
-        def step(r, h=height, rad=radius):
-            r = np.asarray(r, dtype=float)
-            return np.where(r <= rad, h, 0.0)
-
-        def zero(r):
-            return np.zeros_like(np.asarray(r, dtype=float))
-
-        return cls(grid, vals, value_fn=step, deriv_fn=zero)
-
-    @classmethod
-    def from_callable(cls, fn, r_max, nodes=401, grid=None, *,
-                      deriv) -> "RadialFunction":
-        """The exact profile of ``fn`` and its slope ``deriv``, sampled on
-        ``grid``, by default ``nodes`` equal steps over [0, r_max].
-
-        ``fn`` must be smooth between consecutive grid nodes: a kink inside
-        a segment is invisible to the Gauss rules of the norms, so pass a
-        grid that contains every kink.
-        """
-        if grid is None:
-            grid = np.linspace(0.0, float(r_max), int(nodes))
-        g = np.asarray(grid, dtype=float)
-        vals = np.maximum(np.asarray(fn(g), dtype=float), 0.0)
-        return cls(g, vals, value_fn=fn, deriv_fn=deriv)
-
-
+# eq=False: identity equality; the generated one would compare the ndarray
+# fields, which has no single truth value
+@dataclass(frozen=True, eq=False)
 class DistributionProfile:
-    """V(t) = measure of {u > t}, tabulated on a descending level grid."""
+    """V(t) = measure of {u > t} and the level radii r(t), tabulated on a
+    descending level grid."""
 
-    def __init__(self, t_grid, volumes, radii=None):
-        t = np.asarray(t_grid, dtype=float)
-        v = np.asarray(volumes, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise DomainError("need matching 1-D grids of length >= 2")
-        if np.any(np.diff(t) >= 0.0):
-            raise DomainError("t_grid must be strictly descending")
-        if np.any(t < 0.0) or np.any(v < -0.0):
-            raise DomainError("levels and volumes must be nonnegative")
-        scale = max(1.0, float(np.max(v)))
-        if np.any(np.diff(v) < -1e-9 * scale):
-            raise InvariantViolation("V must be nondecreasing as t descends")
-        self.t_grid = t
-        self.volumes = v
-        self.radii = None if radii is None else np.asarray(radii, dtype=float)
-
-
-def _check_monotone_probe(u: RadialFunction):
-    vals = np.asarray(u.value(u.r_grid), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    if np.any(np.diff(vals) > 1e-10 * scale):
-        raise InvariantViolation(
-            "profile is not nonincreasing on its own grid")
+    t_grid: np.ndarray
+    volumes: np.ndarray
+    radii: np.ndarray
 
 
 def _level_radii(u: RadialFunction, t) -> np.ndarray:
@@ -223,7 +146,6 @@ def _level_radii(u: RadialFunction, t) -> np.ndarray:
 def distribution(space: ModelSpace, u: RadialFunction,
                  t_grid) -> DistributionProfile:
     """Superlevel volumes V(t) = vol({u > t}) on a descending level grid."""
-    _check_monotone_probe(u)
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) >= 0.0):
         raise DomainError("t_grid must be 1-D and strictly descending")
@@ -231,20 +153,25 @@ def distribution(space: ModelSpace, u: RadialFunction,
         raise DomainError("levels must be nonnegative")
     radii = _level_radii(u, t)
     vols = space.volume(radii)
-    return DistributionProfile(t, vols, radii=radii)
+    if np.any(np.diff(vols) < -1e-9 * max(1.0, float(np.max(vols)))):
+        raise InvariantViolation("V must be nondecreasing as t descends")
+    return DistributionProfile(t, vols, radii)
 
 
 def euclidean_rearrangement(space: ModelSpace, u: RadialFunction) -> RadialFunction:
     """The equimeasurable nonincreasing radial profile on Euclidean(N)."""
-    _check_monotone_probe(u)
     N = space.effective_dimension
+    omega_N = omega(N)
+    if omega_N < sys.float_info.min:    # the volume radii divide by it
+        raise DomainError(f"omega_N = {omega_N!r} at N = {N!r} is not a "
+                          "normal double")
     vols = space.volume(u.r_grid)
-    s_grid = (np.clip(vols, 0.0, None) / omega(N)) ** (1.0 / N)
+    s_grid = (np.clip(vols, 0.0, None) / omega_N) ** (1.0 / N)
     s_grid[0] = 0.0
     value_fn = deriv_fn = None
     if isinstance(space, PowerLawSpace) and u.value_fn is not None:
         # rho is linear for power-law volumes: an exact profile transports
-        c = (space.unit_ball_volume / omega(N)) ** (1.0 / N)
+        c = (space.unit_ball_volume / omega_N) ** (1.0 / N)
         value_fn = lambda s, f=u.value_fn: f(np.asarray(s) / c)
         deriv_fn = lambda s, f=u.deriv_fn: f(np.asarray(s) / c) / c
     return RadialFunction(s_grid, u.values.copy(), value_fn, deriv_fn)
@@ -302,7 +229,6 @@ def lq_routes(space: ModelSpace, u: RadialFunction, q: float) -> tuple:
     through the distribution function, a composite Gauss rule in t on u's
     node values with a batched level-radius bisection.
     """
-    _check_monotone_probe(u)
     if not (isinstance(q, (int, float)) and 0.0 < q < math.inf):
         raise DomainError(f"norm exponent must be positive and finite, "
                           f"got {q!r}")

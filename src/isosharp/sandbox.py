@@ -30,28 +30,20 @@ _MIN_SPACING = 2.0 ** -10
 # the ndarray fields, which has no single truth value
 @dataclass(frozen=True, eq=False)
 class FiniteMetricMeasureSpace:
-    """(points, dist, weights): a metric measure space at finite scale.
+    """(points, dist): a finite metric space under counting measure.
 
     dist must be symmetric, zero exactly on the diagonal, and satisfy
-    the triangle inequality; weights are positive reals per point.
-    strict=False skips the metric validation so deliberately broken
-    instances can exercise the failure paths.
+    the triangle inequality.
     """
 
     points: tuple
     dist: np.ndarray
-    weights: np.ndarray
-    strict: bool = True
 
-    def __init__(self, points, dist, weights=None, strict=True):
+    def __init__(self, points, dist):
         pts = tuple(points)
         d = np.array(dist, dtype=float)
-        w = (np.ones(len(pts)) if weights is None
-             else np.array(weights, dtype=float))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "strict", bool(strict))
         if len(pts) == 0:
             raise DomainError("a space needs at least one point")
         if len(set(pts)) != len(pts):
@@ -60,10 +52,6 @@ class FiniteMetricMeasureSpace:
             raise DomainError(
                 f"distance matrix shape {d.shape} does not match "
                 f"{len(pts)} points")
-        if w.shape != (len(pts),) or not np.all(w > 0.0):
-            raise DomainError("weights must be positive, one per point")
-        if not self.strict:
-            return
         if not np.all(np.isfinite(d)):
             raise DomainError("distances must be finite")
         if np.any(np.diag(d) != 0.0):
@@ -92,15 +80,6 @@ class FiniteMetricMeasureSpace:
     @property
     def diameter(self) -> float:
         return float(self.dist.max())
-
-    @property
-    def integer_metric(self) -> bool:
-        return bool(np.all(self.dist == np.round(self.dist)))
-
-    @property
-    def default_slack(self) -> float:
-        """0 on integer graph metrics, 1e-9 diam on real-valued ones."""
-        return 0.0 if self.integer_metric else 1e-9 * self.diameter
 
     def index(self, label) -> int:
         try:
@@ -166,18 +145,17 @@ def grid_graph(rows: int, cols: int) -> FiniteMetricMeasureSpace:
     return FiniteMetricMeasureSpace(range(rows * cols), dist)
 
 
-def random_space(seed: int, max_nodes: int = 60) -> FiniteMetricMeasureSpace:
-    """Connected random graph, uniform [1,2] edge weights, shortest paths.
+def random_space(seed: int) -> FiniteMetricMeasureSpace:
+    """Connected random graph of 8 to 60 nodes, uniform [1,2] edge weights,
+    shortest paths.
 
     A random Hamiltonian path guarantees connectivity; extra edges are
     dropped in with a random density.  Deterministic per seed.
     """
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    if max_nodes < 2:
-        raise DomainError("need room for at least two nodes")
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(8, max_nodes + 1)) if max_nodes >= 8 else max_nodes
+    n = int(rng.integers(8, 61))
     order = rng.permutation(n)
     edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
     density = rng.uniform(0.05, 0.4)
@@ -191,41 +169,23 @@ def random_space(seed: int, max_nodes: int = 60) -> FiniteMetricMeasureSpace:
     return from_edges(range(n), weighted)
 
 
-@dataclass(frozen=True)
-class InterpolantQuery:
-    """Endpoints A, B, interpolation parameter s, equality slack.
+def interpolant_set(space: FiniteMetricMeasureSpace, A, B, s: float,
+                    slack: float) -> tuple:
+    """All z with d(x,z) = s d(x,y) and d(z,y) = (1-s) d(x,y), some x in A
+    and y in B.
 
-    slack=None resolves to the space's default (0 on integer metrics,
-    1e-9 diameter otherwise) when the query runs.
+    Exact brute force over A x B x M with both equalities within slack.
+    Returned in point order.
     """
-
-    A: tuple
-    B: tuple
-    s: float
-    slack: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", tuple(self.A))
-        object.__setattr__(self, "B", tuple(self.B))
-        if not self.A or not self.B:
-            raise DomainError("A and B must be nonempty")
-        if not 0.0 <= self.s <= 1.0:
-            raise DomainError(f"s must lie in [0,1], got {self.s!r}")
-        if self.slack is not None and not self.slack >= 0.0:
-            raise DomainError(f"slack must be nonnegative, got {self.slack!r}")
-
-
-def interpolant_set(space: FiniteMetricMeasureSpace,
-                    query: InterpolantQuery) -> tuple:
-    """All z with d(x,z) = s d(x,y) and d(z,y) = (1-s) d(x,y), some x,y.
-
-    Exact brute force over A x B x M with both equalities within the
-    query slack.  Returned in point order.
-    """
-    slack = space.default_slack if query.slack is None else query.slack
-    ia = [space.index(p) for p in query.A]
-    ib = [space.index(p) for p in query.B]
-    s = query.s
+    A, B = tuple(A), tuple(B)
+    if not A or not B:
+        raise DomainError("A and B must be nonempty")
+    if not 0.0 <= s <= 1.0:
+        raise DomainError(f"s must lie in [0,1], got {s!r}")
+    if not slack >= 0.0:
+        raise DomainError(f"slack must be nonnegative, got {slack!r}")
+    ia = [space.index(p) for p in A]
+    ib = [space.index(p) for p in B]
     hit = np.zeros(space.n_points, dtype=bool)
     d = space.dist
     for x in ia:
@@ -281,8 +241,7 @@ def z_inclusion_check(space: FiniteMetricMeasureSpace, omega, x0,
     ball = tuple(space.points[i] for i in
                  np.flatnonzero(space.dist[space.index(x0)] <= R))
     d0 = float(space.dist[np.ix_(io, io)].max())
-    z_set = interpolant_set(space, InterpolantQuery(
-        A=omega, B=ball, s=s, slack=interpolant_slack))
+    z_set = interpolant_set(space, omega, ball, s, interpolant_slack)
     radius = s * (d0 + R) + slack
     # the closed neighbourhood d <= radius: below the next float up, the
     # strict test of eps_neighborhood admits exactly the distances <= radius
@@ -339,9 +298,9 @@ def _axis_range(lo: float, hi: float, m: int) -> np.ndarray:
     return np.arange(a, b + 1)
 
 
-def brunn_minkowski_report(n: int, h: float, box_a, box_b, s: float,
-                           N: float | None = None) -> BmReport:
-    """m(Z_s)^{1/N} vs (1-s) m(A)^{1/N} + s m(B)^{1/N} on the h-lattice.
+def brunn_minkowski_report(n: int, h: float, box_a, box_b,
+                           s: float) -> BmReport:
+    """m(Z_s)^{1/n} vs (1-s) m(A)^{1/n} + s m(B)^{1/n} on the h-lattice.
 
     A and B are axis-aligned boxes in [0,1]^n, discretized by counting
     measure count h^n; DomainError where h^n or a count leaves the normal
@@ -363,10 +322,7 @@ def brunn_minkowski_report(n: int, h: float, box_a, box_b, s: float,
     box_a, box_b = list(box_a), list(box_b)
     if len(box_a) != n or len(box_b) != n:
         raise DomainError("boxes must supply one (lo, hi) pair per axis")
-    if N is None:
-        N = float(n)
-    if not N >= 1.0:
-        raise DomainError(f"exponent dimension must be >= 1, got {N!r}")
+    N = float(n)
     cell = h ** n
     if cell < sys.float_info.min:
         raise DomainError(

@@ -516,6 +516,16 @@ class TestPlumbing:
         # 300 used to end in an OverflowError, n = 200 in zero measures
         ("sandbox", "bm", "--n", "300"),
         ("sandbox", "bm", "--n", "200"),
+        # omega_N underflows to 0 (n = 453) or is subnormal (n = 440); the
+        # rearrangement divided by it, ending in a ZeroDivisionError
+        ("verify", "polya-szego", "--variant", "euclidean", "--n", "453"),
+        ("verify", "polya-szego", "--variant", "euclidean", "--n", "440"),
+        # a space flag that the variant does not take; each once printed
+        # the rows of the flag's absence
+        ("space", "--variant", "euclidean", "--n", "3", "--a", "0.3"),
+        ("space", "--variant", "cone", "--n", "2", "--m", "6", "--k", "9"),
+        ("verify", "sobolev", "--variant", "monomial", "--n", "3",
+         "--beta", "2"),
     ])
     def test_bad_input_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -545,14 +555,17 @@ _SWEEP = st.tuples(_FLOAT, _FLOAT, st.sampled_from(["lin", "log"]),
                    st.integers(min_value=2, max_value=5)).map(
     lambda parts: ":".join(map(str, parts)))
 
+# each variant's own space flags: a foreign one exits 2 before the sweep
+_VARIANT_FLAGS = {"euclidean": {}, "warped": {"a": _FLOAT, "beta": _FLOAT},
+                  "cone": {"m": _FLOAT}, "monomial": {"alpha_w": _FLOAT},
+                  "ale": {"k": _INT}}
+
 _ARGV = st.one_of(
     st.tuples(_FLOAT, _flags(p=_FLOAT, alpha=_FLOAT, avr=_FLOAT)).map(
         lambda v: ["constants", "--n", v[0]] + v[1]),
-    st.tuples(st.sampled_from(["euclidean", "warped", "cone", "monomial",
-                               "ale"]),
-              _flags(n=_FLOAT, a=_FLOAT, beta=_FLOAT, m=_FLOAT,
-                     alpha_w=_FLOAT, k=_INT, sweep=_SWEEP)).map(
-        lambda v: ["space", "--variant", v[0]] + v[1]),
+    *(_flags(n=_FLOAT, sweep=_SWEEP, **own).map(
+        lambda v, variant=variant: ["space", "--variant", variant] + v)
+      for variant, own in _VARIANT_FLAGS.items()),
     # bm's --n also around and past the least normal cell volume (1/64)^n
     _flags(n=st.one_of(_INT, st.sampled_from(["170", "171", "300", "1100"])),
            h=_FLOAT).map(lambda v: ["sandbox", "bm"] + v),

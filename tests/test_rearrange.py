@@ -43,23 +43,24 @@ from oracles import (
     pchip_radial_oracle,
     sampled_warped_content_mp,
 )
+from profiles import exact, plateau, support_end
 
 
-def tent(r_max=1.0, nodes=201):
-    return RadialFunction.from_callable(
-        lambda r: np.maximum(1.0 - np.asarray(r) / r_max, 0.0),
-        r_max, nodes=nodes,
-        deriv=lambda r: np.where(np.asarray(r) < r_max, -1.0 / r_max, 0.0))
+def tent(r_max=1.0, nodes=201, height=1.0):
+    return exact(
+        lambda r: height * np.maximum(1.0 - np.asarray(r) / r_max, 0.0),
+        lambda r: height * np.where(np.asarray(r) < r_max, -1.0 / r_max, 0.0),
+        np.linspace(0.0, r_max, nodes))
 
 
 def gaussian(r_cut=3.0, nodes=301):
     c = math.exp(-r_cut * r_cut)
-    return RadialFunction.from_callable(
+    return exact(
         lambda r: np.maximum(np.exp(-np.asarray(r) ** 2) - c, 0.0),
-        r_cut, nodes=nodes,
-        deriv=lambda r: np.where(np.asarray(r) < r_cut,
-                                 -2.0 * np.asarray(r) * np.exp(-np.asarray(r) ** 2),
-                                 0.0))
+        lambda r: np.where(np.asarray(r) < r_cut,
+                           -2.0 * np.asarray(r) * np.exp(-np.asarray(r) ** 2),
+                           0.0),
+        np.linspace(0.0, r_cut, nodes))
 
 
 def warped(n=2, a=0.5, beta=1.0):
@@ -90,8 +91,6 @@ class TestRadialFunction:
             RadialFunction(grid, vals, value_fn=f)
         with pytest.raises(DomainError):
             RadialFunction(grid, vals, deriv_fn=f)
-        with pytest.raises(DomainError):
-            RadialFunction.from_callable(f, 1.0, deriv=None)
 
     def test_exact_profiles_build_no_interpolant(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -100,32 +99,16 @@ class TestRadialFunction:
         monkeypatch.setattr(rearrange, "pchip", forbidden)
         profiles = [u for _, u in curated_profiles()]
         profiles += [truncated_extremal(SobolevParams(n=3.0, p=2.0)),
-                     RadialFunction.plateau(1.0, 1.0)]
+                     plateau(1.0, 1.0)]
         for u in profiles:
-            u.scaled(2.0).dilated(0.5)
             euclidean_rearrangement(Euclidean(3), u)
         with pytest.raises(AssertionError):
             RadialFunction([0.0, 1.0], [1.0, 0.0])   # sampled: PCHIP
 
-    def test_support_radius(self):
-        u = RadialFunction([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.0, 0.0])
-        assert u.support_radius == 2.0
-        assert u.compactly_supported
-        v = RadialFunction([0.0, 1.0], [1.0, 0.5])
-        assert v.support_radius == 1.0
-        assert not v.compactly_supported
-
-    def test_plateau_shape(self):
-        u = RadialFunction.plateau(2.0, 1.5)
-        assert float(u.value(0.7)) == 2.0
-        assert float(u.value(1.5)) == 2.0
-        assert float(u.value(1.6)) == 0.0
-        assert u.height == 2.0
-
 
 class TestDistribution:
     def test_plateau_euclidean(self):
-        u = RadialFunction.plateau(1.0, 1.0)
+        u = plateau(1.0, 1.0)
         prof = distribution(Euclidean(2), u, [1.5, 1.0, 0.9, 0.5, 0.1])
         assert prof.volumes[0] == 0.0
         assert prof.volumes[1] == 0.0          # {u > 1} is empty
@@ -155,10 +138,11 @@ class TestDistribution:
             distribution(Euclidean(2), u, [0.5, -0.1])
 
     def test_nonmonotone_callable_flagged(self):
-        u = RadialFunction([0.0, 0.5, 1.0], [1.0, 0.6, 0.2],
-                           value_fn=lambda r: np.asarray(r) ** 2,
-                           deriv_fn=lambda r: 2.0 * np.asarray(r))
+        # the constructor probes value_fn on the grid
         with pytest.raises(InvariantViolation):
+            u = RadialFunction([0.0, 0.5, 1.0], [1.0, 0.6, 0.2],
+                               value_fn=lambda r: np.asarray(r) ** 2,
+                               deriv_fn=lambda r: 2.0 * np.asarray(r))
             distribution(Euclidean(2), u, [0.8, 0.4])
 
 
@@ -175,12 +159,12 @@ class TestRearrangement:
         assert np.max(np.abs(again.r_grid - star.r_grid)) <= 1e-12
         assert np.max(np.abs(again.values - star.values)) <= 1e-12
 
-    def test_plateau_support_radius(self):
+    def test_plateau_support_end_transports(self):
         space = warped(n=2, a=0.5, beta=1.0)
-        u = RadialFunction.plateau(1.0, 1.0)
+        u = plateau(1.0, 1.0)
         star = euclidean_rearrangement(space, u)
         expected = math.sqrt(vol_ball(space, 1.0) / math.pi)
-        assert star.support_radius == pytest.approx(expected, rel=1e-8)
+        assert support_end(star) == pytest.approx(expected, rel=1e-8)
 
     def test_equimeasurability(self):
         t = np.linspace(0.93, 0.02, 50)
@@ -200,14 +184,14 @@ class TestRearrangement:
         space = warped(n=3, a=0.6, beta=2.0)
         u = gaussian(r_cut=2.0)
         star = euclidean_rearrangement(space, u)
-        lhs = vol_ball(space, u.support_radius)
-        rhs = omega(3.0) * star.support_radius ** 3
+        lhs = vol_ball(space, support_end(u))
+        rhs = omega(3.0) * support_end(star) ** 3
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
 class TestNorms:
     def test_plateau_l2(self):
-        assert lq_norm(Euclidean(2), RadialFunction.plateau(1.0, 1.0), 2.0) == \
+        assert lq_norm(Euclidean(2), plateau(1.0, 1.0), 2.0) == \
             pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
     def test_tent_l1(self):
@@ -243,9 +227,10 @@ class TestNorms:
         u = tent(nodes=41)
         base_q = lq_norm(Euclidean(2), u, 2.0)
         base_g = grad_lp_norm(Euclidean(2), u, 2.0)
-        assert lq_norm(Euclidean(2), u.scaled(c), 2.0) == \
+        scaled = tent(nodes=41, height=c)
+        assert lq_norm(Euclidean(2), scaled, 2.0) == \
             pytest.approx(c * base_q, rel=1e-9)
-        assert grad_lp_norm(Euclidean(2), u.scaled(c), 2.0) == \
+        assert grad_lp_norm(Euclidean(2), scaled, 2.0) == \
             pytest.approx(c * base_g, rel=1e-9)
 
     def test_domain(self):
@@ -424,7 +409,7 @@ class TestPolyaSzego:
 
     def test_flat_profile_rejected(self):
         with pytest.raises(DomainError):
-            polya_szego_check(Euclidean(2), RadialFunction.plateau(1.0, 1.0), 2.0)
+            polya_szego_check(Euclidean(2), plateau(1.0, 1.0), 2.0)
 
 
 class TestCoarea:
@@ -454,7 +439,7 @@ class TestCoarea:
 
     def test_plateau_degenerate(self):
         report = coarea_derivative_check(Euclidean(2),
-                                         RadialFunction.plateau(1.0, 1.0),
+                                         plateau(1.0, 1.0),
                                          np.linspace(0.9, 0.1, 20))
         assert report.degenerate
         assert not report.rows

@@ -5,7 +5,6 @@ from isosharp.errors import DomainError, InvariantViolation
 from isosharp.sandbox import (
     BmReport,
     FiniteMetricMeasureSpace,
-    InterpolantQuery,
     brunn_minkowski_report,
     eps_neighborhood,
     from_edges,
@@ -22,8 +21,6 @@ class TestSpaceConstruction:
         sp = path_graph(3)
         assert sp.diameter == 2.0
         assert sp.dist[0, 2] == 2.0
-        assert sp.integer_metric
-        assert sp.default_slack == 0.0
 
     def test_equality_is_identity_and_spaces_hash(self):
         # comparing the ndarray fields raised; a space equals only itself
@@ -36,8 +33,6 @@ class TestSpaceConstruction:
         bad = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
         with pytest.raises(InvariantViolation):
             FiniteMetricMeasureSpace(range(3), bad)
-        sp = FiniteMetricMeasureSpace(range(3), bad, strict=False)
-        assert sp.n_points == 3
 
     def test_asymmetry_and_zero_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -46,11 +41,6 @@ class TestSpaceConstruction:
         with pytest.raises(InvariantViolation):
             FiniteMetricMeasureSpace(
                 range(2), [[0.0, 0.0], [0.0, 0.0]])
-
-    def test_weights_must_be_positive(self):
-        with pytest.raises(DomainError):
-            FiniteMetricMeasureSpace(
-                range(2), [[0.0, 1.0], [1.0, 0.0]], weights=[1.0, 0.0])
 
     def test_unknown_point_lookup(self):
         with pytest.raises(DomainError):
@@ -99,27 +89,24 @@ class TestSpaceConstruction:
 class TestInterpolants:
     def test_s_zero_returns_a(self):
         sp = path_graph(5)
-        q = InterpolantQuery(A=(0, 1), B=(3, 4), s=0.0, slack=0.0)
-        assert interpolant_set(sp, q) == (0, 1)
+        assert interpolant_set(sp, (0, 1), (3, 4), 0.0, 0.0) == (0, 1)
 
     def test_s_one_returns_b(self):
         sp = path_graph(5)
-        q = InterpolantQuery(A=(0, 1), B=(3, 4), s=1.0, slack=0.0)
-        assert interpolant_set(sp, q) == (3, 4)
+        assert interpolant_set(sp, (0, 1), (3, 4), 1.0, 0.0) == (3, 4)
 
     def test_path3_midpoint(self):
         sp = path_graph(3)
-        q = InterpolantQuery(A=(0,), B=(2,), s=0.5, slack=0.0)
-        assert interpolant_set(sp, q) == (1,)
+        assert interpolant_set(sp, (0,), (2,), 0.5, 0.0) == (1,)
 
     def test_every_hit_lies_on_a_geodesic(self):
         # d(x,z) + d(z,y) = d(x,y) within 2 slack for some witness pair
         sp = random_space(11)
-        slack = sp.default_slack
+        slack = 1e-9 * sp.diameter     # the metric is real-valued
         A = sp.points[:4]
         B = sp.points[-4:]
         for s in (0.25, 0.5, 0.8):
-            z_set = interpolant_set(sp, InterpolantQuery(A, B, s, slack))
+            z_set = interpolant_set(sp, A, B, s, slack)
             for z in z_set:
                 iz = sp.index(z)
                 gaps = [abs(sp.dist[sp.index(x), iz]
@@ -129,12 +116,13 @@ class TestInterpolants:
                 assert min(gaps) <= 2.0 * slack
 
     def test_query_validation(self):
+        sp = path_graph(3)
         with pytest.raises(DomainError):
-            InterpolantQuery(A=(), B=(1,), s=0.5)
+            interpolant_set(sp, (), (1,), 0.5, 0.0)
         with pytest.raises(DomainError):
-            InterpolantQuery(A=(0,), B=(1,), s=1.5)
+            interpolant_set(sp, (0,), (1,), 1.5, 0.0)
         with pytest.raises(DomainError):
-            InterpolantQuery(A=(0,), B=(1,), s=0.5, slack=-1.0)
+            interpolant_set(sp, (0,), (1,), 0.5, -1.0)
 
 
 class TestNeighborhood:
@@ -183,7 +171,7 @@ class TestZInclusion:
         assert set(res.z_set) >= {0, 1, 4, 5}
         assert res.violating is None
 
-    def test_random_graphs_pass_with_default_slack(self):
+    def test_random_graphs_pass_with_relative_slack(self):
         # fifty random weighted instances, random Omega / x0 / R, s grid
         rng = np.random.default_rng(2024)
         for seed in range(50):
@@ -196,7 +184,7 @@ class TestZInclusion:
             R = float(rng.uniform(0.3, 1.0)) * sp.diameter
             s = float(rng.choice([0.25, 0.5, 0.75]))
             res = z_inclusion_check(sp, omega, x0, R, s,
-                                    interpolant_slack=sp.default_slack)
+                                    interpolant_slack=1e-9 * sp.diameter)
             assert res.passed, (seed, s)
 
     def test_zero_slack_batch(self):

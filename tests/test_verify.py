@@ -8,7 +8,7 @@ import isosharp.specfun as specfun
 import isosharp.verify as verify
 from isosharp.constants import SobolevParams, aubin_talenti, fk_constant, gn_constant
 from isosharp.errors import ConvergenceError, DomainError
-from isosharp.rearrange import RadialFunction, grad_lp_norm, lq_norm
+from isosharp.rearrange import grad_lp_norm, lq_norm
 from isosharp.spaces import (
     AleQuotient,
     Euclidean,
@@ -31,6 +31,7 @@ from isosharp.verify import (
     sobolev_quotient,
     truncated_extremal,
 )
+from profiles import exact, plateau, support_end
 
 # frozen with mpmath, 50 digits
 J0_SQ = 5.7831859629467845212    # j_0^2
@@ -79,13 +80,13 @@ class TestExtremal:
     def test_truncation_support_and_shift(self):
         params = SobolevParams(n=3, p=2, alpha=2.0)
         u = truncated_extremal(params, lam=1.0, r_cut=50.0)
-        assert u.compactly_supported
-        assert u.support_radius == pytest.approx(50.0, rel=1e-12)
+        assert u.values[-1] == 0.0
+        assert support_end(u) == pytest.approx(50.0, rel=1e-12)
         assert float(u.value(50.0)) == 0.0
         assert float(u.value(0.0)) == pytest.approx(1.0 - 1.0 / (1.0 + 50.0 ** 2))
         # default r_cut rides the dilation scale lam^{1/p'}
         v = truncated_extremal(params, lam=4.0)
-        assert v.support_radius == pytest.approx(2000.0, rel=1e-12)
+        assert support_end(v) == pytest.approx(2000.0, rel=1e-12)
 
 
 class TestSobolevQuotient:
@@ -118,7 +119,7 @@ class TestSobolevQuotient:
 
     def test_vanishing_gradient_rejected(self):
         with pytest.raises(DomainError):
-            sobolev_quotient(Euclidean(3), RadialFunction.plateau(1.0, 1.0), 2.0)
+            sobolev_quotient(Euclidean(3), plateau(1.0, 1.0), 2.0)
 
 
 class TestGnQuotient:
@@ -468,7 +469,12 @@ class TestSuites:
 
 def test_dilated_profile_keeps_sobolev_quotient():
     # quotient is dilation invariant on Euclidean space
-    _, u = curated_profiles()[3]    # smooth gaussian
+    _, u = curated_profiles()[3]    # exp(-r^2) - exp(-2.5^2) on [0, 2.5]
     base = sobolev_quotient(Euclidean(3), u, 2.0).quotient
-    moved = sobolev_quotient(Euclidean(3), u.dilated(2.0), 2.0).quotient
+    # the same profile at 2r, on [0, 1.25]
+    dilated = exact(
+        lambda r: np.maximum(np.exp(-(2.0 * r) ** 2) - math.exp(-6.25), 0.0),
+        lambda r: np.where(r < 1.25, -8.0 * r * np.exp(-(2.0 * r) ** 2), 0.0),
+        np.linspace(0.0, 1.25, 221))
+    moved = sobolev_quotient(Euclidean(3), dilated, 2.0).quotient
     assert moved == pytest.approx(base, rel=1e-8)
