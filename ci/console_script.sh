@@ -34,3 +34,5 @@ expect 2 sandbox bm --n 300
 expect 2 space --variant ale --n 3 --k 4 --sweep 1:10:lin:5
 expect 2 space --variant euclidean --n 3 --a 0.3
 expect 0 sandbox z-inclusion --graph path5
+expect 2 space --variant euclidean --n 3 --sweep 1:10:log:1000000000000
+expect 2 sandbox bm --n 10000000000

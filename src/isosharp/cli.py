@@ -14,6 +14,7 @@ relative --output paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -50,7 +51,14 @@ _VARIANT_DEFAULTS = {
     "ale": {"n": 2, "k": 2},
 }
 
+# most radii a sweep may ask for; each radius is a row of the table, and a
+# count far past this one cannot even be allocated as a grid
+_MAX_SWEEP_COUNT = 10 ** 6
 
+
+# built on the first main() call, not at import, and kept for the process:
+# argparse's parse_args leaves the parser as it found it
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -140,6 +148,9 @@ def parse_sweep(spec: str, default_count: int = 50) -> np.ndarray:
             raise DomainError(f"bad sweep count in {spec!r}") from None
     if count < 2:
         raise DomainError("sweep needs at least two radii")
+    if count > _MAX_SWEEP_COUNT:
+        raise DomainError(
+            f"sweep takes at most {_MAX_SWEEP_COUNT} radii, got {count}")
     if not 0.0 < start < stop < math.inf:
         raise DomainError("sweep requires 0 < start < stop < inf")
     if mode == "log":
@@ -292,11 +303,12 @@ def cmd_verify(args) -> tuple:
 
 def cmd_sandbox(args) -> tuple:
     if args.experiment == "bm":
-        box_a = [(0.0, 0.25)] * args.n
-        box_b = [(0.5, 0.75)] * args.n
+        # the boxes stay lazy: the report rejects an n whose cell volume
+        # h^n is not a normal double before it lists n (lo, hi) pairs
         s_grid = [round(0.1 * k, 1) for k in range(11)]
-        reports = [brunn_minkowski_report(args.n, args.h, box_a, box_b, s)
-                   for s in s_grid]
+        reports = [brunn_minkowski_report(
+            args.n, args.h, ((0.0, 0.25) for _ in range(args.n)),
+            ((0.5, 0.75) for _ in range(args.n)), s) for s in s_grid]
         if args.format == "json":
             return _json_doc({"command": "sandbox", "experiment": "bm",
                               "rows": [asdict(rep) for rep in reports],

@@ -160,13 +160,12 @@ def random_space(seed: int) -> FiniteMetricMeasureSpace:
     edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
     density = rng.uniform(0.05, 0.4)
     mask = rng.random((n, n)) < density
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mask[i, j]:
-                edges.add((i, j))
-    weighted = [(int(u), int(v), float(rng.uniform(1.0, 2.0)))
-                for u, v in sorted(edges)]
-    return from_edges(range(n), weighted)
+    edges.update(zip(*np.nonzero(np.triu(mask, 1))))
+    pairs = sorted(edges)
+    # the same stream as one scalar draw per sorted pair
+    weights = rng.uniform(1.0, 2.0, len(pairs))
+    return from_edges(range(n), [(int(u), int(v), float(w))
+                                 for (u, v), w in zip(pairs, weights)])
 
 
 def interpolant_set(space: FiniteMetricMeasureSpace, A, B, s: float,
@@ -174,8 +173,8 @@ def interpolant_set(space: FiniteMetricMeasureSpace, A, B, s: float,
     """All z with d(x,z) = s d(x,y) and d(z,y) = (1-s) d(x,y), some x in A
     and y in B.
 
-    Exact brute force over A x B x M with both equalities within slack.
-    Returned in point order.
+    Exact brute force over A x B x M with both equalities within slack,
+    vectorized over B and M for each x.  Returned in point order.
     """
     A, B = tuple(A), tuple(B)
     if not A or not B:
@@ -188,12 +187,12 @@ def interpolant_set(space: FiniteMetricMeasureSpace, A, B, s: float,
     ib = [space.index(p) for p in B]
     hit = np.zeros(space.n_points, dtype=bool)
     d = space.dist
+    d_b = d[ib]                 # (|B|, n): d(y, z), one row per y
     for x in ia:
-        for y in ib:
-            dxy = d[x, y]
-            ok = (np.abs(d[x] - s * dxy) <= slack) \
-                & (np.abs(d[y] - (1.0 - s) * dxy) <= slack)
-            hit |= ok
+        dxy = d[x, ib, None]    # (|B|, 1): d(x, y)
+        ok = (np.abs(d[x] - s * dxy) <= slack) \
+            & (np.abs(d_b - (1.0 - s) * dxy) <= slack)
+        hit |= ok.any(axis=0)
     return tuple(space.points[i] for i in np.flatnonzero(hit))
 
 
@@ -319,14 +318,19 @@ def brunn_minkowski_report(n: int, h: float, box_a, box_b,
         raise DomainError(f"1/h must be an integer, got h={h!r}")
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"s must lie in [0,1], got {s!r}")
+    # before the boxes are listed: an n past the normal doubles' exponent
+    # range fails here, whatever length of boxes it asks for
+    try:
+        cell = h ** n
+    except OverflowError:       # n past the largest double
+        cell = 0.0
+    if cell < sys.float_info.min:
+        raise DomainError(
+            f"cell volume h^n = {h!r}^{n} is not a normal double")
     box_a, box_b = list(box_a), list(box_b)
     if len(box_a) != n or len(box_b) != n:
         raise DomainError("boxes must supply one (lo, hi) pair per axis")
     N = float(n)
-    cell = h ** n
-    if cell < sys.float_info.min:
-        raise DomainError(
-            f"cell volume h^n = {h!r}^{n} is not a normal double")
 
     count_a = count_b = count_z = 1
     for (alo, ahi), (blo, bhi) in zip(box_a, box_b):

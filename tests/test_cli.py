@@ -1,7 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isosharp import cli
 from isosharp.cli import main, parse_sweep
 from isosharp.errors import DomainError
 
@@ -37,7 +42,8 @@ class TestSweepParser:
 
     def test_malformed(self):
         for bad in ("1:2", "2:1:log", "1:x:lin", "1:2:geo", "1:2:lin:1",
-                    "0:2:log:5", "1:2:lin:x", "1:inf:log:5", "nan:2:lin"):
+                    "0:2:log:5", "1:2:lin:x", "1:inf:log:5", "nan:2:lin",
+                    "1:10:log:1000000000000"):
             with pytest.raises(DomainError):
                 parse_sweep(bad)
 
@@ -526,11 +532,66 @@ class TestPlumbing:
         ("space", "--variant", "cone", "--n", "2", "--m", "6", "--k", "9"),
         ("verify", "sobolev", "--variant", "monomial", "--n", "3",
          "--beta", "2"),
+        # a sweep count whose grid cannot be allocated; it once ended in
+        # numpy's _ArrayMemoryError
+        ("space", "--variant", "euclidean", "--n", "3",
+         "--sweep", "1:10:log:1000000000000"),
+        # bm dimensions whose h^n cell is 0, or whose n leaves the doubles;
+        # the boxes of n pairs were built first, ending in a MemoryError or
+        # an OverflowError
+        ("sandbox", "bm", "--n", "10000000000"),
+        ("sandbox", "bm", "--n", "1" + "0" * 400),
     ])
     def test_bad_input_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and out == ""
+
+
+class TestCachedParser:
+    # the argparse tree is built on the first main() call and kept
+
+    def test_calls_share_no_state(self, capsys, monkeypatch):
+        # a fixed width: help and usage text wrap to the terminal's
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(cli.__file__)),
+            os.environ.get("PYTHONPATH")])))
+        fk = ("verify", "faber-krahn", "--variant", "euclidean", "--n", "3")
+        runs = [(fk + ("--R", "1", "--R", "5"), 0),
+                (("constants", "--n", "3", "--frob", "1"), 2),
+                (("--help",), 0),
+                (fk, 0)]
+        for argv, want in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == want
+            fresh = subprocess.run(
+                [sys.executable, "-m", "isosharp.cli", *argv], env=env,
+                capture_output=True, text=True, timeout=120)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                        fresh.stderr), argv
+        # the default radii, no --R left over from the first call
+        _, rows = data_rows(out)
+        assert [row[2] for row in rows] == ["R=1", "R=5", "R=20"]
+
+    def test_warm_calls_build_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        cli._build_parser.cache_clear()
+        assert run_cli(capsys, "constants", "--n", "3")[0] == 0
+        assert "isosharp" in built
+        built.clear()
+        for argv in (("constants", "--n", "3"), ("sandbox", "bm"),
+                     ("constants", "--frob"), ("--help",)):
+            run_cli(capsys, *argv)
+        assert built == []
 
 
 # every float flag takes finite, zero, negative, subnormal, huge and

@@ -346,3 +346,57 @@ def test_random_space_deterministic():
     b = random_space(7)
     assert a.points == b.points
     assert np.array_equal(a.dist, b.dist)
+
+
+# the loop forms that interpolant_set and random_space vectorize: the same
+# float expressions and the same generator stream, so results are equal
+
+def _interpolant_set_loop(space, A, B, s, slack):
+    hit = np.zeros(space.n_points, dtype=bool)
+    d = space.dist
+    for x in map(space.index, A):
+        for y in map(space.index, B):
+            dxy = d[x, y]
+            hit |= ((np.abs(d[x] - s * dxy) <= slack)
+                    & (np.abs(d[y] - (1.0 - s) * dxy) <= slack))
+    return tuple(space.points[i] for i in np.flatnonzero(hit))
+
+
+def _random_space_per_edge(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 61))
+    order = rng.permutation(n)
+    edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+    density = rng.uniform(0.05, 0.4)
+    mask = rng.random((n, n)) < density
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mask[i, j]:
+                edges.add((i, j))
+    return from_edges(range(n), [
+        (int(u), int(v), float(rng.uniform(1.0, 2.0)))
+        for u, v in sorted(edges)])
+
+
+class TestVectorizedMatchesLoops:
+    def test_random_space_matches_per_edge_draws(self):
+        for seed in range(301):
+            assert np.array_equal(random_space(seed).dist,
+                                  _random_space_per_edge(seed).dist), seed
+
+    def test_interpolant_set_matches_triple_loop(self):
+        rng = np.random.default_rng(2024)
+        # integer metrics put interpolants exactly on the equalities
+        spaces = [random_space(seed) for seed in range(25)] + [
+            path_graph(7), grid_graph(4, 5)]
+        for sp in spaces:
+            for _ in range(6):
+                A = tuple(rng.choice(sp.points, size=rng.integers(1, 6),
+                                     replace=False).tolist())
+                B = tuple(rng.choice(sp.points, size=rng.integers(1, 6),
+                                     replace=False).tolist())
+                for s in (0.0, 1.0, 0.5, float(rng.uniform(0.05, 0.95))):
+                    for slack in (0.0, 1e-12 * sp.diameter,
+                                  float(rng.uniform(0.0, 0.3))):
+                        assert (interpolant_set(sp, A, B, s, slack)
+                                == _interpolant_set_loop(sp, A, B, s, slack))
