@@ -36,3 +36,6 @@ expect 2 space --variant euclidean --n 3 --a 0.3
 expect 0 sandbox z-inclusion --graph path5
 expect 2 space --variant euclidean --n 3 --sweep 1:10:log:1000000000000
 expect 2 sandbox bm --n 10000000000
+expect 2 space --variant cone --n 2
+expect 2 constants --n 3 --seed 1
+expect 0 verify faber-krahn --variant euclidean --n 3 --R 1 --tol 1e-6

@@ -29,8 +29,8 @@ from .errors import ConvergenceError, DomainError, InvariantViolation, \
     UnsupportedOperationError
 from .sandbox import BmReport, brunn_minkowski_report, grid_graph, \
     path_graph, seeded_z_inclusion, z_inclusion_check
-from .spaces import SweepRow, bishop_gromov_check, curvature_check, \
-    isoperimetric_sharpness_sweep, space_from_descriptor
+from .spaces import VARIANTS, SweepRow, bishop_gromov_check, \
+    curvature_check, isoperimetric_sharpness_sweep
 from .specfun import omega
 from .verify import SUITE_NAMES, QuotientReport, run_suite
 
@@ -39,16 +39,6 @@ _NAMED_GRAPHS = {
     "path5": lambda: path_graph(5),
     "grid4": lambda: grid_graph(4, 4),
     "grid5": lambda: grid_graph(5, 5),
-}
-
-# each variant's own space flags (argparse dest) and their defaults; None
-# marks a required flag
-_VARIANT_DEFAULTS = {
-    "euclidean": {"n": 3},
-    "warped": {"n": 2, "a": 0.5, "beta": 1.0},
-    "cone": {"n": 2, "m": None},
-    "monomial": {"n": 2, "alpha_w": 1.0},
-    "ale": {"n": 2, "k": 2},
 }
 
 # most radii a sweep may ask for; each radius is a row of the table, and a
@@ -66,22 +56,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None,
                         help="output file; relative paths resolve against "
                              "ISOSHARP_OUTPUT_DIR; default stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="base seed for randomized experiments")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the pass/fail margin tolerance")
 
     space_flags = argparse.ArgumentParser(add_help=False)
     space_flags.add_argument("--variant", default="euclidean",
-                             choices=sorted(_VARIANT_DEFAULTS))
+                             choices=sorted(VARIANTS))
     space_flags.add_argument("--n", type=float, default=None,
                              help="dimension parameter")
     space_flags.add_argument("--a", type=float, default=None,
                              help="warped profile asymptote in (0,1]")
     space_flags.add_argument("--beta", type=float, default=None,
                              help="warped profile decay rate")
-    space_flags.add_argument("--m", type=float, default=None,
-                             help="cone link total measure m_M")
+    space_flags.add_argument("--m", type=float, default=None, dest="m_M",
+                             metavar="M", help="cone link total measure m_M")
     space_flags.add_argument("--alpha-w", type=float, default=None,
                              dest="alpha_w", help="monomial weight exponent")
     space_flags.add_argument("--k", type=int, default=None,
@@ -113,11 +99,15 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--alpha", type=float, default=None)
     v.add_argument("--R", type=float, action="append", default=None,
                    help="radius (repeatable) for the faber-krahn suites")
+    v.add_argument("--tol", type=float, default=None,
+                   help="override the pass/fail margin tolerance")
 
     z = sub.add_parser("sandbox", parents=[common],
                        help="finite-metric-space experiments")
     z.add_argument("experiment", choices=("z-inclusion", "bm"))
     z.add_argument("--seeds", type=int, default=200)
+    z.add_argument("--seed", type=int, default=0,
+                   help="base seed for randomized experiments")
     z.add_argument("--graph", choices=sorted(_NAMED_GRAPHS), default=None)
     z.add_argument("--s", type=float, default=0.5)
     z.add_argument("--slack", type=float, default=0.0)
@@ -158,28 +148,26 @@ def parse_sweep(spec: str, default_count: int = 50) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _descriptor_from_flags(args) -> dict:
-    """The space descriptor from the variant's own flags, each given or
+def _space_from_flags(args) -> tuple:
+    """(descriptor, space) from the variant's own flags, each given or
     defaulted; a flag of another variant raises DomainError."""
-    defaults = _VARIANT_DEFAULTS[args.variant]
+    defaults, build = VARIANTS[args.variant]
     desc = {"variant": args.variant}
-    for flag in dict.fromkeys(k for own in _VARIANT_DEFAULTS.values()
-                              for k in own):
-        value = getattr(args, flag)
-        if flag not in defaults:
+    for key in dict.fromkeys(k for own, _ in VARIANTS.values() for k in own):
+        value = getattr(args, key)
+        if key not in defaults:
             if value is not None:
-                raise DomainError(f"{args.variant} takes no "
-                                  f"--{flag.replace('_', '-')}")
-        elif value is None and defaults[flag] is None:   # cone's --m
+                flag = "m" if key == "m_M" else key.replace("_", "-")
+                raise DomainError(f"{args.variant} takes no --{flag}")
+        elif value is None and defaults[key] is None:   # cone's --m
             raise DomainError("cone requires --m (link total measure)")
         else:
-            desc["m_M" if flag == "m" else flag] = (
-                defaults[flag] if value is None else value)
+            desc[key] = defaults[key] if value is None else value
     # every variant except euclidean demands an integer dimension; a
     # fractional one stays as given for the space to reject
     n = float(desc["n"])
     desc["n"] = int(n) if args.variant != "euclidean" and n.is_integer() else n
-    return desc
+    return desc, build(**{key: desc[key] for key in defaults})
 
 
 def _fmt15(x: float) -> str:
@@ -235,8 +223,7 @@ def cmd_constants(args) -> tuple:
 
 
 def cmd_space(args) -> tuple:
-    desc = _descriptor_from_flags(args)
-    space = space_from_descriptor(desc)
+    desc, space = _space_from_flags(args)
     diag = {"avr": space.avr()}
     passed = True
 
@@ -277,8 +264,7 @@ def cmd_space(args) -> tuple:
 
 
 def cmd_verify(args) -> tuple:
-    desc = _descriptor_from_flags(args)
-    space = space_from_descriptor(desc)
+    desc, space = _space_from_flags(args)
     params = None
     if args.suite == "gn" and args.alpha is not None:
         params = SobolevParams(n=space.effective_dimension, p=args.p,
@@ -386,8 +372,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.tol is not None and not args.tol > 0.0:
-            raise DomainError(f"tolerance must be positive, got {args.tol!r}")
         text, passed = _DISPATCH[args.command](args)
         _write(args.output, text)
     except (DomainError, UnsupportedOperationError) as exc:

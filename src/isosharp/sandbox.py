@@ -1,11 +1,11 @@
 """Finite-metric-space laboratory for the interpolation lemmas.
 
 Brute-force checks of the purely metric facts the curvature arguments
-lean on: interpolant sets between two subsets, epsilon-neighborhoods,
-and the inclusion of s-interpolants of (Omega, ball) in the blown-up
-neighborhood of Omega.  Discrete spaces carry no curvature condition,
-so the Brunn-Minkowski comparison is reported as a lattice refinement
-trend, never asserted as a hard invariant.
+lean on: interpolant sets between two subsets, and the inclusion of
+s-interpolants of (Omega, ball) in the closed blown-up neighborhood of
+Omega.  Discrete spaces carry no curvature condition, so the
+Brunn-Minkowski comparison is reported as a lattice refinement trend,
+never asserted as a hard invariant.
 
 All loops are pure over immutable space data and deterministic for a
 fixed seed.
@@ -196,19 +196,6 @@ def interpolant_set(space: FiniteMetricMeasureSpace, A, B, s: float,
     return tuple(space.points[i] for i in np.flatnonzero(hit))
 
 
-def eps_neighborhood(space: FiniteMetricMeasureSpace, A, eps: float) -> tuple:
-    """{x : d(x, A) < eps} united with A itself (strict inequality)."""
-    if not eps >= 0.0:
-        raise DomainError(f"eps must be nonnegative, got {eps!r}")
-    ia = [space.index(p) for p in A]
-    if not ia:
-        raise DomainError("A must be nonempty")
-    hit = np.zeros(space.n_points, dtype=bool)
-    hit[ia] = True
-    hit |= (space.dist[ia].min(axis=0) < eps)
-    return tuple(space.points[i] for i in np.flatnonzero(hit))
-
-
 @dataclass(frozen=True)
 class ZInclusionResult:
     passed: bool
@@ -242,9 +229,11 @@ def z_inclusion_check(space: FiniteMetricMeasureSpace, omega, x0,
     d0 = float(space.dist[np.ix_(io, io)].max())
     z_set = interpolant_set(space, omega, ball, s, interpolant_slack)
     radius = s * (d0 + R) + slack
-    # the closed neighbourhood d <= radius: below the next float up, the
-    # strict test of eps_neighborhood admits exactly the distances <= radius
-    hood = eps_neighborhood(space, omega, np.nextafter(radius, np.inf))
+    if math.isnan(radius):    # s = 0 and R = inf
+        raise DomainError("s (d0 + R) is undefined at s = 0, R = inf")
+    # radius >= 0, so the closed neighbourhood contains Omega
+    hood = tuple(space.points[i] for i in
+                 np.flatnonzero(space.dist[io].min(axis=0) <= radius))
     hood_set = set(hood)
     violating = next((z for z in z_set if z not in hood_set), None)
     return ZInclusionResult(passed=violating is None, violating=violating,

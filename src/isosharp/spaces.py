@@ -19,7 +19,8 @@ with c in closed form (a beta function for the monomial weight); the warped
 product integrates its sphere measure once into a cumulative Gauss table.
 The ALE variant carries only its AVR = 1/k: computing its ball volumes
 would need metric data this package does not model, so radial operations
-reject it.
+reject it.  ``VARIANTS`` declares each variant's descriptor fields, their
+CLI defaults and the constructor they feed.
 
 ``vol_ball`` and ``minkowski_content_ball`` take a radius (float result) or
 an array of radii (array result) through one guard: every radius positive
@@ -431,6 +432,18 @@ class AleQuotient(ModelSpace):
         return {"variant": "ale", "n": float(self.n), "k": float(self.k)}
 
 
+# each variant's fields after "variant", in descriptor order, with their CLI
+# defaults (None marks a required field), and the constructor they feed
+VARIANTS = {
+    "euclidean": ({"n": 3}, Euclidean),
+    "warped": ({"n": 2, "a": 0.5, "beta": 1.0},
+               lambda n, a, beta: WarpedProduct(n, ExponentialTail(a, beta))),
+    "cone": ({"n": 2, "m_M": None}, EuclideanCone),
+    "monomial": ({"n": 2, "alpha_w": 1.0}, MonomialHalfSpace),
+    "ale": ({"n": 2, "k": 2}, AleQuotient),
+}
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -584,42 +597,3 @@ def isoperimetric_sharpness_sweep(space: ModelSpace, r_list) -> SweepTable:
                                        content.tolist(), ratio.tolist()))
     return SweepTable(rows=rows, sharp_bound=bound,
                       tail_gap=abs(rows[-1].ratio - bound))
-
-
-# ---------------------------------------------------------------------------
-# descriptor round trip (CLI and golden fixtures)
-
-_DESCRIPTOR_FIELDS = {"variant", "n", "a", "beta", "m_M", "alpha_w", "k"}
-
-
-def space_from_descriptor(record: dict) -> ModelSpace:
-    """Build a space from the flat key=value record used by the CLI."""
-    unknown = set(record) - _DESCRIPTOR_FIELDS
-    if unknown:
-        raise DomainError(f"unknown descriptor keys: {sorted(unknown)}")
-    variant = record.get("variant")
-
-    def whole(key):
-        # integral values become int; any other passes on, for the
-        # constructor's integer check to reject rather than truncate
-        value = float(record[key])
-        return int(value) if value.is_integer() else value
-
-    try:
-        if variant == "euclidean":
-            return Euclidean(n=float(record["n"]))
-        if variant == "warped":
-            return WarpedProduct(
-                n=whole("n"),
-                profile=ExponentialTail(a=float(record["a"]),
-                                        beta=float(record["beta"])))
-        if variant == "cone":
-            return EuclideanCone(n=whole("n"), m_M=float(record["m_M"]))
-        if variant == "monomial":
-            return MonomialHalfSpace(n=whole("n"),
-                                     alpha_w=float(record["alpha_w"]))
-        if variant == "ale":
-            return AleQuotient(n=whole("n"), k=whole("k"))
-    except KeyError as missing:
-        raise DomainError(f"descriptor missing field {missing}") from None
-    raise DomainError(f"unknown variant {variant!r}")

@@ -546,6 +546,8 @@ def run_suite(space: ModelSpace, name: str, p: float = 2.0,
     times the relevant constant (1 for ratio-style rows); the fk-sweep
     also needs its extrapolated limits within 1%.
     """
+    if tol is not None and not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
     N = space.effective_dimension
     limits_ok = True
     if name == "polya-szego":

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from isosharp import cli
 from isosharp.cli import main, parse_sweep
 from isosharp.errors import DomainError
+from isosharp.spaces import Euclidean, EuclideanCone, ExponentialTail, \
+    MonomialHalfSpace, WarpedProduct
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +150,30 @@ class TestSpaceCommand:
         assert code == 2
         assert "radial" in err
 
+    @pytest.mark.parametrize("variant, desc", [
+        ("euclidean", {"variant": "euclidean", "n": 3.0}),
+        ("warped", {"variant": "warped", "n": 2, "a": 0.5, "beta": 1.0}),
+        ("cone", {"variant": "cone", "n": 2, "m_M": 6.0}),
+        ("monomial", {"variant": "monomial", "n": 2, "alpha_w": 1.0}),
+        ("ale", {"variant": "ale", "n": 2, "k": 2}),
+    ])
+    def test_json_descriptor_of_the_defaults(self, capsys, variant, desc):
+        # the descriptor as built from the flags: n an int except on
+        # euclidean (a float), ale's k an int
+        extra = ("--m", "6") if variant == "cone" else ()
+        code, out, _ = run_cli(capsys, "space", "--variant", variant, *extra,
+                               "--format", "json")
+        assert code == 0
+        got = json.loads(out)["descriptor"]
+        assert got == desc
+        assert [type(v) for v in got.values()] == [
+            type(desc[k]) for k in got]
+
+    def test_help_names_the_link_measure_flag(self, capsys):
+        code, out, _ = run_cli(capsys, "space", "--help")
+        assert code == 0
+        assert "[--m M]" in out and "  --m M " in out
+
     def test_ale_without_sweep_reports_avr(self, capsys):
         code, out, _ = run_cli(capsys, "space", "--variant", "ale",
                                "--n", "3", "--k", "4")
@@ -210,6 +236,20 @@ class TestVerifyCommand:
         assert doc["descriptor"]["n"] == 2
         assert [row["space"] for row in doc["rows"]] == 2 * [
             {"variant": "warped", "n": 2.0, "a": 0.5, "beta": 1.0}]
+
+    @pytest.mark.parametrize("flags, space", [
+        (("--variant", "euclidean"), Euclidean(3.0)),
+        (("--variant", "warped"), WarpedProduct(2, ExponentialTail(0.5, 1.0))),
+        (("--variant", "cone", "--m", "6"), EuclideanCone(2, 6.0)),
+        (("--variant", "monomial", "--alpha-w", "0.5"),
+         MonomialHalfSpace(2, 0.5)),
+    ])
+    def test_json_rows_carry_the_built_space(self, capsys, flags, space):
+        code, out, _ = run_cli(capsys, "verify", "faber-krahn", *flags,
+                               "--R", "1", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows and all(row["space"] == space.descriptor() for row in rows)
 
     def test_fk_sweep_far_radius_on_warped(self, capsys):
         # the layer-cake cross-check once tripped here (exit 1): the direct
@@ -541,11 +581,30 @@ class TestPlumbing:
         # an OverflowError
         ("sandbox", "bm", "--n", "10000000000"),
         ("sandbox", "bm", "--n", "1" + "0" * 400),
+        # a cone without its link measure
+        ("space", "--variant", "cone", "--n", "2"),
+        # s (d0 + R) = 0 * inf; once a message about an internal eps
+        ("sandbox", "z-inclusion", "--graph", "path3", "--s", "0",
+         "--R", "inf"),
     ])
     def test_bad_input_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("space", "--variant", "torus"),
+        # a flag of a command that never reads it
+        ("constants", "--n", "3", "--seed", "4"),
+        ("constants", "--n", "3", "--tol", "-1"),
+        ("sandbox", "bm", "--tol", "1"),
+        ("space", "--variant", "euclidean", "--seed", "2"),
+    ])
+    def test_usage_error_exit_2(self, capsys, argv):
+        # argparse rejects these: a usage line, then its error
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: isosharp") and "error: " in err
 
 
 class TestCachedParser:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from isosharp.sandbox import (
     BmReport,
     FiniteMetricMeasureSpace,
     brunn_minkowski_report,
-    eps_neighborhood,
     from_edges,
     grid_graph,
     interpolant_set,
@@ -125,36 +126,6 @@ class TestInterpolants:
             interpolant_set(sp, (0,), (1,), 0.5, -1.0)
 
 
-class TestNeighborhood:
-    def test_small_eps_is_identity(self):
-        sp = path_graph(4)
-        assert eps_neighborhood(sp, (1,), 1.0) == (1,)    # strict <
-        assert eps_neighborhood(sp, (1,), 0.0) == (1,)
-
-    def test_large_eps_is_everything(self):
-        sp = path_graph(4)
-        assert eps_neighborhood(sp, (0,), 4.0) == (0, 1, 2, 3)
-
-    def test_grid_corner(self):
-        sp = grid_graph(5, 5)
-        assert eps_neighborhood(sp, (0,), 1.5) == (0, 1, 5)
-
-    def test_monotone_in_eps_and_a(self):
-        sp = random_space(3)
-        rng = np.random.default_rng(5)
-        A = tuple(sp.points[:3])
-        bigger = tuple(sp.points[:6])
-        for _ in range(20):
-            e1, e2 = sorted(rng.uniform(0.0, sp.diameter, size=2))
-            small = set(eps_neighborhood(sp, A, e1))
-            assert small <= set(eps_neighborhood(sp, A, e2))
-            assert small <= set(eps_neighborhood(sp, bigger, e1))
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(DomainError):
-            eps_neighborhood(path_graph(3), (0,), -0.5)
-
-
 class TestZInclusion:
     def test_s_zero_trivial_pass(self):
         sp = path_graph(5)
@@ -210,6 +181,21 @@ class TestZInclusion:
             z_inclusion_check(path_graph(4), (0, 1), 3, R=1.0, s=0.5)
         with pytest.raises(DomainError):
             z_inclusion_check(path_graph(4), (0,), 0, R=0.0, s=0.5)
+        # s (d0 + R) = 0 * inf has no value
+        with pytest.raises(DomainError):
+            z_inclusion_check(path_graph(4), (0,), 0, R=math.inf, s=0.0)
+
+    def test_neighborhood_is_closed(self):
+        # radius s (d0 + R) = 1 on a unit-step path: the point at distance
+        # exactly 1 from Omega belongs to the neighbourhood, the next not
+        res = z_inclusion_check(path_graph(5), (0,), 0, R=2.0, s=0.5)
+        assert res.radius == 1.0
+        assert res.neighborhood == (0, 1)
+        res = z_inclusion_check(grid_graph(5, 5), (0, 6), 0, R=1.0, s=0.5)
+        assert res.neighborhood == tuple(sorted(
+            i for i in range(25)
+            if min(abs(i // 5 - j // 5) + abs(i % 5 - j % 5)
+                   for j in (0, 6)) <= res.radius))
 
 
 class TestBrunnMinkowski:

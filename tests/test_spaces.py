@@ -20,7 +20,6 @@ from isosharp.spaces import (
     curvature_check,
     isoperimetric_sharpness_sweep,
     minkowski_content_ball,
-    space_from_descriptor,
     vol_ball,
 )
 from isosharp.specfun import omega
@@ -440,27 +439,6 @@ class TestSharpnessSweep:
 
 
 class TestDescriptor:
-    def test_round_trip_all_variants(self):
-        spaces = [Euclidean(3.5),
-                  warped(n=4, a=0.8, beta=0.5),
-                  EuclideanCone(2, 3.0),
-                  MonomialHalfSpace(2, 1.25),
-                  AleQuotient(3, 5)]
-        for space in spaces:
-            rec = space.descriptor()
-            clone = space_from_descriptor(rec)
-            assert clone.descriptor() == rec
-            assert clone.avr() == pytest.approx(space.avr(), rel=1e-14)
-
-    def test_rejects_unknown(self):
-        with pytest.raises(DomainError):
-            space_from_descriptor({"variant": "torus", "n": 2.0})
-        with pytest.raises(DomainError):
-            space_from_descriptor({"variant": "euclidean", "n": 3.0,
-                                   "radius": 1.0})
-        with pytest.raises(DomainError):
-            space_from_descriptor({"variant": "warped", "n": 3.0, "a": 0.5})
-
     def test_sampled_profile_not_serializable(self):
         prof = SampledProfile([0.0, 1.0], [1.0, 0.9])
         with pytest.raises(UnsupportedOperationError):
