@@ -39,3 +39,6 @@ expect 2 sandbox bm --n 10000000000
 expect 2 space --variant cone --n 2
 expect 2 constants --n 3 --seed 1
 expect 0 verify faber-krahn --variant euclidean --n 3 --R 1 --tol 1e-6
+expect 0 sandbox bm --n 3 --h 0.0625
+expect 0 sandbox z-inclusion --graph grid5 --format json
+expect 2 space --variant ale --k "1$(printf '%0400d' 0)"

@@ -289,12 +289,9 @@ def cmd_verify(args) -> tuple:
 
 def cmd_sandbox(args) -> tuple:
     if args.experiment == "bm":
-        # the boxes stay lazy: the report rejects an n whose cell volume
-        # h^n is not a normal double before it lists n (lo, hi) pairs
         s_grid = [round(0.1 * k, 1) for k in range(11)]
-        reports = [brunn_minkowski_report(
-            args.n, args.h, ((0.0, 0.25) for _ in range(args.n)),
-            ((0.5, 0.75) for _ in range(args.n)), s) for s in s_grid]
+        reports = [brunn_minkowski_report(args.n, args.h, (0.0, 0.25),
+                                          (0.5, 0.75), s) for s in s_grid]
         if args.format == "json":
             return _json_doc({"command": "sandbox", "experiment": "bm",
                               "rows": [asdict(rep) for rep in reports],
@@ -304,28 +301,18 @@ def cmd_sandbox(args) -> tuple:
 
     if args.graph is not None:
         sp = _NAMED_GRAPHS[args.graph]()
-        omega_set = (sp.points[0],)
-        x0 = sp.points[0]
         R = args.R if args.R is not None else sp.diameter / 2.0
-        res = z_inclusion_check(sp, omega_set, x0, R, args.s,
-                                slack=args.slack)
+        res = z_inclusion_check(sp, (0,), 0, R, args.s, slack=args.slack)
         if args.format == "json":
             return _json_doc({"command": "sandbox",
                               "experiment": "z-inclusion",
                               "graph": args.graph,
                               "result": asdict(res),
                               "passed": res.passed}), res.passed
-        lines = ["name,value",
-                 f"graph,{args.graph}",
-                 f"s,{repr(float(args.s))}",
-                 f"R,{repr(float(R))}",
-                 f"d0,{repr(res.d0)}",
-                 f"radius,{repr(res.radius)}",
-                 f"passed,{res.passed}",
-                 f"violating,{res.violating}",
-                 "z_set," + ";".join(str(z) for z in res.z_set),
-                 "neighborhood," + ";".join(str(z) for z in res.neighborhood)]
-        return "\n".join(lines) + "\n", res.passed
+        rows = [("graph", args.graph), ("s", args.s), ("R", R)] + [
+            (k, ";".join(map(str, v)) if isinstance(v, tuple) else v)
+            for k, v in asdict(res).items()]
+        return _csv_table(("name", "value"), rows), res.passed
 
     if args.seeds < 1:
         raise DomainError("--seeds must be at least 1")

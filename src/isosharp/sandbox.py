@@ -7,7 +7,8 @@ Omega.  Discrete spaces carry no curvature condition, so the
 Brunn-Minkowski comparison is reported as a lattice refinement trend,
 never asserted as a hard invariant.
 
-All loops are pure over immutable space data and deterministic for a
+A space is the points 0..n-1 with their distance matrix, and every
+point argument is an index.  All loops are pure over immutable space data and deterministic for a
 fixed seed.
 """
 
@@ -27,39 +28,34 @@ _MIN_SPACING = 2.0 ** -10
 
 
 # eq=False: identity equality and hash; the generated ones would compare
-# the ndarray fields, which has no single truth value
+# the ndarray field, which has no single truth value
 @dataclass(frozen=True, eq=False)
 class FiniteMetricMeasureSpace:
-    """(points, dist): a finite metric space under counting measure.
+    """Points 0..n-1 with distances dist: a finite metric space under
+    counting measure.
 
     dist must be symmetric, zero exactly on the diagonal, and satisfy
     the triangle inequality.
     """
 
-    points: tuple
     dist: np.ndarray
 
-    def __init__(self, points, dist):
-        pts = tuple(points)
+    def __init__(self, dist):
         d = np.array(dist, dtype=float)
-        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dist", d)
-        if len(pts) == 0:
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise DomainError(f"distance matrix shape {d.shape} is not square")
+        n = len(d)
+        if n == 0:
             raise DomainError("a space needs at least one point")
-        if len(set(pts)) != len(pts):
-            raise DomainError("point ids must be unique")
-        if d.shape != (len(pts), len(pts)):
-            raise DomainError(
-                f"distance matrix shape {d.shape} does not match "
-                f"{len(pts)} points")
         if not np.all(np.isfinite(d)):
             raise DomainError("distances must be finite")
         if np.any(np.diag(d) != 0.0):
             raise InvariantViolation("nonzero diagonal in distance matrix")
         if not np.array_equal(d, d.T):
             raise InvariantViolation("distance matrix is not symmetric")
-        off = d + np.diag(np.full(len(pts), np.inf))
-        if len(pts) > 1 and not np.all(off[~np.isinf(off)] > 0.0):
+        off = d + np.diag(np.full(n, np.inf))
+        if n > 1 and not np.all(off[~np.isinf(off)] > 0.0):
             raise InvariantViolation("dist(x,y)=0 for distinct points")
         slack = _TRI_SLACK * max(float(d.max()), 1.0)
         # d(x,z) <= d(x,y) + d(y,z) for all triples, vectorized over blocks
@@ -68,48 +64,37 @@ class FiniteMetricMeasureSpace:
         worst = max(
             float((d[:, None, :] - (d[:, y:y + step, None]
                                     + d[None, y:y + step, :])).max())
-            for y in range(0, len(pts), step))
+            for y in range(0, n, step))
         if worst > slack:
             raise InvariantViolation(
                 f"triangle inequality violated by {worst:g}")
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return len(self.dist)
 
     @property
     def diameter(self) -> float:
         return float(self.dist.max())
 
-    def index(self, label) -> int:
-        try:
-            return self.points.index(label)
-        except ValueError:
-            raise DomainError(f"unknown point id {label!r}") from None
+    def index(self, i) -> int:
+        """i as a point index; DomainError unless an integer in 0..n-1."""
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n_points):
+            raise DomainError(f"unknown point id {i!r}")
+        return int(i)
 
 
-def from_edges(points, edges) -> FiniteMetricMeasureSpace:
-    """Space whose metric is the shortest-path closure of weighted edges.
+def _shortest_paths(W: np.ndarray) -> np.ndarray:
+    """Shortest-path closure of the symmetric weight matrix W: 0 on the
+    diagonal, inf where two points share no edge.
 
-    An edge listed more than once keeps its least weight.  Dijkstra's
-    method runs from every source at once: each step settles, in each row,
-    the nearest unsettled point u and relaxes D[s, :] <- D[s, u] + W[u, :],
-    so each path is summed from its source, as one-source Dijkstra sums
-    it.  That takes O(n^2) memory and O(n^3) time.
+    Dijkstra's method runs from every source at once: each step settles,
+    in each row, the nearest unsettled point u and relaxes
+    D[s, :] <- D[s, u] + W[u, :], so each path is summed from its source,
+    as one-source Dijkstra sums it.  That takes O(n^2) memory and O(n^3)
+    time.
     """
-    pts = list(points)
-    idx = {p: i for i, p in enumerate(pts)}
-    n = len(pts)
-    W = np.full((n, n), math.inf)
-    for u, v, w in edges:
-        if not 0.0 < w < math.inf:
-            raise DomainError(
-                f"edge weight must be positive and finite, got {w!r}")
-        i, j = idx[u], idx[v]
-        if i == j:
-            raise DomainError(f"self loop at {u!r}")
-        W[i, j] = W[j, i] = min(W[i, j], w)
-    np.fill_diagonal(W, 0.0)
+    n = len(W)
     dist = W.copy()             # each source settled, its edges relaxed
     settled = np.eye(n, dtype=bool)
     rows = np.arange(n)
@@ -118,10 +103,9 @@ def from_edges(points, edges) -> FiniteMetricMeasureSpace:
         settled[rows, u] = True
         np.minimum(dist, dist[rows, u, None] + W[u], out=dist)
     if np.any(np.isinf(dist)):
-        raise DomainError("edge list is not connected")
+        raise DomainError("graph is not connected")
     # path sums from the two ends can differ by an ulp
-    dist = np.minimum(dist, dist.T)
-    return FiniteMetricMeasureSpace(pts, dist)
+    return np.minimum(dist, dist.T)
 
 
 def path_graph(k: int) -> FiniteMetricMeasureSpace:
@@ -130,11 +114,11 @@ def path_graph(k: int) -> FiniteMetricMeasureSpace:
         raise DomainError(f"path graph needs an integer k >= 2, got {k!r}")
     i = np.arange(k)
     return FiniteMetricMeasureSpace(
-        range(k), np.abs(i[:, None] - i[None, :]).astype(float))
+        np.abs(i[:, None] - i[None, :]).astype(float))
 
 
 def grid_graph(rows: int, cols: int) -> FiniteMetricMeasureSpace:
-    """Unit grid graph, ids row-major 0..rows*cols-1, L1 metric."""
+    """Unit grid graph, points row-major 0..rows*cols-1, L1 metric."""
     if not (isinstance(rows, int) and isinstance(cols, int)
             and rows >= 1 and cols >= 1 and rows * cols >= 2):
         raise DomainError("grid graph needs at least two nodes")
@@ -142,7 +126,7 @@ def grid_graph(rows: int, cols: int) -> FiniteMetricMeasureSpace:
     c = np.arange(rows * cols) % cols
     dist = (np.abs(r[:, None] - r[None, :])
             + np.abs(c[:, None] - c[None, :])).astype(float)
-    return FiniteMetricMeasureSpace(range(rows * cols), dist)
+    return FiniteMetricMeasureSpace(dist)
 
 
 def random_space(seed: int) -> FiniteMetricMeasureSpace:
@@ -157,24 +141,25 @@ def random_space(seed: int) -> FiniteMetricMeasureSpace:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 61))
     order = rng.permutation(n)
-    edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
     density = rng.uniform(0.05, 0.4)
-    mask = rng.random((n, n)) < density
-    edges.update(zip(*np.nonzero(np.triu(mask, 1))))
-    pairs = sorted(edges)
+    edge = np.triu(rng.random((n, n)) < density, 1)
+    edge[np.minimum(order[:-1], order[1:]),
+         np.maximum(order[:-1], order[1:])] = True
+    u, v = np.nonzero(edge)     # the pairs u < v in sorted order
+    W = np.full((n, n), math.inf)
+    np.fill_diagonal(W, 0.0)
     # the same stream as one scalar draw per sorted pair
-    weights = rng.uniform(1.0, 2.0, len(pairs))
-    return from_edges(range(n), [(int(u), int(v), float(w))
-                                 for (u, v), w in zip(pairs, weights)])
+    W[u, v] = W[v, u] = rng.uniform(1.0, 2.0, len(u))
+    return FiniteMetricMeasureSpace(_shortest_paths(W))
 
 
 def interpolant_set(space: FiniteMetricMeasureSpace, A, B, s: float,
                     slack: float) -> tuple:
-    """All z with d(x,z) = s d(x,y) and d(z,y) = (1-s) d(x,y), some x in A
-    and y in B.
+    """All points z with d(x,z) = s d(x,y) and d(z,y) = (1-s) d(x,y), some
+    x in A and y in B (point indices).
 
     Exact brute force over A x B x M with both equalities within slack,
-    vectorized over B and M for each x.  Returned in point order.
+    vectorized over B and M for each x.  Returned in ascending order.
     """
     A, B = tuple(A), tuple(B)
     if not A or not B:
@@ -193,17 +178,17 @@ def interpolant_set(space: FiniteMetricMeasureSpace, A, B, s: float,
         ok = (np.abs(d[x] - s * dxy) <= slack) \
             & (np.abs(d_b - (1.0 - s) * dxy) <= slack)
         hit |= ok.any(axis=0)
-    return tuple(space.points[i] for i in np.flatnonzero(hit))
+    return tuple(np.flatnonzero(hit).tolist())
 
 
 @dataclass(frozen=True)
 class ZInclusionResult:
+    d0: float
+    radius: float
     passed: bool
-    violating: object
+    violating: int | None
     z_set: tuple
     neighborhood: tuple
-    radius: float
-    d0: float
 
 
 def z_inclusion_check(space: FiniteMetricMeasureSpace, omega, x0,
@@ -211,34 +196,33 @@ def z_inclusion_check(space: FiniteMetricMeasureSpace, omega, x0,
                       interpolant_slack: float = 0.0) -> ZInclusionResult:
     """Z_s(Omega, B(x0, R)) against the closed s(d0+R)-neighborhood of Omega.
 
-    d0 = diam(Omega).  Every interpolant z between x in Omega and y in
-    the ball satisfies d(x,z) = s d(x,y) <= s (d0 + R), so the inclusion
-    holds whenever both slacks vanish; inflating interpolant_slack can
-    break it, which is what makes the constant s(d0+R) tight.
+    Omega and x0 are point indices; d0 = diam(Omega).  Every interpolant
+    z between x in Omega and y in the ball satisfies
+    d(x,z) = s d(x,y) <= s (d0 + R), so the inclusion holds whenever both
+    slacks vanish; inflating interpolant_slack can break it, which is what
+    makes the constant s(d0+R) tight.
     """
-    omega = tuple(omega)
     io = [space.index(p) for p in omega]
-    if space.index(x0) not in io:
+    x0 = space.index(x0)
+    if x0 not in io:
         raise DomainError("x0 must belong to Omega")
     if not R > 0.0:
         raise DomainError(f"R must be positive, got {R!r}")
     if not slack >= 0.0:
         raise DomainError("slack must be nonnegative")
-    ball = tuple(space.points[i] for i in
-                 np.flatnonzero(space.dist[space.index(x0)] <= R))
+    ball = np.flatnonzero(space.dist[x0] <= R)
     d0 = float(space.dist[np.ix_(io, io)].max())
-    z_set = interpolant_set(space, omega, ball, s, interpolant_slack)
+    z_set = interpolant_set(space, io, ball, s, interpolant_slack)
     radius = s * (d0 + R) + slack
     if math.isnan(radius):    # s = 0 and R = inf
         raise DomainError("s (d0 + R) is undefined at s = 0, R = inf")
     # radius >= 0, so the closed neighbourhood contains Omega
-    hood = tuple(space.points[i] for i in
-                 np.flatnonzero(space.dist[io].min(axis=0) <= radius))
-    hood_set = set(hood)
-    violating = next((z for z in z_set if z not in hood_set), None)
-    return ZInclusionResult(passed=violating is None, violating=violating,
-                            z_set=z_set, neighborhood=hood,
-                            radius=radius, d0=d0)
+    inside = space.dist[io].min(axis=0) <= radius
+    hood = tuple(np.flatnonzero(inside).tolist())
+    violating = next((z for z in z_set if not inside[z]), None)
+    return ZInclusionResult(d0=d0, radius=radius, passed=violating is None,
+                            violating=violating, z_set=z_set,
+                            neighborhood=hood)
 
 
 def seeded_z_inclusion(seed: int) -> ZInclusionResult:
@@ -286,16 +270,17 @@ def _axis_range(lo: float, hi: float, m: int) -> np.ndarray:
     return np.arange(a, b + 1)
 
 
-def brunn_minkowski_report(n: int, h: float, box_a, box_b,
+def brunn_minkowski_report(n: int, h: float, edge_a, edge_b,
                            s: float) -> BmReport:
     """m(Z_s)^{1/n} vs (1-s) m(A)^{1/n} + s m(B)^{1/n} on the h-lattice.
 
-    A and B are axis-aligned boxes in [0,1]^n, discretized by counting
-    measure count h^n; DomainError where h^n or a count leaves the normal
-    doubles.  Z_s collects the lattice roundings of the exact
-    interpolants (1-s) a + s b, a factored per-axis product for boxes.
-    The deficit is a discretization report, not a curvature statement:
-    the contract is deficit >= -C h with the measured C returned.
+    A and B are the cubes [lo, hi]^n in [0,1]^n of the edges edge_a and
+    edge_b, discretized by counting measure count h^n; DomainError where
+    h^n or a count leaves the normal doubles.  Z_s collects the lattice
+    roundings of the exact interpolants (1-s) a + s b, the n-th power of
+    one axis's count for cubes.  The deficit is a discretization report,
+    not a curvature statement: the contract is deficit >= -C h with the
+    measured C returned.
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"dimension must be a positive integer, got {n!r}")
@@ -307,8 +292,8 @@ def brunn_minkowski_report(n: int, h: float, box_a, box_b,
         raise DomainError(f"1/h must be an integer, got h={h!r}")
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"s must lie in [0,1], got {s!r}")
-    # before the boxes are listed: an n past the normal doubles' exponent
-    # range fails here, whatever length of boxes it asks for
+    # before the counts, each size ** n: an n past the normal doubles'
+    # exponent range fails here, not in a huge integer power
     try:
         cell = h ** n
     except OverflowError:       # n past the largest double
@@ -316,19 +301,12 @@ def brunn_minkowski_report(n: int, h: float, box_a, box_b,
     if cell < sys.float_info.min:
         raise DomainError(
             f"cell volume h^n = {h!r}^{n} is not a normal double")
-    box_a, box_b = list(box_a), list(box_b)
-    if len(box_a) != n or len(box_b) != n:
-        raise DomainError("boxes must supply one (lo, hi) pair per axis")
     N = float(n)
 
-    count_a = count_b = count_z = 1
-    for (alo, ahi), (blo, bhi) in zip(box_a, box_b):
-        ia = _axis_range(alo, ahi, m)
-        ib = _axis_range(blo, bhi, m)
-        count_a *= ia.size
-        count_b *= ib.size
-        vals = (1.0 - s) * ia[:, None] + s * ib[None, :]
-        count_z *= np.unique(np.floor(vals + 0.5).astype(int)).size
+    ia, ib = _axis_range(*edge_a, m), _axis_range(*edge_b, m)
+    vals = (1.0 - s) * ia[:, None] + s * ib[None, :]
+    size_z = np.unique(np.floor(vals + 0.5).astype(int)).size
+    count_a, count_b, count_z = ia.size ** n, ib.size ** n, size_z ** n
     try:
         ma, mb, mz = (count * cell for count in (count_a, count_b, count_z))
     except OverflowError:       # a count above the largest double

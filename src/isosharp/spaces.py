@@ -420,6 +420,9 @@ class AleQuotient(ModelSpace):
     def __post_init__(self):
         _check_int(self.n, "ALE dimension", 2)
         _check_int(self.k, "group order", 1)
+        if self.k > 1.0 / sys.float_info.min:
+            raise DomainError("group order must be at most 2^1022, where "
+                              "1/k is still a normal double")
 
     @property
     def effective_dimension(self) -> float:

@@ -188,12 +188,10 @@ def test_criterion_09_sandbox():
     ok = all(seeded_z_inclusion(seed).passed for seed in range(200))
 
     for s in (0.0, 0.3, 0.5, 0.77, 1.0):
-        rep = brunn_minkowski_report(1, 1 / 64, [(0.0, 0.25)],
-                                     [(0.5, 0.75)], s)
+        rep = brunn_minkowski_report(1, 1 / 64, (0.0, 0.25), (0.5, 0.75), s)
         ok = ok and abs(rep.deficit) < 1e-14
 
-    a = [(0.0, 0.25), (0.0, 0.25)]
-    b = [(0.0, 0.640625), (0.0, 0.640625)]
+    a, b = (0.0, 0.25), (0.0, 0.640625)
     violations = []
     for k in (64, 128, 256):
         rep = brunn_minkowski_report(2, 1.0 / k, a, b, 0.25)

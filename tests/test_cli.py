@@ -361,6 +361,14 @@ class TestSandboxCommand:
         assert table["z_set"] != ""
         assert "neighborhood" in table
 
+    def test_graph_json_holds_point_indices(self, capsys):
+        code, out, _ = run_cli(capsys, "sandbox", "z-inclusion",
+                               "--graph", "grid5", "--format", "json")
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["z_set"] and all(type(z) is int for z in res["z_set"])
+        assert res["neighborhood"][0] == 0
+
     @pytest.mark.parametrize("graph", ["path5", "grid5"])
     def test_interpolant_on_the_boundary_passes(self, capsys, graph):
         # z at distance exactly s(d0+R) lies in the closed neighbourhood
@@ -586,6 +594,9 @@ class TestPlumbing:
         # s (d0 + R) = 0 * inf; once a message about an internal eps
         ("sandbox", "z-inclusion", "--graph", "path3", "--s", "0",
          "--R", "inf"),
+        # a group order whose 1/k is not a normal double; it once ended in
+        # an OverflowError
+        ("space", "--variant", "ale", "--k", "1" + "0" * 400),
     ])
     def test_bad_input_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -7,8 +7,8 @@ from isosharp.errors import DomainError, InvariantViolation
 from isosharp.sandbox import (
     BmReport,
     FiniteMetricMeasureSpace,
+    _shortest_paths,
     brunn_minkowski_report,
-    from_edges,
     grid_graph,
     interpolant_set,
     path_graph,
@@ -33,35 +33,31 @@ class TestSpaceConstruction:
     def test_triangle_violation_rejected(self):
         bad = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
         with pytest.raises(InvariantViolation):
-            FiniteMetricMeasureSpace(range(3), bad)
+            FiniteMetricMeasureSpace(bad)
 
     def test_asymmetry_and_zero_rejected(self):
         with pytest.raises(InvariantViolation):
-            FiniteMetricMeasureSpace(
-                range(2), [[0.0, 1.0], [2.0, 0.0]])
+            FiniteMetricMeasureSpace([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(InvariantViolation):
-            FiniteMetricMeasureSpace(
-                range(2), [[0.0, 0.0], [0.0, 0.0]])
+            FiniteMetricMeasureSpace([[0.0, 0.0], [0.0, 0.0]])
 
     def test_unknown_point_lookup(self):
         with pytest.raises(DomainError):
             path_graph(3).index(99)
 
+    @pytest.mark.parametrize("i", [-1, 3, 1.5])
+    def test_index_is_an_integer_in_range(self, i):
+        sp = path_graph(3)
+        assert sp.index(2) == 2
+        with pytest.raises(DomainError, match="unknown point id"):
+            sp.index(i)
+
     def test_disconnected_edge_list_rejected(self):
-        with pytest.raises(DomainError):
-            from_edges(range(4), [(0, 1, 1.0), (2, 3, 1.0)])
-
-    def test_repeated_edges_keep_their_least_weight(self):
-        both = from_edges(["a", "b"], [("a", "b", 1.0), ("b", "a", 1.0)])
-        assert both.dist[0, 1] == 1.0
-        heavier = from_edges(["a", "b"], [("a", "b", 1.0), ("b", "a", 1.0),
-                                          ("a", "b", 5.0)])
-        assert heavier.dist[0, 1] == 1.0
-
-    @pytest.mark.parametrize("w", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_edge_weight_rejected(self, w):
-        with pytest.raises(DomainError, match="edge weight"):
-            from_edges(["a", "b"], [("a", "b", w)])
+        W = np.full((4, 4), np.inf)
+        np.fill_diagonal(W, 0.0)
+        W[0, 1] = W[1, 0] = W[2, 3] = W[3, 2] = 1.0
+        with pytest.raises(DomainError, match="not connected"):
+            _shortest_paths(W)
 
     def test_closure_matches_scipy_dijkstra(self, monkeypatch):
         # scipy's Dijkstra on the same edges is the reference, bit for bit
@@ -70,19 +66,17 @@ class TestSpaceConstruction:
 
         import isosharp.sandbox as sandbox
         built = []
-        own = sandbox.from_edges
 
-        def record(points, edges):
-            built.append(list(edges))
-            return own(points, edges)
+        def record(W):
+            built.append(W.copy())
+            return _shortest_paths(W)
 
-        monkeypatch.setattr(sandbox, "from_edges", record)
+        monkeypatch.setattr(sandbox, "_shortest_paths", record)
         for seed in range(200):
             sp = random_space(seed)
-            i, j, w = np.array(built[-1]).T
-            n = sp.n_points
-            rows, cols = np.append(i, j).astype(int), np.append(j, i).astype(int)
-            graph = csr_matrix((np.append(w, w), (rows, cols)), shape=(n, n))
+            W = built[-1]
+            i, j = np.nonzero(np.isfinite(W) & (W > 0.0))
+            graph = csr_matrix((W[i, j], (i, j)), shape=W.shape)
             ref = shortest_path(graph, method="D", directed=False)
             assert np.array_equal(sp.dist, np.minimum(ref, ref.T)), seed
 
@@ -104,15 +98,12 @@ class TestInterpolants:
         # d(x,z) + d(z,y) = d(x,y) within 2 slack for some witness pair
         sp = random_space(11)
         slack = 1e-9 * sp.diameter     # the metric is real-valued
-        A = sp.points[:4]
-        B = sp.points[-4:]
+        A = range(4)
+        B = range(sp.n_points - 4, sp.n_points)
         for s in (0.25, 0.5, 0.8):
             z_set = interpolant_set(sp, A, B, s, slack)
             for z in z_set:
-                iz = sp.index(z)
-                gaps = [abs(sp.dist[sp.index(x), iz]
-                            + sp.dist[iz, sp.index(y)]
-                            - sp.dist[sp.index(x), sp.index(y)])
+                gaps = [abs(sp.dist[x, z] + sp.dist[z, y] - sp.dist[x, y])
                         for x in A for y in B]
                 assert min(gaps) <= 2.0 * slack
 
@@ -161,8 +152,7 @@ class TestZInclusion:
     def test_zero_slack_batch(self):
         for seed in range(30):
             sp = random_space(seed + 1000)
-            omega = sp.points[:3]
-            res = z_inclusion_check(sp, omega, omega[0],
+            res = z_inclusion_check(sp, (0, 1, 2), 0,
                                     R=0.6 * sp.diameter, s=0.5)
             assert res.passed
 
@@ -200,27 +190,26 @@ class TestZInclusion:
 
 class TestBrunnMinkowski:
     def test_a_equals_b_is_flat(self):
-        box = [(0.25, 0.5), (0.25, 0.5)]
+        edge = (0.25, 0.5)
         for s in (0.0, 0.3, 0.5, 1.0):
-            rep = brunn_minkowski_report(2, 1 / 32, box, box, s)
+            rep = brunn_minkowski_report(2, 1 / 32, edge, edge, s)
             assert rep.measure_z == rep.measure_a
             assert rep.deficit == pytest.approx(0.0, abs=1e-14)
 
     def test_1d_intervals_exact(self):
         # equal lengths: additivity of lengths is lattice-exact at any s
-        a, b = [(0.0, 0.25)], [(0.5, 0.75)]
+        a, b = (0.0, 0.25), (0.5, 0.75)
         for s in (0.0, 0.3, 0.5, 0.77, 1.0):
             rep = brunn_minkowski_report(1, 1 / 64, a, b, s)
             assert rep.deficit == pytest.approx(0.0, abs=1e-14)
         # unequal lengths stay exact when s keeps the endpoints integral
-        rep = brunn_minkowski_report(1, 1 / 64, [(0.0, 0.25)],
-                                     [(0.5, 0.875)], 0.5)
+        rep = brunn_minkowski_report(1, 1 / 64, (0.0, 0.25), (0.5, 0.875),
+                                     0.5)
         assert rep.deficit == pytest.approx(0.0, abs=1e-14)
 
     def test_2d_squares_deficit_improves_under_refinement(self):
         # endpoint rounding errs low at h=1/64 here; refinement kills it
-        a = [(0.0, 0.25), (0.0, 0.25)]
-        b = [(0.0, 0.640625), (0.0, 0.640625)]
+        a, b = (0.0, 0.25), (0.0, 0.640625)
         violations = []
         for k in (64, 128, 256):
             rep = brunn_minkowski_report(2, 1.0 / k, a, b, 0.25)
@@ -233,8 +222,7 @@ class TestBrunnMinkowski:
     def test_parity_aligned_squares_stay_exact(self):
         # s = 1/2 with dyadic box edges keeps every endpoint on the
         # lattice, so the deficit is 0 at every refinement level
-        a = [(0.0, 0.25), (0.0, 0.25)]
-        b = [(0.5, 0.75), (0.5, 0.75)]
+        a, b = (0.0, 0.25), (0.5, 0.75)
         for k in (32, 64, 128, 256):
             rep = brunn_minkowski_report(2, 1.0 / k, a, b, 0.5)
             assert rep.deficit == pytest.approx(0.0, abs=1e-14)
@@ -242,72 +230,51 @@ class TestBrunnMinkowski:
     def test_deficit_obeys_ch_contract(self):
         # misaligned s makes the signed deficit oscillate within O(h);
         # the contract is deficit >= -C h with stable C
-        a = [(0.0, 0.25), (0.0, 0.25)]
-        b = [(0.5, 0.875), (0.5, 0.875)]
+        a, b = (0.0, 0.25), (0.5, 0.875)
         for k in (64, 128, 256, 512):
             rep = brunn_minkowski_report(2, 1.0 / k, a, b, 0.3)
             assert rep.deficit >= -0.5 / k
             assert rep.c_estimate <= 0.5
 
     def test_counting_measure_bookkeeping(self):
-        rep = brunn_minkowski_report(1, 0.25, [(0.0, 0.5)], [(0.5, 1.0)], 0.5)
+        rep = brunn_minkowski_report(1, 0.25, (0.0, 0.5), (0.5, 1.0), 0.5)
         # 3 lattice points in each interval at h=1/4
         assert rep.measure_a == pytest.approx(0.75)
         assert rep.measure_b == pytest.approx(0.75)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            brunn_minkowski_report(2, 0.3, [(0, 1)] * 2, [(0, 1)] * 2, 0.5)
+            brunn_minkowski_report(2, 0.3, (0, 1), (0, 1), 0.5)
         with pytest.raises(DomainError):
-            brunn_minkowski_report(2, 1 / 32, [(0.5, 0.25)] * 2,
-                                   [(0, 1)] * 2, 0.5)
+            brunn_minkowski_report(2, 1 / 32, (0.5, 0.25), (0, 1), 0.5)
         with pytest.raises(DomainError):
-            brunn_minkowski_report(1, 1 / 32, [(0, 1)], [(0, 1)], 1.5)
+            brunn_minkowski_report(1, 1 / 32, (0, 1), (0, 1), 1.5)
         # finer than 2^-10 the pairwise lattice table outgrows ~8 MB an axis
         with pytest.raises(DomainError):
-            brunn_minkowski_report(1, 2.0 ** -11, [(0, 1)], [(0, 1)], 0.5)
+            brunn_minkowski_report(1, 2.0 ** -11, (0, 1), (0, 1), 0.5)
 
     def test_measures_outside_the_normal_doubles_rejected(self):
         # 64^-170 = 2^-1020 is still normal, 64^-171 is not
-        rep = brunn_minkowski_report(170, 1 / 64, [(0, 0.25)] * 170,
-                                     [(0.5, 0.75)] * 170, 0.5)
+        rep = brunn_minkowski_report(170, 1 / 64, (0, 0.25), (0.5, 0.75),
+                                     0.5)
         assert rep.measure_a == 17 ** 170 * 64.0 ** -170
         with pytest.raises(DomainError, match="cell volume"):
-            brunn_minkowski_report(171, 1 / 64, [(0, 0.25)] * 171,
-                                   [(0.5, 0.75)] * 171, 0.5)
+            brunn_minkowski_report(171, 1 / 64, (0, 0.25), (0.5, 0.75), 0.5)
         # a normal cell 2^-700, but 3^700 lattice points overflow a double
         with pytest.raises(DomainError, match="lattice count"):
-            brunn_minkowski_report(700, 0.5, [(0, 1)] * 700, [(0, 1)] * 700,
-                                   0.5)
-
-
-def edge_list(sp):
-    """Every pair of a space's points with its distance."""
-    return [(sp.points[i], sp.points[j], float(sp.dist[i, j]))
-            for i in range(sp.n_points) for j in range(i + 1, sp.n_points)]
+            brunn_minkowski_report(700, 0.5, (0, 1), (0, 1), 0.5)
 
 
 class TestSerialization:
     def test_path_round_trip(self):
         # a metric is its own shortest-path closure
         sp = path_graph(3)
-        loaded = from_edges(sp.points, edge_list(sp))
-        assert loaded.n_points == 3
-        assert np.array_equal(loaded.dist, sp.dist)
+        assert np.array_equal(_shortest_paths(sp.dist), sp.dist)
 
     def test_random_space_round_trip(self):
         sp = random_space(42)
-        loaded = from_edges(sp.points, edge_list(sp))
-        assert loaded.points == sp.points
-        assert np.allclose(loaded.dist, sp.dist, rtol=0.0, atol=1e-12)
-
-    def test_edges_listed_both_ways(self):
-        loaded = from_edges(["a", "b", "c"],
-                            [("a", "b", 1.0), ("b", "a", 1.0),
-                             ("b", "c", 2.5), ("c", "b", 2.5)])
-        assert loaded.points == ("a", "b", "c")
-        assert np.array_equal(loaded.dist, [[0.0, 1.0, 3.5], [1.0, 0.0, 2.5],
-                                            [3.5, 2.5, 0.0]])
+        assert np.allclose(_shortest_paths(sp.dist), sp.dist,
+                           rtol=0.0, atol=1e-12)
 
     def test_long_path_csv_matches_scipy_dijkstra(self):
         # the longest shortest path has n - 1 hops, and the closure still
@@ -317,20 +284,19 @@ class TestSerialization:
 
         n = 400
         w = np.random.default_rng(7).uniform(1.0, 2.0, n - 1)
-        loaded = from_edges([f"p{i}" for i in range(n)],
-                            [(f"p{i}", f"p{i + 1}", float(w[i]))
-                             for i in range(n - 1)])
-        graph = csr_matrix((w, (np.arange(n - 1), np.arange(1, n))),
-                           shape=(n, n))
+        i = np.arange(n - 1)
+        W = np.full((n, n), np.inf)
+        np.fill_diagonal(W, 0.0)
+        W[i, i + 1] = W[i + 1, i] = w
+        graph = csr_matrix((w, (i, i + 1)), shape=(n, n))
         ref = shortest_path(graph, method="D", directed=False)
         ref = np.minimum(ref, ref.T)
-        assert np.array_equal(loaded.dist, ref)
+        assert np.array_equal(_shortest_paths(W), ref)
 
 
 def test_random_space_deterministic():
     a = random_space(7)
     b = random_space(7)
-    assert a.points == b.points
     assert np.array_equal(a.dist, b.dist)
 
 
@@ -340,15 +306,16 @@ def test_random_space_deterministic():
 def _interpolant_set_loop(space, A, B, s, slack):
     hit = np.zeros(space.n_points, dtype=bool)
     d = space.dist
-    for x in map(space.index, A):
-        for y in map(space.index, B):
+    for x in A:
+        for y in B:
             dxy = d[x, y]
             hit |= ((np.abs(d[x] - s * dxy) <= slack)
                     & (np.abs(d[y] - (1.0 - s) * dxy) <= slack))
-    return tuple(space.points[i] for i in np.flatnonzero(hit))
+    return tuple(int(i) for i in np.flatnonzero(hit))
 
 
 def _random_space_per_edge(seed):
+    """random_space(seed).dist with one weight drawn per edge."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 61))
     order = rng.permutation(n)
@@ -359,16 +326,18 @@ def _random_space_per_edge(seed):
         for j in range(i + 1, n):
             if mask[i, j]:
                 edges.add((i, j))
-    return from_edges(range(n), [
-        (int(u), int(v), float(rng.uniform(1.0, 2.0)))
-        for u, v in sorted(edges)])
+    W = np.full((n, n), np.inf)
+    np.fill_diagonal(W, 0.0)
+    for u, v in sorted(edges):
+        W[u, v] = W[v, u] = rng.uniform(1.0, 2.0)
+    return _shortest_paths(W)
 
 
 class TestVectorizedMatchesLoops:
     def test_random_space_matches_per_edge_draws(self):
         for seed in range(301):
             assert np.array_equal(random_space(seed).dist,
-                                  _random_space_per_edge(seed).dist), seed
+                                  _random_space_per_edge(seed)), seed
 
     def test_interpolant_set_matches_triple_loop(self):
         rng = np.random.default_rng(2024)
@@ -377,9 +346,9 @@ class TestVectorizedMatchesLoops:
             path_graph(7), grid_graph(4, 5)]
         for sp in spaces:
             for _ in range(6):
-                A = tuple(rng.choice(sp.points, size=rng.integers(1, 6),
+                A = tuple(rng.choice(sp.n_points, size=rng.integers(1, 6),
                                      replace=False).tolist())
-                B = tuple(rng.choice(sp.points, size=rng.integers(1, 6),
+                B = tuple(rng.choice(sp.n_points, size=rng.integers(1, 6),
                                      replace=False).tolist())
                 for s in (0.0, 1.0, 0.5, float(rng.uniform(0.05, 0.95))):
                     for slack in (0.0, 1e-12 * sp.diameter,
