@@ -42,3 +42,5 @@ expect 0 verify faber-krahn --variant euclidean --n 3 --R 1 --tol 1e-6
 expect 0 sandbox bm --n 3 --h 0.0625
 expect 0 sandbox z-inclusion --graph grid5 --format json
 expect 2 space --variant ale --k "1$(printf '%0400d' 0)"
+expect 0 space --variant warped --n 3
+expect 0 space --variant warped --n 3 --format json

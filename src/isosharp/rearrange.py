@@ -5,10 +5,11 @@ its Euclidean rearrangement u* by the volume-radius change of variable
 rho(r) = (vol(B_r)/omega_N)^{1/N}: the function on R^N with u*(rho(r)) = u(r).
 By construction every superlevel set keeps its measure, so Lq norms are
 preserved (Cavalieri) while gradient norms can only shrink modulo the AVR
-factor (Polya-Szego).  This module computes distribution functions, the
-rearrangement itself, both norms by two independent routes, and the co-area
-and layer-cake identities used to certify them.  Ball volumes and sphere
-measures come from the space's own ``volume`` and ``content``.
+factor (Polya-Szego).  This module computes the rearrangement itself, both
+norms by two independent routes (the Cavalieri one integrates the superlevel
+volumes V(t) = vol(B_{r(t)})), and the layer-cake identity for radial
+integrals.  Ball volumes and sphere measures come from the space's own
+``volume`` and ``content``.
 
 Functions are supported on [0, r_end] of their grid, and are either
 sampled (interpolated shape-preservingly between nodes) or exact (closed-form
@@ -109,18 +110,6 @@ class RadialFunction:
         return self._interp.d / self.r_end
 
 
-# eq=False: identity equality; the generated one would compare the ndarray
-# fields, which has no single truth value
-@dataclass(frozen=True, eq=False)
-class DistributionProfile:
-    """V(t) = measure of {u > t} and the level radii r(t), tabulated on a
-    descending level grid."""
-
-    t_grid: np.ndarray
-    volumes: np.ndarray
-    radii: np.ndarray
-
-
 def _level_radii(u: RadialFunction, t) -> np.ndarray:
     """r(t) = sup{r : u(r) > t} on [0, r_end] for a level or an array of
     levels, by bisection.
@@ -141,21 +130,6 @@ def _level_radii(u: RadialFunction, t) -> np.ndarray:
         width = 0.5 * width
         lo = lo + width * (u.value(lo + width) > t)
     return lo + 0.5 * width
-
-
-def distribution(space: ModelSpace, u: RadialFunction,
-                 t_grid) -> DistributionProfile:
-    """Superlevel volumes V(t) = vol({u > t}) on a descending level grid."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) >= 0.0):
-        raise DomainError("t_grid must be 1-D and strictly descending")
-    if np.any(t < 0.0):
-        raise DomainError("levels must be nonnegative")
-    radii = _level_radii(u, t)
-    vols = space.volume(radii)
-    if np.any(np.diff(vols) < -1e-9 * max(1.0, float(np.max(vols)))):
-        raise InvariantViolation("V must be nondecreasing as t descends")
-    return DistributionProfile(t, vols, radii)
 
 
 def euclidean_rearrangement(space: ModelSpace, u: RadialFunction) -> RadialFunction:
@@ -226,7 +200,7 @@ def lq_routes(space: ModelSpace, u: RadialFunction, q: float) -> tuple:
 
     Direct: int |u|^q against the space's radial area density, a composite
     Gauss rule in r on u's grid.  Cavalieri: int_0^L q t^{q-1} V(t) dt
-    through the distribution function, a composite Gauss rule in t on u's
+    over the superlevel volumes, a composite Gauss rule in t on u's
     node values with a batched level-radius bisection.
     """
     if not (isinstance(q, (int, float)) and 0.0 < q < math.inf):
@@ -289,51 +263,6 @@ def polya_szego_check(space: ModelSpace, u: RadialFunction,
     if rhs <= 0.0:
         raise DomainError("rearranged gradient vanishes; profile is flat")
     return PolyaSzegoResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
-
-
-@dataclass(frozen=True)
-class CoareaRow:
-    t: float
-    minus_v_prime: float
-    coarea_value: float
-    rel_err: float
-
-
-@dataclass(frozen=True)
-class CoareaReport:
-    rows: tuple
-    skipped: tuple
-    passed: bool
-    max_rel_err: float
-    degenerate: bool
-
-
-def coarea_derivative_check(space: ModelSpace, u: RadialFunction,
-                            t_grid) -> CoareaReport:
-    """-V'(t) must equal perimeter(r(t)) / |u'(r(t))| at regular levels.
-
-    V' is a central difference on the tabulated distribution profile.
-    Levels with |u'(r(t))| < 1e-8 are skipped (critical values; for a
-    plateau every interior level is skipped and the report is flagged
-    degenerate).
-    """
-    profile = distribution(space, u, t_grid)
-    t, V, radii = profile.t_grid, profile.volumes, profile.radii[1:-1]
-    slope = np.abs(u.deriv(radii))
-    content = space.content(radii)
-    regular = (slope >= 1e-8) & (radii > 0.0) & (radii < u.r_end)
-    lhs = -((V[2:] - V[:-2]) / (t[2:] - t[:-2]))[regular]
-    rhs = content[regular] / slope[regular]
-    rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
-    rows = tuple(CoareaRow(t=t_i, minus_v_prime=l, coarea_value=c, rel_err=e)
-                 for t_i, l, c, e in zip(t[1:-1][regular].tolist(),
-                                         lhs.tolist(), rhs.tolist(),
-                                         rel.tolist()))
-    max_rel = float(np.max(rel, initial=0.0))
-    return CoareaReport(rows=rows, skipped=tuple(t[1:-1][~regular].tolist()),
-                        passed=bool(max_rel <= 1e-4),
-                        max_rel_err=max_rel,
-                        degenerate=not rows)
 
 
 def layer_cake_radial_integral(space: ModelSpace, f_and_slope, R: float):

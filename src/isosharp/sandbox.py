@@ -8,8 +8,8 @@ Brunn-Minkowski comparison is reported as a lattice refinement trend,
 never asserted as a hard invariant.
 
 A space is the points 0..n-1 with their distance matrix, and every
-point argument is an index.  All loops are pure over immutable space data and deterministic for a
-fixed seed.
+point argument is an index.  All loops are pure over immutable space
+data and deterministic for a fixed seed.
 """
 
 from __future__ import annotations

@@ -117,12 +117,10 @@ class SampledProfile(WarpingProfile):
 
     Beyond the last node the profile continues as the constant f(s_end),
     which therefore serves as its asymptote.  Construction validates the
-    profile invariants (f(0)=1, nonincreasing, 0 < f <= 1); pass
-    strict=False to build a deliberately violating profile for negative
-    controls, which the structural checks are expected to flag.
+    profile invariants (f(0)=1, nonincreasing, 0 < f <= 1).
     """
 
-    def __init__(self, s_grid, f_values, strict=True):
+    def __init__(self, s_grid, f_values):
         s = np.asarray(s_grid, dtype=float)
         f = np.asarray(f_values, dtype=float)
         if s.ndim != 1 or s.shape != f.shape or s.size < 2:
@@ -131,13 +129,12 @@ class SampledProfile(WarpingProfile):
             raise DomainError("profile grid must ascend from s=0")
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(f))):
             raise DomainError("profile grid and values must be finite")
-        if strict:
-            if abs(f[0] - 1.0) > 1e-12:
-                raise DomainError(f"profile must start at f(0)=1, got {f[0]}")
-            if np.any(f <= 0.0) or np.any(f > _SLACK):
-                raise DomainError("profile values must lie in (0, 1]")
-            if np.any(np.diff(f) > 1e-12):
-                raise DomainError("profile must be nonincreasing")
+        if abs(f[0] - 1.0) > 1e-12:
+            raise DomainError(f"profile must start at f(0)=1, got {f[0]}")
+        if np.any(f <= 0.0) or np.any(f > _SLACK):
+            raise DomainError("profile values must lie in (0, 1]")
+        if np.any(np.diff(f) > 1e-12):
+            raise DomainError("profile must be nonincreasing")
         self.s_grid = s
         self.f_values = f
         self._interp = pchip(s, f)
@@ -490,37 +487,7 @@ def minkowski_content_ball(space: ModelSpace, r):
 
 
 @dataclass(frozen=True)
-class AvrEstimate:
-    estimate: float
-    lower: float
-    upper: float
-    samples: tuple
-
-
-def avr_numeric(space: ModelSpace, r_max: float, samples: int = 16) -> AvrEstimate:
-    """Numerical AVR estimate with an enclosing bracket.
-
-    estimate = vol(B_{r_max})/(omega_N r_max^N).  Bishop-Gromov makes the
-    ratio nonincreasing, so the estimate is an upper bound for AVR; the
-    lower bound comes from the profile tail (f >= its asymptote pointwise,
-    giving vol >= AVR omega_N r^N), and is exact for the power-law spaces.
-    """
-    if samples < 2:
-        raise DomainError("need at least 2 sample radii")
-    N = space.effective_dimension
-    radii = r_max * np.geomspace(0.01, 1.0, int(samples))
-    ratios = vol_ball(space, radii) / _guarded(
-        radii, lambda r: omega(N) * r ** N, "Euclidean ball volume")
-    estimate = float(ratios[-1])
-    return AvrEstimate(estimate=estimate, lower=min(space.avr(), estimate),
-                       upper=estimate,
-                       samples=tuple(zip(radii.tolist(), ratios.tolist())))
-
-
-@dataclass(frozen=True)
 class MonotoneReport:
-    radii: tuple
-    ratios: tuple
     passed: bool
     max_increase: float
 
@@ -534,14 +501,11 @@ def bishop_gromov_check(space: ModelSpace, r_grid) -> MonotoneReport:
     ratios = vol_ball(space, radii) / _guarded(radii, lambda r: r ** N, "r^N")
     max_inc = float(np.diff(ratios).max()) if ratios.size > 1 else 0.0
     slack = 1e-10 * float(np.max(np.abs(ratios), initial=1.0))
-    return MonotoneReport(radii=tuple(radii.tolist()),
-                          ratios=tuple(ratios.tolist()),
-                          passed=max_inc <= slack, max_increase=max_inc)
+    return MonotoneReport(passed=max_inc <= slack, max_increase=max_inc)
 
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    grid: tuple
     passed: bool
     worst_fpp: float
     worst_slope_excess: float
@@ -556,10 +520,9 @@ def curvature_check(profile: WarpingProfile, grid) -> CurvatureReport:
     slope = np.asarray(profile.f(g), dtype=float)
     worst_fpp = float(np.max(fpp))
     worst_excess = float(np.max(slope - 1.0))
-    return CurvatureReport(grid=tuple(map(float, g)),
-                           passed=(worst_fpp <= 1e-12 and worst_excess <= 1e-12),
-                           worst_fpp=worst_fpp,
-                           worst_slope_excess=worst_excess)
+    return CurvatureReport(
+        passed=worst_fpp <= 1e-12 and worst_excess <= 1e-12,
+        worst_fpp=worst_fpp, worst_slope_excess=worst_excess)
 
 
 @dataclass(frozen=True)

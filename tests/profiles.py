@@ -1,8 +1,10 @@
-"""Radial test profiles, built with the RadialFunction constructor."""
+"""Radial test profiles, built with the RadialFunction constructor, and a
+warping profile that breaks the curvature conditions."""
 
 import numpy as np
 
 from isosharp.rearrange import RadialFunction
+from isosharp.spaces import WarpingProfile
 
 
 def exact(fn, deriv, grid):
@@ -28,3 +30,33 @@ def support_end(u):
     if positive.size == 0:
         return 0.0
     return float(u.r_grid[min(positive[-1] + 1, u.values.size - 1)])
+
+
+class RisingProfile(WarpingProfile):
+    """f(s) = min(1 + c s, cap), cap > 1: F' = f > 1 for s > 0, and
+    F'' = c > 0 up to s_cap = (cap - 1)/c.  A negative control for the
+    Bishop-Gromov and curvature checks, with F in closed form."""
+
+    def __init__(self, c, cap):
+        self.c, self.cap = c, cap
+        self.s_cap = (cap - 1.0) / c
+
+    def f(self, s):
+        return np.minimum(1.0 + self.c * np.asarray(s, dtype=float), self.cap)
+
+    def f_prime(self, s):
+        return np.where(np.asarray(s, dtype=float) < self.s_cap, self.c, 0.0)
+
+    def F(self, s):
+        s = np.asarray(s, dtype=float)
+        head = np.minimum(s, self.s_cap)
+        return (head + 0.5 * self.c * head ** 2
+                + self.cap * np.maximum(s - self.s_cap, 0.0))
+
+    @property
+    def asymptote(self):
+        return self.cap
+
+    @property
+    def breaks(self):
+        return np.array([0.0, self.s_cap])

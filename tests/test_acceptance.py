@@ -26,7 +26,6 @@ from isosharp.spaces import (
     EuclideanCone,
     ExponentialTail,
     MonomialHalfSpace,
-    SampledProfile,
     WarpedProduct,
     bishop_gromov_check,
     isoperimetric_sharpness_sweep,
@@ -43,6 +42,7 @@ from isosharp.verify import (
     run_suite,
     truncated_extremal,
 )
+from profiles import RisingProfile
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -109,9 +109,7 @@ def test_criterion_04_bishop_gromov():
     ok = all(bishop_gromov_check(sp, radii).passed for sp in spaces)
 
     # negative control: a profile that grows superlinearly
-    s = np.linspace(0.0, 10.0, 201)
-    rising = SampledProfile(s, np.minimum(1.0 + 0.2 * s, 3.0), strict=False)
-    bad = WarpedProduct(2, rising)
+    bad = WarpedProduct(2, RisingProfile(c=0.2, cap=3.0))
     ok = ok and not bishop_gromov_check(bad, radii).passed
     _report(4, "Bishop-Gromov monotonicity holds, negative control fails", ok)
 

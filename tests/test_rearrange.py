@@ -1,4 +1,4 @@
-"""Rearrangement, Cavalieri norms, Polya-Szego, co-area, layer cake."""
+"""Rearrangement, Cavalieri norms, Polya-Szego, layer cake."""
 
 import json
 import math
@@ -17,8 +17,6 @@ from isosharp.constants import SobolevParams
 from isosharp.errors import DomainError, InvariantViolation
 from isosharp.rearrange import (
     RadialFunction,
-    coarea_derivative_check,
-    distribution,
     euclidean_rearrangement,
     grad_lp_norm,
     layer_cake_radial_integral,
@@ -67,6 +65,12 @@ def warped(n=2, a=0.5, beta=1.0):
     return WarpedProduct(n=n, profile=ExponentialTail(a=a, beta=beta))
 
 
+def level_volumes(space, u, t):
+    """vol({u > t}) at each level t: the map the Cavalieri route
+    integrates."""
+    return space.volume(rearrange._level_radii(u, t))
+
+
 class TestRadialFunction:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -109,41 +113,32 @@ class TestRadialFunction:
 class TestDistribution:
     def test_plateau_euclidean(self):
         u = plateau(1.0, 1.0)
-        prof = distribution(Euclidean(2), u, [1.5, 1.0, 0.9, 0.5, 0.1])
-        assert prof.volumes[0] == 0.0
-        assert prof.volumes[1] == 0.0          # {u > 1} is empty
-        for v in prof.volumes[2:]:
+        vols = level_volumes(Euclidean(2), u, [1.5, 1.0, 0.9, 0.5, 0.1])
+        assert vols[0] == 0.0
+        assert vols[1] == 0.0          # {u > 1} is empty
+        for v in vols[2:]:
             assert v == pytest.approx(math.pi, rel=1e-10)
 
     def test_tent_closed_form(self):
         u = tent()
         t = np.linspace(0.95, 0.05, 50)
-        prof = distribution(Euclidean(2), u, t)
+        vols = level_volumes(Euclidean(2), u, t)
         ref = math.pi * (1.0 - t) ** 2
-        assert np.max(np.abs(prof.volumes - ref) / ref) < 1e-8
+        assert np.max(np.abs(vols - ref) / ref) < 1e-8
 
     def test_tent_on_warped_matches_vol_ball(self):
         space = warped()
         u = tent()
         t = np.array([0.8, 0.5, 0.2])
-        prof = distribution(space, u, t)
-        for ti, vi in zip(t, prof.volumes):
+        for ti, vi in zip(t, level_volumes(space, u, t)):
             assert vi == pytest.approx(vol_ball(space, 1.0 - ti), rel=1e-9)
-
-    def test_rejects_bad_level_grids(self):
-        u = tent()
-        with pytest.raises(DomainError):
-            distribution(Euclidean(2), u, [0.1, 0.5, 0.9])   # ascending
-        with pytest.raises(DomainError):
-            distribution(Euclidean(2), u, [0.5, -0.1])
 
     def test_nonmonotone_callable_flagged(self):
         # the constructor probes value_fn on the grid
         with pytest.raises(InvariantViolation):
-            u = RadialFunction([0.0, 0.5, 1.0], [1.0, 0.6, 0.2],
-                               value_fn=lambda r: np.asarray(r) ** 2,
-                               deriv_fn=lambda r: 2.0 * np.asarray(r))
-            distribution(Euclidean(2), u, [0.8, 0.4])
+            RadialFunction([0.0, 0.5, 1.0], [1.0, 0.6, 0.2],
+                           value_fn=lambda r: np.asarray(r) ** 2,
+                           deriv_fn=lambda r: 2.0 * np.asarray(r))
 
 
 class TestRearrangement:
@@ -176,8 +171,8 @@ class TestRearrangement:
         for space, u in cases:
             star = euclidean_rearrangement(space, u)
             target = Euclidean(space.effective_dimension)
-            v1 = distribution(space, u, t).volumes
-            v2 = distribution(target, star, t).volumes
+            v1 = level_volumes(space, u, t)
+            v2 = level_volumes(target, star, t)
             assert np.max(np.abs(v1 - v2) / np.maximum(v1, 1e-300)) < 1e-8
 
     def test_support_preservation(self):
@@ -410,40 +405,6 @@ class TestPolyaSzego:
     def test_flat_profile_rejected(self):
         with pytest.raises(DomainError):
             polya_szego_check(Euclidean(2), plateau(1.0, 1.0), 2.0)
-
-
-class TestCoarea:
-    def test_tent_euclidean_closed_form(self):
-        report = coarea_derivative_check(Euclidean(2), tent(),
-                                         np.linspace(0.95, 0.05, 60))
-        assert report.rows and report.passed
-        for row in report.rows:
-            # -V'(t) = 2 pi (1-t), |u'| = 1
-            assert row.coarea_value == pytest.approx(
-                2 * math.pi * (1.0 - row.t), rel=1e-8)
-        assert report.max_rel_err < 1e-6     # V quadratic: central diff exact
-
-    def test_warped_instance(self):
-        space = warped(n=3, a=0.5, beta=1.0)
-        # top levels excluded: there r(t) -> 0 and V ~ r^n makes the central
-        # difference truncation error h^2/r^2 dominate on any fixed grid
-        report = coarea_derivative_check(space, tent(nodes=301),
-                                         np.linspace(0.6, 0.05, 150))
-        assert report.rows
-        assert report.passed, report.max_rel_err
-        # unit slope: the co-area value is just the sphere content at 1-t
-        from isosharp.spaces import minkowski_content_ball
-        mid = report.rows[len(report.rows) // 2]
-        assert mid.coarea_value == pytest.approx(
-            minkowski_content_ball(space, 1.0 - mid.t), rel=1e-9)
-
-    def test_plateau_degenerate(self):
-        report = coarea_derivative_check(Euclidean(2),
-                                         plateau(1.0, 1.0),
-                                         np.linspace(0.9, 0.1, 20))
-        assert report.degenerate
-        assert not report.rows
-        assert len(report.skipped) == 18
 
 
 class TestLayerCake:

@@ -15,7 +15,6 @@ from isosharp.spaces import (
     MonomialHalfSpace,
     SampledProfile,
     WarpedProduct,
-    avr_numeric,
     bishop_gromov_check,
     curvature_check,
     isoperimetric_sharpness_sweep,
@@ -25,6 +24,7 @@ from isosharp.spaces import (
 from isosharp.specfun import omega
 
 from oracles import warped_volume_oracle
+from profiles import RisingProfile
 
 
 def warped(n=3, a=0.5, beta=2.0):
@@ -191,6 +191,12 @@ class TestVolume:
         assert vol == pytest.approx([0.5 * math.pi, 0.5 * math.pi * 1e200],
                                     rel=1e-12)
 
+    def test_warped_ratio_approaches_avr(self):
+        # vol(B_r)/(omega_n r^n) falls to AVR = a^{n-1}
+        space = warped(n=3, a=0.5, beta=2.0)
+        ratio = vol_ball(space, 500.0) / (omega(3.0) * 500.0 ** 3)
+        assert ratio == pytest.approx(space.avr(), rel=5e-3)
+
     def test_power_law_exact(self):
         # Lambda = 2/3 for the half-plane weighted by x_2, N = 3
         assert float(MonomialHalfSpace(2, 1.0).volume(2.0)) == pytest.approx(
@@ -226,11 +232,8 @@ class TestSampledProfile:
             SampledProfile([0.0, 1.0], [1.0, 0.0])       # hits zero
         with pytest.raises(DomainError):
             SampledProfile([0.5, 1.0], [1.0, 0.9])       # grid misses s=0
-        # strict=False admits all of the above shapes, but no non-finite
-        # sample, which no interpolant can pass through
-        SampledProfile([0.0, 1.0, 2.0], [1.0, 1.1, 1.3], strict=False)
         with pytest.raises(DomainError):
-            SampledProfile([0.0, 1.0, 2.0], [1.0, np.nan, 0.9], strict=False)
+            SampledProfile([0.0, 1.0, 2.0], [1.0, np.nan, 0.9])  # not finite
         with pytest.raises(DomainError):
             SampledProfile([0.0, 1.0, np.inf], [1.0, 0.9, 0.8])
 
@@ -340,31 +343,6 @@ class TestAleQuotient:
             AleQuotient(n=1, k=2)
 
 
-class TestAvrNumeric:
-    def test_exact_on_power_law_spaces(self):
-        for space in (Euclidean(3), EuclideanCone(2, 2 * math.pi),
-                      MonomialHalfSpace(2, 1.0)):
-            est = avr_numeric(space, r_max=10.0)
-            assert est.estimate == pytest.approx(space.avr(), rel=1e-11)
-            assert est.lower <= space.avr() <= est.upper * (1 + 1e-12)
-
-    def test_warped_bracket_contains_avr(self):
-        space = warped(n=3, a=0.5, beta=2.0)
-        est = avr_numeric(space, r_max=500.0, samples=8)
-        true = space.avr()
-        assert est.lower <= true <= est.upper
-        assert est.estimate == pytest.approx(true, rel=5e-3)
-        # samples carry the monotone ratio trace
-        ratios = [v for _, v in est.samples]
-        assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            avr_numeric(Euclidean(3), r_max=-1.0)
-        with pytest.raises(DomainError):
-            avr_numeric(Euclidean(3), r_max=10.0, samples=1)
-
-
 class TestStructuralChecks:
     def test_bishop_gromov_passes_on_models(self):
         grid = np.geomspace(0.1, 50.0, 40)
@@ -377,8 +355,7 @@ class TestStructuralChecks:
         assert bishop_gromov_check(warped(), grid).max_increase < 0.0
 
     def test_bishop_gromov_flags_bad_profile(self):
-        bad = SampledProfile([0.0, 1.0, 2.0, 3.0], [1.0, 1.3, 1.8, 2.5],
-                             strict=False)
+        bad = RisingProfile(c=0.5, cap=2.5)
         report = bishop_gromov_check(WarpedProduct(n=3, profile=bad),
                                      np.linspace(0.5, 3.0, 12))
         assert not report.passed
@@ -395,8 +372,8 @@ class TestStructuralChecks:
         assert good.worst_fpp <= 0.0
         assert good.worst_slope_excess <= 0.0
 
-        bad = SampledProfile([0.0, 1.0, 2.0], [1.0, 1.2, 1.5], strict=False)
-        report = curvature_check(bad, np.linspace(0.0, 2.0, 30))
+        report = curvature_check(RisingProfile(c=0.25, cap=1.5),
+                                 np.linspace(0.0, 2.0, 30))
         assert not report.passed
         assert report.worst_fpp > 1e-3
         assert report.worst_slope_excess > 0.1
