@@ -44,3 +44,9 @@ expect 0 sandbox z-inclusion --graph grid5 --format json
 expect 2 space --variant ale --k "1$(printf '%0400d' 0)"
 expect 0 space --variant warped --n 3
 expect 0 space --variant warped --n 3 --format json
+expect 2 verify faber-krahn --variant euclidean --n 3 --p 7
+expect 2 sandbox bm --graph path3
+expect 2 sandbox z-inclusion --seeds 2 --s 0.9
+expect 2 constants --n 3 --alpha 2
+expect 0 verify polya-szego --variant euclidean --n 3 --p 3
+expect 0 verify gn --variant euclidean --n 3 --p 2 --alpha 2

@@ -32,7 +32,7 @@ from .sandbox import BmReport, brunn_minkowski_report, grid_graph, \
 from .spaces import VARIANTS, SweepRow, bishop_gromov_check, \
     curvature_check, isoperimetric_sharpness_sweep
 from .specfun import omega
-from .verify import SUITE_NAMES, QuotientReport, run_suite
+from .verify import SUITES, QuotientReport, run_suite
 
 _NAMED_GRAPHS = {
     "path3": lambda: path_graph(3),
@@ -40,6 +40,15 @@ _NAMED_GRAPHS = {
     "grid4": lambda: grid_graph(4, 4),
     "grid5": lambda: grid_graph(5, 5),
 }
+
+# argparse settings of the flags in verify.SUITES; a flag not given is None
+_SUITE_FLAGS = {"p": {"type": float}, "alpha": {"type": float},
+                "R": {"type": float, "action": "append", "help": "repeatable"}}
+
+# z-inclusion's flags: the mode that reads each, with --graph (one named
+# graph) or without it (a run of seeded random graphs), and its default
+_Z_FLAGS = {"s": ("with", 0.5), "slack": ("with", 0.0), "R": ("with", None),
+            "seeds": ("without", 200), "seed": ("without", 0)}
 
 # most radii a sweep may ask for; each radius is a row of the table, and a
 # count far past this one cannot even be allocated as a grid
@@ -77,7 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="isosharp",
         description="Sharp-constant calculators and inequality verifiers "
                     "on spaces of nonnegative curvature.")
-    sub = p.add_subparsers(dest="command", required=True)
+    # full flag names only: else --alpha would stand for --alpha-w
+    parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=parser)
 
     c = sub.add_parser("constants", parents=[common],
                        help="print the sharp constants table")
@@ -92,28 +103,26 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="radius sweep start:stop:lin|log[:count], "
                         "count default 50")
 
-    v = sub.add_parser("verify", parents=[common, space_flags],
-                       help="run a verification suite")
-    v.add_argument("suite", choices=SUITE_NAMES)
-    v.add_argument("--p", type=float, default=2.0)
-    v.add_argument("--alpha", type=float, default=None)
-    v.add_argument("--R", type=float, action="append", default=None,
-                   help="radius (repeatable) for the faber-krahn suites")
-    v.add_argument("--tol", type=float, default=None,
-                   help="override the pass/fail margin tolerance")
+    suites = sub.add_parser("verify", help="run a verification suite"
+                            ).add_subparsers(dest="suite", required=True,
+                                             parser_class=parser)
+    for name, (own, _) in SUITES.items():
+        v = suites.add_parser(name, parents=[common, space_flags])
+        v.add_argument("--tol", type=float, default=None,
+                       help="override the pass/fail margin tolerance")
+        for flag in own:
+            v.add_argument(f"--{flag}", **_SUITE_FLAGS[flag])
 
-    z = sub.add_parser("sandbox", parents=[common],
-                       help="finite-metric-space experiments")
-    z.add_argument("experiment", choices=("z-inclusion", "bm"))
-    z.add_argument("--seeds", type=int, default=200)
-    z.add_argument("--seed", type=int, default=0,
-                   help="base seed for randomized experiments")
+    experiments = sub.add_parser(
+        "sandbox", help="finite-metric-space experiments"
+    ).add_subparsers(dest="experiment", required=True, parser_class=parser)
+    bm = experiments.add_parser("bm", parents=[common])
+    bm.add_argument("--n", type=int, default=2)
+    bm.add_argument("--h", type=float, default=1.0 / 64.0)
+    z = experiments.add_parser("z-inclusion", parents=[common])
     z.add_argument("--graph", choices=sorted(_NAMED_GRAPHS), default=None)
-    z.add_argument("--s", type=float, default=0.5)
-    z.add_argument("--slack", type=float, default=0.0)
-    z.add_argument("--R", type=float, default=None)
-    z.add_argument("--n", type=int, default=2)
-    z.add_argument("--h", type=float, default=1.0 / 64.0)
+    for flag, (mode, _) in _Z_FLAGS.items():
+        z.add_argument(f"--{flag}", type=float if mode == "with" else int)
     return p
 
 
@@ -206,6 +215,8 @@ def _json_doc(payload: dict) -> str:
 # subcommands: each returns (text, passed)
 
 def cmd_constants(args) -> tuple:
+    if args.p is None and args.alpha is not None:
+        raise DomainError("--alpha is read only with --p")
     if args.p is not None:
         params = SobolevParams(n=args.n, p=args.p, alpha=args.alpha)
         entries = asdict(sharp_constants(params, args.avr)).items()
@@ -265,12 +276,9 @@ def cmd_space(args) -> tuple:
 
 def cmd_verify(args) -> tuple:
     desc, space = _space_from_flags(args)
-    params = None
-    if args.suite == "gn" and args.alpha is not None:
-        params = SobolevParams(n=space.effective_dimension, p=args.p,
-                               alpha=args.alpha)
-    result = run_suite(space, args.suite, p=args.p, params=params,
-                       R_list=args.R, tol=args.tol)
+    given = {key: getattr(args, key) for key in SUITES[args.suite][0]}
+    result = run_suite(space, args.suite, tol=args.tol,
+                       **{k: v for k, v in given.items() if v is not None})
     if args.format == "json":
         row_space = space.descriptor()
         payload = {"command": "verify", "suite": result.name,
@@ -298,6 +306,14 @@ def cmd_sandbox(args) -> tuple:
                               "passed": True}), True
         return _csv_table(*_field_columns(BmReport, reports,
                                           skip=("n", "h", "N"))), True
+
+    # a flag of the other mode exits 2; one not given takes its default
+    mode = "with" if args.graph else "without"
+    for key, (key_mode, default) in _Z_FLAGS.items():
+        if key_mode != mode and getattr(args, key) is not None:
+            raise DomainError(f"z-inclusion {mode} --graph takes no --{key}")
+        if getattr(args, key) is None:
+            setattr(args, key, default)
 
     if args.graph is not None:
         sp = _NAMED_GRAPHS[args.graph]()

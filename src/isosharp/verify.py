@@ -508,9 +508,6 @@ def curated_profiles() -> list:
     ]
 
 
-SUITE_NAMES = ("polya-szego", "sobolev", "gn", "faber-krahn", "fk-sweep")
-
-
 @dataclass(frozen=True)
 class SuiteRow:
     label: str
@@ -528,61 +525,72 @@ def _polya_rows(space, p):
     rows = []
     for label, u in curated_profiles():
         res = polya_szego_check(space, u, p)
-        rows.append(SuiteRow(
-            label=f"{label}" if p == 2.0 else f"{label},p={p}",
-            report=QuotientReport(
-                lhs=res.lhs, rhs_constant=1.0, quotient=res.ratio,
-                margin=res.ratio - 1.0,
-                params={"p": p, "direction": "lower"})))
-    return rows
+        rows.append(SuiteRow(label, QuotientReport(
+            lhs=res.lhs, rhs_constant=1.0, quotient=res.ratio,
+            margin=res.ratio - 1.0, params={"p": p, "direction": "lower"})))
+    return rows, True
 
 
-def run_suite(space: ModelSpace, name: str, p: float = 2.0,
-              params: SobolevParams | None = None,
-              R_list=None, tol: float | None = None) -> SuiteResult:
+def _sobolev_rows(space, p):
+    rows = [SuiteRow(label, sobolev_quotient(space, u, p))
+            for label, u in curated_profiles()]
+    sob = SobolevParams(n=space.effective_dimension, p=p)
+    rows.append(SuiteRow("extremal_endpoint",
+                         sobolev_quotient(space, truncated_extremal(sob), p)))
+    return rows, True
+
+
+def _gn_rows(space, p, alpha):
+    params = SobolevParams(n=space.effective_dimension, p=p, alpha=alpha)
+    rows = [SuiteRow(label, gn_quotient(space, u, params))
+            for label, u in curated_profiles()]
+    rows.append(SuiteRow("extremal_gn", gn_quotient(
+        space, truncated_extremal(params), params)))
+    return rows, True
+
+
+def _fk_rows(space, R):
+    rows = [SuiteRow(f"R={r:g}", fk_check(space, float(r))) for r in R]
+    if not rows:
+        raise DomainError("faber-krahn needs at least one radius")
+    return rows, True
+
+
+def _fk_sweep_rows(space, R):
+    table = fk_sharpness_sweep(space, R)
+    rows = [SuiteRow(f"R={row.R:g}", QuotientReport(
+        lhs=row.grad_integral, rhs_constant=table.lambda_g,
+        quotient=row.quotient, margin=row.margin,
+        params={"R": row.R, "direction": "lower"})) for row in table.rows]
+    return rows, table.limits_ok
+
+
+# each suite's own flags with their defaults, and the function that turns a
+# space and those flags into (rows, limits_ok)
+SUITES = {
+    "polya-szego": ({"p": 2.0}, _polya_rows),
+    "sobolev": ({"p": 2.0}, _sobolev_rows),
+    "gn": ({"p": 2.0, "alpha": 2.0}, _gn_rows),
+    "faber-krahn": ({"R": (1.0, 5.0, 20.0)}, _fk_rows),
+    "fk-sweep": ({"R": tuple(np.geomspace(2.0, 500.0, 8))}, _fk_sweep_rows),
+}
+
+
+def run_suite(space: ModelSpace, name: str, tol: float | None = None,
+              **flags) -> SuiteResult:
     """Runs one named verification suite and aggregates pass/fail.
 
+    ``flags`` are the suite's own (``SUITES``), each defaulted when absent.
     A suite passes iff every row's margin clears -tol, by default 1e-6
     times the relevant constant (1 for ratio-style rows); the fk-sweep
     also needs its extrapolated limits within 1%.
     """
+    if name not in SUITES:
+        raise DomainError(f"unknown suite {name!r}; choose from {[*SUITES]}")
+    defaults, build = SUITES[name]
     if tol is not None and not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    N = space.effective_dimension
-    limits_ok = True
-    if name == "polya-szego":
-        rows = _polya_rows(space, p)
-    elif name == "sobolev":
-        rows = [SuiteRow(label, sobolev_quotient(space, u, p))
-                for label, u in curated_profiles()]
-        sob = SobolevParams(n=N, p=p)
-        rows.append(SuiteRow("extremal_endpoint",
-                             sobolev_quotient(space, truncated_extremal(sob), p)))
-    elif name == "gn":
-        if params is None:
-            params = SobolevParams(n=N, p=p, alpha=2.0)
-        rows = [SuiteRow(label, gn_quotient(space, u, params))
-                for label, u in curated_profiles()]
-        rows.append(SuiteRow("extremal_gn",
-                             gn_quotient(space, truncated_extremal(params),
-                                         params)))
-    elif name == "faber-krahn":
-        radii = [1.0, 5.0, 20.0] if R_list is None else list(R_list)
-        rows = [SuiteRow(f"R={R:g}", fk_check(space, float(R))) for R in radii]
-    elif name == "fk-sweep":
-        radii = list(np.geomspace(2.0, 500.0, 8)) if R_list is None else R_list
-        table = fk_sharpness_sweep(space, radii)
-        rows = [SuiteRow(f"R={row.R:g}",
-                         QuotientReport(lhs=row.grad_integral,
-                                        rhs_constant=table.lambda_g,
-                                        quotient=row.quotient,
-                                        margin=row.margin,
-                                        params={"R": row.R,
-                                                "direction": "lower"}))
-                for row in table.rows]
-        limits_ok = table.limits_ok
-    else:
-        raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    rows, limits_ok = build(space, **{**defaults, **flags})
     if tol is None:
         tol = 1e-6 * rows[0].report.rhs_constant
     passed = bool(limits_ok and all(row.report.margin >= -tol for row in rows))

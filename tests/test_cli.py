@@ -336,6 +336,18 @@ class TestVerifyCommand:
                                "euclidean", "--n", "3", "--p", "1.01")
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("argv", [
+        ("polya-szego",), ("polya-szego", "--p", "3"), ("sobolev",), ("gn",),
+        ("faber-krahn", "--R", "1"), ("fk-sweep",)])
+    def test_csv_rows_have_the_header_cell_count(self, capsys, argv):
+        # polya-szego once labelled a p != 2 row "tent_1,p=3.0", one cell
+        # too many
+        code, out, _ = run_cli(capsys, "verify", *argv, "--variant",
+                               "euclidean", "--n", "3")
+        assert code == 0
+        header, rows = data_rows(out)
+        assert rows and all(len(row) == len(header) for row in rows)
+
     def test_bad_dimension_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "sobolev", "--variant",
                                "euclidean", "--n", "2", "--p", "2")
@@ -597,6 +609,11 @@ class TestPlumbing:
         # a group order whose 1/k is not a normal double; it once ended in
         # an OverflowError
         ("space", "--variant", "ale", "--k", "1" + "0" * 400),
+        # a flag that the command reads only beside another, or a flag of
+        # z-inclusion's other mode; each once was ignored
+        ("constants", "--n", "3", "--alpha", "2"),
+        ("sandbox", "z-inclusion", "--seeds", "2", "--s", "0.9"),
+        ("sandbox", "z-inclusion", "--graph", "path3", "--seed", "1"),
     ])
     def test_bad_input_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -610,6 +627,15 @@ class TestPlumbing:
         ("constants", "--n", "3", "--tol", "-1"),
         ("sandbox", "bm", "--tol", "1"),
         ("space", "--variant", "euclidean", "--seed", "2"),
+        # a flag of another suite or experiment; each once was ignored
+        ("verify", "faber-krahn", "--variant", "euclidean", "--n", "3",
+         "--p", "7"),
+        ("verify", "sobolev", "--R", "5"),
+        ("sandbox", "bm", "--graph", "path3"),
+        # nor does a prefix stand for a flag the command reads (--alpha-w)
+        ("verify", "polya-szego", "--variant", "monomial", "--alpha", "2"),
+        # the space flags follow the suite's name
+        ("verify", "--n", "3", "sobolev"),
     ])
     def test_usage_error_exit_2(self, capsys, argv):
         # argparse rejects these: a usage line, then its error
@@ -691,6 +717,10 @@ _VARIANT_FLAGS = {"euclidean": {}, "warped": {"a": _FLOAT, "beta": _FLOAT},
                   "cone": {"m": _FLOAT}, "monomial": {"alpha_w": _FLOAT},
                   "ale": {"k": _INT}}
 
+# each quotient suite's own flags, drawn for that suite only
+_SUITE_FLAGS = {"polya-szego": {"p": _FLOAT}, "sobolev": {"p": _FLOAT},
+                "gn": {"p": _FLOAT, "alpha": _FLOAT}}
+
 _ARGV = st.one_of(
     st.tuples(_FLOAT, _flags(p=_FLOAT, alpha=_FLOAT, avr=_FLOAT)).map(
         lambda v: ["constants", "--n", v[0]] + v[1]),
@@ -705,10 +735,11 @@ _ARGV = st.one_of(
         lambda v: ["sandbox", "z-inclusion", "--graph", v[0]] + v[1]),
     st.tuples(st.sampled_from(["1", "2"]), _INT).map(
         lambda v: ["sandbox", "z-inclusion", "--seeds", v[0], "--seed", v[1]]),
-    st.tuples(st.sampled_from(["polya-szego", "sobolev", "gn"]),
-              st.sampled_from(["euclidean", "warped", "cone", "monomial"]),
-              _flags(n=_FLOAT, p=_FLOAT, alpha=_FLOAT)).map(
-        lambda v: ["verify", v[0], "--variant", v[1]] + v[2]),
+    st.sampled_from(sorted(_SUITE_FLAGS.items())).flatmap(
+        lambda suite: st.tuples(
+            st.sampled_from(["euclidean", "warped", "cone", "monomial"]),
+            _flags(n=_FLOAT, **suite[1])).map(
+            lambda v: ["verify", suite[0], "--variant", v[0]] + v[1])),
     st.tuples(st.sampled_from(["faber-krahn", "fk-sweep"]),
               st.sampled_from(["euclidean", "warped", "cone", "monomial"]),
               st.lists(_FLOAT, max_size=3)).map(
@@ -736,3 +767,33 @@ def test_fuzzed_argv_keeps_the_exit_contract(argv):
     code, out = _run_quiet(argv)
     assert code in (0, 1, 2)
     assert _run_quiet(argv) == (code, out)
+
+
+# each command, suite or z-inclusion mode beside flags that it does not read
+# and that another one does
+_NOT_READ = [
+    (["constants", "--n", "3"], ("alpha", "seed", "tol", "R")),
+    (["space"], ("p", "alpha", "R", "tol", "seed", "s")),
+    (["verify", "polya-szego"], ("alpha", "R", "seed")),
+    (["verify", "sobolev"], ("alpha", "R", "seed")),
+    (["verify", "gn"], ("R", "seed", "avr")),
+    (["verify", "faber-krahn"], ("p", "alpha", "seed")),
+    (["verify", "fk-sweep"], ("p", "alpha", "seed")),
+    (["sandbox", "bm"], ("seeds", "seed", "graph", "s", "slack", "R", "tol")),
+    (["sandbox", "z-inclusion", "--graph", "path3"],
+     ("seeds", "seed", "n", "h")),
+    (["sandbox", "z-inclusion"], ("s", "slack", "R", "n", "h")),
+]
+_VALUES = {"graph": st.sampled_from(["path3", "grid4"]), "seeds": _INT,
+           "seed": _INT, "n": _INT}
+
+_FOREIGN_ARGV = st.sampled_from(
+    [(argv, flag) for argv, flags in _NOT_READ for flag in flags]).flatmap(
+    lambda case: _VALUES.get(case[1], _FLOAT).map(
+        lambda value: case[0] + ["--" + case[1], value]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_FOREIGN_ARGV)
+def test_a_flag_not_read_exits_2(argv):
+    assert _run_quiet(argv) == (2, "")

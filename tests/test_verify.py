@@ -436,14 +436,19 @@ class TestSuites:
         assert all(row.report.margin > 0.0 for row in res.rows)
 
     def test_fk_suites(self):
-        res = run_suite(warped(2, 0.5, 1.0), "faber-krahn", R_list=[1.0, 5.0])
+        res = run_suite(warped(2, 0.5, 1.0), "faber-krahn", R=[1.0, 5.0])
         assert res.passed
-        res = run_suite(Euclidean(2), "fk-sweep", R_list=[1.0, 20.0])
+        res = run_suite(Euclidean(2), "fk-sweep", R=[1.0, 20.0])
         assert res.passed
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):
             run_suite(Euclidean(3), "does-not-exist")
+
+    def test_faber_krahn_rejects_an_empty_radius_list(self):
+        # it once ended in an IndexError, forming the default tolerance
+        with pytest.raises(DomainError):
+            run_suite(Euclidean(2), "faber-krahn", R=[])
 
     def test_report_round_trips_to_dict(self):
         rep = sobolev_quotient(Euclidean(3), curated_profiles()[0][1], 2.0)
@@ -463,7 +468,7 @@ class TestSuites:
         params = SobolevParams(n=3.0, p=2.0, alpha=2.0)
         assert gn_quotient(space, u, params).margin > 0.0
         assert fk_check(space, 1.0).margin > 0.0
-        res = run_suite(space, "faber-krahn", R_list=[1.0])
+        res = run_suite(space, "faber-krahn", R=[1.0])
         assert res.passed and len(res.rows) == 1
 
 
