@@ -50,3 +50,5 @@ expect 2 sandbox z-inclusion --seeds 2 --s 0.9
 expect 2 constants --n 3 --alpha 2
 expect 0 verify polya-szego --variant euclidean --n 3 --p 3
 expect 0 verify gn --variant euclidean --n 3 --p 2 --alpha 2
+expect 0 verify polya-szego --variant euclidean --n 40
+expect 2 verify polya-szego --variant euclidean --n 200

@@ -50,9 +50,9 @@ _SUITE_FLAGS = {"p": {"type": float}, "alpha": {"type": float},
 _Z_FLAGS = {"s": ("with", 0.5), "slack": ("with", 0.0), "R": ("with", None),
             "seeds": ("without", 200), "seed": ("without", 0)}
 
-# most radii a sweep may ask for; each radius is a row of the table, and a
-# count far past this one cannot even be allocated as a grid
-_MAX_SWEEP_COUNT = 10 ** 6
+# radii of a sweep with no count, and the most one may ask for (each is a
+# table row, and a count far past it cannot even be allocated as a grid)
+_SWEEP_COUNT, _MAX_SWEEP_COUNT = 50, 10 ** 6
 
 
 # built on the first main() call, not at import, and kept for the process:
@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_sweep(spec: str, default_count: int = 50) -> np.ndarray:
+def parse_sweep(spec: str) -> np.ndarray:
     """start:stop:lin|log[:count] -> radius grid."""
     parts = spec.split(":")
     if len(parts) not in (3, 4):
@@ -139,12 +139,10 @@ def parse_sweep(spec: str, default_count: int = 50) -> np.ndarray:
     mode = parts[2]
     if mode not in ("lin", "log"):
         raise DomainError(f"sweep mode must be lin or log, got {mode!r}")
-    count = default_count
-    if len(parts) == 4:
-        try:
-            count = int(parts[3])
-        except ValueError:
-            raise DomainError(f"bad sweep count in {spec!r}") from None
+    try:
+        count = int(parts[3]) if len(parts) == 4 else _SWEEP_COUNT
+    except ValueError:
+        raise DomainError(f"bad sweep count in {spec!r}") from None
     if count < 2:
         raise DomainError("sweep needs at least two radii")
     if count > _MAX_SWEEP_COUNT:
@@ -194,10 +192,8 @@ def _csv_cell(v) -> str:
 
 
 def _csv_table(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines = [header] + [[_csv_cell(v) for v in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _field_columns(record_type, records, skip=()) -> tuple:
@@ -238,11 +234,10 @@ def cmd_space(args) -> tuple:
     diag = {"avr": space.avr()}
     passed = True
 
-    radial = space.radial_supported
     radii = None
     if args.sweep is not None:
         radii = parse_sweep(args.sweep)
-    elif radial:
+    elif space.radial_supported:
         radii = parse_sweep("1:1000:log")
 
     if radii is not None:

@@ -6,9 +6,9 @@ advance (a radial profile between its grid nodes, a space's density between
 its own breaks), so each integral is ``gauss_on_segments`` on those breaks,
 graded dyadically (``dyadic_breaks``) toward any algebraic endpoint
 behaviour: one vectorized evaluation whose cost is known before it runs.
-A profile known only by samples is the ``pchip`` interpolant through them:
-the monotone cubic of Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980),
-with the slopes, coefficients and order of sums of scipy's
+A warping profile known only by samples is the ``pchip`` ``Hermite``
+through them: the monotone cubic of Fritsch & Carlson (SIAM J. Numer. Anal.
+17, 1980), with the slopes, coefficients and order of sums of scipy's
 ``PchipInterpolator``, so its values are the same to the last bit.
 """
 
@@ -82,30 +82,34 @@ def _power_sum(c, s):
 
 
 class Hermite:
-    """Cubic Hermite interpolant through (x_k, y_k) with slopes d_k, with
-    its derivative and antiderivative; queries clamp to [x_0, x_n].
+    """Cubic Hermite interpolant through (x_k, y_k) with slopes d_k: its
+    value, its value and slope together (``jet``), and its antiderivative;
+    queries clamp to [x_0, x_n].
 
     Segment k holds the coefficients of c0 s^3 + c1 s^2 + c2 s + c3 in
     s = q - x_k.
     """
 
     def __init__(self, x, y, d):
-        self.x, self.d = x, d
+        self.x = x
         h = np.diff(x)
         secant = np.diff(y) / h
         t = (d[:-1] + d[1:] - 2.0 * secant) / h
         self._c = np.array([t / h, (secant - d[:-1]) / h - t, d[:-1], y[:-1]])
+        self._dc = self._c[:3] * [[3.0], [2.0], [1.0]]
 
-    def _at(self, c, q):
+    def _at(self, q, *coefs):
         q = np.clip(q, self.x[0], self.x[-1])
         k = np.searchsorted(self.x[1:-1], q, side="right")
-        return _power_sum(c[:, k], q - self.x[k])
+        s = q - self.x[k]
+        return [_power_sum(np.take(c, k, axis=1), s) for c in coefs]
 
     def __call__(self, q):
-        return self._at(self._c, q)
+        return self._at(q, self._c)[0]
 
-    def deriv(self, q):
-        return self._at(self._c[:3] * [[3.0], [2.0], [1.0]], q)
+    def jet(self, q):
+        """(value, slope) at q, from one segment lookup."""
+        return tuple(self._at(q, self._c, self._dc))
 
     @cached_property
     def _anti(self):
@@ -118,7 +122,7 @@ class Hermite:
         return np.vstack([np.transpose(a), below[:-1]])
 
     def antideriv(self, q):
-        return self._at(self._anti, q)
+        return self._at(q, self._anti)[0]
 
 
 def pchip(x, y) -> Hermite:

@@ -11,11 +11,11 @@ volumes V(t) = vol(B_{r(t)})), and the layer-cake identity for radial
 integrals.  Ball volumes and sphere measures come from the space's own
 ``volume`` and ``content``.
 
-Functions are supported on [0, r_end] of their grid, and are either
-sampled (interpolated shape-preservingly between nodes) or exact (closed-form
-value and slope).  The grid is the profile's break list either way: u is
-smooth between nodes, so every norm is a composite Gauss rule on the grid
-(see ``isosharp.quadrature``).  The layer-cake identity, whose integrands are
+Functions are supported on [0, r_end] of their grid and carry their value
+and slope as callables; u* evaluates u's own callables through the inverse
+volume radius.  The grid is the profile's break list: u is smooth between
+nodes, so every norm is a composite Gauss rule on the grid (see
+``isosharp.quadrature``).  The layer-cake identity, whose integrands are
 vectorized callables smooth on (0, R], takes the same rule on equal panels
 joined with the space's breaks.
 """
@@ -29,31 +29,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .quadrature import dyadic_breaks, gauss_on_segments, pchip
-from .spaces import Euclidean, ModelSpace, PowerLawSpace, vol_ball
+from .quadrature import Hermite, dyadic_breaks, gauss_on_segments
+from .spaces import Euclidean, ModelSpace, vol_ball
 from .specfun import omega
 
 _LAYER_PANELS = 16   # equal Gauss panels on [0, R] for the layer-cake routes
 
 
 class RadialFunction:
-    """Nonnegative nonincreasing radial profile u(r) on [0, r_end], of one
-    of two kinds.
+    """Nonnegative nonincreasing radial profile u(r) on [0, r_end]: its grid
+    samples and the callables ``value_fn`` and ``deriv_fn`` of its value and
+    slope, float arrays in and out.
 
-    A sampled profile is its grid samples and the monotone piecewise-cubic
-    (PCHIP) interpolant through them.  An exact profile carries the closed
-    forms ``value_fn`` and ``deriv_fn`` together and builds no interpolant;
-    its samples only locate its levels.  Passing one callable without the
-    other raises DomainError.
+    The samples locate the levels; every norm evaluates the callables.
     The grid is the profile's break list: the quadratures take u to be
-    smooth between consecutive nodes, which the interpolant is by
-    construction and an exact callable must be, so every kink of a
-    callable (a truncation, the end of a plateau) has to be a node.
+    smooth between consecutive nodes, so every kink of a callable (a
+    truncation, the end of a plateau) has to be a node.
     The function is treated as compactly supported in [0, r_end]: for norms
     to be exact the last sample should be zero (or negligibly small).
     """
 
-    def __init__(self, r_grid, values, value_fn=None, deriv_fn=None):
+    def __init__(self, r_grid, values, value_fn, deriv_fn):
         r = np.asarray(r_grid, dtype=float)
         v = np.asarray(values, dtype=float)
         if r.ndim != 1 or r.shape != v.shape or r.size < 2:
@@ -67,47 +63,22 @@ class RadialFunction:
         scale = max(1.0, float(v[0]))
         if np.any(np.diff(v) > 1e-12 * scale):
             raise DomainError("values must be nonincreasing")
-        if (value_fn is None) != (deriv_fn is None):
-            raise DomainError("an exact profile needs value_fn and deriv_fn "
-                              "together")
-        self.r_grid = r
-        self.values = v
-        self.value_fn = value_fn
-        self.deriv_fn = deriv_fn
-        self.r_end = float(r[-1])
-        if value_fn is None:
-            # the interpolant runs on x = r / r_end: in r its cubic
-            # coefficients scale like r_end^-3 and overflow on tiny supports
-            self._interp = pchip(r / self.r_end, v)
-        else:
-            # checked once, here: a sampled profile's interpolant takes the
-            # node values at the nodes, which are checked above
-            probe = np.asarray(value_fn(r), dtype=float)
-            scale = max(1.0, float(np.max(np.abs(probe), initial=0.0)))
-            if np.any(np.diff(probe) > 1e-10 * scale):
-                raise InvariantViolation(
-                    "profile is not nonincreasing on its own grid")
+        probe = np.asarray(value_fn(r), dtype=float)
+        scale = max(1.0, float(np.max(np.abs(probe), initial=0.0)))
+        if np.any(np.diff(probe) > 1e-10 * scale):
+            raise InvariantViolation(
+                "profile is not nonincreasing on its own grid")
+        self.r_grid, self.values, self.r_end = r, v, float(r[-1])
+        self.value_fn, self.deriv_fn = value_fn, deriv_fn
 
     def value(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.value_fn is not None:
-            return self.value_fn(r)
-        return self._interp(r / self.r_end)
+        return self.value_fn(np.asarray(r, dtype=float))
 
     def deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.deriv_fn is not None:
-            return self.deriv_fn(r)
-        return np.where((r <= 0.0) | (r >= self.r_end), 0.0,
-                        self._interp.deriv(r / self.r_end) / self.r_end)
+        return self.deriv_fn(np.asarray(r, dtype=float))
 
     def node_slopes(self) -> np.ndarray:
-        """u' at the grid nodes: the exact derivative of an exact profile,
-        the interpolant's slopes of a sampled one (exactly 0 where PCHIP
-        sets a node flat)."""
-        if self.deriv_fn is not None:
-            return np.asarray(self.deriv_fn(self.r_grid), dtype=float)
-        return self._interp.d / self.r_end
+        return np.asarray(self.deriv_fn(self.r_grid), dtype=float)
 
 
 def _level_radii(u: RadialFunction, t) -> np.ndarray:
@@ -133,22 +104,40 @@ def _level_radii(u: RadialFunction, t) -> np.ndarray:
 
 
 def euclidean_rearrangement(space: ModelSpace, u: RadialFunction) -> RadialFunction:
-    """The equimeasurable nonincreasing radial profile on Euclidean(N)."""
+    """The equimeasurable radial profile u* = u o R on Euclidean(N), R the
+    inverse of the volume radius s(r) = (vol(B_r)/omega_N)^{1/N}: the cubic
+    Hermite through the nodes (s_k, r_k) with the exact slopes dr/ds =
+    N V / (s A), pole_density^{-1/N} at s = 0.  u's own callables are
+    evaluated, so u*' = u'(R) R' keeps u's kinks."""
     N = space.effective_dimension
     omega_N = omega(N)
     if omega_N < sys.float_info.min:    # the volume radii divide by it
         raise DomainError(f"omega_N = {omega_N!r} at N = {N!r} is not a "
                           "normal double")
-    vols = space.volume(u.r_grid)
-    s_grid = (np.clip(vols, 0.0, None) / omega_N) ** (1.0 / N)
-    s_grid[0] = 0.0
-    value_fn = deriv_fn = None
-    if isinstance(space, PowerLawSpace) and u.value_fn is not None:
-        # rho is linear for power-law volumes: an exact profile transports
-        c = (space.unit_ball_volume / omega_N) ** (1.0 / N)
-        value_fn = lambda s, f=u.value_fn: f(np.asarray(s) / c)
-        deriv_fn = lambda s, f=u.deriv_fn: f(np.asarray(s) / c) / c
-    return RadialFunction(s_grid, u.values.copy(), value_fn, deriv_fn)
+    r = u.r_grid
+    vols = space.volume(r)
+    s = (np.clip(vols, 0.0, None) / omega_N) ** (1.0 / N)
+    s[0] = 0.0
+    # the slopes divide by s, which collapses to 0 where V underflows
+    if not (np.all(np.isfinite(s)) and np.all(np.diff(s) > 0.0)):
+        raise DomainError(f"the volume radii of the profile's grid do not "
+                          f"ascend strictly at N = {N!r}")
+    # V / A <= r (A rises) cannot overflow where s A might
+    slopes = np.concatenate([[space.pole_density ** (-1.0 / N)],
+                             N * (vols[1:] / space.content(r[1:]) / s[1:])])
+    radius = Hermite(s, r, slopes)
+
+    def clamp(q, rq):   # R = r_end from s_end on; the cubic misses it
+        return np.where(q < s[-1], np.minimum(rq, u.r_end), u.r_end)
+
+    def value(q):
+        return u.value_fn(clamp(q, radius(q)))
+
+    def deriv(q):
+        rq, dr = radius.jet(q)
+        return np.where(q <= s[-1], u.deriv_fn(clamp(q, rq)) * dr, 0.0)
+
+    return RadialFunction(s, u.values.copy(), value, deriv)
 
 
 def _radial_integral(space: ModelSpace, u: RadialFunction, g,
@@ -231,8 +220,8 @@ def lq_norm(space: ModelSpace, u: RadialFunction, q: float) -> float:
 def grad_lp_norm(space: ModelSpace, u: RadialFunction, p: float) -> float:
     """(int |u'(r)|^p dm)^{1/p}: radial Dirichlet seminorm of the profile.
 
-    u' is smooth between nodes, exact or interpolated, so the integral is
-    the composite Gauss rule of the direct Lq route on u's grid.
+    u' is smooth between nodes, so the integral is the composite Gauss
+    rule of the direct Lq route on u's grid.
     """
     if not (isinstance(p, (int, float)) and 1.0 < p < math.inf):
         raise DomainError(f"gradient exponent must be finite and exceed 1, "

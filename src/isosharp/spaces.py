@@ -148,7 +148,7 @@ class SampledProfile(WarpingProfile):
 
     def f_prime(self, s):
         s = np.asarray(s, dtype=float)
-        return np.where(s <= self._s_end, self._interp.deriv(s), 0.0)
+        return np.where(s <= self._s_end, self._interp.jet(s)[1], 0.0)
 
     def F(self, s):
         s = np.asarray(s, dtype=float)
@@ -169,6 +169,7 @@ class SampledProfile(WarpingProfile):
 
 class ModelSpace:
     radial_supported = True
+    pole_density = 1.0      # lim vol(B_r) / (omega_N r^N) as r -> 0
 
     @property
     def effective_dimension(self) -> float:
@@ -208,6 +209,10 @@ class PowerLawSpace(ModelSpace):
     def content(self, r):
         N = self.effective_dimension
         return N * self.unit_ball_volume * np.asarray(r, dtype=float) ** (N - 1.0)
+
+    @property
+    def pole_density(self) -> float:
+        return self.unit_ball_volume / omega(self.effective_dimension)
 
     def avr(self) -> float:
         N = self.effective_dimension

@@ -30,7 +30,7 @@ from .constants import (
     sobolev_constant,
 )
 from .errors import ConvergenceError, DomainError
-from .quadrature import dyadic_breaks, gauss_on_segments
+from .quadrature import Hermite, dyadic_breaks, gauss_on_segments
 from .rearrange import (
     RadialFunction,
     grad_lp_norm,
@@ -78,8 +78,8 @@ def _h_deriv(lam, pp, expo, r):
 
 
 def _cut(g, dg, cut: float, grid) -> RadialFunction:
-    """The exact profile (g - g(cut))_+, with slope g' on [0, cut) and 0
-    from cut on.
+    """The exact profile (g - g(cut))_+, with slope g' on [0, cut] (the
+    left slope at the cut) and 0 past it.
 
     ``g`` and ``dg`` are vectorized, and g is nonincreasing on [0, inf), so
     the profile vanishes past cut; ``grid`` runs from 0 to cut.  The shift
@@ -88,11 +88,10 @@ def _cut(g, dg, cut: float, grid) -> RadialFunction:
     shift = g(cut)
 
     def val(r):
-        return np.maximum(g(np.asarray(r, dtype=float)) - shift, 0.0)
+        return np.maximum(g(r) - shift, 0.0)
 
     def dval(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < cut, dg(r), 0.0)
+        return np.where(r <= cut, dg(r), 0.0)
 
     return RadialFunction(grid, val(grid), value_fn=val, deriv_fn=dval)
 
@@ -177,8 +176,9 @@ def _mul(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _trace(mu, s0, h, rho_mid, rho_end, N):
-    """phi at every node of the RK4 scheme for -(A phi')' = mu A phi, R = 1.
+def _trace(mu, s0, h, rho_mid, rho_end, N, slopes=False):
+    """phi at every node of the RK4 scheme for -(A phi')' = mu A phi, R = 1,
+    and with ``slopes`` phi' there too.
 
     The state is (phi, psi/A), so one step is the 2x2 matrix of RK4 on
     [[0, 1/rho], [-mu rho, 0]] with rho = A/A_k, rescaled by A_k/A_{k+1}
@@ -207,7 +207,10 @@ def _trace(mu, s0, h, rho_mid, rho_end, N):
             m[step:] = v
         step *= 2
     start = (1.0 - mu * s0 * s0 / (2.0 * N), -mu * s0 / N)
-    return np.concatenate([start[:1], M[0] * start[0] + M[1] * start[1]])
+    phi = np.concatenate([start[:1], M[0] * start[0] + M[1] * start[1]])
+    if not slopes:
+        return phi
+    return phi, np.concatenate([start[1:], M[2] * start[0] + M[3] * start[1]])
 
 
 def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
@@ -249,10 +252,10 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
              A_nodes[1:] / A_nodes[:-1], N)
     traces = 0
 
-    def nodes(mu):
+    def nodes(mu, slopes=False):
         nonlocal traces
         traces += 1
-        return _trace(mu, *steps)
+        return _trace(mu, *steps, slopes)
 
     def end_and_changes(mu):
         trace = nodes(mu)
@@ -284,18 +287,22 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
         lo, hi = exc.bracket
         raise ConvergenceError(
             str(exc), bracket=(lo / R / R, hi / R / R)) from None
-    trace = nodes(mu)
+    trace, dtrace = nodes(mu, slopes=True)
 
     vals = np.minimum.accumulate(np.clip(trace, 0.0, None))
     vals[-1] = 0.0
     grid = np.concatenate([[0.0], r])
     vals = np.concatenate([[1.0], vals])
-    # thin to ~256 nodes so downstream quadratures of the interpolant stay
-    # cheap; node values are scheme-accurate, the quotient is variational
+    # thin to ~256 nodes so downstream quadratures stay cheap; node values
+    # and slopes are scheme-accurate, the quotient is variational
     stride = max(1, grid.size // 256)
     keep = np.unique(np.concatenate([[0, grid.size - 1],
                                      np.arange(2, grid.size, stride)]))
-    phi = RadialFunction(grid[keep], vals[keep])
+    # in x = r / R: in r the cubic's coefficients scale like R^-3
+    cubic = Hermite(grid[keep] / R, vals[keep], np.append(0.0, dtrace)[keep])
+    phi = RadialFunction(grid[keep], vals[keep],
+                         lambda r: cubic(np.asarray(r) / R),
+                         lambda r: cubic.jet(np.asarray(r) / R)[1] / R)
     return EigenResult(lambda_1=mu / R / R, eigenfunction=phi,
                        iterations=traces, mismatch=abs(trace[-1]))
 

@@ -5,9 +5,10 @@ these, never the other way around.  The Bessel oracle is the raw ascending
 power series summed term by term; zeros come from plain sign-change
 bisection on that series.  The package's Gamma is the C library's
 (math.gamma / math.lgamma), so the tests check it against mpmath at 30
-digits instead.  Warped-product ball volumes, and norms of a
-piecewise-cubic interpolant or of a closed-form profile, come from mpmath
-tanh-sinh quadrature at 30 digits.
+digits instead.  Warped-product ball volumes, norms of a piecewise-cubic
+interpolant or of a closed-form profile, and the Polya-Szego rhs of a
+rearranged profile on a warped product come from mpmath tanh-sinh
+quadrature at 30 digits.
 """
 
 import math
@@ -168,3 +169,55 @@ def callable_radial_oracle(fn, content, power, edges):
         return float(sum(
             mp.quad(lambda r: abs(fn(r)) ** power * content(r), [a, b])
             for a, b in zip(pts, pts[1:])))
+
+
+def warped_F_power_integral_mp(n, a, beta, r):
+    """int_0^r F(s)^(n-1) ds for F(s) = a s + c (1 - e^(-beta s)), c =
+    (1-a)/beta, in closed form: F^(n-1) expanded in powers of (a s + c)
+    and e^(-beta s), each term a polynomial or a lower incomplete gamma.
+
+    The terms cancel to O(r^n) near 0, so small r is evaluated with extra
+    digits.  Returns an mpmath number.
+    """
+    r = mp.mpf(r)
+    extra = 10 + (n + 1) * max(0, int(-mp.log10(r))) if 0 < r < 1 else 10
+    with mp.extradps(extra):
+        a, beta = mp.mpf(a), mp.mpf(beta)
+        c = (1 - a) / beta
+        total = ((a * r + c) ** n - c ** n) / (a * n)
+        for k in range(1, n):
+            m, lam = n - 1 - k, k * beta
+            total += mp.binomial(n - 1, k) * (-c) ** k * mp.fsum(
+                mp.binomial(m, j) * a ** j * c ** (m - j)
+                * mp.gammainc(j + 1, 0, lam * r) / lam ** (j + 1)
+                for j in range(m + 1))
+    return +total
+
+
+def warped_polya_rhs_oracle(n, a, beta, slope, edges, p=2):
+    """AVR^(1/n) |grad u*|_p on R^n at 30 digits, u* the Euclidean
+    rearrangement of the radial u on WarpedProduct(n, ExponentialTail(a,
+    beta)).
+
+    u*(rho(r)) = u(r) with rho = (V/omega_n)^(1/n), so by the change of
+    variables s = rho(r), |grad u*|_p^p = int |u'|^p (n omega_n
+    rho^(n-1))^p A^(1-p) dr, A = n omega_n F^(n-1) the sphere measure.
+    ``slope`` is u' on mpmath numbers, smooth between consecutive
+    ``edges``, which run from 0 to u's support end.
+    """
+    with mp.workdps(30):
+        a_, beta_, p = mp.mpf(a), mp.mpf(beta), mp.mpf(p)
+        coef = n * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1)
+
+        def density(r):
+            if r == 0:
+                return mp.mpf(0)
+            F = a_ * r - (1 - a_) * mp.expm1(-beta_ * r) / beta_
+            rho = (n * warped_F_power_integral_mp(n, a, beta, r)) ** (
+                mp.mpf(1) / n)
+            return (abs(slope(r)) ** p * coef * rho ** ((n - 1) * p)
+                    * F ** ((n - 1) * (1 - p)))
+
+        pts = [mp.mpf(float(e)) for e in edges]
+        total = mp.quad(density, pts)
+        return float(a_ ** (mp.mpf(n - 1) / n) * total ** (1 / p))

@@ -3,6 +3,7 @@ warping profile that breaks the curvature conditions."""
 
 import numpy as np
 
+from isosharp.quadrature import pchip
 from isosharp.rearrange import RadialFunction
 from isosharp.spaces import WarpingProfile
 
@@ -13,6 +14,14 @@ def exact(fn, deriv, grid):
     g = np.asarray(grid, dtype=float)
     return RadialFunction(g, np.maximum(fn(g), 0.0), value_fn=fn,
                           deriv_fn=deriv)
+
+
+def interpolated(grid, values):
+    """The profile of the monotone cubic (``quadrature.pchip``) through
+    (grid, values): its value and slope are the cubic's."""
+    g = np.asarray(grid, dtype=float)
+    cubic = pchip(g, np.asarray(values, dtype=float))
+    return RadialFunction(g, values, cubic, lambda r: cubic.jet(r)[1])
 
 
 def plateau(height, radius):

@@ -216,6 +216,22 @@ class TestVerifyCommand:
         for row in rows:
             assert float(row[5]) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("n,want", [("40", 0), ("100", 0), ("200", 2),
+                                        ("452", 2)])
+    def test_polya_euclidean_large_dimension(self, capsys, n, want):
+        # at n = 200 the volume radii of the curated grids underflow to 0
+        # and collapse, at n = 452 omega_n is subnormal: bad input, said
+        # on one line and with no warning
+        code, out, err = run_cli(capsys, "verify", "polya-szego",
+                                 "--variant", "euclidean", "--n", n)
+        assert code == want
+        if want == 2:
+            assert out == "" and err.startswith("error:")
+            assert err.count("\n") == 1
+        else:
+            _, rows = data_rows(out)
+            assert all(abs(float(row[5]) - 1.0) <= 1e-12 for row in rows)
+
     def test_strict_tol_override_can_fail(self, capsys):
         # quotients sit strictly below the constant on generic profiles,
         # so demanding margin >= -tol with a huge tol still passes, and

@@ -40,8 +40,9 @@ from oracles import (
     euclidean_content_mp,
     pchip_radial_oracle,
     sampled_warped_content_mp,
+    warped_polya_rhs_oracle,
 )
-from profiles import exact, plateau, support_end
+from profiles import exact, interpolated, plateau, support_end
 
 
 def tent(r_max=1.0, nodes=201, height=1.0):
@@ -71,43 +72,23 @@ def level_volumes(space, u, t):
     return space.volume(rearrange._level_radii(u, t))
 
 
+def _zero(r):
+    return np.zeros_like(np.asarray(r, dtype=float))
+
+
 class TestRadialFunction:
     def test_validation(self):
         with pytest.raises(DomainError):
-            RadialFunction([0.0, 1.0], [1.0, 2.0])     # increasing
+            RadialFunction([0.0, 1.0], [1.0, 2.0], _zero, _zero)  # increasing
         with pytest.raises(DomainError):
-            RadialFunction([0.5, 1.0], [1.0, 0.5])     # grid misses 0
+            RadialFunction([0.5, 1.0], [1.0, 0.5], _zero, _zero)  # misses 0
         with pytest.raises(DomainError):
-            RadialFunction([0.0, 1.0], [1.0, -0.1])    # negative value
+            RadialFunction([0.0, 1.0], [1.0, -0.1], _zero, _zero)  # negative
         with pytest.raises(DomainError):
-            RadialFunction([0.0], [1.0])
+            RadialFunction([0.0], [1.0], _zero, _zero)
         with pytest.raises(DomainError):
-            RadialFunction([0.0, 1.0, np.inf], [1.0, 0.5, 0.0])  # endless
-
-    def test_half_exact_profiles_rejected(self):
-        # an exact profile carries its value and its slope together
-        grid, vals = [0.0, 1.0], [1.0, 0.0]
-
-        def f(r):
-            return 1.0 - np.asarray(r)
-
-        with pytest.raises(DomainError):
-            RadialFunction(grid, vals, value_fn=f)
-        with pytest.raises(DomainError):
-            RadialFunction(grid, vals, deriv_fn=f)
-
-    def test_exact_profiles_build_no_interpolant(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("PCHIP built for an exact profile")
-
-        monkeypatch.setattr(rearrange, "pchip", forbidden)
-        profiles = [u for _, u in curated_profiles()]
-        profiles += [truncated_extremal(SobolevParams(n=3.0, p=2.0)),
-                     plateau(1.0, 1.0)]
-        for u in profiles:
-            euclidean_rearrangement(Euclidean(3), u)
-        with pytest.raises(AssertionError):
-            RadialFunction([0.0, 1.0], [1.0, 0.0])   # sampled: PCHIP
+            RadialFunction([0.0, 1.0, np.inf], [1.0, 0.5, 0.0],  # endless
+                           _zero, _zero)
 
 
 class TestDistribution:
@@ -235,8 +216,8 @@ class TestNorms:
             grad_lp_norm(Euclidean(2), tent(), 1.0)
 
 
-# interpolant-only profiles (no exact callables) on a 41-node grid: a smooth
-# bump, and a shelf whose plateau end and support end are flat nodes
+# PCHIP profiles on a 41-node grid: a smooth bump, and a shelf whose
+# plateau end and support end are flat nodes
 _R41 = np.linspace(0.0, 2.0, 41)
 _INTERPOLANTS = {
     "bump": np.maximum(np.exp(-_R41 ** 2) - math.exp(-4.0), 0.0),
@@ -261,7 +242,7 @@ class TestInterpolantNorms:
     def test_norms_match_mpmath(self, space_name):
         space, content, cuts = _interpolant_spaces()[space_name]
         for values in _INTERPOLANTS.values():
-            u = RadialFunction(_R41, values)
+            u = interpolated(_R41, values)
             grad = pchip_radial_oracle(_R41, values, content, 1.5,
                                        derivative=True, cuts=cuts)
             assert grad_lp_norm(space, u, 1.5) == pytest.approx(
@@ -276,35 +257,34 @@ class TestInterpolantNorms:
         space = warped(n=n, a=0.5, beta=1.0)
         for label, u in curated_profiles():
             star = euclidean_rearrangement(space, u)
-            assert star.value_fn is None
             for q in (1.0, 2.0, 6.0):
                 direct, cavalieri = lq_routes(Euclidean(n), star, q)
                 assert abs(direct - cavalieri) <= 1e-9 * direct, (label, q)
 
 
-# numpy is the only runtime dependency: the interpolated and exact norms,
+# numpy is the only runtime dependency: the PCHIP and closed-form norms,
 # the layer cake, the Bessel and eigenvalue routes, a sampled warping, the
 # sandbox and the CLI all run in a fresh interpreter that loads no scipy
 _NUMPY_ALONE = """
 import contextlib, io, json, sys
 import numpy as np
 from isosharp.cli import main
-from isosharp.rearrange import (RadialFunction, grad_lp_norm,
-                                layer_cake_radial_integral, lq_norm,
-                                polya_szego_check)
+from isosharp.rearrange import (grad_lp_norm, layer_cake_radial_integral,
+                                lq_norm, polya_szego_check)
 from isosharp.sandbox import seeded_z_inclusion
 from isosharp.spaces import (ExponentialTail, MonomialHalfSpace,
                              SampledProfile, WarpedProduct)
 from isosharp.verify import (bessel_level_integrals, curated_profiles,
                              fk_eigenvalue, fk_sharpness_sweep)
+from profiles import interpolated
 
 space = WarpedProduct(3, ExponentialTail(0.5, 1.0))
 r = np.linspace(0.0, 2.0, 41)
-shelf = RadialFunction(r, np.clip(1.6 - r, 0.0, 1.0))
+shelf = interpolated(r, np.clip(1.6 - r, 0.0, 1.0))
 lq_norm(space, shelf, 2.0)
 grad_lp_norm(space, shelf, 2.0)
-polya_szego_check(space, RadialFunction(r, np.maximum(np.exp(-r * r)
-                                                      - np.exp(-4.0), 0.0)),
+polya_szego_check(space, interpolated(r, np.maximum(np.exp(-r * r)
+                                                    - np.exp(-4.0), 0.0)),
                   2.0)
 tent = dict(curated_profiles())["tent_1"]
 lq_norm(space, tent, 2.0)
@@ -331,8 +311,9 @@ print(json.dumps({"codes": codes,
 
 def test_runs_on_numpy_alone():
     src = os.path.dirname(os.path.dirname(rearrange.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, here, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _NUMPY_ALONE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -405,6 +386,37 @@ class TestPolyaSzego:
     def test_flat_profile_rejected(self):
         with pytest.raises(DomainError):
             polya_szego_check(Euclidean(2), plateau(1.0, 1.0), 2.0)
+
+    @pytest.mark.parametrize("n,label,a,beta", [
+        (2, "tent_1", 0.5, 1.0), (2, "trapezoid_1_3", 0.45, 1.1),
+        (2, "exp_2_3", 0.55, 0.9), (3, "trapezoid_0.5_1.5", 0.5, 1.0),
+        (3, "tent_1", 0.55, 1.1), (2, "trapezoid_1_3", 0.5, 1.0)])
+    def test_warped_rhs_matches_mpmath(self, n, label, a, beta):
+        # u* = u o R keeps u's kinks: the trapezoids' r_in once lost its
+        # slope, leaving trapezoid_1_3 at a = 0.5 off by 2.06e-4
+        slope, edges = {
+            "tent_1": (lambda r: -1, [0.0, 1.0]),
+            "exp_2_3": (lambda r: -2 * mp.exp(-2 * r), [0.0, 3.0]),
+            "trapezoid_1_3": (lambda r: 0 if r < 1 else mp.mpf(-0.5),
+                              [0.0, 1.0, 3.0]),
+            "trapezoid_0.5_1.5": (lambda r: 0 if r < 0.5 else -1,
+                                  [0.0, 0.5, 1.5]),
+        }[label]
+        u = dict(curated_profiles())[label]
+        rhs = polya_szego_check(warped(n, a, beta), u, 2.0).rhs
+        assert rhs == pytest.approx(
+            warped_polya_rhs_oracle(n, a, beta, slope, edges), rel=1e-10)
+
+    @pytest.mark.parametrize("space", [
+        Euclidean(3), Euclidean(2.5), EuclideanCone(2, 5.0),
+        EuclideanCone(2, 2 * math.pi), MonomialHalfSpace(2, 1.0),
+        MonomialHalfSpace(3, 0.5)], ids=repr)
+    def test_power_law_ratio_is_one(self, space):
+        # R is linear on a power-law space, so u* is u dilated
+        for label, u in curated_profiles():
+            for p in (1.5, 2.0, 3.0):
+                ratio = polya_szego_check(space, u, p).ratio
+                assert abs(ratio - 1.0) <= 1e-12, (label, p)
 
 
 class TestLayerCake:

@@ -182,7 +182,8 @@ class TestEigenvalue:
 
     def test_rayleigh_quotient_consistency(self):
         # the reported eigenvalue and the eigenfunction must agree through
-        # the independent norm machinery
+        # the independent norm machinery; the eigenfunction carries the
+        # trace's own slopes, and the gaps are 2.8e-11 to 1.1e-10
         cases = [(Euclidean(3), 1.0), (warped(2, 0.5, 1.0), 5.0)]
         cases += [(sp, R) for sp in (warped(12, 0.5), warped(20, 0.2))
                   for R in (1.0, 5.0)]
@@ -190,7 +191,7 @@ class TestEigenvalue:
             res = fk_eigenvalue(sp, R)
             rq = (grad_lp_norm(sp, res.eigenfunction, 2.0)
                   / lq_norm(sp, res.eigenfunction, 2.0)) ** 2
-            assert rq == pytest.approx(res.lambda_1, rel=1e-5)
+            assert rq == pytest.approx(res.lambda_1, rel=1e-9)
             if isinstance(sp, WarpedProduct):
                 # Cheng's comparison: lambda_1(B_R) <= j_{n/2-1}^2 / R^2
                 # under nonnegative Ricci curvature, so a higher root
