@@ -52,3 +52,6 @@ expect 0 verify polya-szego --variant euclidean --n 3 --p 3
 expect 0 verify gn --variant euclidean --n 3 --p 2 --alpha 2
 expect 0 verify polya-szego --variant euclidean --n 40
 expect 2 verify polya-szego --variant euclidean --n 200
+expect 0 verify polya-szego --variant warped --n 2 --beta 1e-300
+expect 2 verify polya-szego --variant warped --n 300
+expect 2 verify sobolev --variant warped --n 150

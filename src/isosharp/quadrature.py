@@ -6,15 +6,11 @@ advance (a radial profile between its grid nodes, a space's density between
 its own breaks), so each integral is ``gauss_on_segments`` on those breaks,
 graded dyadically (``dyadic_breaks``) toward any algebraic endpoint
 behaviour: one vectorized evaluation whose cost is known before it runs.
-A warping profile known only by samples is the ``pchip`` ``Hermite``
-through them: the monotone cubic of Fritsch & Carlson (SIAM J. Numer. Anal.
-17, 1980), with the slopes, coefficients and order of sums of scipy's
-``PchipInterpolator``, so its values are the same to the last bit.
+The kernel, given its slopes, is u*'s inverse volume radius and the
+Faber-Krahn eigenfunction.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -83,8 +79,8 @@ def _power_sum(c, s):
 
 class Hermite:
     """Cubic Hermite interpolant through (x_k, y_k) with slopes d_k: its
-    value, its value and slope together (``jet``), and its antiderivative;
-    queries clamp to [x_0, x_n].
+    value, and its value and slope together (``jet``); queries clamp to
+    [x_0, x_n].
 
     Segment k holds the coefficients of c0 s^3 + c1 s^2 + c2 s + c3 in
     s = q - x_k.
@@ -110,41 +106,3 @@ class Hermite:
     def jet(self, q):
         """(value, slope) at q, from one segment lookup."""
         return tuple(self._at(q, self._c, self._dc))
-
-    @cached_property
-    def _anti(self):
-        # the antiderivative's coefficients, its constant term the integral
-        # from x_0 to the segment's left knot, accumulated knot by knot
-        a = (self._c / [[4.0], [3.0], [2.0], [1.0]]).T.tolist()
-        below = [0.0]
-        for ak, h in zip(a, np.diff(self.x).tolist()):
-            below.append(_power_sum(ak + below[-1:], h))
-        return np.vstack([np.transpose(a), below[:-1]])
-
-    def antideriv(self, q):
-        return self._at(q, self._anti)[0]
-
-
-def pchip(x, y) -> Hermite:
-    """The monotone piecewise-cubic interpolant of y over x: at an inner
-    knot the weighted harmonic mean of the two secants, or 0 between
-    secants of opposite sign or a zero one; at an end the one-sided
-    three-point slope, kept to the sign of the end secant and capped at
-    three times it where the secants change sign.  Two knots give the line.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if m.size == 1:
-        return Hermite(x, y, np.append(m, m))
-    flat = ((np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0)
-            | (m[:-1] == 0.0))
-    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-    end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    end = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(
-        (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0)),
-        3.0 * m0, end))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = np.where(flat, 0.0,
-                         1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    return Hermite(x, y, np.concatenate([end[:1], inner, end[1:]]))

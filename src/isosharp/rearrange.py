@@ -155,7 +155,8 @@ def _radial_integral(space: ModelSpace, u: RadialFunction, g,
     own = space.breaks
     breaks = np.concatenate([u.r_grid, own[own < u.r_end]])
     targets = np.append(u.r_grid[edges], 0.0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing content beside a zero of g gives 0 * inf = NaN
         value = gauss_on_segments(lambda r: g(r) * space.content(r),
                                   dyadic_breaks(breaks, targets))
     if not value < math.inf:

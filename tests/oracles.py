@@ -86,10 +86,10 @@ def warped_volume_oracle(n, a, beta, r):
 
 
 def _ppoly_mp(pp):
-    """mpmath evaluator of a scipy PPoly, its pieces read off in double."""
-    x = pp.x
+    """i -> the mpmath evaluator of piece i of a scipy PPoly, its
+    coefficients read off in double."""
     coef = [[mp.mpf(float(c)) for c in col] for col in pp.c.T]
-    knots = [mp.mpf(float(v)) for v in x]
+    knots = [mp.mpf(float(v)) for v in pp.x]
 
     def piece(i):
         def ev(r):
@@ -100,12 +100,7 @@ def _ppoly_mp(pp):
             return total
         return ev
 
-    def ev(r):
-        i = min(max(int(np.searchsorted(x, float(r), side="right")) - 1, 0),
-                len(coef) - 1)
-        return piece(i)(r)
-
-    return ev, piece
+    return piece
 
 
 def euclidean_content_mp(N):
@@ -116,19 +111,19 @@ def euclidean_content_mp(N):
     return lambda r: coef * r ** (N - 1)
 
 
-def sampled_warped_content_mp(n, s_grid, f_values):
-    """r -> n omega_n F(r)^(n-1), F the integral of the PCHIP of (s, f),
-    continued affinely with slope f(s_end) past the last node."""
-    F_ev, _ = _ppoly_mp(PchipInterpolator(s_grid, f_values).antiderivative())
+def ramp_warped_content_mp(n, c, cap):
+    """r -> n omega_n F(r)^(n-1) for the ramp f(s) = 1 + c min(s, s_cap),
+    s_cap = (cap - 1)/c, whose F is s + c s^2/2 up to s_cap and affine with
+    slope ``cap`` past it."""
     with mp.workdps(30):
-        s_end, f_end = mp.mpf(float(s_grid[-1])), mp.mpf(float(f_values[-1]))
-        F_end = F_ev(s_end)
-        nn = mp.mpf(n)
+        c, cap, nn = mp.mpf(c), mp.mpf(cap), mp.mpf(n)
+        s_cap = (cap - 1) / c
         coef = nn * mp.pi ** (nn / 2) / mp.gamma(nn / 2 + 1)
 
     def content(r):
-        F = F_ev(r) if r <= s_end else F_end + f_end * (r - s_end)
-        return coef * F ** (n - 1)
+        head = min(r, s_cap)
+        return coef * (head + c * head ** 2 / 2
+                       + cap * max(r - s_cap, 0)) ** (n - 1)
 
     return content
 
@@ -145,7 +140,7 @@ def pchip_radial_oracle(r_grid, values, content, power, derivative=False,
     pp = PchipInterpolator(r_grid, values)
     if derivative:
         pp = pp.derivative()
-    _, piece = _ppoly_mp(pp)
+    piece = _ppoly_mp(pp)
     edges = sorted(set(map(float, r_grid))
                    | {float(c) for c in cuts if 0.0 < c < r_grid[-1]})
     with mp.workdps(30):

@@ -1,9 +1,8 @@
 """Radial test profiles, built with the RadialFunction constructor, and a
-warping profile that breaks the curvature conditions."""
+piecewise-linear warping profile with F in closed form."""
 
 import numpy as np
 
-from isosharp.quadrature import pchip
 from isosharp.rearrange import RadialFunction
 from isosharp.spaces import WarpingProfile
 
@@ -17,11 +16,17 @@ def exact(fn, deriv, grid):
 
 
 def interpolated(grid, values):
-    """The profile of the monotone cubic (``quadrature.pchip``) through
-    (grid, values): its value and slope are the cubic's."""
+    """The profile of scipy's monotone cubic (``PchipInterpolator``) through
+    (grid, values), queries clamped to the grid: its value and slope are
+    the cubic's."""
+    # imported here: the numpy-alone script imports this module
+    from scipy.interpolate import PchipInterpolator
+
     g = np.asarray(grid, dtype=float)
-    cubic = pchip(g, np.asarray(values, dtype=float))
-    return RadialFunction(g, values, cubic, lambda r: cubic.jet(r)[1])
+    cubic = PchipInterpolator(g, np.asarray(values, dtype=float))
+    slope = cubic.derivative()
+    return RadialFunction(g, values, lambda r: cubic(np.clip(r, g[0], g[-1])),
+                          lambda r: slope(np.clip(r, g[0], g[-1])))
 
 
 def plateau(height, radius):
@@ -41,17 +46,22 @@ def support_end(u):
     return float(u.r_grid[min(positive[-1] + 1, u.values.size - 1)])
 
 
-class RisingProfile(WarpingProfile):
-    """f(s) = min(1 + c s, cap), cap > 1: F' = f > 1 for s > 0, and
-    F'' = c > 0 up to s_cap = (cap - 1)/c.  A negative control for the
-    Bishop-Gromov and curvature checks, with F in closed form."""
+class RampProfile(WarpingProfile):
+    """f(s) = 1 + c min(s, s_cap), s_cap = (cap - 1)/c > 0: from f(0) = 1 at
+    slope c to ``cap``, then constant, with F in closed form.
+
+    Rising (c > 0, cap > 1), F' = f > 1 for s > 0 and F'' = c > 0 up to
+    s_cap: a negative control for the Bishop-Gromov and curvature checks.
+    Falling (c < 0, 0 < cap < 1), it is an admissible profile that is not an
+    ``ExponentialTail``, so its space has no flat descriptor.
+    """
 
     def __init__(self, c, cap):
         self.c, self.cap = c, cap
         self.s_cap = (cap - 1.0) / c
 
     def f(self, s):
-        return np.minimum(1.0 + self.c * np.asarray(s, dtype=float), self.cap)
+        return 1.0 + self.c * np.minimum(np.asarray(s, dtype=float), self.s_cap)
 
     def f_prime(self, s):
         return np.where(np.asarray(s, dtype=float) < self.s_cap, self.c, 0.0)

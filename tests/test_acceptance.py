@@ -42,7 +42,7 @@ from isosharp.verify import (
     run_suite,
     truncated_extremal,
 )
-from profiles import RisingProfile
+from profiles import RampProfile
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -109,7 +109,7 @@ def test_criterion_04_bishop_gromov():
     ok = all(bishop_gromov_check(sp, radii).passed for sp in spaces)
 
     # negative control: a profile that grows superlinearly
-    bad = WarpedProduct(2, RisingProfile(c=0.2, cap=3.0))
+    bad = WarpedProduct(2, RampProfile(c=0.2, cap=3.0))
     ok = ok and not bishop_gromov_check(bad, radii).passed
     _report(4, "Bishop-Gromov monotonicity holds, negative control fails", ok)
 

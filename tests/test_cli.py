@@ -305,6 +305,14 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         assert all(float(row[6]) > 0.0 for row in data_rows(out)[1])
 
+    def test_polya_on_a_huge_decay_length_is_quiet(self, capsys):
+        # the volume table's panel sums out to the last break, 6e301,
+        # overflow; the table was built with an overflow warning
+        code, out, err = run_cli(capsys, "verify", "polya-szego", "--variant",
+                                 "warped", "--n", "2", "--beta", "1e-300")
+        assert (code, err) == (0, "")
+        assert len(data_rows(out)[1]) == 11
+
     def test_faber_krahn_equality_in_high_dimension(self, capsys):
         # from n = 12 on the bisection once settled on a higher eigenvalue
         # (margin 1857 at n = 20)
@@ -571,6 +579,11 @@ class TestPlumbing:
         # |u*'|^p overflows on the rearranged tent's steeper slopes
         ("verify", "polya-szego", "--variant", "warped", "--n", "2",
          "--p", "1e308"),
+        # F^(n-1) overflows in the warped volume table (once with an
+        # overflow warning), and the content overflows beside a zero power
+        # of the profile, 0 * inf (once with an invalid-value warning)
+        ("verify", "polya-szego", "--variant", "warped", "--n", "300"),
+        ("verify", "sobolev", "--variant", "warped", "--n", "150"),
         # a Bessel zero of order n/2 - 1 past the cost bound
         ("constants", "--n", "1e15"),
         ("constants", "--n", "1e308"),

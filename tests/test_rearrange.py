@@ -29,7 +29,6 @@ from isosharp.spaces import (
     Euclidean,
     ExponentialTail,
     MonomialHalfSpace,
-    SampledProfile,
     WarpedProduct,
     vol_ball,
 )
@@ -39,10 +38,10 @@ from oracles import (
     callable_radial_oracle,
     euclidean_content_mp,
     pchip_radial_oracle,
-    sampled_warped_content_mp,
+    ramp_warped_content_mp,
     warped_polya_rhs_oracle,
 )
-from profiles import exact, interpolated, plateau, support_end
+from profiles import RampProfile, exact, interpolated, plateau, support_end
 
 
 def tent(r_max=1.0, nodes=201, height=1.0):
@@ -223,17 +222,18 @@ _INTERPOLANTS = {
     "bump": np.maximum(np.exp(-_R41 ** 2) - math.exp(-4.0), 0.0),
     "shelf": np.clip(1.6 - _R41, 0.0, 1.0),
 }
-# a sampled warping whose breaks fall between the profiles' nodes
-_S = np.array([0.0, 0.35, 0.8, 1.3, 2.9])
-_F = np.array([1.0, 0.9, 0.72, 0.6, 0.55])
+# a warping whose sphere measure has a kink between the profiles' nodes,
+# at s_cap = 8/7
+_RAMP = RampProfile(c=-0.35, cap=0.6)
 
 
 def _interpolant_spaces():
     return {
         "euclidean_1.3": (Euclidean(1.3), euclidean_content_mp(1.3), ()),
         "euclidean_2.5": (Euclidean(2.5), euclidean_content_mp(2.5), ()),
-        "sampled_warped_3": (WarpedProduct(3, SampledProfile(_S, _F)),
-                             sampled_warped_content_mp(3, _S, _F), _S),
+        "ramp_warped_3": (WarpedProduct(3, _RAMP),
+                          ramp_warped_content_mp(3, -0.35, 0.6),
+                          (_RAMP.s_cap,)),
     }
 
 
@@ -262,9 +262,9 @@ class TestInterpolantNorms:
                 assert abs(direct - cavalieri) <= 1e-9 * direct, (label, q)
 
 
-# numpy is the only runtime dependency: the PCHIP and closed-form norms,
-# the layer cake, the Bessel and eigenvalue routes, a sampled warping, the
-# sandbox and the CLI all run in a fresh interpreter that loads no scipy
+# numpy is the only runtime dependency: the closed-form norms, the layer
+# cake, the Bessel and eigenvalue routes, the sandbox and the CLI all run in
+# a fresh interpreter that loads no scipy
 _NUMPY_ALONE = """
 import contextlib, io, json, sys
 import numpy as np
@@ -272,20 +272,20 @@ from isosharp.cli import main
 from isosharp.rearrange import (grad_lp_norm, layer_cake_radial_integral,
                                 lq_norm, polya_szego_check)
 from isosharp.sandbox import seeded_z_inclusion
-from isosharp.spaces import (ExponentialTail, MonomialHalfSpace,
-                             SampledProfile, WarpedProduct)
+from isosharp.spaces import ExponentialTail, MonomialHalfSpace, WarpedProduct
 from isosharp.verify import (bessel_level_integrals, curated_profiles,
                              fk_eigenvalue, fk_sharpness_sweep)
-from profiles import interpolated
+from profiles import exact
 
 space = WarpedProduct(3, ExponentialTail(0.5, 1.0))
 r = np.linspace(0.0, 2.0, 41)
-shelf = interpolated(r, np.clip(1.6 - r, 0.0, 1.0))
+shelf = exact(lambda r: np.clip(1.6 - r, 0.0, 1.0),
+              lambda r: np.where((0.6 < r) & (r < 1.6), -1.0, 0.0), r)
 lq_norm(space, shelf, 2.0)
 grad_lp_norm(space, shelf, 2.0)
-polya_szego_check(space, interpolated(r, np.maximum(np.exp(-r * r)
-                                                    - np.exp(-4.0), 0.0)),
-                  2.0)
+polya_szego_check(space, exact(
+    lambda r: np.maximum(np.exp(-r * r) - np.exp(-4.0), 0.0),
+    lambda r: np.where(r < 2.0, -2.0 * r * np.exp(-r * r), 0.0), r), 2.0)
 tent = dict(curated_profiles())["tent_1"]
 lq_norm(space, tent, 2.0)
 grad_lp_norm(space, tent, 2.0)
@@ -295,10 +295,6 @@ fk_sharpness_sweep(space, [2.0, 20.0])
 bessel_level_integrals(0.5)
 assert MonomialHalfSpace(3, 0.5).unit_ball_volume > 0.0
 fk_eigenvalue(space, 1.0)
-sampled = WarpedProduct(3, SampledProfile([0.0, 0.35, 0.8, 1.3, 2.9],
-                                          [1.0, 0.9, 0.72, 0.6, 0.55]))
-lq_norm(sampled, shelf, 2.0)
-fk_eigenvalue(sampled, 1.0)
 seeded_z_inclusion(3)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["verify", "polya-szego", "--variant", "warped", "--n", "2"]),

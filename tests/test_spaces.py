@@ -13,7 +13,6 @@ from isosharp.spaces import (
     Euclidean,
     ExponentialTail,
     MonomialHalfSpace,
-    SampledProfile,
     WarpedProduct,
     bishop_gromov_check,
     curvature_check,
@@ -24,7 +23,7 @@ from isosharp.spaces import (
 from isosharp.specfun import omega
 
 from oracles import warped_volume_oracle
-from profiles import RisingProfile
+from profiles import RampProfile
 
 
 def warped(n=3, a=0.5, beta=2.0):
@@ -139,9 +138,6 @@ _ARRAY_SPACES = {
     "monomial": MonomialHalfSpace(2, 1.5),
     "warped_2": WarpedProduct(2, ExponentialTail(0.5, 1.0)),
     "warped_3": WarpedProduct(3, ExponentialTail(0.6, 2.0)),
-    "sampled_warped": WarpedProduct(3, SampledProfile(
-        np.linspace(0.0, 8.0, 161),
-        ExponentialTail(0.6, 1.5).f(np.linspace(0.0, 8.0, 161)))),
 }
 
 
@@ -201,41 +197,6 @@ class TestVolume:
         # Lambda = 2/3 for the half-plane weighted by x_2, N = 3
         assert float(MonomialHalfSpace(2, 1.0).volume(2.0)) == pytest.approx(
             16.0 / 3.0, rel=1e-14)
-
-
-class TestSampledProfile:
-    def test_tracks_analytic_profile(self):
-        ref = ExponentialTail(a=0.6, beta=1.5)
-        s = np.linspace(0.0, 30.0, 3001)
-        prof = SampledProfile(s, ref.f(s))
-        probe = np.linspace(0.0, 28.0, 57)
-        assert np.max(np.abs(prof.f(probe) - ref.f(probe))) < 1e-8
-        assert np.max(np.abs(prof.F(probe) - ref.F(probe))) < 1e-7
-        assert prof.asymptote == pytest.approx(0.6, abs=1e-12)
-
-    def test_constant_tail_extension(self):
-        prof = SampledProfile([0.0, 1.0, 2.0], [1.0, 0.8, 0.7])
-        assert float(prof.f(10.0)) == pytest.approx(0.7, abs=0)
-        assert float(prof.f_prime(10.0)) == 0.0
-        # F continues linearly with slope f_end
-        assert float(prof.F(12.0)) - float(prof.F(2.0)) == pytest.approx(
-            0.7 * 10.0, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SampledProfile([0.0, 1.0], [0.9, 0.8])       # f(0) != 1
-        with pytest.raises(DomainError):
-            SampledProfile([0.0, 1.0, 2.0], [1.0, 1.1, 0.9])  # rises above 1
-        with pytest.raises(DomainError):
-            SampledProfile([0.0, 1.0, 2.0], [1.0, 0.5, 0.6])  # not monotone
-        with pytest.raises(DomainError):
-            SampledProfile([0.0, 1.0], [1.0, 0.0])       # hits zero
-        with pytest.raises(DomainError):
-            SampledProfile([0.5, 1.0], [1.0, 0.9])       # grid misses s=0
-        with pytest.raises(DomainError):
-            SampledProfile([0.0, 1.0, 2.0], [1.0, np.nan, 0.9])  # not finite
-        with pytest.raises(DomainError):
-            SampledProfile([0.0, 1.0, np.inf], [1.0, 0.9, 0.8])
 
 
 class TestEuclideanCone:
@@ -355,7 +316,7 @@ class TestStructuralChecks:
         assert bishop_gromov_check(warped(), grid).max_increase < 0.0
 
     def test_bishop_gromov_flags_bad_profile(self):
-        bad = RisingProfile(c=0.5, cap=2.5)
+        bad = RampProfile(c=0.5, cap=2.5)
         report = bishop_gromov_check(WarpedProduct(n=3, profile=bad),
                                      np.linspace(0.5, 3.0, 12))
         assert not report.passed
@@ -372,7 +333,7 @@ class TestStructuralChecks:
         assert good.worst_fpp <= 0.0
         assert good.worst_slope_excess <= 0.0
 
-        report = curvature_check(RisingProfile(c=0.25, cap=1.5),
+        report = curvature_check(RampProfile(c=0.25, cap=1.5),
                                  np.linspace(0.0, 2.0, 30))
         assert not report.passed
         assert report.worst_fpp > 1e-3
@@ -416,7 +377,8 @@ class TestSharpnessSweep:
 
 
 class TestDescriptor:
-    def test_sampled_profile_not_serializable(self):
-        prof = SampledProfile([0.0, 1.0], [1.0, 0.9])
+    def test_non_analytic_profile_not_serializable(self):
+        # only an ExponentialTail serializes, not another admissible profile
+        prof = RampProfile(c=-0.1, cap=0.9)
         with pytest.raises(UnsupportedOperationError):
             WarpedProduct(n=3, profile=prof).descriptor()

@@ -15,7 +15,6 @@ from isosharp.spaces import (
     EuclideanCone,
     ExponentialTail,
     MonomialHalfSpace,
-    SampledProfile,
     WarpedProduct,
 )
 from isosharp.specfun import bessel_first_zero, bessel_j
@@ -31,7 +30,7 @@ from isosharp.verify import (
     sobolev_quotient,
     truncated_extremal,
 )
-from profiles import exact, plateau, support_end
+from profiles import RampProfile, exact, plateau, support_end
 
 # frozen with mpmath, 50 digits
 J0_SQ = 5.7831859629467845212    # j_0^2
@@ -459,11 +458,10 @@ class TestSuites:
         assert "space" not in d     # the CLI adds the descriptor itself
 
     def test_reports_on_a_space_without_descriptor(self):
-        # a sampled warping profile has no flat descriptor; the verifiers
-        # and suites raised UnsupportedOperationError when their reports
-        # carried one
-        space = WarpedProduct(3, SampledProfile([0.0, 0.35, 0.8, 1.3, 2.9],
-                                                [1.0, 0.9, 0.72, 0.6, 0.55]))
+        # a warping profile other than ExponentialTail has no flat
+        # descriptor; the verifiers and suites raised
+        # UnsupportedOperationError when their reports carried one
+        space = WarpedProduct(3, RampProfile(c=-0.2, cap=0.55))
         u = curated_profiles()[0][1]
         assert sobolev_quotient(space, u, 2.0).margin > 0.0
         params = SobolevParams(n=3.0, p=2.0, alpha=2.0)
