@@ -55,3 +55,6 @@ expect 2 verify polya-szego --variant euclidean --n 200
 expect 0 verify polya-szego --variant warped --n 2 --beta 1e-300
 expect 2 verify polya-szego --variant warped --n 300
 expect 2 verify sobolev --variant warped --n 150
+expect 0 verify faber-krahn --variant cone --n 2 --m 5
+expect 0 verify faber-krahn --variant monomial --n 2
+expect 2 verify faber-krahn --variant euclidean --n 300 --R 1

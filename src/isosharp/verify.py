@@ -176,41 +176,76 @@ def _mul(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _trace(mu, s0, h, rho_mid, rho_end, N, slopes=False):
+def _step_matrices(mu, h, half, sixth, rho_mid, inv_mid, rho_end, inv_end):
+    """Entries (m00, m01, m10, m11) of the RK4 step on [[0, 1/rho],
+    [-mu rho, 0]], second row divided by rho_end, as arrays over all steps.
+
+    The stages are written out entry by entry, without the terms that
+    multiply a structural zero of generic 2x2 products (0 x + y is y);
+    every other term keeps the generic order of operations, so the entries
+    are the same bits.  ``half``, ``sixth``, ``inv_mid`` and ``inv_end``
+    are h/2, h/6 and 1/rho, which do not depend on mu.
+    """
+    b, d = -mu * rho_mid, -mu * rho_end
+    k2 = (inv_mid * (half * -mu), inv_mid, b, b * half)
+    k3 = (inv_mid * (half * b), inv_mid * (1.0 + half * k2[3]),
+          b * (1.0 + half * k2[0]), b * (half * inv_mid))
+    k4 = (inv_end * (h * k3[2]), inv_end * (1.0 + h * k3[3]),
+          d * (1.0 + h * k3[0]), d * (h * k3[1]))
+    return (1.0 + sixth * (2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            sixth * (1.0 + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+            sixth * (-mu + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]) / rho_end,
+            (1.0 + sixth * (2.0 * k2[3] + 2.0 * k3[3] + k4[3])) / rho_end)
+
+
+def _start(mu, s0, N):
+    """(phi, phi') at s0 from the series start phi = 1 - mu s^2 / (2N)."""
+    return 1.0 - mu * s0 * s0 / (2.0 * N), -mu * s0 / N
+
+
+def _trace(mu, s0, grid, N, slopes=False):
     """phi at every node of the RK4 scheme for -(A phi')' = mu A phi, R = 1,
     and with ``slopes`` phi' there too.
 
     The state is (phi, psi/A), so one step is the 2x2 matrix of RK4 on
     [[0, 1/rho], [-mu rho, 0]] with rho = A/A_k, rescaled by A_k/A_{k+1}
-    at its end: only the density ratios enter, never 1/A.  Each matrix is
-    held as its four entries, arrays over all steps, and the steps are
-    multiplied by a doubling prefix scan of explicit 2x2 products.
+    at its end: only the density ratios enter, never 1/A.  Each step
+    matrix is built in closed form by ``_step_matrices`` from ``grid``, the
+    arrays that do not depend on mu, and the steps are multiplied by a
+    doubling prefix scan of explicit 2x2 products, O(n log n) work.
+    ``_trace_end`` gives phi(R) alone, the same bits, by an end-only
+    product in O(n) work.
     """
-    one, zero = np.ones_like(h), np.zeros_like(h)
-    F0, Fm, F1 = ((zero, 1.0 / rho, -mu * rho, zero)
-                  for rho in (one, rho_mid, rho_end))
-
-    def plus_eye(c, K):     # I + c K
-        return (1.0 + c * K[0], c * K[1], c * K[2], 1.0 + c * K[3])
-
-    k2 = _mul(Fm, plus_eye(0.5 * h, F0))
-    k3 = _mul(Fm, plus_eye(0.5 * h, k2))
-    k4 = _mul(F1, plus_eye(h, k3))
-    M = [e + h / 6.0 * (f0 + 2.0 * f2 + 2.0 * f3 + f4)
-         for e, f0, f2, f3, f4 in zip((one, zero, zero, one), F0, k2, k3, k4)]
-    M[2] /= rho_end
-    M[3] /= rho_end
+    M = _step_matrices(mu, *grid)
     step = 1
-    while step < h.size:
+    while step < M[0].size:
         later = _mul([m[step:] for m in M], [m[:-step] for m in M])
         for m, v in zip(M, later):
             m[step:] = v
         step *= 2
-    start = (1.0 - mu * s0 * s0 / (2.0 * N), -mu * s0 / N)
+    start = _start(mu, s0, N)
     phi = np.concatenate([start[:1], M[0] * start[0] + M[1] * start[1]])
     if not slopes:
         return phi
     return phi, np.concatenate([start[1:], M[2] * start[0] + M[3] * start[1]])
+
+
+def _trace_end(mu, s0, grid, N):
+    """phi(R), the last node of ``_trace``, in O(n) work.
+
+    Neighbouring step matrices are paired from the right, later times
+    earlier, with the first one left over when their count is odd, until
+    one product remains.  That is the association the prefix scan gives
+    its last element, so the result is the same bits.
+    """
+    M = _step_matrices(mu, *grid)
+    while M[0].size > 1:
+        odd = M[0].size % 2
+        paired = _mul([m[odd + 1::2] for m in M], [m[odd::2] for m in M])
+        M = ([np.concatenate([m[:1], p]) for m, p in zip(M, paired)]
+             if odd else paired)
+    start = _start(mu, s0, N)
+    return M[0][0] * start[0] + M[1][0] * start[1]
 
 
 def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
@@ -225,7 +260,8 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
     [0, 2 j_{N/2-1}^2], twice Cheng's bound mu_1 <= j^2 (equality on
     power-law spaces), is bisected until it shows exactly one sign change;
     inside that bracket phi(R) changes sign only at mu_1, and Brent's
-    method finds it to 1e-12 relative.  ``iterations`` counts trace
+    method finds it to 1e-12 relative.  Brent's evaluations read phi(R)
+    alone, so they call ``_trace_end``.  ``iterations`` counts trace
     evaluations, Brent's included; the eigenfunction and ``mismatch`` =
     |phi(R)| come from the trace at the returned eigenvalue.
     """
@@ -248,14 +284,21 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
     if not 0.0 < k * k < math.inf:
         raise DomainError(
             f"radius {R!r} puts the eigenvalue outside double precision")
-    steps = (r0 / R, np.diff(r) / R, A_mids / A_nodes[:-1],
-             A_nodes[1:] / A_nodes[:-1], N)
+    h = np.diff(r) / R
+    rho_mid, rho_end = A_mids / A_nodes[:-1], A_nodes[1:] / A_nodes[:-1]
+    shot = (r0 / R, (h, 0.5 * h, h / 6.0, rho_mid, 1.0 / rho_mid,
+                     rho_end, 1.0 / rho_end), N)
     traces = 0
 
     def nodes(mu, slopes=False):
         nonlocal traces
         traces += 1
-        return _trace(mu, *steps, slopes)
+        return _trace(mu, *shot, slopes)
+
+    def end(mu):
+        nonlocal traces
+        traces += 1
+        return _trace_end(mu, *shot)
 
     def end_and_changes(mu):
         trace = nodes(mu)
@@ -281,8 +324,7 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
         else:
             hi, end_hi, changes = mid, end_mid, mid_changes
     try:
-        mu = _brent(lambda m: nodes(m)[-1], lo, hi, end_lo, end_hi,
-                    _BRENT_XTOL, _BRENT_RTOL)
+        mu = _brent(end, lo, hi, end_lo, end_hi, _BRENT_XTOL, _BRENT_RTOL)
     except ConvergenceError as exc:     # its bracket is in mu; report lambda
         lo, hi = exc.bracket
         raise ConvergenceError(

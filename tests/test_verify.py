@@ -6,7 +6,7 @@ import pytest
 
 import isosharp.specfun as specfun
 import isosharp.verify as verify
-from isosharp.constants import SobolevParams, aubin_talenti, fk_constant, gn_constant
+from isosharp.constants import SobolevParams, aubin_talenti, gn_constant
 from isosharp.errors import ConvergenceError, DomainError
 from isosharp.rearrange import grad_lp_norm, lq_norm
 from isosharp.spaces import (
@@ -19,7 +19,6 @@ from isosharp.spaces import (
 )
 from isosharp.specfun import bessel_first_zero, bessel_j
 from isosharp.verify import (
-    EigenResult,
     bessel_level_integrals,
     curated_profiles,
     fk_check,
@@ -43,6 +42,47 @@ I_NU1 = 0.0811075654133428227
 
 def warped(n=3, a=0.5, beta=1.0):
     return WarpedProduct(n, ExponentialTail(a, beta))
+
+
+def generic_step_matrices(mu, h, rho_mid, rho_end):
+    """The RK4 step matrices on [[0, 1/rho], [-mu rho, 0]] by generic 2x2
+    products, second row divided by rho_end: the reference for the
+    closed-form build."""
+    def mul(a, b):
+        a00, a01, a10, a11 = a
+        b00, b01, b10, b11 = b
+        return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+    def plus_eye(c, K):     # I + c K
+        return (1.0 + c * K[0], c * K[1], c * K[2], 1.0 + c * K[3])
+
+    one, zero = np.ones_like(h), np.zeros_like(h)
+    F0, Fm, F1 = ((zero, 1.0 / rho, -mu * rho, zero)
+                  for rho in (one, rho_mid, rho_end))
+    k2 = mul(Fm, plus_eye(0.5 * h, F0))
+    k3 = mul(Fm, plus_eye(0.5 * h, k2))
+    k4 = mul(F1, plus_eye(h, k3))
+    M = [e + h / 6.0 * (f0 + 2.0 * f2 + 2.0 * f3 + f4)
+         for e, f0, f2, f3, f4 in zip((one, zero, zero, one), F0, k2, k3, k4)]
+    M[2] /= rho_end
+    M[3] /= rho_end
+    return M
+
+
+def shooting_arguments(space, R):
+    """The (s0, grid, N) that fk_eigenvalue passes to its first trace."""
+    seen = []
+    trace = verify._trace
+
+    def recording(mu, *args, **kwargs):
+        seen.append(args[:3])
+        return trace(mu, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_trace", recording)
+        fk_eigenvalue(space, R)
+    return seen[0]
 
 
 def family(alpha, p, lam):
@@ -207,6 +247,55 @@ class TestEigenvalue:
         for sp in spaces:
             for R in (1.0, 5.0):
                 assert fk_eigenvalue(sp, R).iterations <= 20
+
+    @pytest.mark.parametrize("space", [
+        Euclidean(2.5), Euclidean(3), Euclidean(12),
+        EuclideanCone(2, 5.0), MonomialHalfSpace(3, 0.5),
+        warped(2, 0.5, 1.0), warped(3, 0.5, 1.0)],
+        ids=["euclidean_2.5", "euclidean_3", "euclidean_12", "cone",
+             "monomial", "warped_2", "warped_3"])
+    def test_closed_form_steps_and_end_product_are_bit_identical(self,
+                                                                 space):
+        # the closed-form build against the generic products, and the
+        # end-only product against the scan's last node, at 25 mu up to
+        # the top of the first bracket
+        j2 = bessel_first_zero(space.effective_dimension / 2.0 - 1.0) ** 2
+        for R in (0.7, 1.0, 5.0, 30.0, 200.0, 1e3):
+            s0, grid, N = shooting_arguments(space, R)
+            h, rho_mid, rho_end = grid[0], grid[3], grid[5]
+            for mu in np.linspace(0.0, 2.0 * j2, 26)[1:]:
+                ours = verify._step_matrices(mu, *grid)
+                ref = generic_step_matrices(mu, h, rho_mid, rho_end)
+                for a, b in zip(ours, ref):
+                    assert np.array_equal(a, b), (R, mu)
+                end = verify._trace_end(mu, s0, grid, N)
+                assert end == verify._trace(mu, s0, grid, N)[-1], (R, mu)
+
+    def test_two_full_scans_per_eigenvalue(self, monkeypatch):
+        # below N = 12 the bracket [0, 2 j^2] holds lambda_1 alone: one
+        # full scan counts its sign changes and one builds the
+        # eigenfunction, and Brent's steps take the end-only product
+        calls = {"_trace": 0, "_trace_end": 0}
+
+        def counted(name):
+            fn = getattr(verify, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, counted(name))
+        spaces = (Euclidean(3), EuclideanCone(2, 2.0 * math.pi),
+                  MonomialHalfSpace(2, 1.0), warped(2, 0.5, 1.0),
+                  warped(3, 0.5, 1.0))
+        for sp in spaces:
+            for R in (1.0, 5.0):
+                calls.update(_trace=0, _trace_end=0)
+                res = fk_eigenvalue(sp, R)
+                assert calls["_trace"] <= 2
+                assert res.iterations == calls["_trace"] + calls["_trace_end"]
 
     def test_brent_matches_scipy_brentq(self, monkeypatch):
         # the port takes the bracket-end values the Sturm loop already has;
