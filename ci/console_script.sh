@@ -58,3 +58,5 @@ expect 2 verify sobolev --variant warped --n 150
 expect 0 verify faber-krahn --variant cone --n 2 --m 5
 expect 0 verify faber-krahn --variant monomial --n 2
 expect 2 verify faber-krahn --variant euclidean --n 300 --R 1
+expect 0 constants --n 20002
+expect 2 constants --n 20004

@@ -38,47 +38,44 @@ _LAYER_PANELS = 16   # equal Gauss panels on [0, R] for the layer-cake routes
 
 class RadialFunction:
     """Nonnegative nonincreasing radial profile u(r) on [0, r_end]: its grid
-    samples and the callables ``value_fn`` and ``deriv_fn`` of its value and
-    slope, float arrays in and out.
+    and the callables ``value`` and ``deriv`` of its value and slope, float
+    arrays in and out.
 
-    The samples locate the levels; every norm evaluates the callables.
-    The grid is the profile's break list: the quadratures take u to be
-    smooth between consecutive nodes, so every kink of a callable (a
-    truncation, the end of a plateau) has to be a node.
+    The node values ``values`` are read from ``value`` once, at
+    construction, and locate the levels; every norm evaluates the
+    callables.  The grid is the profile's break list: the quadratures take
+    u to be smooth between consecutive nodes, so every kink of a callable
+    (a truncation, the end of a plateau) has to be a node.
     The function is treated as compactly supported in [0, r_end]: for norms
     to be exact the last sample should be zero (or negligibly small).
     """
 
-    def __init__(self, r_grid, values, value_fn, deriv_fn):
+    def __init__(self, r_grid, value, deriv):
         r = np.asarray(r_grid, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape or r.size < 2:
-            raise DomainError("need matching 1-D grids of length >= 2")
+        if r.ndim != 1 or r.size < 2:
+            raise DomainError("need a 1-D grid of length >= 2")
         if (r[0] != 0.0 or not np.all(np.isfinite(r))
                 or np.any(np.diff(r) <= 0.0)):
             raise DomainError("r_grid must be finite and ascend strictly "
                               "from 0")
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-            raise DomainError("values must be finite and nonnegative")
-        scale = max(1.0, float(v[0]))
-        if np.any(np.diff(v) > 1e-12 * scale):
-            raise DomainError("values must be nonincreasing")
-        probe = np.asarray(value_fn(r), dtype=float)
-        scale = max(1.0, float(np.max(np.abs(probe), initial=0.0)))
-        if np.any(np.diff(probe) > 1e-10 * scale):
-            raise InvariantViolation(
-                "profile is not nonincreasing on its own grid")
+        v = np.asarray(value(r), dtype=float)
+        if (v.shape != r.shape or not np.all(np.isfinite(v))
+                or np.any(v < 0.0)):
+            raise DomainError("the value callable must give one finite "
+                              "nonnegative value per node")
+        if np.any(np.diff(v) > 1e-12 * max(1.0, float(v[0]))):
+            raise DomainError("node values must be nonincreasing")
         self.r_grid, self.values, self.r_end = r, v, float(r[-1])
-        self.value_fn, self.deriv_fn = value_fn, deriv_fn
+        self._value, self._deriv = value, deriv
 
     def value(self, r):
-        return self.value_fn(np.asarray(r, dtype=float))
+        return self._value(np.asarray(r, dtype=float))
 
     def deriv(self, r):
-        return self.deriv_fn(np.asarray(r, dtype=float))
+        return self._deriv(np.asarray(r, dtype=float))
 
     def node_slopes(self) -> np.ndarray:
-        return np.asarray(self.deriv_fn(self.r_grid), dtype=float)
+        return np.asarray(self._deriv(self.r_grid), dtype=float)
 
 
 def _level_radii(u: RadialFunction, t) -> np.ndarray:
@@ -131,13 +128,13 @@ def euclidean_rearrangement(space: ModelSpace, u: RadialFunction) -> RadialFunct
         return np.where(q < s[-1], np.minimum(rq, u.r_end), u.r_end)
 
     def value(q):
-        return u.value_fn(clamp(q, radius(q)))
+        return u._value(clamp(q, radius(q)))
 
     def deriv(q):
         rq, dr = radius.jet(q)
-        return np.where(q <= s[-1], u.deriv_fn(clamp(q, rq)) * dr, 0.0)
+        return np.where(q <= s[-1], u._deriv(clamp(q, rq)) * dr, 0.0)
 
-    return RadialFunction(s, u.values.copy(), value, deriv)
+    return RadialFunction(s, value, deriv)
 
 
 def _radial_integral(space: ModelSpace, u: RadialFunction, g,

@@ -6,8 +6,8 @@ evaluated by the ascending power series for small argument and by Miller
 backward recurrence otherwise; the recurrence is normalized by the Neumann
 series identity, which works for non-integer order too.  Both kernels are
 duck-typed, so an array argument runs the same arithmetic elementwise.
-First positive zeros start from McMahon / Olver-type guesses and are found
-by Brent's method, once per order; the same ``_brent`` finds the
+A first positive zero is one Brent solve in a +-1 window around a McMahon /
+Olver-type guess, once per order; the same ``_brent`` finds the
 Faber-Krahn eigenvalue in ``verify``.
 
 Everything else here is plain arithmetic on purpose: this module is the
@@ -63,7 +63,7 @@ def omega(N: float) -> float:
 
 
 _SERIES_SWITCH = 9.0
-# step cap of each bracket widening of the first zero and of Brent's method
+# step cap of Brent's method
 _MAX_ITER = 100
 # the Miller recurrence starts near order nu in pure Python, so a first zero
 # (6-7 J evaluations) costs about 2 us per unit of order: 18 ms at this bound
@@ -220,23 +220,31 @@ def _brent(f, a, b, fa, fb, xtol, rtol):
         bracket=(min(other, xcur), max(other, xcur)))
 
 
-def _first_zero_guess(nu):
+def _first_zero_window(nu):
+    """(lo, hi) around an asymptotic guess of the first zero j_nu.
+
+    J_nu > 0 on (0, j_nu) and the next zero is more than 2 away, so the
+    +-1 window around a guess this close (under 2e-3 off) holds the first
+    zero and nothing else; below it is cut at a quarter of the guess.
+    """
     if nu < 1.5:
         # McMahon expansion around beta = (nu/2 + 3/4) pi
         b = (0.5 * nu + 0.75) * math.pi
         mu = 4.0 * nu * nu
         e = 8.0 * b
-        return (b - (mu - 1.0) / e
-                - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * e ** 3))
-    # Olver-type expansion in powers of nu^(1/3)
-    c = nu ** (1.0 / 3.0)
-    return (nu + 1.8557571 * c + 1.033150 / c - 0.00397 / nu
-            - 0.0908 / (c ** 5) + 0.043 / (c ** 7))
+        guess = (b - (mu - 1.0) / e
+                 - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * e ** 3))
+    else:
+        # Olver-type expansion in powers of nu^(1/3)
+        c = nu ** (1.0 / 3.0)
+        guess = (nu + 1.8557571 * c + 1.033150 / c - 0.00397 / nu
+                 - 0.0908 / (c ** 5) + 0.043 / (c ** 7))
+    return max(guess - 1.0, 0.25 * guess), guess + 1.0
 
 
 def bessel_first_zero(nu: float) -> float:
-    """Smallest positive zero of J_nu, by Brent's method in a bracket
-    around an asymptotic guess, computed once per order."""
+    """Smallest positive zero of J_nu, by one Brent solve in the +-1
+    window around an asymptotic guess, computed once per order."""
     if not (isinstance(nu, (int, float)) and 0 <= nu <= _MAX_ZERO_ORDER):
         raise DomainError(f"bessel_first_zero requires 0 <= nu <= "
                           f"{_MAX_ZERO_ORDER:g}, got {nu!r}")
@@ -245,28 +253,12 @@ def bessel_first_zero(nu: float) -> float:
 
 @lru_cache(maxsize=256)
 def _first_zero(nu: float) -> float:
-    guess = _first_zero_guess(nu)
-    # J_nu > 0 on (0, j_nu) and the next zero is more than 2 away, so a +-1
-    # window around a decent guess brackets the first zero and nothing else
-    lo = max(guess - 1.0, 0.25 * guess)
-    hi = guess + 1.0
+    lo, hi = _first_zero_window(nu)
     j_lo, j_hi = bessel_j(nu, lo), bessel_j(nu, hi)
-    it = 0
-    while j_lo <= 0.0:
-        lo = max(0.5 * lo, lo - 1.0)
-        j_lo = bessel_j(nu, lo)
-        it += 1
-        if it > _MAX_ITER:
-            raise ConvergenceError(
-                f"no positive bracket endpoint for nu={nu}", bracket=(lo, hi))
-    it = 0
-    while j_hi >= 0.0:
-        hi += 1.0
-        j_hi = bessel_j(nu, hi)
-        it += 1
-        if it > _MAX_ITER:
-            raise ConvergenceError(
-                f"no sign change located for nu={nu}", bracket=(lo, hi))
+    if not (j_lo > 0.0 and j_hi < 0.0):
+        raise ConvergenceError(f"the window around the guess for nu={nu} "
+                               "does not bracket the first zero",
+                               bracket=(lo, hi))
     # brentq's floor: the root to within 2 ulps
     return _brent(lambda x: bessel_j(nu, x), lo, hi, j_lo, j_hi,
                   0.0, 4.0 * sys.float_info.epsilon)

@@ -93,7 +93,7 @@ def _cut(g, dg, cut: float, grid) -> RadialFunction:
     def dval(r):
         return np.where(r <= cut, dg(r), 0.0)
 
-    return RadialFunction(grid, val(grid), value_fn=val, deriv_fn=dval)
+    return RadialFunction(grid, val, dval)
 
 
 def truncated_extremal(params: SobolevParams, lam: float = 1.0,
@@ -342,9 +342,10 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
                                      np.arange(2, grid.size, stride)]))
     # in x = r / R: in r the cubic's coefficients scale like R^-3
     cubic = Hermite(grid[keep] / R, vals[keep], np.append(0.0, dtrace)[keep])
-    phi = RadialFunction(grid[keep], vals[keep],
-                         lambda r: cubic(np.asarray(r) / R),
-                         lambda r: cubic.jet(np.asarray(r) / R)[1] / R)
+    # 0 from R on: the cubic's own value there is a rounding off 0
+    phi = RadialFunction(
+        grid[keep], lambda r: np.where(r < R, cubic(r / R), 0.0),
+        lambda r: cubic.jet(np.asarray(r) / R)[1] / R)
     return EigenResult(lambda_1=mu / R / R, eigenfunction=phi,
                        iterations=traces, mismatch=abs(trace[-1]))
 

@@ -11,8 +11,7 @@ def exact(fn, deriv, grid):
     """The exact profile of ``fn`` and its slope ``deriv``, sampled on
     ``grid``, which must contain every kink of ``fn``."""
     g = np.asarray(grid, dtype=float)
-    return RadialFunction(g, np.maximum(fn(g), 0.0), value_fn=fn,
-                          deriv_fn=deriv)
+    return RadialFunction(g, fn, deriv)
 
 
 def interpolated(grid, values):
@@ -25,7 +24,7 @@ def interpolated(grid, values):
     g = np.asarray(grid, dtype=float)
     cubic = PchipInterpolator(g, np.asarray(values, dtype=float))
     slope = cubic.derivative()
-    return RadialFunction(g, values, lambda r: cubic(np.clip(r, g[0], g[-1])),
+    return RadialFunction(g, lambda r: cubic(np.clip(r, g[0], g[-1])),
                           lambda r: slope(np.clip(r, g[0], g[-1])))
 
 

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -826,3 +828,31 @@ _FOREIGN_ARGV = st.sampled_from(
 @given(_FOREIGN_ARGV)
 def test_a_flag_not_read_exits_2(argv):
     assert _run_quiet(argv) == (2, "")
+
+
+def _console_script_argv():
+    """(exit code, argv) of each ``expect`` line of ci/console_script.sh,
+    its one command substitution (a run of zeros by printf) expanded."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "ci",
+                        "console_script.sh")
+    with open(path) as script:
+        lines = [ln for ln in script if ln.startswith("expect ")]
+    zeros = re.compile(r"\$\(printf '%0(\d+)d' 0\)")
+    cases = []
+    for line in lines:
+        want, *argv = shlex.split(
+            zeros.sub(lambda m: "0" * int(m.group(1)), line))[1:]
+        assert not any(c in arg for arg in argv for c in "$`"), line
+        cases.append((int(want), argv))
+    return cases
+
+
+def test_console_script_contract_in_process():
+    # the argv list of the CI script, run through main() twice in one
+    # process: the listed exit code, and the same output on the rerun
+    cases = _console_script_argv()
+    assert len(cases) >= 45
+    for want, argv in cases:
+        first = _run_quiet(argv)
+        assert first[0] == want, argv
+        assert _run_quiet(argv) == first, argv

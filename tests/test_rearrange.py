@@ -33,7 +33,7 @@ from isosharp.spaces import (
     vol_ball,
 )
 from isosharp.specfun import omega
-from isosharp.verify import curated_profiles, truncated_extremal
+from isosharp.verify import curated_profiles, fk_eigenvalue, truncated_extremal
 from oracles import (
     callable_radial_oracle,
     euclidean_content_mp,
@@ -77,17 +77,41 @@ def _zero(r):
 
 class TestRadialFunction:
     def test_validation(self):
+        # node values come from the value callable, read on the grid
         with pytest.raises(DomainError):
-            RadialFunction([0.0, 1.0], [1.0, 2.0], _zero, _zero)  # increasing
+            RadialFunction([0.0, 1.0], lambda r: 1.0 + r, _zero)  # increasing
         with pytest.raises(DomainError):
-            RadialFunction([0.5, 1.0], [1.0, 0.5], _zero, _zero)  # misses 0
+            RadialFunction([0.5, 1.0], lambda r: 1.5 - r, _zero)  # misses 0
         with pytest.raises(DomainError):
-            RadialFunction([0.0, 1.0], [1.0, -0.1], _zero, _zero)  # negative
+            RadialFunction([0.0, 1.0], lambda r: 1.0 - 1.1 * r,   # negative
+                           _zero)
         with pytest.raises(DomainError):
-            RadialFunction([0.0], [1.0], _zero, _zero)
+            RadialFunction([0.0], lambda r: 1.0 - r, _zero)
         with pytest.raises(DomainError):
-            RadialFunction([0.0, 1.0, np.inf], [1.0, 0.5, 0.0],  # endless
-                           _zero, _zero)
+            RadialFunction([0.0, 1.0, np.inf], lambda r: 1.0 / (1.0 + r),
+                           _zero)                                # endless
+        with pytest.raises(DomainError):
+            RadialFunction([0.0, 1.0], lambda r: np.full_like(r, np.nan),
+                           _zero)                                # not finite
+        with pytest.raises(DomainError):
+            RadialFunction([0.0, 1.0], lambda r: 1.0, _zero)     # one value
+
+    def test_node_values_are_the_value_callables(self):
+        # every profile the suites build, and its rearrangements: the one
+        # copy of the node values is what ``value`` gives on the grid
+        spaces = [Euclidean(2), Euclidean(3), warped(n=2), warped(n=3),
+                  EuclideanCone(2, 5.0), MonomialHalfSpace(2, 1.0)]
+        profiles = [u for _, u in curated_profiles()] + [
+            truncated_extremal(SobolevParams(n=3, p=2.0)),
+            truncated_extremal(SobolevParams(n=3, p=2.0, alpha=2.0))]
+        checked = []
+        for u in profiles:
+            checked.append(u)
+            checked += [euclidean_rearrangement(space, u) for space in spaces]
+        checked += [fk_eigenvalue(space, R).eigenfunction
+                    for space in spaces for R in (1.0, 5.0, 20.0)]
+        for u in checked:
+            assert np.array_equal(u.values, u.value(u.r_grid))
 
 
 class TestDistribution:
@@ -114,11 +138,10 @@ class TestDistribution:
             assert vi == pytest.approx(vol_ball(space, 1.0 - ti), rel=1e-9)
 
     def test_nonmonotone_callable_flagged(self):
-        # the constructor probes value_fn on the grid
-        with pytest.raises(InvariantViolation):
-            RadialFunction([0.0, 0.5, 1.0], [1.0, 0.6, 0.2],
-                           value_fn=lambda r: np.asarray(r) ** 2,
-                           deriv_fn=lambda r: 2.0 * np.asarray(r))
+        # the constructor reads the node values from the value callable
+        with pytest.raises(DomainError, match="nonincreasing"):
+            RadialFunction([0.0, 0.5, 1.0], lambda r: np.asarray(r) ** 2,
+                           lambda r: 2.0 * np.asarray(r))
 
 
 class TestRearrangement:

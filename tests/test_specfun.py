@@ -217,6 +217,27 @@ def test_first_zero_iteration_budget(monkeypatch):
     assert exc.value.bracket is not None
 
 
+def test_first_zero_window_brackets_every_order():
+    # J_nu is positive at the window's low end and negative at its high
+    # end, with scipy's jv as the oracle: finely where the guess switches
+    # from McMahon to Olver, then every 0.2 up to the largest order
+    nus = np.unique(np.concatenate([np.linspace(0.0, 20.0, 20001),
+                                    np.linspace(20.0, 1e4, 50001)]))
+    lo, hi = np.array([specfun._first_zero_window(float(nu))
+                       for nu in nus]).T
+    assert np.all(scipy.special.jv(nus, lo) > 0.0)
+    assert np.all(scipy.special.jv(nus, hi) < 0.0)
+
+
+def test_first_zero_window_without_sign_change(monkeypatch):
+    # a window that misses the zero is reported with its bracket, not
+    # widened; an order no other test asks for dodges the cache
+    monkeypatch.setattr(specfun, "_first_zero_window", lambda nu: (1.0, 2.0))
+    with pytest.raises(ConvergenceError, match="does not bracket") as exc:
+        bessel_first_zero(0.987654321)
+    assert exc.value.bracket == (1.0, 2.0)
+
+
 def test_first_zero_cached_by_order():
     nu = 2.718281828
     first = bessel_first_zero(nu)

@@ -212,6 +212,11 @@ class TestEigenvalue:
         phi = res.eigenfunction
         assert float(phi.value(0.0)) == 1.0
         assert phi.values[-1] == 0.0
+        # the value callable is 0 from R on, not the cubic's rounding of 0
+        for R in (1.0, 5.0, 20.0):
+            end = fk_eigenvalue(Euclidean(3), R).eigenfunction
+            assert end.values[-1] == 0.0
+            assert np.all(end.value([R, 1.5 * R]) == 0.0)
         assert np.all(np.diff(phi.values) <= 0.0)
         # node values reproduce J_0(j_0 r) along the grid
         j0 = bessel_first_zero(0.0)
