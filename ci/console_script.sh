@@ -60,3 +60,7 @@ expect 0 verify faber-krahn --variant monomial --n 2
 expect 2 verify faber-krahn --variant euclidean --n 300 --R 1
 expect 0 constants --n 20002
 expect 2 constants --n 20004
+expect 1 verify fk-sweep --variant warped --n 3 --R 1 --R 1.5
+expect 0 verify fk-sweep --variant warped --n 2 --R 500
+expect 0 verify fk-sweep --variant warped --n 3 --format json
+expect 0 verify faber-krahn --variant warped --n 2 --format json

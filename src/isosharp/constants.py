@@ -23,9 +23,12 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import bessel_first_zero, log_gamma, log_omega, omega
+from .specfun import (_MAX_ZERO_ORDER, bessel_first_zero, log_gamma,
+                      log_omega, omega)
 
 _ENDPOINT_SLACK = 1.0 + 1e-12
+# the largest n whose Bessel order n/2 - 1 has a first zero
+_MAX_FK_N = 2.0 * _MAX_ZERO_ORDER + 2.0
 
 
 def _check_avr(avr):
@@ -143,10 +146,15 @@ def gn_sharp_constant(params: SobolevParams, avr: float) -> float:
     return gn_constant(params) * avr ** (-gn_theta(params) / params.n)
 
 
+def _check_fk_n(name, n):
+    if not (isinstance(n, (int, float)) and 2.0 <= n <= _MAX_FK_N):
+        raise DomainError(f"{name} requires 2 <= n <= {_MAX_FK_N:g}, "
+                          f"got {n!r}")
+
+
 def fk_constant(n: float, avr: float) -> float:
     """Lam_g = j_{n/2-1}^2 (omega_n avr)^{2/n}: sharp Faber-Krahn constant."""
-    if not (isinstance(n, (int, float)) and math.isfinite(n) and n >= 2.0):
-        raise DomainError(f"fk_constant requires n >= 2, got {n!r}")
+    _check_fk_n("fk_constant", n)
     _check_avr(avr)
     j = bessel_first_zero(0.5 * n - 1.0)
     return j * j * math.exp((2.0 / n) * (log_omega(n) + math.log(avr)))
@@ -154,8 +162,7 @@ def fk_constant(n: float, avr: float) -> float:
 
 def rayleigh_constant(n: float, avr: float) -> float:
     """R_g = j_{n/2-1}^{-2} (omega_n avr)^{-2/n}, the reciprocal route."""
-    if not (isinstance(n, (int, float)) and math.isfinite(n) and n >= 2.0):
-        raise DomainError(f"rayleigh_constant requires n >= 2, got {n!r}")
+    _check_fk_n("rayleigh_constant", n)
     _check_avr(avr)
     j = bessel_first_zero(0.5 * n - 1.0)
     return math.exp(-(2.0 / n) * (log_omega(n) + math.log(avr))) / (j * j)

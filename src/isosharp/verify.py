@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .constants import (
     sobolev_constant,
 )
 from .errors import ConvergenceError, DomainError
-from .quadrature import Hermite, dyadic_breaks, gauss_on_segments
+from .quadrature import Hermite
 from .rearrange import (
     RadialFunction,
     grad_lp_norm,
@@ -357,11 +356,11 @@ def fk_check(space: ModelSpace, R: float) -> QuotientReport:
     margin is quotient - constant (lower-bound direction), zero exactly
     when the space is a Euclidean ball configuration.
     """
-    eig = fk_eigenvalue(space, R)
     N = space.effective_dimension
+    rhs = fk_constant(N, space.avr())     # checks n before the shooting
+    eig = fk_eigenvalue(space, R)
     vol = vol_ball(space, R)
     quotient = eig.lambda_1 * vol ** (2.0 / N)
-    rhs = fk_constant(N, space.avr())
     return QuotientReport(
         lhs=eig.lambda_1, rhs_constant=rhs, quotient=quotient,
         margin=quotient - rhs,
@@ -370,24 +369,6 @@ def fk_check(space: ModelSpace, R: float) -> QuotientReport:
 
 # ---------------------------------------------------------------------------
 # Faber-Krahn sharpness sweep with Bessel test functions
-
-@lru_cache(maxsize=32)
-def bessel_level_integrals(nu: float) -> tuple:
-    """(I0, I1) with Ik = int_0^1 t J_{nu+k}(j_nu t)^2 dt.
-
-    I0 = J_{nu+1}(j_nu)^2 / 2 by orthogonality, and I1 = I0 because the
-    test function is the exact unit-ball eigenfunction; both are computed
-    by quadrature here so the identities stay testable: composite Gauss on
-    equal panels, each spanning at most 4 in the Bessel argument j_nu t,
-    graded toward t = 0, where t^(2 nu + 1) is not smooth for non-integer
-    nu.
-    """
-    jnu = bessel_first_zero(nu)
-    breaks = dyadic_breaks(np.linspace(0.0, 1.0, math.ceil(jnu / 4) + 1), [0])
-    return tuple(
-        gauss_on_segments(lambda t, m=m: t * bessel_j(m, jnu * t) ** 2, breaks)
-        for m in (nu, nu + 1.0))
-
 
 def _bessel_jet(nu: float, x):
     """(U, U', U'') of U(x) = S_nu(min(x, j_nu)), with U(0) = 1.
@@ -406,25 +387,11 @@ def _bessel_jet(nu: float, x):
 
 
 @dataclass(frozen=True)
-class FkSweepRow:
-    R: float
-    quotient: float
-    grad_integral: float
-    mass_integral: float
-    vol: float
-    margin: float
-
-
-@dataclass(frozen=True)
 class FkSweepTable:
     rows: tuple
     lambda_g: float
-    inequality_ok: bool
     limits: dict
     limits_ok: bool
-    monotone: bool
-    monotone_max_increase: float
-    tail_rel_gap: float
     passed: bool
 
 
@@ -432,21 +399,22 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
     """Rayleigh quotients of the Bessel test functions across radii.
 
     Q(R) = (int |grad u_R|^2 dm / int u_R^2 dm) vol(B_R)^{2/N}, each
-    integral evaluated through the layer-cake identity.  Q(R) >= Lambda
-    always, and Q(R) -> Lambda as R grows.  The two displayed integrals
-    tend to closed forms with a bias falling like 1/R, so their limits are
-    Richardson-extrapolated in 1/R from the two largest radii (the last row
-    alone for one radius) and checked within 1%, the raw errors at the
-    largest R reported beside them.  Monotonicity of Q is only a flag.
+    integral evaluated through the layer-cake identity; each row's ``lhs``
+    is the gradient integral.  Q(R) >= Lambda always, and Q(R) -> Lambda
+    as R grows.  The two displayed integrals tend to closed forms with a
+    bias falling like 1/R, so their limits are Richardson-extrapolated in
+    1/R from the two largest radii (the last row alone for one radius) and
+    checked within 1%, the raw errors at the largest R reported beside
+    them.  ``passed`` needs both limits and every margin >= -1e-6 Lambda.
     """
     R_sorted = sorted(float(R) for R in R_list)
     if not R_sorted or R_sorted[0] <= 0.0:
         raise DomainError("R_list must contain positive radii")
     N = space.effective_dimension
     nu = N / 2.0 - 1.0
+    lambda_g = fk_constant(N, space.avr())     # checks n before j_nu
     jnu = bessel_first_zero(nu)
-    lambda_g = fk_constant(N, space.avr())
-    rows = []
+    rows, masses = [], []
     for R in R_sorted:
         # the volume guard rejects radii outside double precision
         vol = vol_ball(space, R)
@@ -470,21 +438,26 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
             raise DomainError(f"radius {R!r} puts the test function's "
                               "integrals outside double precision")
         q = num / den * (k * vol ** (1.0 / N)) ** 2
-        rows.append(FkSweepRow(R=R, quotient=q, grad_integral=grad,
-                               mass_integral=mass, vol=vol,
-                               margin=q - lambda_g))
-    i0, i1 = bessel_level_integrals(nu)
+        rows.append(QuotientReport(
+            lhs=grad, rhs_constant=lambda_g, quotient=q, margin=q - lambda_g,
+            params={"R": R, "direction": "lower"}))
+        masses.append(mass)
+    # int_0^1 t J_{nu+k}(j_nu t)^2 dt for k = 0 and 1: both are
+    # J_{nu+1}(j_nu)^2 / 2, by orthogonality and because u_R is the exact
+    # unit-ball eigenfunction
+    level = 0.5 * bessel_j(nu + 1.0, jnu) ** 2
     coef = N * omega(N) * space.avr()
-    last = rows[-1]
-    prev = rows[-2] if len(rows) > 1 else last
+    i = max(len(rows) - 2, 0)       # the row before the last, if any
+    R_prev, R_last = R_sorted[i], R_sorted[-1]
     limits = {}
-    for name, expected, value in (
-            ("grad", jnu ** 2 * coef * i1, lambda row: row.grad_integral),
-            ("mass", coef * i0, lambda row: row.mass_integral / row.R ** 2)):
-        raw = value(last)
+    for name, expected, values in (
+            ("grad", jnu ** 2 * coef * level, [row.lhs for row in rows]),
+            ("mass", coef * level,
+             [m / R ** 2 for m, R in zip(masses, R_sorted)])):
+        raw = values[-1]
         # Richardson in 1/R from the two largest radii; raw for one radius
-        limit = raw if prev.R == last.R else (
-            (last.R * raw - prev.R * value(prev)) / (last.R - prev.R))
+        limit = raw if R_prev == R_last else (
+            (R_last * raw - R_prev * values[i]) / (R_last - R_prev))
         limits.update({f"{name}_expected": expected, f"{name}_actual": raw,
                        f"{name}_rel_err": abs(raw - expected) / expected,
                        f"{name}_extrapolated": limit,
@@ -492,17 +465,10 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
                            abs(limit - expected) / expected})
     limits_ok = bool(limits["grad_extrapolated_rel_err"] <= 0.01
                      and limits["mass_extrapolated_rel_err"] <= 0.01)
-    inequality_ok = bool(all(row.margin >= -1e-6 * lambda_g for row in rows))
-    increases = [b.quotient - a.quotient for a, b in zip(rows, rows[1:])]
-    max_inc = max(increases, default=0.0)
-    monotone = bool(max_inc <= 1e-6 * lambda_g)
-    tail_rel_gap = last.quotient / lambda_g - 1.0
-    return FkSweepTable(rows=tuple(rows), lambda_g=lambda_g,
-                        inequality_ok=inequality_ok, limits=limits,
-                        limits_ok=limits_ok, monotone=monotone,
-                        monotone_max_increase=max_inc,
-                        tail_rel_gap=tail_rel_gap,
-                        passed=bool(inequality_ok and limits_ok))
+    passed = bool(limits_ok and all(row.margin >= -1e-6 * lambda_g
+                                    for row in rows))
+    return FkSweepTable(rows=tuple(rows), lambda_g=lambda_g, limits=limits,
+                        limits_ok=limits_ok, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +574,7 @@ def _fk_rows(space, R):
 
 def _fk_sweep_rows(space, R):
     table = fk_sharpness_sweep(space, R)
-    rows = [SuiteRow(f"R={row.R:g}", QuotientReport(
-        lhs=row.grad_integral, rhs_constant=table.lambda_g,
-        quotient=row.quotient, margin=row.margin,
-        params={"R": row.R, "direction": "lower"})) for row in table.rows]
+    rows = [SuiteRow(f"R={row.params['R']:g}", row) for row in table.rows]
     return rows, table.limits_ok
 
 

@@ -3,7 +3,8 @@
 Deliberately separate from the package: the implementation must agree with
 these, never the other way around.  The Bessel oracle is the raw ascending
 power series summed term by term; zeros come from plain sign-change
-bisection on that series.  The package's Gamma is the C library's
+bisection on that series.  The Bessel level integrals of the Faber-Krahn
+sweep come from mpmath quadrature.  The package's Gamma is the C library's
 (math.gamma / math.lgamma), so the tests check it against mpmath at 30
 digits instead.  Warped-product ball volumes, norms of a piecewise-cubic
 interpolant or of a closed-form profile, and the Polya-Szego rhs of a
@@ -51,6 +52,16 @@ def bisect_sign_change(f, lo, hi, iters=200):
 
 def bessel_zero_oracle(nu, lo, hi):
     return bisect_sign_change(lambda x: bessel_series_oracle(nu, x), lo, hi)
+
+
+def bessel_level_integral_mp(nu, k=0):
+    """int_0^1 t J_{nu+k}(j_nu t)^2 dt at 30 digits: mpmath's first zero
+    j_nu and tanh-sinh quadrature, which resolves t^(2 nu + 1) at t = 0
+    for non-integer nu."""
+    with mp.workdps(30):
+        j = mp.besseljzero(mp.mpf(nu), 1)
+        return float(mp.quad(lambda t: t * mp.besselj(nu + k, j * t) ** 2,
+                             [0, 1]))
 
 
 def trapezoid_oracle(f, a, b, n=20001):

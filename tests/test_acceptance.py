@@ -31,9 +31,8 @@ from isosharp.spaces import (
     isoperimetric_sharpness_sweep,
 )
 from isosharp.sandbox import brunn_minkowski_report, seeded_z_inclusion
-from isosharp.specfun import bessel_first_zero, bessel_j
+from isosharp.specfun import bessel_first_zero, omega
 from isosharp.verify import (
-    bessel_level_integrals,
     curated_profiles,
     fk_check,
     fk_eigenvalue,
@@ -42,6 +41,7 @@ from isosharp.verify import (
     run_suite,
     truncated_extremal,
 )
+from oracles import bessel_level_integral_mp
 from profiles import RampProfile
 
 
@@ -172,12 +172,15 @@ def test_criterion_08_sharpness_sweep():
     table = fk_sharpness_sweep(warped(2, 0.5), np.geomspace(2.0, 500.0, 8))
     ok = table.limits["grad_rel_err"] <= 0.01
     ok = ok and table.limits["mass_rel_err"] <= 0.01
-    ok = ok and table.inequality_ok
+    ok = ok and table.passed
     for nu in (0.0, 0.5, 1.0):
-        i0, _ = bessel_level_integrals(nu)
-        jnu = bessel_first_zero(nu)
-        closed = bessel_j(nu + 1.0, jnu) ** 2 / 2.0
-        ok = ok and abs(i0 - closed) <= 1e-9
+        # the sweep's closed form J_{nu+1}(j_nu)^2 / 2, read off its mass
+        # limit N omega_N AVR I0 on Euclidean(2 nu + 2) (AVR 1), against
+        # quadrature of I0 = int_0^1 t J_nu(j_nu t)^2 dt
+        N = 2.0 * nu + 2.0
+        closed = (fk_sharpness_sweep(Euclidean(N), [1.0])
+                  .limits["mass_expected"] / (N * omega(N)))
+        ok = ok and abs(closed - bessel_level_integral_mp(nu)) <= 1e-9
     _report(8, "sweep integral limits within 1% at R=500; orthogonality "
                "identity to 1e-9", ok)
 

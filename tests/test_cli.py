@@ -1,11 +1,7 @@
 import argparse
-import contextlib
-import io
 import json
 import math
 import os
-import re
-import shlex
 import subprocess
 import sys
 import warnings
@@ -20,6 +16,9 @@ from isosharp.cli import main, parse_sweep
 from isosharp.errors import DomainError
 from isosharp.spaces import Euclidean, EuclideanCone, ExponentialTail, \
     MonomialHalfSpace, WarpedProduct
+
+from console_corpus import (GOLDEN, golden_name, mismatch, run_quiet,
+                            script_argv)
 
 
 def run_cli(capsys, *argv):
@@ -543,6 +542,16 @@ class TestPlumbing:
         assert code == 0
         assert set(json_record(json.loads(out))) == set(json_keys.split())
 
+    # a Faber-Krahn dimension past the largest Bessel order, n/2 - 1 =
+    # 10000; the error once named bessel_first_zero and nu, not --n
+    _PAST_FK_BOUND = [
+        ("constants", "--n", "20004"),
+        ("constants", "--n", "20004", "--p", "2"),
+        ("constants", "--n", "20002.5"),
+        ("verify", "fk-sweep", "--variant", "euclidean", "--n", "20004"),
+        ("verify", "faber-krahn", "--variant", "euclidean", "--n", "20004"),
+    ]
+
     @pytest.mark.parametrize("argv", [
         # a fractional dimension where the variant needs an integer
         ("space", "--variant", "warped", "--n", "2.7"),
@@ -645,11 +654,13 @@ class TestPlumbing:
         ("constants", "--n", "3", "--alpha", "2"),
         ("sandbox", "z-inclusion", "--seeds", "2", "--s", "0.9"),
         ("sandbox", "z-inclusion", "--graph", "path3", "--seed", "1"),
-    ])
+    ] + _PAST_FK_BOUND)
     def test_bad_input_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and out == ""
+        if argv in self._PAST_FK_BOUND:
+            assert "requires 2 <= n <= 20002," in err
 
     @pytest.mark.parametrize("argv", [
         ("space", "--variant", "torus"),
@@ -779,14 +790,6 @@ _ARGV = st.one_of(
 )
 
 
-def _run_quiet(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
-    return code, out.getvalue()
-
-
 @settings(max_examples=360, deadline=None, derandomize=True)
 @given(_ARGV)
 # a radius whose first shooting node R * 1e-8 underflows to 0 once escaped
@@ -795,9 +798,9 @@ def _run_quiet(argv):
 def test_fuzzed_argv_keeps_the_exit_contract(argv):
     # an exception or a warning (an error under the suite's filter) escaping
     # main fails the test; so does output that differs on a rerun
-    code, out = _run_quiet(argv)
+    code, out = run_quiet(argv)
     assert code in (0, 1, 2)
-    assert _run_quiet(argv) == (code, out)
+    assert run_quiet(argv) == (code, out)
 
 
 # each command, suite or z-inclusion mode beside flags that it does not read
@@ -827,32 +830,48 @@ _FOREIGN_ARGV = st.sampled_from(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_FOREIGN_ARGV)
 def test_a_flag_not_read_exits_2(argv):
-    assert _run_quiet(argv) == (2, "")
-
-
-def _console_script_argv():
-    """(exit code, argv) of each ``expect`` line of ci/console_script.sh,
-    its one command substitution (a run of zeros by printf) expanded."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "ci",
-                        "console_script.sh")
-    with open(path) as script:
-        lines = [ln for ln in script if ln.startswith("expect ")]
-    zeros = re.compile(r"\$\(printf '%0(\d+)d' 0\)")
-    cases = []
-    for line in lines:
-        want, *argv = shlex.split(
-            zeros.sub(lambda m: "0" * int(m.group(1)), line))[1:]
-        assert not any(c in arg for arg in argv for c in "$`"), line
-        cases.append((int(want), argv))
-    return cases
+    assert run_quiet(argv) == (2, "")
 
 
 def test_console_script_contract_in_process():
     # the argv list of the CI script, run through main() twice in one
     # process: the listed exit code, and the same output on the rerun
-    cases = _console_script_argv()
+    cases = script_argv()
     assert len(cases) >= 45
     for want, argv in cases:
-        first = _run_quiet(argv)
+        first = run_quiet(argv)
         assert first[0] == want, argv
-        assert _run_quiet(argv) == first, argv
+        assert run_quiet(argv) == first, argv
+
+
+def test_golden_corpus_has_one_file_per_argv():
+    # tests/console_corpus.py rewrites the corpus when run as a script
+    names = [golden_name(argv) for _, argv in script_argv()]
+    assert len(set(names)) == len(names)
+    assert sorted(os.listdir(GOLDEN)) == sorted(names)
+
+
+_SCRIPT = script_argv()
+
+
+@pytest.mark.parametrize("want,argv", _SCRIPT, ids=[
+    golden_name(argv)[:-len(".out")] for _, argv in _SCRIPT])
+def test_console_script_matches_golden(want, argv):
+    # labels, column names, JSON keys and the exit code exactly; numeric
+    # tokens to 1e-12 relative
+    code, out = run_quiet(argv)
+    assert code == want
+    with open(os.path.join(GOLDEN, golden_name(argv))) as f:
+        diff = mismatch(f.read(), out)
+    assert diff is None, diff
+
+
+def test_golden_comparison_rules():
+    row = '{"label": "R=2", "lhs": 7.332800151313249}\n'
+    assert mismatch(row, row.replace("249", "24")) is None      # 1e-15
+    assert mismatch(row, row.replace("7.3328", "7.3329")) is not None
+    assert mismatch(row, row.replace("lhs", "rhs")) is not None
+    assert mismatch(row, row.replace("R=2", "R=2.0")) is not None
+    assert mismatch(row, row.replace("R=2", "R=2 1")) is not None
+    assert mismatch(row, row + "\n") is not None
+    assert mismatch("m,-3\n", "m,-3.0\n") is not None

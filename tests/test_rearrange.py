@@ -296,8 +296,8 @@ from isosharp.rearrange import (grad_lp_norm, layer_cake_radial_integral,
                                 lq_norm, polya_szego_check)
 from isosharp.sandbox import seeded_z_inclusion
 from isosharp.spaces import ExponentialTail, MonomialHalfSpace, WarpedProduct
-from isosharp.verify import (bessel_level_integrals, curated_profiles,
-                             fk_eigenvalue, fk_sharpness_sweep)
+from isosharp.verify import (curated_profiles, fk_eigenvalue,
+                             fk_sharpness_sweep)
 from profiles import exact
 
 space = WarpedProduct(3, ExponentialTail(0.5, 1.0))
@@ -315,7 +315,6 @@ grad_lp_norm(space, tent, 2.0)
 layer_cake_radial_integral(
     space, lambda r: (np.ones_like(r), np.zeros_like(r)), 4.0)
 fk_sharpness_sweep(space, [2.0, 20.0])
-bessel_level_integrals(0.5)
 assert MonomialHalfSpace(3, 0.5).unit_ball_volume > 0.0
 fk_eigenvalue(space, 1.0)
 seeded_z_inclusion(3)

@@ -19,7 +19,6 @@ from isosharp.spaces import (
 )
 from isosharp.specfun import bessel_first_zero, bessel_j
 from isosharp.verify import (
-    bessel_level_integrals,
     curated_profiles,
     fk_check,
     fk_eigenvalue,
@@ -29,6 +28,7 @@ from isosharp.verify import (
     sobolev_quotient,
     truncated_extremal,
 )
+from oracles import bessel_level_integral_mp
 from profiles import RampProfile, exact, plateau, support_end
 
 # frozen with mpmath, 50 digits
@@ -372,25 +372,35 @@ class TestFkCheck:
         assert c == pytest.approx(d, rel=1e-8)
 
 
+def level_integrals(nu):
+    """(I0, I1), Ik = int_0^1 t J_{nu+k}(j_nu t)^2 dt, read off the sweep's
+    expected limits on Euclidean(2 nu + 2): the mass limit is N omega_N AVR
+    I0, the gradient limit j_nu^2 N omega_N AVR I1."""
+    N = 2.0 * nu + 2.0
+    space = Euclidean(N)
+    lim = fk_sharpness_sweep(space, [1.0]).limits
+    coef = N * specfun.omega(N) * space.avr()
+    return (lim["mass_expected"] / coef,
+            lim["grad_expected"] / (bessel_first_zero(nu) ** 2 * coef))
+
+
 class TestSweep:
     def test_orthogonality_integrals(self):
         frozen = {0.0: I_NU0, 0.5: I_NU_HALF, 1.0: I_NU1}
         for nu, target in frozen.items():
-            i0, i1 = bessel_level_integrals(nu)
-            jnu = bessel_first_zero(nu)
+            i0, i1 = level_integrals(nu)
             assert i0 == pytest.approx(target, abs=1e-12)
-            assert i0 == pytest.approx(bessel_j(nu + 1.0, jnu) ** 2 / 2.0,
+            assert i0 == pytest.approx(bessel_level_integral_mp(nu), abs=1e-9)
+            assert i1 == pytest.approx(bessel_level_integral_mp(nu, 1),
                                        abs=1e-9)
-            assert i1 == pytest.approx(i0, abs=1e-9)
 
     @pytest.mark.parametrize("nu", [0.25, 0.75, 1.5, 2.5, 4.0, 9.0])
     def test_level_integrals_match_orthogonality(self, nu):
-        # I0 = I1 = J_{nu+1}(j_nu)^2 / 2; t^(2 nu + 1) is not smooth at 0
-        # for non-integer nu, which the graded rule must resolve
-        i0, i1 = bessel_level_integrals(nu)
-        closed = bessel_j(nu + 1.0, bessel_first_zero(nu)) ** 2 / 2.0
-        assert i0 == pytest.approx(closed, rel=1e-13)
-        assert i1 == pytest.approx(closed, rel=1e-13)
+        # I0 = I1 = J_{nu+1}(j_nu)^2 / 2, the sweep's closed form, against
+        # quadrature of each integral
+        i0, i1 = level_integrals(nu)
+        assert i0 == pytest.approx(bessel_level_integral_mp(nu), rel=1e-13)
+        assert i1 == pytest.approx(bessel_level_integral_mp(nu, 1), rel=1e-13)
 
     @pytest.mark.parametrize("nu", [0.0, 0.25, 1.0, 29.0])
     def test_jet_value_slopes_and_ode(self, nu):
@@ -422,15 +432,14 @@ class TestSweep:
         table = fk_sharpness_sweep(Euclidean(2), [1.0, 10.0, 100.0])
         for row in table.rows:
             assert row.quotient == pytest.approx(table.lambda_g, rel=1e-12)
-        assert table.passed and table.monotone
+        assert table.passed
 
     def test_warped_limits_and_tail(self):
         table = fk_sharpness_sweep(warped(2, 0.5, 1.0),
                                    np.geomspace(2.0, 500.0, 8))
-        assert table.inequality_ok
         assert table.limits["grad_rel_err"] < 0.01
         assert table.limits["mass_rel_err"] < 0.01
-        assert table.tail_rel_gap < 0.02
+        assert table.rows[-1].margin / table.lambda_g < 0.02
         assert table.passed
 
     def test_limits_extrapolate_in_inverse_radius(self):
@@ -534,6 +543,16 @@ class TestSuites:
         assert res.passed
         res = run_suite(Euclidean(2), "fk-sweep", R=[1.0, 20.0])
         assert res.passed
+
+    def test_fk_sweep_suite_rows_are_the_sweep_rows(self):
+        # the suite labels the sweep's own reports, field for field
+        space, radii = warped(3, 0.45, 1.0), [20.0, 2.0, 200.0]
+        table = fk_sharpness_sweep(space, radii)
+        res = run_suite(space, "fk-sweep", R=radii)
+        assert [dataclasses.asdict(row.report) for row in res.rows] == [
+            dataclasses.asdict(row) for row in table.rows]
+        assert [row.label for row in res.rows] == ["R=2", "R=20", "R=200"]
+        assert res.passed == table.passed
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):
