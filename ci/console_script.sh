@@ -64,3 +64,8 @@ expect 1 verify fk-sweep --variant warped --n 3 --R 1 --R 1.5
 expect 0 verify fk-sweep --variant warped --n 2 --R 500
 expect 0 verify fk-sweep --variant warped --n 3 --format json
 expect 0 verify faber-krahn --variant warped --n 2 --format json
+expect 0 verify gn --variant warped --n 3 --p 1.5 --alpha 1.5
+expect 0 verify gn --variant warped --n 3 --format json
+expect 2 verify sobolev --variant euclidean --n 3 --p 2.99
+expect 2 verify sobolev --variant euclidean --n 3 --p 2.999
+expect 2 verify gn --variant euclidean --n 3 --p 2.99 --alpha 299

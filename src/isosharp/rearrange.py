@@ -137,95 +137,143 @@ def euclidean_rearrangement(space: ModelSpace, u: RadialFunction) -> RadialFunct
     return RadialFunction(s, value, deriv)
 
 
-def _radial_integral(space: ModelSpace, u: RadialFunction, g,
-                     vanishing) -> float:
+def _zero_ends(u: RadialFunction, vanishing) -> np.ndarray:
+    """The nodes of the mask ``vanishing`` next to a nonconstant segment:
+    where |w|^power has an algebraic end if w vanishes there."""
+    live = np.diff(u.values) != 0.0
+    return vanishing & (np.append(live, False) | np.insert(live, 0, False))
+
+
+def _radial_integral(space: ModelSpace, u: RadialFunction, g, targets):
     """int_0^{r_end} g(r) dA(r) for g = |w|^power, w being u or u' (smooth
-    between nodes) and ``vanishing`` the nodes where w is 0.
+    between nodes); g may stack several integrands on a leading axis,
+    returned as an array (one integrand: a float).
 
     Composite Gauss on u's grid joined with the space's own breaks, graded
     toward r = 0, where dA ~ r^(N-1) is not smooth for real N, and toward
-    each node where w vanishes next to a nonconstant segment, where
-    |w|^power has an algebraic end.
+    the radii ``targets``, where g has an algebraic end or a boundary
+    layer.
     """
-    live = np.diff(u.values) != 0.0
-    edges = vanishing & (np.append(live, False) | np.insert(live, 0, False))
     own = space.breaks
-    breaks = np.concatenate([u.r_grid, own[own < u.r_end]])
-    targets = np.append(u.r_grid[edges], 0.0)
+    breaks = dyadic_breaks(np.concatenate([u.r_grid, own[own < u.r_end]]),
+                           np.append(targets, 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
         # an overflowing content beside a zero of g gives 0 * inf = NaN
-        value = gauss_on_segments(lambda r: g(r) * space.content(r),
-                                  dyadic_breaks(breaks, targets))
-    if not value < math.inf:
-        raise DomainError("a power of the profile or its slope overflows "
-                          "double precision")
-    return value
+        return gauss_on_segments(lambda r: g(r) * space.content(r), breaks)
 
 
-def _cavalieri_integral(space: ModelSpace, u: RadialFunction,
-                        q: float) -> float:
-    """int_0^L q t^{q-1} V(t) dt, composite Gauss in t.
+def _cavalieri_integral(space: ModelSpace, u: RadialFunction, qs):
+    """int_0^L q t^{q-1} V(t) dt for each exponent q of ``qs``, composite
+    Gauss in t, as an array.
 
     r(t) is smooth between node values, since u is smooth between nodes.
     V jumps at plateau values, and r(t) has a square-root end at the value
     of a node where the slope is 0, so the breaks are the node values,
     graded toward those flat values, toward t = 0 (t^{q-1}) and toward
     t = L, where V ~ r(t)^N is not smooth for real N.  The level radii of
-    all Gauss nodes are bisected together.
+    all Gauss nodes are bisected together, once for every exponent.
     """
     levels = np.append(u.values, 0.0)
     flat = u.values[u.node_slopes() == 0.0]
     breaks = dyadic_breaks(np.unique(levels),
                            np.unique(np.concatenate([flat, levels[[0, -1]]])))
     return gauss_on_segments(
-        lambda t: q * t ** (q - 1.0) * space.volume(_level_radii(u, t)),
+        lambda t: np.stack([q * t ** (q - 1.0) for q in qs])
+        * space.volume(_level_radii(u, t)),
         breaks)
 
 
-def lq_routes(space: ModelSpace, u: RadialFunction, q: float) -> tuple:
-    """(direct, cavalieri): int |u|^q dm by two independent routes.
+def _one_or_all(items: list):
+    return items[0] if len(items) == 1 else tuple(items)
+
+
+def _route_pairs(space: ModelSpace, u: RadialFunction, qs) -> list:
+    """[(direct, cavalieri)], one pair per exponent of ``qs``: the body of
+    ``lq_routes``."""
+    if not qs:
+        raise DomainError("need at least one norm exponent")
+    for q in qs:
+        if not (isinstance(q, (int, float)) and 0.0 < q < math.inf):
+            raise DomainError(f"norm exponent must be positive and finite, "
+                              f"got {q!r}")
+    live = np.diff(u.values) != 0.0
+    ends = _zero_ends(u, u.values == 0.0)
+    ends[1:-1] |= live[:-1] != live[1:]      # a plateau meets a slope
+
+    def powers(r):
+        a = np.abs(u.value(r))
+        return np.stack([a ** q for q in qs])
+
+    directs = _radial_integral(space, u, powers, u.r_grid[ends]).tolist()
+    for q, direct in zip(qs, directs):
+        if not direct < math.inf:
+            raise DomainError(f"|u|^q overflows double precision for "
+                              f"q={q!r}")
+    # u = 0 leaves one level break, and a scalar 0 for the whole stack
+    cavalieris = np.broadcast_to(_cavalieri_integral(space, u, qs),
+                                 len(qs)).tolist()
+    for q, direct, cavalieri in zip(qs, directs, cavalieris):
+        if u.values[0] > 0.0 and not (direct > 0.0 and cavalieri > 0.0):
+            raise DomainError(f"the integral of |u|^q underflows to 0 for "
+                              f"q={q!r}")
+    return list(zip(directs, cavalieris))
+
+
+def lq_routes(space: ModelSpace, u: RadialFunction, *qs) -> tuple:
+    """(direct, cavalieri): int |u|^q dm by two independent routes, for
+    one exponent q; for several, a tuple of such pairs, one per exponent.
 
     Direct: int |u|^q against the space's radial area density, a composite
-    Gauss rule in r on u's grid.  Cavalieri: int_0^L q t^{q-1} V(t) dt
-    over the superlevel volumes, a composite Gauss rule in t on u's
-    node values with a batched level-radius bisection.
+    Gauss rule in r on u's grid, graded toward each node that ends a
+    plateau or the support, where |u|^q has a boundary layer of width
+    ~1/q.  Cavalieri: int_0^L q t^{q-1} V(t) dt over the superlevel
+    volumes, a composite Gauss rule in t on u's node values with a
+    batched level-radius bisection.  Each route evaluates its nodes once
+    and stacks one integrand per exponent: |u| and the sphere measure, or
+    the level radii and their volumes, serve every exponent, and each
+    exponent's values are those of a call with it alone.  No exponent, a
+    bad one, a power that overflows, or a zero integral of a profile with
+    u(0) > 0 (an underflow) raises DomainError naming q.
     """
-    if not (isinstance(q, (int, float)) and 0.0 < q < math.inf):
-        raise DomainError(f"norm exponent must be positive and finite, "
-                          f"got {q!r}")
-    direct = _radial_integral(
-        space, u, lambda r: np.abs(u.value(r)) ** q, u.values == 0.0)
-    return direct, _cavalieri_integral(space, u, q)
+    return _one_or_all(_route_pairs(space, u, qs))
 
 
-def lq_norm(space: ModelSpace, u: RadialFunction, q: float) -> float:
-    """Lq(m) norm of u, computed by two routes that must agree to 1e-7.
+def lq_norm(space: ModelSpace, u: RadialFunction, *qs) -> float | tuple:
+    """Lq(m) norm of u for one exponent q, a float; for several, a tuple
+    of norms, one per exponent.  Each is computed by two routes that must
+    agree to 1e-7.
 
-    The routes are those of ``lq_routes``: the direct r-integral and the
-    Cavalieri t-integral, each a composite Gauss rule on the profile's own
-    breakpoints.  The Cavalieri value is returned; disagreement raises
-    InvariantViolation.
+    The routes are those of ``lq_routes``, taken once for all exponents:
+    the direct r-integral and the Cavalieri t-integral, each a composite
+    Gauss rule on the profile's own breakpoints.  The Cavalieri value is
+    returned; a disagreement at any exponent raises InvariantViolation.
     """
-    direct, cavalieri = lq_routes(space, u, q)
-    gap = abs(direct - cavalieri)
-    if gap > 1e-7 * max(abs(direct), abs(cavalieri), 1e-300):
-        raise InvariantViolation(
-            f"Cavalieri route {cavalieri!r} disagrees with direct "
-            f"quadrature {direct!r} for q={q}")
-    return max(cavalieri, 0.0) ** (1.0 / q)
+    norms = []
+    for q, (direct, cavalieri) in zip(qs, _route_pairs(space, u, qs)):
+        gap = abs(direct - cavalieri)
+        if gap > 1e-7 * max(abs(direct), abs(cavalieri), 1e-300):
+            raise InvariantViolation(
+                f"Cavalieri route {cavalieri!r} disagrees with direct "
+                f"quadrature {direct!r} for q={q}")
+        norms.append(max(cavalieri, 0.0) ** (1.0 / q))
+    return _one_or_all(norms)
 
 
 def grad_lp_norm(space: ModelSpace, u: RadialFunction, p: float) -> float:
     """(int |u'(r)|^p dm)^{1/p}: radial Dirichlet seminorm of the profile.
 
     u' is smooth between nodes, so the integral is the composite Gauss
-    rule of the direct Lq route on u's grid.
+    rule of the direct Lq route on u's grid, graded toward each node where
+    u' vanishes next to a nonconstant segment.
     """
     if not (isinstance(p, (int, float)) and 1.0 < p < math.inf):
         raise DomainError(f"gradient exponent must be finite and exceed 1, "
                           f"got {p!r}")
-    val = _radial_integral(space, u, lambda r: np.abs(u.deriv(r)) ** p,
-                           u.node_slopes() == 0.0)
+    val = _radial_integral(
+        space, u, lambda r: np.abs(u.deriv(r)) ** p,
+        u.r_grid[_zero_ends(u, u.node_slopes() == 0.0)])
+    if not val < math.inf:
+        raise DomainError(f"|u'|^p overflows double precision for p={p!r}")
     return max(val, 0.0) ** (1.0 / p)
 
 

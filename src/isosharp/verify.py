@@ -155,9 +155,13 @@ def gn_quotient(space: ModelSpace, u: RadialFunction,
     grad = grad_lp_norm(space, u, p)
     if grad <= 0.0:
         raise DomainError("profile has vanishing gradient")
-    top = lq_norm(space, u, alpha * p)
-    low = lq_norm(space, u, alpha * (p - 1.0) + 1.0)
-    quotient = top / (grad ** theta * low ** (1.0 - theta))
+    top, low = lq_norm(space, u, alpha * p, alpha * (p - 1.0) + 1.0)
+    denominator = grad ** theta * low ** (1.0 - theta)
+    if not 0.0 < denominator < math.inf:
+        raise DomainError(f"|grad u|_p^theta |u|_q^(1-theta) = "
+                          f"{denominator!r} lies outside double precision "
+                          f"at theta = {theta!r}")
+    quotient = top / denominator
     rhs = gn_sharp_constant(params, space.avr())
     return QuotientReport(
         lhs=top, rhs_constant=rhs, quotient=quotient, margin=rhs - quotient,

@@ -618,6 +618,20 @@ class TestPlumbing:
         # the extremal's r_cut^{p'} overflows as p' = p/(p-1) grows
         ("verify", "sobolev", "--variant", "euclidean", "--n", "3",
          "--p", "1.000001"),
+        # |u|^q of the truncated extremal underflows as p* = np/(n-p)
+        # grows: once a row with lhs = 0 that passed by the whole constant
+        # (p = 2.99), a direct route off by 1.8e-7 at q = 8997 (p = 2.999),
+        # and a ZeroDivisionError in the GN quotient
+        ("verify", "sobolev", "--variant", "euclidean", "--n", "3",
+         "--p", "2.99"),
+        ("verify", "sobolev", "--variant", "warped", "--n", "3",
+         "--p", "2.99"),
+        ("verify", "sobolev", "--variant", "euclidean", "--n", "3",
+         "--p", "2.999"),
+        ("verify", "gn", "--variant", "euclidean", "--n", "3",
+         "--p", "2.99", "--alpha", "299"),
+        ("verify", "gn", "--variant", "warped", "--n", "3",
+         "--p", "2.99", "--alpha", "299"),
         # a lattice cell volume (1/64)^n below the least normal double; n =
         # 300 used to end in an OverflowError, n = 200 in zero measures
         ("sandbox", "bm", "--n", "300"),
@@ -795,6 +809,10 @@ _ARGV = st.one_of(
 # a radius whose first shooting node R * 1e-8 underflows to 0 once escaped
 # as numpy's ValueError; the draws above need not reach it
 @example(["verify", "faber-krahn", "--variant", "euclidean", "--R", "5e-324"])
+# p and alpha are drawn apart, so an admissible alpha near n/(n-p) is rare;
+# there |u|^q underflowed and the GN quotient divided by 0
+@example(["verify", "gn", "--variant", "warped", "--n", "3", "--p", "2.99",
+          "--alpha", "299"])
 def test_fuzzed_argv_keeps_the_exit_contract(argv):
     # an exception or a warning (an error under the suite's filter) escaping
     # main fails the test; so does output that differs on a rerun

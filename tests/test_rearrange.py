@@ -33,7 +33,8 @@ from isosharp.spaces import (
     vol_ball,
 )
 from isosharp.specfun import omega
-from isosharp.verify import curated_profiles, fk_eigenvalue, truncated_extremal
+from isosharp.verify import (curated_profiles, fk_eigenvalue, gn_quotient,
+                             truncated_extremal)
 from oracles import (
     callable_radial_oracle,
     euclidean_content_mp,
@@ -370,6 +371,95 @@ class TestExactCallableNorms:
             lambda r: 1 if r < a else (b - r) / (b - a), content, 3.5, edges)
         assert lq_norm(space, u, 3.5) == pytest.approx(
             mass ** (1.0 / 3.5), rel=1e-12)
+
+
+    @pytest.mark.parametrize("label,r_in,r_out", [
+        ("trapezoid_0.5_1.5", 0.5, 1.5), ("trapezoid_1_3", 1.0, 3.0)])
+    @pytest.mark.parametrize("q", [3000.0, 8997.0, 20000.0])
+    def test_trapezoid_routes_at_large_q_match_mpmath(self, label, r_in,
+                                                      r_out, q):
+        # |u|^q has a boundary layer of width ~(r_out - r_in)/q past the
+        # plateau's end; the direct route was off by 1.6e-5 at q = 20000
+        u = dict(curated_profiles())[label]
+        a, b = mp.mpf(r_in), mp.mpf(r_out)
+        mass = callable_radial_oracle(
+            lambda r: 1 if r < a else (b - r) / (b - a),
+            euclidean_content_mp(3), q, [0.0, r_in, r_out])
+        direct, cavalieri = lq_routes(Euclidean(3), u, q)
+        assert direct == pytest.approx(mass, rel=1e-11)
+        assert cavalieri == pytest.approx(mass, rel=1e-11)
+
+
+def _stack_spaces():
+    return [Euclidean(3), Euclidean(3.5), EuclideanCone(2, 0.6 * 4 * math.pi),
+            MonomialHalfSpace(2, 1.0), warped(n=2), warped(n=3)]
+
+
+class TestStackedExponents:
+    """Several exponents share one pass over each route's nodes."""
+
+    @pytest.mark.parametrize("space", _stack_spaces(),
+                             ids=lambda s: s.descriptor()["variant"])
+    def test_stack_equals_single_calls(self, space):
+        qs = (0.5, 0.9, 3.0, 4.0, 7.5)
+        params = SobolevParams(space.effective_dimension, 1.5)
+        profiles = curated_profiles() + [
+            ("extremal", truncated_extremal(params))]
+        for label, u in profiles:
+            single = tuple(lq_routes(space, u, q) for q in qs)
+            assert lq_routes(space, u, *qs) == single, label
+            assert lq_routes(space, u, 3.0, 4.0) == single[2:4], label
+            assert lq_norm(space, u, *qs) == tuple(
+                lq_norm(space, u, q) for q in qs), label
+
+    def test_one_level_radius_and_volume_pass_per_gn_quotient(
+            self, monkeypatch):
+        # both norms of the GN quotient bisect the level radii and call
+        # V(r(t)) once; the direct routes and the gradient call no volume
+        calls = {"radii": 0, "volume": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(rearrange, "_level_radii",
+                            counted("radii", rearrange._level_radii))
+        for space in (warped(n=3), Euclidean(3)):
+            monkeypatch.setattr(type(space), "volume",
+                                counted("volume", type(space).volume))
+            params = SobolevParams(n=3, p=2.0, alpha=2.0)
+            for label, u in curated_profiles()[:3]:
+                calls.update(radii=0, volume=0)
+                gn_quotient(space, u, params)
+                assert calls == {"radii": 1, "volume": 1}, label
+
+    def test_one_overflowing_exponent_raises(self):
+        # 2^1e308 overflows; q = 2 beside it is finite
+        with pytest.raises(DomainError, match=r"q=1e\+308"):
+            lq_routes(Euclidean(3), tent(height=2.0), 2.0, 1e308)
+        with pytest.raises(DomainError, match=r"q=1e\+308"):
+            lq_norm(Euclidean(3), tent(height=2.0), 1e308, 2.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, "2"])
+    def test_bad_exponent_in_a_stack_is_named(self, bad):
+        with pytest.raises(DomainError, match=f"got {bad!r}"):
+            lq_norm(Euclidean(3), tent(), 2.0, bad, 3.0)
+
+    def test_no_exponent_raises(self):
+        with pytest.raises(DomainError, match="at least one"):
+            lq_norm(Euclidean(3), tent())
+        with pytest.raises(DomainError, match="at least one"):
+            lq_routes(Euclidean(3), tent())
+
+    def test_underflow_to_zero_raises(self):
+        # (1e-200)^3 is 0 in double precision, beside q = 1: a norm of 0
+        # for a nonzero profile would pass any upper bound
+        with pytest.raises(DomainError, match=r"underflows.*q=3\.0"):
+            lq_norm(Euclidean(3), tent(height=1e-200), 1.0, 3.0)
+        zero = exact(_zero, _zero, np.linspace(0.0, 1.0, 5))
+        assert lq_norm(Euclidean(3), zero, 2.0, 3.0) == (0.0, 0.0)
 
 
 class TestPolyaSzego:

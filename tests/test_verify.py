@@ -185,6 +185,17 @@ class TestGnQuotient:
         assert rep.margin > 1e-3
         assert rep.params["theta"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_denominator_outside_double_precision_raises(self, monkeypatch):
+        # lq_norm raises on its own underflow; the quotient still guards
+        # its division, which once ended in a ZeroDivisionError
+        params = SobolevParams(n=3, p=2, alpha=2.0)
+        u = truncated_extremal(params)
+        for low in (0.0, math.inf):
+            monkeypatch.setattr(verify, "lq_norm",
+                                lambda space, u, *qs, low=low: (1.0, low))
+            with pytest.raises(DomainError, match="double precision"):
+                gn_quotient(Euclidean(3), u, params)
+
 
 class TestEigenvalue:
     def test_euclidean_matches_bessel_zeros(self):
