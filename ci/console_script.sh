@@ -69,3 +69,7 @@ expect 0 verify gn --variant warped --n 3 --format json
 expect 2 verify sobolev --variant euclidean --n 3 --p 2.99
 expect 2 verify sobolev --variant euclidean --n 3 --p 2.999
 expect 2 verify gn --variant euclidean --n 3 --p 2.99 --alpha 299
+expect 0 verify polya-szego --variant warped --n 3 --beta 1e4
+expect 0 verify polya-szego --variant warped --n 2 --beta 1e6
+expect 2 verify polya-szego --variant warped --n 3 --beta 1e300
+expect 2 verify polya-szego --variant warped --n 2 --beta 1e160

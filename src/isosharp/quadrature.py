@@ -41,11 +41,10 @@ def gauss_on_segments(f, breaks):
     Meant for integrands that are smooth on each segment between
     ``breaks``: the fixed rule then converges at spectral order, and the
     total cost is a single vectorized evaluation.  A float for one
-    integrand, an array for integrands stacked on leading axes.
+    integrand, an array for integrands stacked on leading axes; fewer than
+    two breaks give zeros of that shape.
     """
     breaks = np.asarray(breaks, dtype=float)
-    if breaks.size < 2:
-        return 0.0
     total = gauss_panels(f, breaks[:-1], breaks[1:]).sum(-1)
     return float(total) if total.ndim == 0 else total
 

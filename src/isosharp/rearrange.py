@@ -14,10 +14,10 @@ integrals.  Ball volumes and sphere measures come from the space's own
 Functions are supported on [0, r_end] of their grid and carry their value
 and slope as callables; u* evaluates u's own callables through the inverse
 volume radius.  The grid is the profile's break list: u is smooth between
-nodes, so every norm is a composite Gauss rule on the grid (see
-``isosharp.quadrature``).  The layer-cake identity, whose integrands are
-vectorized callables smooth on (0, R], takes the same rule on equal panels
-joined with the space's breaks.
+nodes.  Every radial grid, a profile's or the layer cake's equal panels, is
+joined with the space's own breaks by one rule (``_joined``), and every
+r-integral is one composite Gauss rule on that join (``_radial_integral``,
+see ``isosharp.quadrature``).
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ class RadialFunction:
     and the callables ``value`` and ``deriv`` of its value and slope, float
     arrays in and out.
 
-    The node values ``values`` are read from ``value`` once, at
-    construction, and locate the levels; every norm evaluates the
+    The node values ``values`` and node slopes ``slopes`` are read from
+    ``value`` and ``deriv`` once, at construction; the values locate the
+    levels, the zero slopes the flat nodes, and every norm evaluates the
     callables.  The grid is the profile's break list: the quadratures take
     u to be smooth between consecutive nodes, so every kink of a callable
     (a truncation, the end of a plateau) has to be a node.
@@ -66,6 +67,7 @@ class RadialFunction:
         if np.any(np.diff(v) > 1e-12 * max(1.0, float(v[0]))):
             raise DomainError("node values must be nonincreasing")
         self.r_grid, self.values, self.r_end = r, v, float(r[-1])
+        self.slopes = np.asarray(deriv(r), dtype=float)
         self._value, self._deriv = value, deriv
 
     def value(self, r):
@@ -73,9 +75,6 @@ class RadialFunction:
 
     def deriv(self, r):
         return self._deriv(np.asarray(r, dtype=float))
-
-    def node_slopes(self) -> np.ndarray:
-        return np.asarray(self._deriv(self.r_grid), dtype=float)
 
 
 def _level_radii(u: RadialFunction, t) -> np.ndarray:
@@ -94,34 +93,47 @@ def _level_radii(u: RadialFunction, t) -> np.ndarray:
     width = u.r_grid[np.minimum(k, u.values.size - 1)] - lo
     tol = 1e-13 * u.r_end
     t = t[()]   # a single level compares as a numpy scalar: cheaper per step
-    for _ in range(int(np.ceil(np.log2(max(np.max(width), tol) / tol)))):
+    for _ in range(int(np.ceil(np.log2(np.max(width, initial=tol) / tol)))):
         width = 0.5 * width
         lo = lo + width * (u.value(lo + width) > t)
     return lo + 0.5 * width
 
 
+def _joined(space: ModelSpace, grid) -> np.ndarray:
+    """The ascending union of ``grid`` and the space's own breaks below
+    grid[-1]; a break within 1e-9 of a node, relative to the break, is
+    dropped, since it would leave a segment of rounding width."""
+    own = space.breaks
+    own = own[own < grid[-1]]
+    k = np.searchsorted(grid, own)      # grid[k - 1] < own <= grid[k]
+    gap = np.minimum(own - grid[np.maximum(k - 1, 0)], grid[k] - own)
+    return np.sort(np.concatenate([grid, own[gap > 1e-9 * own]]))
+
+
 def euclidean_rearrangement(space: ModelSpace, u: RadialFunction) -> RadialFunction:
     """The equimeasurable radial profile u* = u o R on Euclidean(N), R the
     inverse of the volume radius s(r) = (vol(B_r)/omega_N)^{1/N}: the cubic
-    Hermite through the nodes (s_k, r_k) with the exact slopes dr/ds =
-    N V / (s A), pole_density^{-1/N} at s = 0.  u's own callables are
-    evaluated, so u*' = u'(R) R' keeps u's kinks."""
+    Hermite through the knots (s_k, r_k) with the exact slopes dr/ds =
+    N V / (s A), pole_density^{-1/N} at s = 0.  The knots r_k are u's grid
+    joined with the space's breaks (``_joined``), so R follows a warped
+    product's density over its decay length, and each knot's volume passes
+    ``vol_ball``'s guard.  u's own callables are evaluated, so u*' =
+    u'(R) R' keeps u's kinks."""
     N = space.effective_dimension
     omega_N = omega(N)
     if omega_N < sys.float_info.min:    # the volume radii divide by it
         raise DomainError(f"omega_N = {omega_N!r} at N = {N!r} is not a "
                           "normal double")
-    r = u.r_grid
-    vols = space.volume(r)
-    s = (np.clip(vols, 0.0, None) / omega_N) ** (1.0 / N)
-    s[0] = 0.0
-    # the slopes divide by s, which collapses to 0 where V underflows
+    r = _joined(space, u.r_grid)
+    vols = vol_ball(space, r[1:])
+    s = np.concatenate([[0.0], (vols / omega_N) ** (1.0 / N)])
+    # the Hermite needs ascending knots, and the slopes divide by s
     if not (np.all(np.isfinite(s)) and np.all(np.diff(s) > 0.0)):
         raise DomainError(f"the volume radii of the profile's grid do not "
                           f"ascend strictly at N = {N!r}")
     # V / A <= r (A rises) cannot overflow where s A might
     slopes = np.concatenate([[space.pole_density ** (-1.0 / N)],
-                             N * (vols[1:] / space.content(r[1:]) / s[1:])])
+                             N * (vols / space.content(r[1:]) / s[1:])])
     radius = Hermite(s, r, slopes)
 
     def clamp(q, rq):   # R = r_end from s_end on; the cubic misses it
@@ -144,22 +156,21 @@ def _zero_ends(u: RadialFunction, vanishing) -> np.ndarray:
     return vanishing & (np.append(live, False) | np.insert(live, 0, False))
 
 
-def _radial_integral(space: ModelSpace, u: RadialFunction, g, targets):
-    """int_0^{r_end} g(r) dA(r) for g = |w|^power, w being u or u' (smooth
-    between nodes); g may stack several integrands on a leading axis,
+def _radial_integral(space: ModelSpace, grid, f, targets=()):
+    """int_0^{grid[-1]} f(r) dr for f smooth between the nodes of ``grid``
+    and the space's breaks; f carries its own measure (the sphere content,
+    the ball volume) and may stack several integrands on leading axes,
     returned as an array (one integrand: a float).
 
-    Composite Gauss on u's grid joined with the space's own breaks, graded
-    toward r = 0, where dA ~ r^(N-1) is not smooth for real N, and toward
-    the radii ``targets``, where g has an algebraic end or a boundary
-    layer.
+    Composite Gauss on ``_joined(space, grid)``, graded toward r = 0, where
+    the measure ~ r^(N-1) is not smooth for real N, and toward the radii
+    ``targets``, where f has an algebraic end or a boundary layer.
     """
-    own = space.breaks
-    breaks = dyadic_breaks(np.concatenate([u.r_grid, own[own < u.r_end]]),
-                           np.append(targets, 0.0))
+    breaks = dyadic_breaks(_joined(space, grid), np.append(targets, 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        # an overflowing content beside a zero of g gives 0 * inf = NaN
-        return gauss_on_segments(lambda r: g(r) * space.content(r), breaks)
+        # f may overflow, or give 0 * inf = NaN where an overflowing content
+        # meets a zero of |u|^q; the callers check the result
+        return gauss_on_segments(f, breaks)
 
 
 def _cavalieri_integral(space: ModelSpace, u: RadialFunction, qs):
@@ -174,7 +185,7 @@ def _cavalieri_integral(space: ModelSpace, u: RadialFunction, qs):
     all Gauss nodes are bisected together, once for every exponent.
     """
     levels = np.append(u.values, 0.0)
-    flat = u.values[u.node_slopes() == 0.0]
+    flat = u.values[u.slopes == 0.0]
     breaks = dyadic_breaks(np.unique(levels),
                            np.unique(np.concatenate([flat, levels[[0, -1]]])))
     return gauss_on_segments(
@@ -183,45 +194,9 @@ def _cavalieri_integral(space: ModelSpace, u: RadialFunction, qs):
         breaks)
 
 
-def _one_or_all(items: list):
-    return items[0] if len(items) == 1 else tuple(items)
-
-
 def _route_pairs(space: ModelSpace, u: RadialFunction, qs) -> list:
-    """[(direct, cavalieri)], one pair per exponent of ``qs``: the body of
-    ``lq_routes``."""
-    if not qs:
-        raise DomainError("need at least one norm exponent")
-    for q in qs:
-        if not (isinstance(q, (int, float)) and 0.0 < q < math.inf):
-            raise DomainError(f"norm exponent must be positive and finite, "
-                              f"got {q!r}")
-    live = np.diff(u.values) != 0.0
-    ends = _zero_ends(u, u.values == 0.0)
-    ends[1:-1] |= live[:-1] != live[1:]      # a plateau meets a slope
-
-    def powers(r):
-        a = np.abs(u.value(r))
-        return np.stack([a ** q for q in qs])
-
-    directs = _radial_integral(space, u, powers, u.r_grid[ends]).tolist()
-    for q, direct in zip(qs, directs):
-        if not direct < math.inf:
-            raise DomainError(f"|u|^q overflows double precision for "
-                              f"q={q!r}")
-    # u = 0 leaves one level break, and a scalar 0 for the whole stack
-    cavalieris = np.broadcast_to(_cavalieri_integral(space, u, qs),
-                                 len(qs)).tolist()
-    for q, direct, cavalieri in zip(qs, directs, cavalieris):
-        if u.values[0] > 0.0 and not (direct > 0.0 and cavalieri > 0.0):
-            raise DomainError(f"the integral of |u|^q underflows to 0 for "
-                              f"q={q!r}")
-    return list(zip(directs, cavalieris))
-
-
-def lq_routes(space: ModelSpace, u: RadialFunction, *qs) -> tuple:
-    """(direct, cavalieri): int |u|^q dm by two independent routes, for
-    one exponent q; for several, a tuple of such pairs, one per exponent.
+    """[(direct, cavalieri)]: int |u|^q dm by two independent routes, one
+    pair per exponent q of ``qs``.
 
     Direct: int |u|^q against the space's radial area density, a composite
     Gauss rule in r on u's grid, graded toward each node that ends a
@@ -235,18 +210,42 @@ def lq_routes(space: ModelSpace, u: RadialFunction, *qs) -> tuple:
     bad one, a power that overflows, or a zero integral of a profile with
     u(0) > 0 (an underflow) raises DomainError naming q.
     """
-    return _one_or_all(_route_pairs(space, u, qs))
+    if not qs:
+        raise DomainError("need at least one norm exponent")
+    for q in qs:
+        if not (isinstance(q, (int, float)) and 0.0 < q < math.inf):
+            raise DomainError(f"norm exponent must be positive and finite, "
+                              f"got {q!r}")
+    live = np.diff(u.values) != 0.0
+    ends = _zero_ends(u, u.values == 0.0)
+    ends[1:-1] |= live[:-1] != live[1:]      # a plateau meets a slope
+
+    def powers(r):
+        a = np.abs(u.value(r))
+        return np.stack([a ** q for q in qs]) * space.content(r)
+
+    directs = _radial_integral(space, u.r_grid, powers,
+                               u.r_grid[ends]).tolist()
+    for q, direct in zip(qs, directs):
+        if not direct < math.inf:
+            raise DomainError(f"|u|^q overflows double precision for "
+                              f"q={q!r}")
+    cavalieris = _cavalieri_integral(space, u, qs).tolist()
+    for q, direct, cavalieri in zip(qs, directs, cavalieris):
+        if u.values[0] > 0.0 and not (direct > 0.0 and cavalieri > 0.0):
+            raise DomainError(f"the integral of |u|^q underflows to 0 for "
+                              f"q={q!r}")
+    return list(zip(directs, cavalieris))
 
 
 def lq_norm(space: ModelSpace, u: RadialFunction, *qs) -> float | tuple:
     """Lq(m) norm of u for one exponent q, a float; for several, a tuple
-    of norms, one per exponent.  Each is computed by two routes that must
-    agree to 1e-7.
-
-    The routes are those of ``lq_routes``, taken once for all exponents:
-    the direct r-integral and the Cavalieri t-integral, each a composite
-    Gauss rule on the profile's own breakpoints.  The Cavalieri value is
-    returned; a disagreement at any exponent raises InvariantViolation.
+    of norms, one per exponent.  Each is computed by the two routes of
+    ``_route_pairs``, taken once for all exponents, which must agree to
+    1e-7: the direct r-integral and the Cavalieri t-integral, each a
+    composite Gauss rule on the profile's own breakpoints.  The Cavalieri
+    value is returned; a disagreement at any exponent raises
+    InvariantViolation.
     """
     norms = []
     for q, (direct, cavalieri) in zip(qs, _route_pairs(space, u, qs)):
@@ -256,7 +255,7 @@ def lq_norm(space: ModelSpace, u: RadialFunction, *qs) -> float | tuple:
                 f"Cavalieri route {cavalieri!r} disagrees with direct "
                 f"quadrature {direct!r} for q={q}")
         norms.append(max(cavalieri, 0.0) ** (1.0 / q))
-    return _one_or_all(norms)
+    return norms[0] if len(norms) == 1 else tuple(norms)
 
 
 def grad_lp_norm(space: ModelSpace, u: RadialFunction, p: float) -> float:
@@ -270,8 +269,8 @@ def grad_lp_norm(space: ModelSpace, u: RadialFunction, p: float) -> float:
         raise DomainError(f"gradient exponent must be finite and exceed 1, "
                           f"got {p!r}")
     val = _radial_integral(
-        space, u, lambda r: np.abs(u.deriv(r)) ** p,
-        u.r_grid[_zero_ends(u, u.node_slopes() == 0.0)])
+        space, u.r_grid, lambda r: np.abs(u.deriv(r)) ** p * space.content(r),
+        u.r_grid[_zero_ends(u, u.slopes == 0.0)])
     if not val < math.inf:
         raise DomainError(f"|u'|^p overflows double precision for p={p!r}")
     return max(val, 0.0) ** (1.0 / p)
@@ -309,24 +308,20 @@ def layer_cake_radial_integral(space: ModelSpace, f_and_slope, R: float):
     axes, which are returned as an array (one integrand: a float).  Each
     is cross-checked against the direct radial quadrature int f(r) dA(r)
     to 1e-8 relative; the layer-cake value is returned.  Both routes are
-    composite Gauss on one break list: equal panels on [0, R], the space's
-    own breaks below R (past the last one F is affine on a warped product),
-    graded dyadically toward r = 0, where r^(N-1) is not smooth for real N.
-    A route that overflows or is not a number raises DomainError.
+    one ``_radial_integral`` on equal panels of [0, R] (past the space's
+    last break F is affine on a warped product).  A route that overflows
+    or is not a number raises DomainError.
     """
     volume = vol_ball(space, R)
-    own = space.breaks
-    breaks = dyadic_breaks(
-        np.concatenate([np.linspace(0.0, R, _LAYER_PANELS + 1), own[own < R]]),
-        [0.0])
 
     def routes(r):
         f, slope = f_and_slope(r)
         return np.stack([slope * space.volume(r), f * space.content(r)])
 
+    sloped, direct = _radial_integral(
+        space, np.linspace(0.0, R, _LAYER_PANELS + 1), routes)
     with np.errstate(over="ignore", invalid="ignore"):
-        sloped, direct = gauss_on_segments(routes, breaks)
-        layer = f_and_slope(breaks[-1:])[0][..., 0] * volume - sloped
+        layer = f_and_slope(np.array([float(R)]))[0][..., 0] * volume - sloped
     for a, b in zip(np.ravel(layer).tolist(), np.ravel(direct).tolist()):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DomainError(f"layer cake value {a!r} or direct quadrature "

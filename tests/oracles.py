@@ -9,7 +9,8 @@ sweep come from mpmath quadrature.  The package's Gamma is the C library's
 digits instead.  Warped-product ball volumes, norms of a piecewise-cubic
 interpolant or of a closed-form profile, and the Polya-Szego rhs of a
 rearranged profile on a warped product come from mpmath tanh-sinh
-quadrature at 30 digits.
+quadrature at 30 digits; at short decay lengths, where tanh-sinh is slow,
+that rhs also comes from nested Gauss-Legendre on the closed-form F.
 """
 
 import math
@@ -227,3 +228,36 @@ def warped_polya_rhs_oracle(n, a, beta, slope, edges, p=2):
         pts = [mp.mpf(float(e)) for e in edges]
         total = mp.quad(density, pts)
         return float(a_ ** (mp.mpf(n - 1) / n) * total ** (1 / p))
+
+
+def warped_polya_rhs_gauss(n, a, beta, slope, edges, p):
+    """``warped_polya_rhs_oracle`` in double precision, for the short decay
+    lengths (large beta) that tanh-sinh resolves slowly.
+
+    F is the closed form; V = n omega_n int_0^r F^(n-1) by nested 40-point
+    Gauss-Legendre on segments joining ``edges`` (u' smooth between
+    consecutive ones, from 0 to u's support end) with quarter decay lengths
+    out to 60/beta and a geometric grid toward r = 0.  ``slope`` is u' on
+    float arrays.
+    """
+    x, w = np.polynomial.legendre.leggauss(40)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    coef = n * math.pi ** (n / 2) / math.gamma(n / 2 + 1)   # n omega_n
+
+    def area(r):
+        return coef * (a * r - (1 - a) * np.expm1(-beta * r) / beta) ** (n - 1)
+
+    decay = np.linspace(0.0, 60.0 / beta, 241)
+    b = np.union1d(edges, decay[decay < edges[-1]])
+    b = np.union1d(b, np.geomspace(1e-12 * b[1], b[1], 41))
+    lo, h = b[:-1, None], np.diff(b)[:, None]
+    r = lo + h * x
+    below = np.concatenate([[0.0], np.cumsum(area(r) @ w * h[:, 0])])[:-1]
+    # V at each node r = lo + h x: V(lo) plus a Gauss rule on [lo, r]
+    part = h * x
+    volume = (below[:, None]
+              + area(lo[..., None] + part[..., None] * x) @ w * part)
+    rho = (n * volume / coef) ** (1.0 / n)
+    f = (np.abs(slope(r)) ** p * (coef * rho ** (n - 1)) ** p
+         * area(r) ** (1 - p))
+    return a ** ((n - 1) / n) * float(np.sum(f @ w * h[:, 0])) ** (1 / p)

@@ -306,6 +306,17 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         assert all(float(row[6]) > 0.0 for row in data_rows(out)[1])
 
+    @pytest.mark.parametrize("n", ["2", "3"])
+    @pytest.mark.parametrize("beta", ["1e3", "1e4", "1e6", "1e10"])
+    def test_polya_on_a_short_decay_length_passes(self, capsys, n, beta):
+        # u*'s knots were the profile's nodes alone, whose first segment
+        # misses R' falling to AVR^(-1/N) within ~1/beta: exit 1 from
+        # beta = 1e4 on, and a margin of -1.2e-8 at n = 3, beta = 1e3
+        code, out, err = run_cli(capsys, "verify", "polya-szego", "--variant",
+                                 "warped", "--n", n, "--beta", beta)
+        assert (code, err) == (0, "")
+        assert min(float(row[6]) for row in data_rows(out)[1]) >= -1e-6
+
     def test_polya_on_a_huge_decay_length_is_quiet(self, capsys):
         # the volume table's panel sums out to the last break, 6e301,
         # overflow; the table was built with an overflow warning
@@ -668,7 +679,16 @@ class TestPlumbing:
         ("constants", "--n", "3", "--alpha", "2"),
         ("sandbox", "z-inclusion", "--seeds", "2", "--s", "0.9"),
         ("sandbox", "z-inclusion", "--graph", "path3", "--seed", "1"),
-    ] + _PAST_FK_BOUND)
+    ] + _PAST_FK_BOUND + [
+        # the ball volume at the space's first positive break, a knot of u*,
+        # is not a normal double; each once exited 1
+        ("verify", "polya-szego", "--variant", "warped", "--n", "2",
+         "--beta", "1e160"),
+        ("verify", "polya-szego", "--variant", "warped", "--n", "2",
+         "--beta", "1e300"),
+        ("verify", "polya-szego", "--variant", "warped", "--n", "3",
+         "--beta", "1e300"),
+    ])
     def test_bad_input_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from isosharp import rearrange
 from isosharp.constants import SobolevParams
 from isosharp.errors import DomainError, InvariantViolation
+from isosharp.quadrature import gauss_on_segments
 from isosharp.rearrange import (
     RadialFunction,
     euclidean_rearrangement,
     grad_lp_norm,
     layer_cake_radial_integral,
     lq_norm,
-    lq_routes,
     polya_szego_check,
 )
 from isosharp.spaces import (
@@ -40,6 +40,7 @@ from oracles import (
     euclidean_content_mp,
     pchip_radial_oracle,
     ramp_warped_content_mp,
+    warped_polya_rhs_gauss,
     warped_polya_rhs_oracle,
 )
 from profiles import RampProfile, exact, interpolated, plateau, support_end
@@ -99,7 +100,8 @@ class TestRadialFunction:
 
     def test_node_values_are_the_value_callables(self):
         # every profile the suites build, and its rearrangements: the one
-        # copy of the node values is what ``value`` gives on the grid
+        # copy of the node values and slopes is what ``value`` and
+        # ``deriv`` give on the grid
         spaces = [Euclidean(2), Euclidean(3), warped(n=2), warped(n=3),
                   EuclideanCone(2, 5.0), MonomialHalfSpace(2, 1.0)]
         profiles = [u for _, u in curated_profiles()] + [
@@ -113,6 +115,45 @@ class TestRadialFunction:
                     for space in spaces for R in (1.0, 5.0, 20.0)]
         for u in checked:
             assert np.array_equal(u.values, u.value(u.r_grid))
+            assert np.array_equal(u.slopes, u.deriv(u.r_grid))
+
+
+class TestRadialGrid:
+    """One rule joins a radial grid with the space's breaks, and one
+    Gauss rule integrates on the join."""
+
+    @pytest.mark.parametrize("end", [0.3, 1.0, 500.0])
+    def test_join_is_sorted_and_spans_the_grid(self, end):
+        # warped(beta=1)'s breaks run to 60: past 0.3 and 1, short of 500
+        # (the layer cake's panels at R = 500 were once graded on [0, 60])
+        space = warped(n=2)
+        grid = np.linspace(0.0, end, 17)
+        joined = rearrange._joined(space, grid)
+        assert np.all(np.diff(joined) > 0.0)
+        assert (joined[0], joined[-1]) == (0.0, end)
+        assert np.all(np.isin(grid, joined))
+        assert np.all(np.isin(space.breaks[space.breaks < end], joined))
+
+    def test_break_beside_a_node_is_dropped(self):
+        # a break within 1e-9 of a node, relative to the break, would leave
+        # a segment of rounding width, across which the volume radius of
+        # u*'s knots ties; one 1e-6 away stays
+        grid = np.array([0.0, 0.25 * (1.0 + 1e-12), 0.5 * (1.0 + 1e-6), 1.0])
+        joined = rearrange._joined(warped(n=3), grid)
+        assert joined.tolist() == [0.0, grid[1], 0.5, grid[2], 0.75, 1.0]
+
+    def test_join_on_a_power_law_space_is_the_grid(self):
+        grid = np.linspace(0.0, 2.0, 9)
+        assert np.array_equal(
+            rearrange._joined(EuclideanCone(2, 5.0), grid), grid)
+
+    @pytest.mark.parametrize("breaks", [[], [1.0]])
+    def test_fewer_than_two_breaks_give_zeros_of_the_stack_shape(self,
+                                                                 breaks):
+        stacked = gauss_on_segments(
+            lambda x: np.ones((2, 3, 1)) * np.exp(x), breaks)
+        assert stacked.shape == (2, 3) and not stacked.any()
+        assert gauss_on_segments(np.exp, breaks) == 0.0
 
 
 class TestDistribution:
@@ -282,7 +323,8 @@ class TestInterpolantNorms:
         for label, u in curated_profiles():
             star = euclidean_rearrangement(space, u)
             for q in (1.0, 2.0, 6.0):
-                direct, cavalieri = lq_routes(Euclidean(n), star, q)
+                [(direct, cavalieri)] = rearrange._route_pairs(
+                    Euclidean(n), star, [q])
                 assert abs(direct - cavalieri) <= 1e-9 * direct, (label, q)
 
 
@@ -385,7 +427,8 @@ class TestExactCallableNorms:
         mass = callable_radial_oracle(
             lambda r: 1 if r < a else (b - r) / (b - a),
             euclidean_content_mp(3), q, [0.0, r_in, r_out])
-        direct, cavalieri = lq_routes(Euclidean(3), u, q)
+        [(direct, cavalieri)] = rearrange._route_pairs(
+            Euclidean(3), u, [q])
         assert direct == pytest.approx(mass, rel=1e-11)
         assert cavalieri == pytest.approx(mass, rel=1e-11)
 
@@ -406,9 +449,10 @@ class TestStackedExponents:
         profiles = curated_profiles() + [
             ("extremal", truncated_extremal(params))]
         for label, u in profiles:
-            single = tuple(lq_routes(space, u, q) for q in qs)
-            assert lq_routes(space, u, *qs) == single, label
-            assert lq_routes(space, u, 3.0, 4.0) == single[2:4], label
+            single = [rearrange._route_pairs(space, u, [q])[0] for q in qs]
+            assert rearrange._route_pairs(space, u, qs) == single, label
+            assert rearrange._route_pairs(
+                space, u, (3.0, 4.0)) == single[2:4], label
             assert lq_norm(space, u, *qs) == tuple(
                 lq_norm(space, u, q) for q in qs), label
 
@@ -438,7 +482,8 @@ class TestStackedExponents:
     def test_one_overflowing_exponent_raises(self):
         # 2^1e308 overflows; q = 2 beside it is finite
         with pytest.raises(DomainError, match=r"q=1e\+308"):
-            lq_routes(Euclidean(3), tent(height=2.0), 2.0, 1e308)
+            rearrange._route_pairs(Euclidean(3), tent(height=2.0),
+                                   (2.0, 1e308))
         with pytest.raises(DomainError, match=r"q=1e\+308"):
             lq_norm(Euclidean(3), tent(height=2.0), 1e308, 2.0)
 
@@ -451,7 +496,7 @@ class TestStackedExponents:
         with pytest.raises(DomainError, match="at least one"):
             lq_norm(Euclidean(3), tent())
         with pytest.raises(DomainError, match="at least one"):
-            lq_routes(Euclidean(3), tent())
+            rearrange._route_pairs(Euclidean(3), tent(), ())
 
     def test_underflow_to_zero_raises(self):
         # (1e-200)^3 is 0 in double precision, beside q = 1: a norm of 0
@@ -460,6 +505,17 @@ class TestStackedExponents:
             lq_norm(Euclidean(3), tent(height=1e-200), 1.0, 3.0)
         zero = exact(_zero, _zero, np.linspace(0.0, 1.0, 5))
         assert lq_norm(Euclidean(3), zero, 2.0, 3.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("space", _stack_spaces(),
+                             ids=lambda s: s.descriptor()["variant"])
+    def test_zero_profile_has_zero_norms(self, space):
+        # u = 0 has one level break: the Cavalieri route is an empty
+        # rule, zero for each exponent of the stack
+        zero = exact(_zero, _zero, np.linspace(0.0, 1.0, 5))
+        qs = (0.5, 1.0, 2.0, 3.0, 7.5)
+        assert rearrange._route_pairs(space, zero, qs) == [(0.0, 0.0)] * 5
+        assert lq_norm(space, zero, *qs) == (0.0,) * 5
+        assert lq_norm(space, zero, 2.0) == 0.0
 
 
 class TestPolyaSzego:
@@ -525,6 +581,38 @@ class TestPolyaSzego:
             for p in (1.5, 2.0, 3.0):
                 ratio = polya_szego_check(space, u, p).ratio
                 assert abs(ratio - 1.0) <= 1e-12, (label, p)
+
+
+class TestShortDecayLength:
+    """On a warped product with decay length 1/beta, R' falls from
+    pole_density^(-1/N) to AVR^(-1/N) within ~1/beta.  u*'s knots were
+    the profile's nodes alone, so its first segment missed that fall: the
+    rhs was off by up to 1.7e-4 at n = 2 and the suite failed from
+    beta = 1e4 on.  The space's breaks are knots now."""
+
+    # n = 2 keeps up to 2.1e-7 on exp_2_3 at p = 3: its segment from the
+    # last break, 60/beta, to the first node spans a factor of ~200
+    @pytest.mark.parametrize("n,tol", [(2, 2.5e-7), (3, 1e-9)])
+    @pytest.mark.parametrize("beta", [1e3, 1e4, 1e6, 1e10])
+    def test_rhs_matches_gauss_oracle(self, n, tol, beta):
+        space = warped(n, 0.5, beta)
+        for label, u in curated_profiles():
+            for p in (1.5, 2.0, 3.0):
+                res = polya_szego_check(space, u, p)
+                want = warped_polya_rhs_gauss(n, 0.5, beta, u.deriv,
+                                              u.r_grid, p)
+                assert res.rhs == pytest.approx(want, rel=tol), (label, p)
+                assert res.ratio >= 1.0 - 1e-6, (label, p)
+
+    def test_oracle_matches_mpmath(self):
+        u = dict(curated_profiles())["tent_1"]
+        for n in (2, 3):
+            want = warped_polya_rhs_oracle(
+                n, 0.5, 1e3, lambda r: -1,
+                np.linspace(0.0, 0.06, 4).tolist() + [1.0])
+            assert warped_polya_rhs_gauss(
+                n, 0.5, 1e3, u.deriv, u.r_grid, 2.0) == pytest.approx(
+                    want, rel=1e-13)
 
 
 class TestLayerCake:
