@@ -73,3 +73,4 @@ expect 0 verify polya-szego --variant warped --n 3 --beta 1e4
 expect 0 verify polya-szego --variant warped --n 2 --beta 1e6
 expect 2 verify polya-szego --variant warped --n 3 --beta 1e300
 expect 2 verify polya-szego --variant warped --n 2 --beta 1e160
+expect 2 verify sobolev --variant euclidean --n 103

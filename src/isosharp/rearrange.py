@@ -15,9 +15,10 @@ Functions are supported on [0, r_end] of their grid and carry their value
 and slope as callables; u* evaluates u's own callables through the inverse
 volume radius.  The grid is the profile's break list: u is smooth between
 nodes.  Every radial grid, a profile's or the layer cake's equal panels, is
-joined with the space's own breaks by one rule (``_joined``), and every
-r-integral is one composite Gauss rule on that join (``_radial_integral``,
-see ``isosharp.quadrature``).
+joined with the space's own breaks by one rule (``_joined``).  Every
+integral, in r on that join or in t, is one graded Gauss rule that rejects
+a value that is not finite (``_graded_gauss``, see ``isosharp.quadrature``),
+and every pair of routes passes one gate (``_gate``).
 """
 
 from __future__ import annotations
@@ -156,21 +157,42 @@ def _zero_ends(u: RadialFunction, vanishing) -> np.ndarray:
     return vanishing & (np.append(live, False) | np.insert(live, 0, False))
 
 
-def _radial_integral(space: ModelSpace, grid, f, targets=()):
-    """int_0^{grid[-1]} f(r) dr for f smooth between the nodes of ``grid``
-    and the space's breaks; f carries its own measure (the sphere content,
-    the ball volume) and may stack several integrands on leading axes,
-    returned as an array (one integrand: a float).
-
-    Composite Gauss on ``_joined(space, grid)``, graded toward r = 0, where
-    the measure ~ r^(N-1) is not smooth for real N, and toward the radii
-    ``targets``, where f has an algebraic end or a boundary layer.
-    """
-    breaks = dyadic_breaks(_joined(space, grid), np.append(targets, 0.0))
+def _graded_gauss(f, grid, targets, names):
+    """int f over [grid[0], grid[-1]], composite Gauss on the ascending
+    ``grid`` graded toward the points ``targets``.  f may stack integrands
+    on leading axes (an array out; one integrand: a float), named along
+    the first by ``names``.  f may overflow, or give 0 * inf = NaN where
+    an overflowing measure meets a zero of |u|^q; an integral that is not
+    finite raises DomainError naming its integrand."""
+    breaks = dyadic_breaks(grid, targets)
     with np.errstate(over="ignore", invalid="ignore"):
-        # f may overflow, or give 0 * inf = NaN where an overflowing content
-        # meets a zero of |u|^q; the callers check the result
-        return gauss_on_segments(f, breaks)
+        total = gauss_on_segments(f, breaks)
+    finite = np.isfinite(np.reshape(total, (len(names), -1))).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"{names[finite.argmin()]} overflows double "
+                          f"precision or is not a number")
+    return total
+
+
+def _gate(value, direct, rtol, name):
+    """``value``, once it and the ``direct`` route of the same integral
+    are finite (else DomainError) and agree to ``rtol`` relative (else
+    InvariantViolation); ``name`` says what ``value`` is."""
+    if not (math.isfinite(value) and math.isfinite(direct)):
+        raise DomainError(f"{name} {value!r} or direct quadrature "
+                          f"{direct!r} is not finite")
+    if abs(value - direct) > rtol * max(abs(value), abs(direct), 1e-300):
+        raise InvariantViolation(f"{name} {value!r} disagrees with direct "
+                                 f"quadrature {direct!r}")
+    return value
+
+
+def _radial_integral(space: ModelSpace, grid, f, names, targets=()):
+    """``_graded_gauss`` of f dr, f smooth on ``_joined(space, grid)`` and
+    carrying its own measure, graded toward r = 0 (a measure ~ r^(N-1),
+    not smooth for real N) and the radii ``targets`` (ends of f)."""
+    return _graded_gauss(f, _joined(space, grid), np.append(targets, 0.0),
+                         names)
 
 
 def _cavalieri_integral(space: ModelSpace, u: RadialFunction, qs):
@@ -186,29 +208,23 @@ def _cavalieri_integral(space: ModelSpace, u: RadialFunction, qs):
     """
     levels = np.append(u.values, 0.0)
     flat = u.values[u.slopes == 0.0]
-    breaks = dyadic_breaks(np.unique(levels),
-                           np.unique(np.concatenate([flat, levels[[0, -1]]])))
-    return gauss_on_segments(
+    return _graded_gauss(
         lambda t: np.stack([q * t ** (q - 1.0) for q in qs])
         * space.volume(_level_radii(u, t)),
-        breaks)
+        np.unique(levels), np.unique(np.concatenate([flat, levels[[0, -1]]])),
+        [f"the Cavalieri integral of |u|^q at q={q!r}" for q in qs])
 
 
 def _route_pairs(space: ModelSpace, u: RadialFunction, qs) -> list:
     """[(direct, cavalieri)]: int |u|^q dm by two independent routes, one
-    pair per exponent q of ``qs``.
-
-    Direct: int |u|^q against the space's radial area density, a composite
-    Gauss rule in r on u's grid, graded toward each node that ends a
-    plateau or the support, where |u|^q has a boundary layer of width
-    ~1/q.  Cavalieri: int_0^L q t^{q-1} V(t) dt over the superlevel
-    volumes, a composite Gauss rule in t on u's node values with a
-    batched level-radius bisection.  Each route evaluates its nodes once
-    and stacks one integrand per exponent: |u| and the sphere measure, or
-    the level radii and their volumes, serve every exponent, and each
-    exponent's values are those of a call with it alone.  No exponent, a
-    bad one, a power that overflows, or a zero integral of a profile with
-    u(0) > 0 (an underflow) raises DomainError naming q.
+    pair per exponent q of ``qs``: the r-integral of |u|^q against the
+    sphere content, graded toward each node that ends a plateau or the
+    support (|u|^q has a boundary layer of width ~1/q there), and
+    ``_cavalieri_integral``.  Each route evaluates its nodes once for all
+    exponents, and each exponent's values are those of a call with it
+    alone.  No exponent, a bad one, a route value that is not finite, or
+    a zero integral of a profile with u(0) > 0 (an underflow) raises
+    DomainError naming q.
     """
     if not qs:
         raise DomainError("need at least one norm exponent")
@@ -224,12 +240,10 @@ def _route_pairs(space: ModelSpace, u: RadialFunction, qs) -> list:
         a = np.abs(u.value(r))
         return np.stack([a ** q for q in qs]) * space.content(r)
 
-    directs = _radial_integral(space, u.r_grid, powers,
-                               u.r_grid[ends]).tolist()
-    for q, direct in zip(qs, directs):
-        if not direct < math.inf:
-            raise DomainError(f"|u|^q overflows double precision for "
-                              f"q={q!r}")
+    directs = _radial_integral(
+        space, u.r_grid, powers,
+        [f"the integral of |u|^q at q={q!r}" for q in qs],
+        u.r_grid[ends]).tolist()
     cavalieris = _cavalieri_integral(space, u, qs).tolist()
     for q, direct, cavalieri in zip(qs, directs, cavalieris):
         if u.values[0] > 0.0 and not (direct > 0.0 and cavalieri > 0.0):
@@ -240,21 +254,13 @@ def _route_pairs(space: ModelSpace, u: RadialFunction, qs) -> list:
 
 def lq_norm(space: ModelSpace, u: RadialFunction, *qs) -> float | tuple:
     """Lq(m) norm of u for one exponent q, a float; for several, a tuple
-    of norms, one per exponent.  Each is computed by the two routes of
-    ``_route_pairs``, taken once for all exponents, which must agree to
-    1e-7: the direct r-integral and the Cavalieri t-integral, each a
-    composite Gauss rule on the profile's own breakpoints.  The Cavalieri
-    value is returned; a disagreement at any exponent raises
-    InvariantViolation.
+    of norms, one per exponent.  The two routes of ``_route_pairs``,
+    taken once for all exponents, must agree to 1e-7 (``_gate``); the
+    Cavalieri value is returned.
     """
-    norms = []
-    for q, (direct, cavalieri) in zip(qs, _route_pairs(space, u, qs)):
-        gap = abs(direct - cavalieri)
-        if gap > 1e-7 * max(abs(direct), abs(cavalieri), 1e-300):
-            raise InvariantViolation(
-                f"Cavalieri route {cavalieri!r} disagrees with direct "
-                f"quadrature {direct!r} for q={q}")
-        norms.append(max(cavalieri, 0.0) ** (1.0 / q))
+    norms = [max(_gate(cavalieri, direct, 1e-7,
+                       f"Cavalieri route at q={q!r}"), 0.0) ** (1.0 / q)
+             for q, (direct, cavalieri) in zip(qs, _route_pairs(space, u, qs))]
     return norms[0] if len(norms) == 1 else tuple(norms)
 
 
@@ -270,9 +276,8 @@ def grad_lp_norm(space: ModelSpace, u: RadialFunction, p: float) -> float:
                           f"got {p!r}")
     val = _radial_integral(
         space, u.r_grid, lambda r: np.abs(u.deriv(r)) ** p * space.content(r),
+        [f"the integral of |u'|^p at p={p!r}"],
         u.r_grid[_zero_ends(u, u.slopes == 0.0)])
-    if not val < math.inf:
-        raise DomainError(f"|u'|^p overflows double precision for p={p!r}")
     return max(val, 0.0) ** (1.0 / p)
 
 
@@ -307,10 +312,9 @@ def layer_cake_radial_integral(space: ModelSpace, f_and_slope, R: float):
     node for both routes, and f may stack several integrands on leading
     axes, which are returned as an array (one integrand: a float).  Each
     is cross-checked against the direct radial quadrature int f(r) dA(r)
-    to 1e-8 relative; the layer-cake value is returned.  Both routes are
-    one ``_radial_integral`` on equal panels of [0, R] (past the space's
-    last break F is affine on a warped product).  A route that overflows
-    or is not a number raises DomainError.
+    to 1e-8 relative (``_gate``); the layer-cake value is returned.  Both
+    routes are one ``_radial_integral`` on equal panels of [0, R] (past
+    the space's last break F is affine on a warped product).
     """
     volume = vol_ball(space, R)
 
@@ -319,15 +323,10 @@ def layer_cake_radial_integral(space: ModelSpace, f_and_slope, R: float):
         return np.stack([slope * space.volume(r), f * space.content(r)])
 
     sloped, direct = _radial_integral(
-        space, np.linspace(0.0, R, _LAYER_PANELS + 1), routes)
+        space, np.linspace(0.0, R, _LAYER_PANELS + 1), routes,
+        ["the layer-cake integral of f' V", "the direct integral of f A"])
     with np.errstate(over="ignore", invalid="ignore"):
         layer = f_and_slope(np.array([float(R)]))[0][..., 0] * volume - sloped
     for a, b in zip(np.ravel(layer).tolist(), np.ravel(direct).tolist()):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DomainError(f"layer cake value {a!r} or direct quadrature "
-                              f"{b!r} is not finite")
-        if abs(a - b) > 1e-8 * max(abs(a), abs(b), 1e-300):
-            raise InvariantViolation(
-                f"layer cake value {a!r} disagrees with direct "
-                f"quadrature {b!r}")
+        _gate(a, b, 1e-8, "layer cake value")
     return float(layer) if np.ndim(layer) == 0 else layer

@@ -65,15 +65,6 @@ def bessel_level_integral_mp(nu, k=0):
                              [0, 1]))
 
 
-def trapezoid_oracle(f, a, b, n=20001):
-    """Dead-simple composite trapezoid, for low-precision cross checks."""
-    h = (b - a) / (n - 1)
-    total = 0.5 * (f(a) + f(b))
-    for i in range(1, n - 1):
-        total += f(a + i * h)
-    return total * h
-
-
 def warped_volume_oracle(n, a, beta, r):
     """vol(B_r) = n omega_n int_0^r F^{n-1} for f(s) = a + (1-a) e^{-beta s}.
 

@@ -249,6 +249,22 @@ class TestVerifyCommand:
             _, rows = data_rows(out)
             assert all(abs(float(row[5]) - 1.0) <= 1e-12 for row in rows)
 
+    @pytest.mark.parametrize("n,want", [("100", 0), ("101", 0), ("102", 0),
+                                        ("103", 2), ("104", 2)])
+    def test_sobolev_euclidean_large_dimension(self, capsys, n, want):
+        # at n = 103 V(r(t)) overflows on the extremal's Cavalieri route,
+        # whose inf once passed the 1e-7 gate (exit 1, with an overflow
+        # warning); at n = 104 |u'|^p overflows
+        code, out, err = run_cli(capsys, "verify", "sobolev", "--variant",
+                                 "euclidean", "--n", n)
+        assert code == want
+        if want == 2:
+            assert out == "" and err.startswith("error:")
+            assert err.count("\n") == 1
+            assert ("q=" if n == "103" else "p=") in err
+        else:
+            assert err == ""
+
     def test_strict_tol_override_can_fail(self, capsys):
         # quotients sit strictly below the constant on generic profiles,
         # so demanding margin >= -tol with a huge tol still passes, and

@@ -66,7 +66,7 @@ def test_aubin_talenti_beta_identity():
                     * (math.gamma(1.0 + 0.5 * n)
                        / (n * beta(n / p, 1.0 + n - n / p))) ** (1.0 / n))
         assert aubin_talenti(SobolevParams(n, p)) == pytest.approx(
-            via_beta, rel=1e-13), (n, p)
+            via_beta, rel=1e-13, abs=0.0), (n, p)
 
 
 def test_gn_theta_examples():
@@ -106,10 +106,11 @@ def test_gn_constant_against_quadrature_oracle():
 def test_sobolev_constant_examples():
     prm = SobolevParams(3.0, 2.0)
     at = aubin_talenti(prm)
-    assert sobolev_constant(prm, 1.0) == pytest.approx(at, rel=1e-14)
-    assert sobolev_constant(prm, 2.0 ** -3) == pytest.approx(2.0 * at, rel=1e-13)
+    assert sobolev_constant(prm, 1.0) == pytest.approx(at, rel=1e-14, abs=0.0)
+    assert sobolev_constant(prm, 2.0 ** -3) == pytest.approx(
+        2.0 * at, rel=1e-13, abs=0.0)
     assert sobolev_constant(prm, 0.5) == pytest.approx(
-        at * 0.5 ** (-1.0 / 3.0), rel=1e-13)
+        at * 0.5 ** (-1.0 / 3.0), rel=1e-13, abs=0.0)
     with pytest.raises(DomainError):
         sobolev_constant(prm, 0.0)
     with pytest.raises(DomainError):
@@ -119,9 +120,9 @@ def test_sobolev_constant_examples():
 def test_gn_sharp_constant_examples():
     prm = SobolevParams(3.0, 2.0, 2.0)
     g = gn_constant(prm)
-    assert gn_sharp_constant(prm, 1.0) == pytest.approx(g, rel=1e-14)
+    assert gn_sharp_constant(prm, 1.0) == pytest.approx(g, rel=1e-14, abs=0.0)
     assert gn_sharp_constant(prm, 0.5) == pytest.approx(
-        g * 0.5 ** (-1.0 / 6.0), rel=1e-13)
+        g * 0.5 ** (-1.0 / 6.0), rel=1e-13, abs=0.0)
     # theta = 1 collapses to the Sobolev constant
     endpoint = SobolevParams(3.0, 2.0, 3.0)
     assert gn_sharp_constant(endpoint, 0.37) == pytest.approx(
@@ -154,9 +155,10 @@ def test_rayleigh_product_identity():
 def test_noncollapse_examples():
     prm = SobolevParams(3.0, 2.0)
     at = aubin_talenti(prm)
-    assert noncollapse_lower_bound(prm, at) == pytest.approx(1.0, rel=1e-14)
+    assert noncollapse_lower_bound(prm, at) == pytest.approx(
+        1.0, rel=1e-14, abs=0.0)
     assert noncollapse_lower_bound(prm, 2.0 * at) == pytest.approx(
-        0.125, rel=1e-13)
+        0.125, rel=1e-13, abs=0.0)
     # monotone nonincreasing in C
     cs = [at, 1.1 * at, 2.0 * at, 10.0 * at]
     vals = [noncollapse_lower_bound(prm, c) for c in cs]
@@ -188,11 +190,11 @@ def test_homogeneity_in_avr(avr):
 
 def test_isoperimetric_constant_examples():
     assert isoperimetric_constant(2.0, 1.0) == pytest.approx(
-        2.0 * math.sqrt(math.pi), rel=1e-13)
+        2.0 * math.sqrt(math.pi), rel=1e-13, abs=0.0)
     assert isoperimetric_constant(3.0, 1.0) == pytest.approx(
-        3.0 * (4.0 * math.pi / 3.0) ** (1.0 / 3.0), rel=1e-13)
+        3.0 * (4.0 * math.pi / 3.0) ** (1.0 / 3.0), rel=1e-13, abs=0.0)
     assert isoperimetric_constant(3.0, 0.125) == pytest.approx(
-        0.5 * isoperimetric_constant(3.0, 1.0), rel=1e-13)
+        0.5 * isoperimetric_constant(3.0, 1.0), rel=1e-13, abs=0.0)
     with pytest.raises(DomainError):
         isoperimetric_constant(1.0, 1.0)
 

@@ -408,7 +408,7 @@ class TestExactCallableNorms:
         mass = callable_radial_oracle(lambda r: (1 + r * r) ** -0.5 - shift,
                                       euclidean_content_mp(3), 6, edges)
         assert lq_norm(Euclidean(3), u, 6) == pytest.approx(
-            mass ** (1.0 / 6), rel=1e-13)
+            mass ** (1.0 / 6), rel=1e-13, abs=0.0)
         # p = 1.01: h = (1 + r^101)^expo has a sharp corner at r = 1, so
         # the oracle's edges pass through it; the Sobolev lhs q = p*
         params = SobolevParams(3, 1.01)
@@ -511,6 +511,16 @@ class TestStackedExponents:
                                    (2.0, 1e308))
         with pytest.raises(DomainError, match=r"q=1e\+308"):
             lq_norm(Euclidean(3), tent(height=2.0), 1e308, 2.0)
+        # the truncated extremal at n = 103: the direct route is 9.0e-72,
+        # but V(r(t)) ~ r^103 overflows on the Cavalieri route alone, and
+        # an inf against a finite direct value once passed the 1e-7 gate
+        params = SobolevParams(103, 2.0)
+        u, q = truncated_extremal(params), params.p_star
+        cavalieri = rf"Cavalieri integral of \|u\|\^q at q={q!r}"
+        with pytest.raises(DomainError, match=cavalieri):
+            rearrange._route_pairs(Euclidean(103), u, [q])
+        with pytest.raises(DomainError, match=cavalieri):
+            lq_norm(Euclidean(103), u, q)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, "2"])
     def test_bad_exponent_in_a_stack_is_named(self, bad):
@@ -637,7 +647,7 @@ class TestShortDecayLength:
                 np.linspace(0.0, 0.06, 4).tolist() + [1.0])
             assert warped_polya_rhs_gauss(
                 n, 0.5, 1e3, u.deriv, u.r_grid, 2.0) == pytest.approx(
-                    want, rel=1e-13)
+                    want, rel=1e-13, abs=0.0)
 
 
 class TestLayerCake:
@@ -681,13 +691,22 @@ class TestLayerCake:
             layer_cake_radial_integral(
                 Euclidean(2), lambda r: (r, np.ones_like(r)), -1.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_integrand_raises(self, value):
+    @pytest.mark.parametrize("pair,name", [
+        pytest.param(lambda r: (np.full_like(r, math.nan), np.zeros_like(r)),
+                     "direct integral", id="nan"),
+        pytest.param(lambda r: (np.full_like(r, math.inf), np.zeros_like(r)),
+                     "direct integral", id="inf"),
+        # one route alone: the slope route, or f(R) vol(B_R)
+        pytest.param(lambda r: (np.ones_like(r), np.full_like(r, math.inf)),
+                     "layer-cake integral", id="slope_inf"),
+        pytest.param(lambda r: (np.where(r < 1.0, 1.0, math.inf),
+                                np.zeros_like(r)),
+                     "layer cake value inf", id="inf_at_R"),
+    ])
+    def test_non_finite_integrand_raises(self, pair, name):
         # no comparison fails on NaN, and an inf on both routes agrees
-        with pytest.raises(DomainError):
-            layer_cake_radial_integral(
-                Euclidean(3),
-                lambda r: (np.full_like(r, value), np.zeros_like(r)), 1.0)
+        with pytest.raises(DomainError, match=name):
+            layer_cake_radial_integral(Euclidean(3), pair, 1.0)
 
     def test_stacked_integrands_equal_single_calls(self):
         R = 7.0

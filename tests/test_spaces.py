@@ -39,16 +39,18 @@ def deficit_ratio(space, r):
 class TestEuclidean:
     def test_examples(self):
         e3 = Euclidean(3)
-        assert vol_ball(e3, 2.0) == pytest.approx(32 * math.pi / 3, rel=1e-13)
+        assert vol_ball(e3, 2.0) == pytest.approx(
+            32 * math.pi / 3, rel=1e-13, abs=0.0)
         assert minkowski_content_ball(e3, 2.0) == pytest.approx(
-            16 * math.pi, rel=1e-13)
+            16 * math.pi, rel=1e-13, abs=0.0)
         assert e3.avr() == 1.0
         assert Euclidean(500).avr() == 1.0    # omega_500 underflows to 0
 
     def test_real_dimension(self):
         # fractional N appears as a rearrangement target
         e = Euclidean(2.5)
-        assert vol_ball(e, 1.0) == pytest.approx(omega(2.5), rel=1e-13)
+        assert vol_ball(e, 1.0) == pytest.approx(
+            omega(2.5), rel=1e-13, abs=0.0)
 
     def test_domain(self):
         for bad in (1.0, 0.5, -2, float("nan"), float("inf")):
@@ -104,9 +106,10 @@ class TestWarpedProduct:
                 richardson, rel=1e-7)
 
     def test_avr_closed_form(self):
-        assert warped(n=3, a=0.5).avr() == pytest.approx(0.25, rel=1e-14)
+        assert warped(n=3, a=0.5).avr() == pytest.approx(
+            0.25, rel=1e-14, abs=0.0)
         assert warped(n=5, a=0.9, beta=0.3).avr() == pytest.approx(
-            0.9 ** 4, rel=1e-14)
+            0.9 ** 4, rel=1e-14, abs=0.0)
 
     def test_a_equal_one_matches_euclidean(self):
         flat = WarpedProduct(n=3, profile=ExponentialTail(a=1.0, beta=1.0))
@@ -208,19 +211,20 @@ class TestVolume:
     def test_power_law_exact(self):
         # Lambda = 2/3 for the half-plane weighted by x_2, N = 3
         assert float(MonomialHalfSpace(2, 1.0).volume(2.0)) == pytest.approx(
-            16.0 / 3.0, rel=1e-14)
+            16.0 / 3.0, rel=1e-14, abs=0.0)
 
 
 class TestEuclideanCone:
     def test_round_sphere_link_is_euclidean(self):
         # link = unit 2-sphere, measure 4 pi: the cone is R^3
         cone = EuclideanCone(n=2, m_M=4 * math.pi)
-        assert vol_ball(cone, 2.0) == pytest.approx(32 * math.pi / 3, rel=1e-13)
-        assert cone.avr() == pytest.approx(1.0, rel=1e-14)
+        assert vol_ball(cone, 2.0) == pytest.approx(
+            32 * math.pi / 3, rel=1e-13, abs=0.0)
+        assert cone.avr() == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_exact_isoperimetric_equality(self):
         cone = EuclideanCone(n=2, m_M=2 * math.pi)
-        assert cone.avr() == pytest.approx(0.5, rel=1e-14)
+        assert cone.avr() == pytest.approx(0.5, rel=1e-14, abs=0.0)
         for r in (0.3, 1.0, 25.0):
             assert deficit_ratio(cone, r) == pytest.approx(1.0, abs=1e-12)
 
@@ -263,7 +267,8 @@ class TestMonomialHalfSpace:
                        * mp.gamma(mp.mpf(aw + 1) / 2)
                        / (2 * mp.gamma(1 + mp.mpf(n + aw) / 2)))
             lam = MonomialHalfSpace(n, aw).unit_ball_volume
-            assert lam == pytest.approx(float(ref), rel=2e-14), (n, aw)
+            assert lam == pytest.approx(
+                float(ref), rel=2e-14, abs=0.0), (n, aw)
 
     def test_lambda_against_grid_quadrature(self):
         # 2-D half-disc integral of y^aw on a fine midpoint grid
@@ -384,8 +389,9 @@ class TestSharpnessSweep:
     def test_sweep_bound_formula(self):
         table = isoperimetric_sharpness_sweep(Euclidean(3), [1.0])
         assert table.sharp_bound == pytest.approx(
-            3.0 * (4 * math.pi / 3) ** (1 / 3), rel=1e-13)
-        assert table.rows[0].vol == pytest.approx(4 * math.pi / 3, rel=1e-13)
+            3.0 * (4 * math.pi / 3) ** (1 / 3), rel=1e-13, abs=0.0)
+        assert table.rows[0].vol == pytest.approx(
+            4 * math.pi / 3, rel=1e-13, abs=0.0)
 
 
 class TestDescriptor:

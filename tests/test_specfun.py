@@ -42,15 +42,16 @@ def test_log_gamma_consistent_with_gamma():
                 want, rel=0, abs=1e-12), x
         for x in large:
             want = float(mp.loggamma(float(x)))
-            assert log_gamma(float(x)) == pytest.approx(want, rel=1e-14), x
+            assert log_gamma(float(x)) == pytest.approx(
+                want, rel=1e-14, abs=0.0), x
     # past ~2.55e305 log Gamma itself overflows
     assert log_gamma(1e308) == math.inf
 
 
 def test_beta_trivial_values():
-    assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-13)
-    assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
-    assert beta(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-13)
+    assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-13, abs=0.0)
+    assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13, abs=0.0)
+    assert beta(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -177,14 +178,15 @@ def test_first_zero_examples():
 def test_first_zero_half_order_is_pi():
     # the McMahon guess is exact at nu = 1/2, and Brent's method must
     # land on it to within 2 ulps
-    assert bessel_first_zero(0.5) == pytest.approx(math.pi, rel=1e-15)
+    assert bessel_first_zero(0.5) == pytest.approx(math.pi, rel=1e-15, abs=0.0)
 
 
 def test_first_zero_matches_mpmath():
     for nu in (0.0, 0.25, 0.5, 1.0, 1.5, 2.5, 7.5, 15.0, 33.5, 64.25, 99.5):
         with mp.workdps(30):
             want = float(mp.besseljzero(nu, 1))
-        assert bessel_first_zero(nu) == pytest.approx(want, rel=1e-14), nu
+        assert bessel_first_zero(nu) == pytest.approx(
+            want, rel=1e-14, abs=0.0), nu
 
 
 def test_first_zero_against_series_bisection_oracle():
@@ -244,7 +246,7 @@ def test_first_zero_cached_by_order():
     assert bessel_first_zero(nu) is first
     with mp.workdps(30):
         want = float(mp.besseljzero(nu, 1))
-    assert first == pytest.approx(want, rel=1e-14)
+    assert first == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("nu", [-1.0, 1e5, math.nan, "1", [1.0],
@@ -255,9 +257,9 @@ def test_first_zero_rejects_bad_orders(nu):
 
 
 def test_omega_examples():
-    assert omega(1.0) == pytest.approx(2.0, rel=1e-13)
-    assert omega(2.0) == pytest.approx(math.pi, rel=1e-13)
-    assert omega(3.0) == pytest.approx(4.188790204786391, rel=1e-13)
+    assert omega(1.0) == pytest.approx(2.0, rel=1e-13, abs=0.0)
+    assert omega(2.0) == pytest.approx(math.pi, rel=1e-13, abs=0.0)
+    assert omega(3.0) == pytest.approx(4.188790204786391, rel=1e-13, abs=0.0)
 
 
 def test_omega_direct_formula_consistency():
@@ -265,7 +267,7 @@ def test_omega_direct_formula_consistency():
     for N in np.concatenate([np.linspace(1.0, 60.0, 49), [2.5, 3.7, 11.3]]):
         N = float(N)
         direct = math.pi ** (N / 2) / math.gamma(1.0 + N / 2)
-        assert omega(N) == pytest.approx(direct, rel=1e-13), N
+        assert omega(N) == pytest.approx(direct, rel=1e-13, abs=0.0), N
 
 
 def test_log_omega_finite_up_to_its_documented_bound():
@@ -275,7 +277,8 @@ def test_log_omega_finite_up_to_its_documented_bound():
         for N in (5.1e305, 5.119e305):
             exact = (mp.mpf(N) / 2 * mp.log(mp.pi)
                      - mp.loggamma(1 + mp.mpf(N) / 2))
-            assert log_omega(N) == pytest.approx(float(exact), rel=1e-14), N
+            assert log_omega(N) == pytest.approx(
+                float(exact), rel=1e-14, abs=0.0), N
         N = 5.2e305
         assert (mp.mpf(N) / 2 * mp.log(mp.pi) - mp.loggamma(1 + mp.mpf(N) / 2)
                 < -mp.mpf(np.finfo(float).max))

@@ -95,9 +95,9 @@ class TestExtremal:
     def test_value_at_origin(self):
         # h(0) = lam^{1/(1-alpha)}
         assert verify._h(*family(3.0, 2.0, 4.0), 0.0) == pytest.approx(
-            0.5, rel=1e-14)
+            0.5, rel=1e-14, abs=0.0)
         assert verify._h(*family(2.0, 2.0, 1.0), 1.0) == pytest.approx(
-            0.5, rel=1e-14)
+            0.5, rel=1e-14, abs=0.0)
 
     def test_deriv_matches_difference_quotient(self):
         for alpha, p, lam, r in [(2.0, 2.0, 1.0, 0.7), (3.0, 2.0, 2.0, 1.3),
@@ -156,7 +156,7 @@ class TestSobolevQuotient:
             rep = sobolev_quotient(space, u, 2.0)
             assert rep.margin > 0.0, label
             assert rep.rhs_constant == pytest.approx(aubin_talenti(
-                SobolevParams(n=3, p=2)), rel=1e-14)
+                SobolevParams(n=3, p=2)), rel=1e-14, abs=0.0)
 
     def test_extremal_converges_to_aubin_talenti(self):
         # truncation bias decays like 1/r_cut for the endpoint profile
@@ -431,8 +431,10 @@ class TestSweep:
         # I0 = I1 = J_{nu+1}(j_nu)^2 / 2, the sweep's closed form, against
         # quadrature of each integral
         i0, i1 = level_integrals(nu)
-        assert i0 == pytest.approx(bessel_level_integral_mp(nu), rel=1e-13)
-        assert i1 == pytest.approx(bessel_level_integral_mp(nu, 1), rel=1e-13)
+        assert i0 == pytest.approx(
+            bessel_level_integral_mp(nu), rel=1e-13, abs=0.0)
+        assert i1 == pytest.approx(
+            bessel_level_integral_mp(nu, 1), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("nu", [0.0, 0.25, 1.0, 29.0])
     def test_jet_value_slopes_and_ode(self, nu):
