@@ -74,3 +74,6 @@ expect 0 verify polya-szego --variant warped --n 2 --beta 1e6
 expect 2 verify polya-szego --variant warped --n 3 --beta 1e300
 expect 2 verify polya-szego --variant warped --n 2 --beta 1e160
 expect 2 verify sobolev --variant euclidean --n 103
+expect 0 verify faber-krahn --variant euclidean --n 40
+expect 2 verify faber-krahn --variant euclidean --n 41
+expect 1 verify sobolev --variant warped --n 250

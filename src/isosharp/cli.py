@@ -29,8 +29,8 @@ from .errors import ConvergenceError, DomainError, InvariantViolation, \
     UnsupportedOperationError
 from .sandbox import BmReport, brunn_minkowski_report, grid_graph, \
     path_graph, seeded_z_inclusion, z_inclusion_check
-from .spaces import VARIANTS, SweepRow, bishop_gromov_check, \
-    curvature_check, isoperimetric_sharpness_sweep
+from .spaces import VARIANTS, SweepRow, WarpedProduct, \
+    bishop_gromov_check, curvature_check, isoperimetric_sharpness_sweep
 from .specfun import omega
 from .verify import SUITES, QuotientReport, run_suite
 
@@ -40,10 +40,6 @@ _NAMED_GRAPHS = {
     "grid4": lambda: grid_graph(4, 4),
     "grid5": lambda: grid_graph(5, 5),
 }
-
-# argparse settings of the flags in verify.SUITES; a flag not given is None
-_SUITE_FLAGS = {"p": {"type": float}, "alpha": {"type": float},
-                "R": {"type": float, "action": "append", "help": "repeatable"}}
 
 # z-inclusion's flags: the mode that reads each, with --graph (one named
 # graph) or without it (a run of seeded random graphs), and its default
@@ -67,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "ISOSHARP_OUTPUT_DIR; default stdout")
 
     space_flags = argparse.ArgumentParser(add_help=False)
-    space_flags.add_argument("--variant", default="euclidean",
+    space_flags.add_argument("--variant", default=next(iter(VARIANTS)),
                              choices=sorted(VARIANTS))
     space_flags.add_argument("--n", type=float, default=None,
                              help="dimension parameter")
@@ -110,8 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
         v = suites.add_parser(name, parents=[common, space_flags])
         v.add_argument("--tol", type=float, default=None,
                        help="override the pass/fail margin tolerance")
-        for flag in own:
-            v.add_argument(f"--{flag}", **_SUITE_FLAGS[flag])
+        for flag, default in own.items():   # a flag not given is None
+            repeat = ({"action": "append", "help": "repeatable"}
+                      if isinstance(default, tuple) else {})
+            v.add_argument(f"--{flag}", type=float, **repeat)
 
     experiments = sub.add_parser(
         "sandbox", help="finite-metric-space experiments"
@@ -162,18 +160,18 @@ def _space_from_flags(args) -> tuple:
     desc = {"variant": args.variant}
     for key in dict.fromkeys(k for own, _ in VARIANTS.values() for k in own):
         value = getattr(args, key)
+        flag = "--m" if key == "m_M" else "--" + key.replace("_", "-")
         if key not in defaults:
             if value is not None:
-                flag = "m" if key == "m_M" else key.replace("_", "-")
-                raise DomainError(f"{args.variant} takes no --{flag}")
-        elif value is None and defaults[key] is None:   # cone's --m
-            raise DomainError("cone requires --m (link total measure)")
+                raise DomainError(f"{args.variant} takes no {flag}")
+        elif value is None and defaults[key] is None:
+            raise DomainError(f"{args.variant} requires {flag}")
         else:
-            desc[key] = defaults[key] if value is None else value
-    # every variant except euclidean demands an integer dimension; a
-    # fractional one stays as given for the space to reject
-    n = float(desc["n"])
-    desc["n"] = int(n) if args.variant != "euclidean" and n.is_integer() else n
+            value = defaults[key] if value is None else value
+            # an int field takes an integral float as an int; a fractional
+            # one stays a float, for an integer-only space to reject
+            whole = type(defaults[key]) is int and isinstance(value, float)
+            desc[key] = int(value) if whole and value.is_integer() else value
     return desc, build(**{key: desc[key] for key in defaults})
 
 
@@ -246,7 +244,7 @@ def cmd_space(args) -> tuple:
         diag["bishop_gromov_passed"] = bg.passed
         diag["bishop_gromov_max_increase"] = bg.max_increase
         passed = passed and bg.passed
-        if desc["variant"] == "warped":
+        if isinstance(space, WarpedProduct):
             grid = np.linspace(0.0, min(space.breaks[-1], 1000.0), 201)
             curv = curvature_check(space.profile, grid)
             diag["curvature_passed"] = curv.passed
@@ -274,6 +272,8 @@ def cmd_verify(args) -> tuple:
     given = {key: getattr(args, key) for key in SUITES[args.suite][0]}
     result = run_suite(space, args.suite, tol=args.tol,
                        **{k: v for k, v in given.items() if v is not None})
+    for gate in result.failed:
+        sys.stderr.write(f"check failed: {gate}\n")
     if args.format == "json":
         row_space = space.descriptor()
         payload = {"command": "verify", "suite": result.name,

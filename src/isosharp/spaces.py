@@ -20,7 +20,7 @@ product integrates its sphere measure once into a cumulative Gauss table.
 The ALE variant carries only its AVR = 1/k: computing its ball volumes
 would need metric data this package does not model, so radial operations
 reject it.  ``VARIANTS`` declares each variant's descriptor fields, their
-CLI defaults and the constructor they feed.
+CLI defaults and the constructor they feed; ``descriptor()`` reads it.
 
 ``vol_ball`` and ``minkowski_content_ball`` take a radius (float result) or
 an array of radii (array result) through one guard: every radius positive
@@ -147,7 +147,12 @@ class ModelSpace:
         return np.empty(0)
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        """The name and fields of this type's ``VARIANTS`` row, as floats."""
+        for name, (defaults, build) in VARIANTS.items():
+            if build is type(self):
+                return {"variant": name,
+                        **{key: float(getattr(self, key)) for key in defaults}}
+        raise UnsupportedOperationError(f"{type(self).__name__}: no VARIANTS row")
 
 
 class PowerLawSpace(ModelSpace):
@@ -201,9 +206,6 @@ class Euclidean(PowerLawSpace):
 
     def avr(self) -> float:
         return 1.0
-
-    def descriptor(self):
-        return {"variant": "euclidean", "n": float(self.n)}
 
 
 @dataclass(frozen=True)
@@ -312,9 +314,6 @@ class EuclideanCone(PowerLawSpace):
     def unit_ball_volume(self) -> float:
         return self.m_M / (self.n + 1)
 
-    def descriptor(self):
-        return {"variant": "cone", "n": float(self.n), "m_M": float(self.m_M)}
-
 
 @dataclass(frozen=True)
 class MonomialHalfSpace(PowerLawSpace):
@@ -359,10 +358,6 @@ class MonomialHalfSpace(PowerLawSpace):
     def effective_dimension(self) -> float:
         return float(self.n) + float(self.alpha_w)
 
-    def descriptor(self):
-        return {"variant": "monomial", "n": float(self.n),
-                "alpha_w": float(self.alpha_w)}
-
 
 @dataclass(frozen=True)
 class AleQuotient(ModelSpace):
@@ -386,14 +381,12 @@ class AleQuotient(ModelSpace):
     def avr(self) -> float:
         return 1.0 / self.k
 
-    def descriptor(self):
-        return {"variant": "ale", "n": float(self.n), "k": float(self.k)}
-
 
 # each variant's fields after "variant", in descriptor order, with their CLI
-# defaults (None marks a required field), and the constructor they feed
+# defaults (None marks a required field, an int an integer one), and the
+# constructor they feed
 VARIANTS = {
-    "euclidean": ({"n": 3}, Euclidean),
+    "euclidean": ({"n": 3.0}, Euclidean),
     "warped": ({"n": 2, "a": 0.5, "beta": 1.0},
                lambda n, a, beta: WarpedProduct(n, ExponentialTail(a, beta))),
     "cone": ({"n": 2, "m_M": None}, EuclideanCone),

@@ -400,6 +400,13 @@ def _bessel_jet(nu: float, x):
             (2.0 * nu + 1.0) / (2.0 * nu + 2.0) * s1 - s0)
 
 
+def _failed_limits(limits: dict) -> tuple:
+    """A line naming each extrapolated limit more than 1% off, or NaN."""
+    errs = [(k, limits[f"{k}_extrapolated_rel_err"]) for k in ("grad", "mass")]
+    return tuple(f"{k} limit: extrapolated relative error {err:.3g} > 0.01"
+                 for k, err in errs if not err <= 0.01)
+
+
 @dataclass(frozen=True)
 class FkSweepTable:
     rows: tuple
@@ -477,10 +484,8 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
                        f"{name}_extrapolated": limit,
                        f"{name}_extrapolated_rel_err":
                            abs(limit - expected) / expected})
-    limits_ok = bool(limits["grad_extrapolated_rel_err"] <= 0.01
-                     and limits["mass_extrapolated_rel_err"] <= 0.01)
-    passed = bool(limits_ok and all(row.margin >= -1e-6 * lambda_g
-                                    for row in rows))
+    limits_ok = not _failed_limits(limits)
+    passed = limits_ok and all(row.margin >= -1e-6 * lambda_g for row in rows)
     return FkSweepTable(rows=tuple(rows), lambda_g=lambda_g, limits=limits,
                         limits_ok=limits_ok, passed=passed)
 
@@ -548,6 +553,7 @@ class SuiteRow:
 class SuiteResult:
     name: str
     rows: tuple
+    failed: tuple       # a line for each failed gate beyond the margins
     passed: bool
 
 
@@ -558,7 +564,7 @@ def _polya_rows(space, p):
         rows.append(SuiteRow(label, QuotientReport(
             lhs=res.lhs, rhs_constant=1.0, quotient=res.ratio,
             margin=res.ratio - 1.0, params={"p": p, "direction": "lower"})))
-    return rows, True
+    return rows, ()
 
 
 def _sobolev_rows(space, p):
@@ -567,7 +573,7 @@ def _sobolev_rows(space, p):
     sob = SobolevParams(n=space.effective_dimension, p=p)
     rows.append(SuiteRow("extremal_endpoint",
                          sobolev_quotient(space, truncated_extremal(sob), p)))
-    return rows, True
+    return rows, ()
 
 
 def _gn_rows(space, p, alpha):
@@ -576,24 +582,24 @@ def _gn_rows(space, p, alpha):
             for label, u in curated_profiles()]
     rows.append(SuiteRow("extremal_gn", gn_quotient(
         space, truncated_extremal(params), params)))
-    return rows, True
+    return rows, ()
 
 
 def _fk_rows(space, R):
     rows = [SuiteRow(f"R={r:g}", fk_check(space, float(r))) for r in R]
     if not rows:
         raise DomainError("faber-krahn needs at least one radius")
-    return rows, True
+    return rows, ()
 
 
 def _fk_sweep_rows(space, R):
     table = fk_sharpness_sweep(space, R)
     rows = [SuiteRow(f"R={row.params['R']:g}", row) for row in table.rows]
-    return rows, table.limits_ok
+    return rows, _failed_limits(table.limits)
 
 
-# each suite's own flags with their defaults, and the function that turns a
-# space and those flags into (rows, limits_ok)
+# each suite's own flags with their defaults (a tuple: a repeatable flag),
+# and the function that turns a space and those flags into (rows, failed)
 SUITES = {
     "polya-szego": ({"p": 2.0}, _polya_rows),
     "sobolev": ({"p": 2.0}, _sobolev_rows),
@@ -617,8 +623,8 @@ def run_suite(space: ModelSpace, name: str, tol: float | None = None,
     defaults, build = SUITES[name]
     if tol is not None and not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    rows, limits_ok = build(space, **{**defaults, **flags})
+    rows, failed = build(space, **{**defaults, **flags})
     if tol is None:
         tol = 1e-6 * rows[0].report.rhs_constant
-    passed = bool(limits_ok and all(row.report.margin >= -tol for row in rows))
-    return SuiteResult(name=name, rows=tuple(rows), passed=passed)
+    passed = not failed and all(row.report.margin >= -tol for row in rows)
+    return SuiteResult(name, tuple(rows), failed, passed)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from isosharp import cli
 from isosharp.cli import main, parse_sweep
 from isosharp.errors import DomainError
-from isosharp.spaces import Euclidean, EuclideanCone, ExponentialTail, \
-    MonomialHalfSpace, WarpedProduct
+from isosharp.spaces import VARIANTS, Euclidean, EuclideanCone, \
+    ExponentialTail, MonomialHalfSpace, PowerLawSpace, WarpedProduct
+from isosharp.verify import SUITES, QuotientReport, SuiteRow
 
 from console_corpus import (GOLDEN, golden_name, mismatch, run_quiet,
                             script_argv)
@@ -796,6 +798,92 @@ class TestCachedParser:
                      ("constants", "--frob"), ("--help",)):
             run_cli(capsys, *argv)
         assert built == []
+
+
+@dataclass(frozen=True)
+class _ScaledPlane(PowerLawSpace):
+    """vol(B_r) = a pi r^2: a variant whose row has no n."""
+
+    a: float
+    effective_dimension = 2.0
+
+    @property
+    def unit_ball_volume(self) -> float:
+        return self.a * math.pi
+
+
+@pytest.fixture
+def fresh_parser():
+    # the parser reads SUITES and VARIANTS when it is built
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+class TestOneRowDeclares:
+    # a suite or a variant added as one row needs no edit to the CLI
+
+    def test_a_suite_row_with_a_tuple_flag(self, capsys, monkeypatch,
+                                           fresh_parser):
+        seen = []
+
+        def build(space, L, s):
+            seen.append((L, s))
+            return [SuiteRow("echo", QuotientReport(
+                lhs=sum(L), rhs_constant=1.0, quotient=s, margin=s - 1.0,
+                params={}))], ()
+
+        monkeypatch.setitem(SUITES, "echo", ({"L": (1.0,), "s": 2.0}, build))
+        code, out, _ = run_cli(capsys, "verify", "echo", "--L", "0.5",
+                               "--L", "3", "--s", "4")
+        assert code == 0 and seen == [([0.5, 3.0], 4.0)]
+        assert out.splitlines()[1] == "echo,euclidean,echo,3.5,1.0,4.0,3.0"
+        assert run_cli(capsys, "verify", "echo")[0] == 0
+        assert seen[-1] == ((1.0,), 2.0)
+        assert run_cli(capsys, "verify", "echo", "--L", "x")[0] == 2
+
+    def test_a_variant_row_without_n(self, capsys, monkeypatch,
+                                     fresh_parser):
+        monkeypatch.setitem(VARIANTS, "scaled", ({"a": 0.5}, _ScaledPlane))
+        code, out, _ = run_cli(capsys, "space", "--variant", "scaled",
+                               "--a", "0.25", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"]
+        assert doc["descriptor"] == {"variant": "scaled", "a": 0.25}
+        assert doc["diagnostics"]["avr"] == 0.25
+        code, out, _ = run_cli(capsys, "verify", "faber-krahn", "--variant",
+                               "scaled", "--R", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["space"] == {"variant": "scaled",
+                                                       "a": 0.5}
+        code, _, err = run_cli(capsys, "space", "--variant", "scaled",
+                               "--n", "2")
+        assert code == 2 and "scaled takes no --n" in err
+
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_descriptor_is_the_row(self, name):
+        defaults, build = VARIANTS[name]
+        # cone's m_M has no default
+        given = {k: 6.0 if v is None else v for k, v in defaults.items()}
+        desc = build(**given).descriptor()
+        assert desc == {"variant": name,
+                        **{k: float(v) for k, v in given.items()}}
+        assert list(desc) == ["variant", *defaults]
+        assert all(type(v) is float for k, v in desc.items() if k != "variant")
+
+
+def test_failed_limits_are_named_on_stderr(capsys):
+    # every row's margin clears; only the two extrapolated limits fail
+    argv = ["verify", "fk-sweep", "--variant", "warped", "--n", "3",
+            "--R", "1", "--R", "1.5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    with open(os.path.join(GOLDEN, golden_name(argv))) as f:
+        assert out == f.read()
+    lines = err.splitlines()
+    assert [ln.split(": ")[1] for ln in lines] == ["grad limit", "mass limit"]
+    assert all(ln.startswith("check failed: ") and ln.endswith("> 0.01")
+               for ln in lines)
 
 
 # every float flag takes finite, zero, negative, subnormal, huge and

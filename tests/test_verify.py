@@ -588,6 +588,17 @@ class TestSuites:
         assert [row.label for row in res.rows] == ["R=2", "R=20", "R=200"]
         assert res.passed == table.passed
 
+    def test_fk_sweep_names_each_failed_limit(self):
+        # two close radii leave both extrapolated limits far off; every
+        # row's margin still clears, so the gates alone fail the suite
+        res = run_suite(warped(3, 0.5, 1.0), "fk-sweep", R=[1.0, 1.5])
+        assert all(row.report.margin > 0.0 for row in res.rows)
+        assert not res.passed
+        assert [gate.split(":")[0] for gate in res.failed] == [
+            "grad limit", "mass limit"]
+        assert all(gate.endswith("> 0.01") for gate in res.failed)
+        assert run_suite(Euclidean(2), "fk-sweep", R=[1.0, 20.0]).failed == ()
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):
             run_suite(Euclidean(3), "does-not-exist")
