@@ -77,3 +77,4 @@ expect 2 verify sobolev --variant euclidean --n 103
 expect 0 verify faber-krahn --variant euclidean --n 40
 expect 2 verify faber-krahn --variant euclidean --n 41
 expect 1 verify sobolev --variant warped --n 250
+expect 0 verify gn --variant euclidean --n 3 --alpha 1.000001

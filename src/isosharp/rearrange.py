@@ -18,7 +18,10 @@ nodes.  Every radial grid, a profile's or the layer cake's equal panels, is
 joined with the space's own breaks by one rule (``_joined``).  Every
 integral, in r on that join or in t, is one graded Gauss rule that rejects
 a value that is not finite (``_graded_gauss``, see ``isosharp.quadrature``),
-and every pair of routes passes one gate (``_gate``).
+and every pair of routes passes one gate (``_gate``).  A level radius r(t)
+of the Cavalieri route is a Newton candidate that u's own values certify
+to 2^-41 of its node bracket, or else 40 halvings of that bracket
+(``_level_radii``): u's slope steers, it never decides.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .specfun import omega
 
 _LAYER_PANELS = 16   # equal Gauss panels on [0, R] for the layer-cake routes
 _HALVINGS = 40       # bisection steps of a level radius in its node bracket
+_NEWTON_STEPS = 4    # Newton steps of a level radius before its certificate
 
 
 class RadialFunction:
@@ -79,25 +83,50 @@ class RadialFunction:
         return self._deriv(np.asarray(r, dtype=float))
 
 
-def _level_radii(u: RadialFunction, t) -> np.ndarray:
-    """r(t) = sup{r : u(r) > t} on [0, r_end] for an array of levels, by
-    bisection.
-
-    The node values bracket each r(t) between two grid nodes (0 when
-    u(0) <= t, r_end when u(r_end) > t); all levels are then bisected
-    together on the profile, ``_HALVINGS`` times each, so every radius is
-    known to 2^-(_HALVINGS+1) of its own bracket, wherever on the grid it
-    lies.
-    """
-    t = np.asarray(t, dtype=float)
-    # the nodes valued above t are the first k of the grid
-    k = np.searchsorted(-u.values, -t)
-    lo = u.r_grid[np.maximum(k - 1, 0)]
-    width = u.r_grid[np.minimum(k, u.values.size - 1)] - lo
+def _bisected(u: RadialFunction, t, lo, width) -> np.ndarray:
+    """The radii r(t) in their brackets [lo, lo + width], ``_HALVINGS``
+    halvings each, all levels together: the midpoint of the last half."""
     for _ in range(_HALVINGS):
         width = 0.5 * width
         lo = lo + width * (u.value(lo + width) > t)
     return lo + 0.5 * width
+
+
+def _level_radii(u: RadialFunction, t) -> np.ndarray:
+    """r(t) = sup{r : u(r) > t} on [0, r_end] for an array of levels, each
+    to 2^-(_HALVINGS+1) of its node bracket, wherever on the grid it lies.
+
+    The node values bracket each r(t) between two grid nodes (0 when
+    u(0) <= t, r_end when u(r_end) > t).  From the secant between the two
+    node values, ``_NEWTON_STEPS`` Newton steps on u(r) = t, clipped to
+    the bracket, give a candidate x; a step that is not finite (u' = 0)
+    keeps x.  The slope only steers: x is taken where u itself proves it,
+    u(x - tol) > t >= u(x + tol) with tol = 2^-(_HALVINGS+1) of the
+    bracket, a probe at the bracket's end holding by the node values.  The
+    levels that fail, mostly where u(x +- tol) - t is below u's rounding,
+    are bisected in their brackets (``_bisected``).
+    """
+    t = np.asarray(t, dtype=float)
+    # the nodes valued above t are the first k of the grid
+    k = np.searchsorted(-u.values, -t)
+    above, below = np.maximum(k - 1, 0), np.minimum(k, u.values.size - 1)
+    lo, hi = u.r_grid[above], u.r_grid[below]
+    width = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # an empty bracket (lo = hi, equal node values) gives 0/0 here
+        x = lo + width * ((u.values[above] - t)
+                          / (u.values[above] - u.values[below]))
+        x = np.where(np.isfinite(x), x, lo)
+        for _ in range(_NEWTON_STEPS):
+            step = x - (u.value(x) - t) / u.deriv(x)
+            x = np.where(np.isfinite(step), np.clip(step, lo, hi), x)
+    tol = width * 2.0 ** -(_HALVINGS + 1)
+    left, right = np.maximum(x - tol, lo), np.minimum(x + tol, hi)
+    failed = ~(((left == lo) | (u.value(left) > t))
+               & ((right == hi) | (u.value(right) <= t)))
+    if failed.any():
+        x[failed] = _bisected(u, t[failed], lo[failed], width[failed])
+    return x
 
 
 def _joined(space: ModelSpace, grid) -> np.ndarray:
@@ -204,7 +233,7 @@ def _cavalieri_integral(space: ModelSpace, u: RadialFunction, qs):
     of a node where the slope is 0, so the breaks are the node values,
     graded toward those flat values, toward t = 0 (t^{q-1}) and toward
     t = L, where V ~ r(t)^N is not smooth for real N.  The level radii of
-    all Gauss nodes are bisected together, once for every exponent.
+    all Gauss nodes are solved together, once for every exponent.
     """
     levels = np.append(u.values, 0.0)
     flat = u.values[u.slopes == 0.0]

@@ -182,16 +182,14 @@ def gn_quotient(space: ModelSpace, u: RadialFunction,
 # radial Dirichlet eigenvalue by shooting
 
 def _mul(a, b):
-    """Entrywise 2x2 product a @ b of matrices held as (m00, m01, m10, m11)."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    """The 2x2 products a @ b of matrices stacked as (2, 2, n) arrays, each
+    entry a_i0 b_0j + a_i1 b_1j in that order."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
 
 
 def _step_matrices(mu, h, half, sixth, rho_mid, inv_mid, rho_end, inv_end):
-    """Entries (m00, m01, m10, m11) of the RK4 step on [[0, 1/rho],
-    [-mu rho, 0]], second row divided by rho_end, as arrays over all steps.
+    """The RK4 step matrices on [[0, 1/rho], [-mu rho, 0]], second row
+    divided by rho_end, as one (2, 2, n) array over all n steps.
 
     The stages are written out entry by entry, without the terms that
     multiply a structural zero of generic 2x2 products (0 x + y is y);
@@ -205,10 +203,11 @@ def _step_matrices(mu, h, half, sixth, rho_mid, inv_mid, rho_end, inv_end):
           b * (1.0 + half * k2[0]), b * (half * inv_mid))
     k4 = (inv_end * (h * k3[2]), inv_end * (1.0 + h * k3[3]),
           d * (1.0 + h * k3[0]), d * (h * k3[1]))
-    return (1.0 + sixth * (2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            sixth * (1.0 + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-            sixth * (-mu + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]) / rho_end,
-            (1.0 + sixth * (2.0 * k2[3] + 2.0 * k3[3] + k4[3])) / rho_end)
+    return np.array([
+        [1.0 + sixth * (2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+         sixth * (1.0 + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])],
+        [sixth * (-mu + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]) / rho_end,
+         (1.0 + sixth * (2.0 * k2[3] + 2.0 * k3[3] + k4[3])) / rho_end]])
 
 
 def _start(mu, s0, N):
@@ -231,16 +230,15 @@ def _trace(mu, s0, grid, N, slopes=False):
     """
     M = _step_matrices(mu, *grid)
     step = 1
-    while step < M[0].size:
-        later = _mul([m[step:] for m in M], [m[:-step] for m in M])
-        for m, v in zip(M, later):
-            m[step:] = v
+    while step < M.shape[-1]:
+        M[..., step:] = _mul(M[..., step:], M[..., :-step])
         step *= 2
     start = _start(mu, s0, N)
-    phi = np.concatenate([start[:1], M[0] * start[0] + M[1] * start[1]])
+    phi = np.concatenate([start[:1], M[0, 0] * start[0] + M[0, 1] * start[1]])
     if not slopes:
         return phi
-    return phi, np.concatenate([start[1:], M[2] * start[0] + M[3] * start[1]])
+    return phi, np.concatenate([start[1:],
+                                M[1, 0] * start[0] + M[1, 1] * start[1]])
 
 
 def _trace_end(mu, s0, grid, N):
@@ -252,13 +250,12 @@ def _trace_end(mu, s0, grid, N):
     its last element, so the result is the same bits.
     """
     M = _step_matrices(mu, *grid)
-    while M[0].size > 1:
-        odd = M[0].size % 2
-        paired = _mul([m[odd + 1::2] for m in M], [m[odd::2] for m in M])
-        M = ([np.concatenate([m[:1], p]) for m, p in zip(M, paired)]
-             if odd else paired)
+    while M.shape[-1] > 1:
+        odd = M.shape[-1] % 2
+        paired = _mul(M[..., odd + 1::2], M[..., odd::2])
+        M = np.concatenate([M[..., :1], paired], axis=-1) if odd else paired
     start = _start(mu, s0, N)
-    return M[0][0] * start[0] + M[1][0] * start[1]
+    return M[0, 0, 0] * start[0] + M[0, 1, 0] * start[1]
 
 
 def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:

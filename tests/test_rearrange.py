@@ -77,6 +77,62 @@ def _zero(r):
     return np.zeros_like(np.asarray(r, dtype=float))
 
 
+NARROW_WIDTH = 1e-5
+
+
+def narrow_gaussian(w):
+    """u = exp(-(r/w)^2) on a geometric grid to 1000."""
+    return exact(lambda r: np.exp(-(np.asarray(r) / w) ** 2),
+                 lambda r: -2.0 * np.asarray(r) / w ** 2
+                 * np.exp(-(np.asarray(r) / w) ** 2),
+                 np.concatenate([[0.0], np.geomspace(1e-9, 1e3, 240)]))
+
+
+def node_brackets(u, t):
+    """The grid nodes (lo, hi) around each r(t): lo = hi = 0 when
+    u(0) <= t, lo = hi = r_end when u(r_end) > t."""
+    k = np.searchsorted(-u.values, -t)
+    return (u.r_grid[np.maximum(k - 1, 0)],
+            u.r_grid[np.minimum(k, u.values.size - 1)])
+
+
+def reference_radii(u, t):
+    """r(t) by 40 halvings of each node bracket, kept while u > t there:
+    the midpoint of the last half."""
+    lo, hi = node_brackets(u, t)
+    width = hi - lo
+    for _ in range(40):
+        width = 0.5 * width
+        lo = np.where(u.value(lo + width) > t, lo + width, lo)
+    return lo + 0.5 * width
+
+
+def certified(u, t, x):
+    """Where u itself proves |x - r(t)| <= 2^-41 of the node bracket:
+    u(x - tol) > t >= u(x + tol), a probe clipped to the bracket's end
+    holding by the node values."""
+    lo, hi = node_brackets(u, t)
+    tol = (hi - lo) * 2.0 ** -41
+    left, right = np.maximum(x - tol, lo), np.minimum(x + tol, hi)
+    return (((left == lo) | (u.value(left) > t))
+            & ((right == hi) | (u.value(right) <= t)))
+
+
+def cavalieri_levels(monkeypatch, u):
+    """The levels t at which the Cavalieri route of u's L2 norm on
+    Euclidean(3) asks for r(t)."""
+    seen, level_radii = [], rearrange._level_radii
+
+    def record(v, t):
+        seen.append(np.array(t))
+        return level_radii(v, t)
+
+    monkeypatch.setattr(rearrange, "_level_radii", record)
+    rearrange._cavalieri_integral(Euclidean(3), u, [2.0])
+    monkeypatch.undo()
+    return np.concatenate(seen)
+
+
 class TestRadialFunction:
     def test_validation(self):
         # node values come from the value callable, read on the grid
@@ -116,6 +172,65 @@ class TestRadialFunction:
         for u in checked:
             assert np.array_equal(u.values, u.value(u.r_grid))
             assert np.array_equal(u.slopes, u.deriv(u.r_grid))
+
+
+def _solved_profiles():
+    return curated_profiles() + [
+        ("extremal_p2", truncated_extremal(SobolevParams(n=3, p=2.0))),
+        ("extremal_near_alpha_1", truncated_extremal(
+            SobolevParams(n=3, p=2.0, alpha=1.0 + 1e-9))),
+        ("narrow_gaussian", narrow_gaussian(NARROW_WIDTH))]
+
+
+class TestLevelRadiusSolve:
+    """Newton steers each level radius; u's values prove it, or it is
+    bisected as before."""
+
+    @pytest.mark.parametrize("label,u", _solved_profiles(),
+                             ids=[label for label, _ in _solved_profiles()])
+    def test_every_radius_is_certified_or_bisected(self, monkeypatch,
+                                                   label, u):
+        t = cavalieri_levels(monkeypatch, u)
+        if label == "narrow_gaussian":
+            t = np.concatenate([t, np.geomspace(1e-12, 0.5, 40)])
+        radii = rearrange._level_radii(u, t)
+        lo, hi = node_brackets(u, t)
+        interior = lo < hi
+        assert interior.sum() > 100
+        held = certified(u, t, radii) | (radii == reference_radii(u, t))
+        assert held[interior].all()
+
+    @pytest.mark.parametrize("slope", ["tripled", "zero", "nan"])
+    @pytest.mark.parametrize("label", ["gauss_1_2.5", "extremal_p2"])
+    def test_a_wrong_slope_only_steers(self, monkeypatch, label, slope):
+        # u.deriv picks the candidates; u.value accepts or rejects them
+        u = dict(_solved_profiles())[label]
+        wrong = {"tripled": lambda r: 3.0 * u.deriv(r),
+                 "zero": _zero,
+                 "nan": lambda r: np.full_like(np.asarray(r, dtype=float),
+                                               np.nan)}[slope]
+        v = RadialFunction(u.r_grid, u.value, wrong)
+        t = cavalieri_levels(monkeypatch, u)
+        lo, hi = node_brackets(u, t)
+        off = np.abs(rearrange._level_radii(v, t) - reference_radii(u, t))
+        assert np.all(off <= 2.0 ** -40 * (hi - lo))
+
+    @pytest.mark.parametrize("label,calls", [("tent_1", 7),
+                                             ("gauss_1_2.5", 47)])
+    def test_value_calls_per_norm(self, monkeypatch, label, calls):
+        # one direct-route pass, then 4 Newton steps and the two probes of
+        # the certificate; at a flat top (u'(0) = 0) some levels fail it
+        # and take 40 halvings
+        count = [0]
+        value = RadialFunction.value
+
+        def counted(self, r):
+            count[0] += 1
+            return value(self, r)
+
+        monkeypatch.setattr(RadialFunction, "value", counted)
+        lq_norm(Euclidean(3), dict(curated_profiles())[label], 2.0)
+        assert count[0] == calls
 
 
 class TestRadialGrid:
@@ -173,15 +288,11 @@ class TestDistribution:
         assert np.max(np.abs(vols - ref) / ref) < 1e-8
 
     def test_level_radii_of_a_narrow_gaussian(self):
-        # u = exp(-(r/w)^2) on a geometric grid to 1000: the radii lie far
-        # below r_end, and a stop at 1e-13 r_end left them 8.9e-7 off
-        w = 1e-5
-        u = exact(lambda r: np.exp(-(np.asarray(r) / w) ** 2),
-                  lambda r: -2.0 * np.asarray(r) / w ** 2
-                  * np.exp(-(np.asarray(r) / w) ** 2),
-                  np.concatenate([[0.0], np.geomspace(1e-9, 1e3, 240)]))
+        # the radii lie far below r_end, and a stop at 1e-13 r_end left
+        # them 8.9e-7 off
+        u = narrow_gaussian(NARROW_WIDTH)
         t = np.geomspace(1e-12, 0.5, 40)
-        ref = w * np.sqrt(-np.log(t))
+        ref = NARROW_WIDTH * np.sqrt(-np.log(t))
         radii = rearrange._level_radii(u, t)
         assert np.max(np.abs(radii / ref - 1.0)) < 1e-11
 
@@ -483,7 +594,7 @@ class TestStackedExponents:
 
     def test_one_level_radius_and_volume_pass_per_gn_quotient(
             self, monkeypatch):
-        # both norms of the GN quotient bisect the level radii and call
+        # both norms of the GN quotient solve the level radii and call
         # V(r(t)) once; the direct routes and the gradient call no volume
         calls = {"radii": 0, "volume": 0}
 

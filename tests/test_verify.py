@@ -303,7 +303,7 @@ class TestEigenvalue:
             for mu in np.linspace(0.0, 2.0 * j2, 26)[1:]:
                 ours = verify._step_matrices(mu, *grid)
                 ref = generic_step_matrices(mu, h, rho_mid, rho_end)
-                for a, b in zip(ours, ref):
+                for a, b in zip(ours.reshape(4, -1), ref):
                     assert np.array_equal(a, b), (R, mu)
                 end = verify._trace_end(mu, s0, grid, N)
                 assert end == verify._trace(mu, s0, grid, N)[-1], (R, mu)
