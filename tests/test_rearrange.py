@@ -80,8 +80,9 @@ def _zero(r):
 NARROW_WIDTH = 1e-5
 
 
-def narrow_gaussian(w):
-    """u = exp(-(r/w)^2) on a geometric grid to 1000."""
+def narrow_gaussian():
+    """u = exp(-(r/w)^2), w = NARROW_WIDTH, on a geometric grid to 1000."""
+    w = NARROW_WIDTH
     return exact(lambda r: np.exp(-(np.asarray(r) / w) ** 2),
                  lambda r: -2.0 * np.asarray(r) / w ** 2
                  * np.exp(-(np.asarray(r) / w) ** 2),
@@ -179,7 +180,7 @@ def _solved_profiles():
         ("extremal_p2", truncated_extremal(SobolevParams(n=3, p=2.0))),
         ("extremal_near_alpha_1", truncated_extremal(
             SobolevParams(n=3, p=2.0, alpha=1.0 + 1e-9))),
-        ("narrow_gaussian", narrow_gaussian(NARROW_WIDTH))]
+        ("narrow_gaussian", narrow_gaussian())]
 
 
 class TestLevelRadiusSolve:
@@ -290,7 +291,7 @@ class TestDistribution:
     def test_level_radii_of_a_narrow_gaussian(self):
         # the radii lie far below r_end, and a stop at 1e-13 r_end left
         # them 8.9e-7 off
-        u = narrow_gaussian(NARROW_WIDTH)
+        u = narrow_gaussian()
         t = np.geomspace(1e-12, 0.5, 40)
         ref = NARROW_WIDTH * np.sqrt(-np.log(t))
         radii = rearrange._level_radii(u, t)
