@@ -78,3 +78,6 @@ expect 0 verify faber-krahn --variant euclidean --n 40
 expect 2 verify faber-krahn --variant euclidean --n 41
 expect 1 verify sobolev --variant warped --n 250
 expect 0 verify gn --variant euclidean --n 3 --alpha 1.000001
+expect 0 space --variant ale --n 3 --k 4.0
+expect 2 space --variant ale --n 3 --k 2.5
+expect 0 space --variant monomial --n 2 --alpha-w 0.5

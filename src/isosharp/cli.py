@@ -51,6 +51,13 @@ _Z_FLAGS = {"s": ("with", 0.5), "slack": ("with", 0.0), "R": ("with", None),
 _SWEEP_COUNT, _MAX_SWEEP_COUNT = 50, 10 ** 6
 
 
+def _flag(key: str) -> str:
+    """A variant field's flag: --alpha-w for alpha_w, --m for m_M (a capital
+    subscript dropped)."""
+    head, *subs = key.split("_")
+    return "--" + "-".join([head] + [w for w in subs if not w.isupper()])
+
+
 # built on the first main() call, not at import, and kept for the process:
 # argparse's parse_args leaves the parser as it found it
 @functools.lru_cache(maxsize=None)
@@ -65,18 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
     space_flags = argparse.ArgumentParser(add_help=False)
     space_flags.add_argument("--variant", default=next(iter(VARIANTS)),
                              choices=sorted(VARIANTS))
-    space_flags.add_argument("--n", type=float, default=None,
-                             help="dimension parameter")
-    space_flags.add_argument("--a", type=float, default=None,
-                             help="warped profile asymptote in (0,1]")
-    space_flags.add_argument("--beta", type=float, default=None,
-                             help="warped profile decay rate")
-    space_flags.add_argument("--m", type=float, default=None, dest="m_M",
-                             metavar="M", help="cone link total measure m_M")
-    space_flags.add_argument("--alpha-w", type=float, default=None,
-                             dest="alpha_w", help="monomial weight exponent")
-    space_flags.add_argument("--k", type=int, default=None,
-                             help="quotient group order")
+    for key in dict.fromkeys(k for own, _ in VARIANTS.values() for k in own):
+        takes = ", ".join(f"{name} {own[key]}" for name, (own, _)
+                          in VARIANTS.items() if key in own)
+        space_flags.add_argument(
+            _flag(key), type=float, dest=key, metavar=_flag(key)[2:].upper(),
+            help=f"its variants and defaults (None: required): {takes}")
 
     p = argparse.ArgumentParser(
         prog="isosharp",
@@ -160,12 +161,11 @@ def _space_from_flags(args) -> tuple:
     desc = {"variant": args.variant}
     for key in dict.fromkeys(k for own, _ in VARIANTS.values() for k in own):
         value = getattr(args, key)
-        flag = "--m" if key == "m_M" else "--" + key.replace("_", "-")
         if key not in defaults:
             if value is not None:
-                raise DomainError(f"{args.variant} takes no {flag}")
+                raise DomainError(f"{args.variant} takes no {_flag(key)}")
         elif value is None and defaults[key] is None:
-            raise DomainError(f"{args.variant} requires {flag}")
+            raise DomainError(f"{args.variant} requires {_flag(key)}")
         else:
             value = defaults[key] if value is None else value
             # an int field takes an integral float as an int; a fractional

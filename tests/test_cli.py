@@ -812,6 +812,18 @@ class _ScaledPlane(PowerLawSpace):
         return self.a * math.pi
 
 
+@dataclass(frozen=True)
+class _WidePlane(PowerLawSpace):
+    """vol(B_r) = width pi r^2: a variant whose field no other row has."""
+
+    width: float
+    effective_dimension = 2.0
+
+    @property
+    def unit_ball_volume(self) -> float:
+        return self.width * math.pi
+
+
 @pytest.fixture
 def fresh_parser():
     # the parser reads SUITES and VARIANTS when it is built
@@ -860,6 +872,41 @@ class TestOneRowDeclares:
                                "--n", "2")
         assert code == 2 and "scaled takes no --n" in err
 
+    def test_a_variant_row_with_a_new_field(self, capsys, monkeypatch,
+                                            fresh_parser):
+        sweep = ("space", "--variant", "euclidean", "--n", "3",
+                 "--sweep", "1:2:log:2")
+        before = run_cli(capsys, *sweep)
+        monkeypatch.setitem(VARIANTS, "scaled", ({"width": 0.5}, _WidePlane))
+        cli._build_parser.cache_clear()
+        code, out, _ = run_cli(capsys, "space", "--variant", "scaled",
+                               "--width", "0.25", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["descriptor"] == {"variant": "scaled",
+                                                 "width": 0.25}
+        assert run_cli(capsys, "verify", "faber-krahn", "--variant",
+                       "scaled", "--R", "1")[0] == 0
+        # the other variants keep their output and refuse the new flag
+        assert run_cli(capsys, *sweep) == before
+        code, _, err = run_cli(capsys, "space", "--variant", "euclidean",
+                               "--width", "1")
+        assert code == 2 and "euclidean takes no --width" in err
+
+    def test_help_lists_each_field_flag_once(self, capsys, monkeypatch,
+                                             fresh_parser):
+        monkeypatch.setitem(VARIANTS, "scaled", ({"width": 0.5}, _WidePlane))
+        monkeypatch.setenv("COLUMNS", "400")    # one line per option
+        code, out, _ = run_cli(capsys, "space", "--help")
+        assert code == 0
+        for key in dict.fromkeys(k for own, _ in VARIANTS.values()
+                                 for k in own):
+            flag = cli._flag(key)
+            lines = [ln for ln in out.splitlines()
+                     if ln.split()[:1] == [flag]]
+            assert out.count(f"[{flag} ") == 1 and len(lines) == 1, flag
+            assert all(f"{name} {own[key]}" in lines[0]
+                       for name, (own, _) in VARIANTS.items() if key in own)
+
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_descriptor_is_the_row(self, name):
         defaults, build = VARIANTS[name]
@@ -870,6 +917,29 @@ class TestOneRowDeclares:
                         **{k: float(v) for k, v in given.items()}}
         assert list(desc) == ["variant", *defaults]
         assert all(type(v) is float for k, v in desc.items() if k != "variant")
+
+
+def _colliding_field_flags():
+    """The generated variant-field flags that equal another flag of the
+    space or verify commands; the parser cannot be built with any."""
+    taken = {"--help", "--format", "--output", "--variant", "--sweep",
+             "--tol"} | {"--" + flag for own, _ in SUITES.values()
+                         for flag in own}
+    return sorted(taken & {cli._flag(key) for own, _ in VARIANTS.values()
+                           for key in own})
+
+
+class TestFieldFlags:
+    def test_no_field_flag_is_another_flag(self):
+        assert _colliding_field_flags() == []
+
+    def test_a_field_named_p_is_caught(self, monkeypatch, fresh_parser):
+        # --p is every quotient suite's flag
+        monkeypatch.setitem(VARIANTS, "normed", ({"n": 2, "p": 2.0},
+                                                 _WidePlane))
+        assert _colliding_field_flags() == ["--p"]
+        with pytest.raises(argparse.ArgumentError):
+            cli._build_parser()
 
 
 def test_failed_limits_are_named_on_stderr(capsys):
@@ -886,8 +956,9 @@ def test_failed_limits_are_named_on_stderr(capsys):
                for ln in lines)
 
 
-# every float flag takes finite, zero, negative, subnormal, huge and
-# non-finite values; integer flags small signed ones
+# every float flag, each variant field included, takes finite, zero,
+# negative, subnormal, huge and non-finite values; integer flags small
+# signed ones
 _FLOAT = st.one_of(st.floats(min_value=1e-3, max_value=1e3).map(repr),
                    st.sampled_from(["0", "-0.0", "-1", "-7.5", "5e-324",
                                     "1e-310", "1e308", "inf", "-inf", "nan"]))
@@ -897,7 +968,7 @@ _INT = st.integers(min_value=-3, max_value=5).map(str)
 def _flags(**strategies):
     """argv of the given flags, each absent or with a drawn value."""
     def one(flag, value):
-        name = "--" + flag.replace("_", "-")
+        name = cli._flag(flag)
         return st.one_of(st.just([]), value.map(lambda v: [name, v]))
 
     return st.tuples(*(one(flag, value) for flag, value in strategies.items())
@@ -908,10 +979,10 @@ _SWEEP = st.tuples(_FLOAT, _FLOAT, st.sampled_from(["lin", "log"]),
                    st.integers(min_value=2, max_value=5)).map(
     lambda parts: ":".join(map(str, parts)))
 
-# each variant's own space flags: a foreign one exits 2 before the sweep
-_VARIANT_FLAGS = {"euclidean": {}, "warped": {"a": _FLOAT, "beta": _FLOAT},
-                  "cone": {"m": _FLOAT}, "monomial": {"alpha_w": _FLOAT},
-                  "ale": {"k": _INT}}
+# each variant's own space flags, read from its row: a foreign one exits 2
+# before the sweep
+_VARIANT_FLAGS = {name: dict.fromkeys(own, _FLOAT)
+                  for name, (own, _) in VARIANTS.items()}
 
 # each quotient suite's own flags, drawn for that suite only
 _SUITE_FLAGS = {"polya-szego": {"p": _FLOAT}, "sobolev": {"p": _FLOAT},
@@ -920,7 +991,7 @@ _SUITE_FLAGS = {"polya-szego": {"p": _FLOAT}, "sobolev": {"p": _FLOAT},
 _ARGV = st.one_of(
     st.tuples(_FLOAT, _flags(p=_FLOAT, alpha=_FLOAT, avr=_FLOAT)).map(
         lambda v: ["constants", "--n", v[0]] + v[1]),
-    *(_flags(n=_FLOAT, sweep=_SWEEP, **own).map(
+    *(_flags(sweep=_SWEEP, **own).map(
         lambda v, variant=variant: ["space", "--variant", variant] + v)
       for variant, own in _VARIANT_FLAGS.items()),
     # bm's --n also around and past the least normal cell volume (1/64)^n
