@@ -81,3 +81,5 @@ expect 0 verify gn --variant euclidean --n 3 --alpha 1.000001
 expect 0 space --variant ale --n 3 --k 4.0
 expect 2 space --variant ale --n 3 --k 2.5
 expect 0 space --variant monomial --n 2 --alpha-w 0.5
+expect 0 constants --n 3.5 --avr 0.5 --format json
+expect 0 sandbox z-inclusion --seeds 3 --format json

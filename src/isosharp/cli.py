@@ -23,15 +23,13 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .constants import SobolevParams, fk_constant, isoperimetric_constant, \
-    rayleigh_constant, sharp_constants
+from .constants import sharp_constants
 from .errors import ConvergenceError, DomainError, InvariantViolation, \
     UnsupportedOperationError
 from .sandbox import BmReport, brunn_minkowski_report, grid_graph, \
     path_graph, seeded_z_inclusion, z_inclusion_check
 from .spaces import VARIANTS, SweepRow, WarpedProduct, \
     bishop_gromov_check, curvature_check, isoperimetric_sharpness_sweep
-from .specfun import omega
 from .verify import SUITES, QuotientReport, run_suite
 
 _NAMED_GRAPHS = {
@@ -211,15 +209,8 @@ def _json_doc(payload: dict) -> str:
 def cmd_constants(args) -> tuple:
     if args.p is None and args.alpha is not None:
         raise DomainError("--alpha is read only with --p")
-    if args.p is not None:
-        params = SobolevParams(n=args.n, p=args.p, alpha=args.alpha)
-        entries = asdict(sharp_constants(params, args.avr)).items()
-    else:
-        entries = [("omega_n", omega(args.n)),
-                   ("fk", fk_constant(args.n, args.avr)),
-                   ("rayleigh", rayleigh_constant(args.n, args.avr)),
-                   ("isoperimetric", isoperimetric_constant(args.n, args.avr)),
-                   ("avr", args.avr)]
+    record = sharp_constants(args.n, args.avr, args.p, args.alpha)
+    entries = [(k, v) for k, v in asdict(record).items() if v is not None]
     if args.format == "json":
         return _json_doc({"command": "constants",
                           "values": {k: float(v) for k, v in entries}}), True

@@ -78,14 +78,15 @@ class SobolevParams:
 
 @dataclass(frozen=True)
 class SharpConstants:
-    """All sharp constants for one (n, p, alpha, AVR) quadruple."""
+    """All sharp constants for one (n, AVR) pair; the Sobolev and GN
+    fields, ``at`` through ``gn_sharp``, are None unless p is given."""
 
     omega_n: float
-    at: float
-    theta: float
-    gn: float
-    sobolev: float
-    gn_sharp: float
+    at: float | None
+    theta: float | None
+    gn: float | None
+    sobolev: float | None
+    gn_sharp: float | None
     fk: float
     rayleigh: float
     isoperimetric: float
@@ -146,41 +147,14 @@ def gn_sharp_constant(params: SobolevParams, avr: float) -> float:
     return gn_constant(params) * avr ** (-gn_theta(params) / params.n)
 
 
-def _check_fk_n(name, n):
-    if not (isinstance(n, (int, float)) and 2.0 <= n <= _MAX_FK_N):
-        raise DomainError(f"{name} requires 2 <= n <= {_MAX_FK_N:g}, "
-                          f"got {n!r}")
-
-
 def fk_constant(n: float, avr: float) -> float:
     """Lam_g = j_{n/2-1}^2 (omega_n avr)^{2/n}: sharp Faber-Krahn constant."""
-    _check_fk_n("fk_constant", n)
+    if not (isinstance(n, (int, float)) and 2.0 <= n <= _MAX_FK_N):
+        raise DomainError(f"fk_constant requires 2 <= n <= {_MAX_FK_N:g}, "
+                          f"got {n!r}")
     _check_avr(avr)
     j = bessel_first_zero(0.5 * n - 1.0)
     return j * j * math.exp((2.0 / n) * (log_omega(n) + math.log(avr)))
-
-
-def rayleigh_constant(n: float, avr: float) -> float:
-    """R_g = j_{n/2-1}^{-2} (omega_n avr)^{-2/n}, the reciprocal route."""
-    _check_fk_n("rayleigh_constant", n)
-    _check_avr(avr)
-    j = bessel_first_zero(0.5 * n - 1.0)
-    return math.exp(-(2.0 / n) * (log_omega(n) + math.log(avr))) / (j * j)
-
-
-def noncollapse_lower_bound(params: SobolevParams, C: float) -> float:
-    """AVR lower bound (AT/C)^n implied by a Sobolev constant C.
-
-    C below AT(n,p) is rejected: no space satisfies the inequality with a
-    constant beating the sharp Euclidean one.
-    """
-    at = aubin_talenti(params)
-    if not (isinstance(C, (int, float)) and math.isfinite(C)):
-        raise DomainError(f"C must be a finite real, got {C!r}")
-    if C < at * (1.0 - 1e-13):
-        raise DomainError(
-            f"C = {C:g} is below AT(n,p) = {at:g}; no such space exists")
-    return min((at / C) ** params.n, 1.0)
 
 
 def isoperimetric_constant(N: float, avr: float) -> float:
@@ -191,18 +165,21 @@ def isoperimetric_constant(N: float, avr: float) -> float:
     return N * math.exp((log_omega(N) + math.log(avr)) / N)
 
 
-def sharp_constants(params: SobolevParams, avr: float) -> SharpConstants:
-    """Assemble the full record; requires n >= 2 for the Faber-Krahn part."""
+def sharp_constants(n: float, avr: float, p: float = None,
+                    alpha: float = None) -> SharpConstants:
+    """Assemble the record; the Faber-Krahn part requires n >= 2, and the
+    Sobolev and Gagliardo-Nirenberg fields are filled only when p is given
+    (alpha defaulting to the endpoint n/(n-p))."""
+    params = None if p is None else SobolevParams(n=n, p=p, alpha=alpha)
+    omega_n = omega(n)
     _check_avr(avr)
-    return SharpConstants(
-        omega_n=omega(params.n),
-        at=aubin_talenti(params),
-        theta=gn_theta(params),
-        gn=gn_constant(params),
-        sobolev=sobolev_constant(params, avr),
-        gn_sharp=gn_sharp_constant(params, avr),
-        fk=fk_constant(params.n, avr),
-        rayleigh=rayleigh_constant(params.n, avr),
-        isoperimetric=isoperimetric_constant(params.n, avr),
-        avr=avr,
-    )
+    sobolev = dict.fromkeys(("at", "theta", "gn", "sobolev", "gn_sharp"))
+    if params is not None:
+        sobolev = dict(at=aubin_talenti(params), theta=gn_theta(params),
+                       gn=gn_constant(params),
+                       sobolev=sobolev_constant(params, avr),
+                       gn_sharp=gn_sharp_constant(params, avr))
+    fk = fk_constant(n, avr)
+    return SharpConstants(omega_n=omega_n, **sobolev, fk=fk, rayleigh=1.0 / fk,
+                          isoperimetric=isoperimetric_constant(n, avr),
+                          avr=avr)

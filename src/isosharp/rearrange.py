@@ -145,16 +145,25 @@ def euclidean_rearrangement(space: ModelSpace, u: RadialFunction) -> RadialFunct
     inverse of the volume radius s(r) = (vol(B_r)/omega_N)^{1/N}: the cubic
     Hermite through the knots (s_k, r_k) with the exact slopes dr/ds =
     N V / (s A), pole_density^{-1/N} at s = 0.  The knots r_k are u's grid
-    joined with the space's breaks (``_joined``), so R follows a warped
-    product's density over its decay length, and each knot's volume passes
-    ``vol_ball``'s guard.  u's own callables are evaluated, so u*' =
-    u'(R) R' keeps u's kinks."""
+    joined with the space's breaks (``_joined``), geometric knots filling
+    every segment past the first that spans more than a factor 2 in r, so R
+    follows a warped product's density over its decay length and out to
+    the profile's first node, and each knot's volume passes ``vol_ball``'s
+    guard.  u's own callables are evaluated, so u*' = u'(R) R' keeps u's
+    kinks."""
     N = space.effective_dimension
     omega_N = omega(N)
     if omega_N < sys.float_info.min:    # the volume radii divide by it
         raise DomainError(f"omega_N = {omega_N!r} at N = {N!r} is not a "
                           "normal double")
     r = _joined(space, u.r_grid)
+    # the pieces of at most a factor 2 that each segment past the first needs
+    pieces = np.ceil(np.log2(r[2:] / r[1:-1]))
+    wide = np.flatnonzero(pieces > 1.0)
+    if wide.size:
+        r = np.sort(np.concatenate([r] + [
+            np.geomspace(r[k + 1], r[k + 2], int(pieces[k]) + 1)[1:-1]
+            for k in wide]))
     vols = vol_ball(space, r[1:])
     s = np.concatenate([[0.0], (vols / omega_N) ** (1.0 / N)])
     # the Hermite needs ascending knots, and the slopes divide by s

@@ -409,7 +409,7 @@ class FkSweepTable:
     rows: tuple
     lambda_g: float
     limits: dict
-    limits_ok: bool
+    failed: tuple       # a line per failed limit: _failed_limits(limits)
     passed: bool
 
 
@@ -481,10 +481,10 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
                        f"{name}_extrapolated": limit,
                        f"{name}_extrapolated_rel_err":
                            abs(limit - expected) / expected})
-    limits_ok = not _failed_limits(limits)
-    passed = limits_ok and all(row.margin >= -1e-6 * lambda_g for row in rows)
+    failed = _failed_limits(limits)
+    passed = not failed and all(row.margin >= -1e-6 * lambda_g for row in rows)
     return FkSweepTable(rows=tuple(rows), lambda_g=lambda_g, limits=limits,
-                        limits_ok=limits_ok, passed=passed)
+                        failed=failed, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +592,7 @@ def _fk_rows(space, R):
 def _fk_sweep_rows(space, R):
     table = fk_sharpness_sweep(space, R)
     rows = [SuiteRow(f"R={row.params['R']:g}", row) for row in table.rows]
-    return rows, _failed_limits(table.limits)
+    return rows, table.failed
 
 
 # each suite's own flags with their defaults (a tuple: a repeatable flag),

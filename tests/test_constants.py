@@ -17,7 +17,6 @@ from scipy.integrate import quad
 from isosharp.constants import (SharpConstants, SobolevParams, aubin_talenti,
                                 fk_constant, gn_constant, gn_sharp_constant,
                                 gn_theta, isoperimetric_constant,
-                                noncollapse_lower_bound, rayleigh_constant,
                                 sharp_constants, sobolev_constant)
 from isosharp.errors import DomainError
 from isosharp.specfun import beta, bessel_first_zero, omega
@@ -148,31 +147,9 @@ def test_rayleigh_product_identity():
     for _ in range(25):
         n = float(rng.uniform(2.0, 12.0))
         avr = float(rng.uniform(0.01, 1.0))
-        prod = rayleigh_constant(n, avr) * fk_constant(n, avr)
-        assert prod == pytest.approx(1.0, rel=1e-12), (n, avr)
-
-
-def test_noncollapse_examples():
-    prm = SobolevParams(3.0, 2.0)
-    at = aubin_talenti(prm)
-    assert noncollapse_lower_bound(prm, at) == pytest.approx(
-        1.0, rel=1e-14, abs=0.0)
-    assert noncollapse_lower_bound(prm, 2.0 * at) == pytest.approx(
-        0.125, rel=1e-13, abs=0.0)
-    # monotone nonincreasing in C
-    cs = [at, 1.1 * at, 2.0 * at, 10.0 * at]
-    vals = [noncollapse_lower_bound(prm, c) for c in cs]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
-        noncollapse_lower_bound(prm, 0.9 * at)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=1e-3, max_value=1.0))
-def test_noncollapse_round_trip(avr):
-    prm = SobolevParams(4.0, 2.0)
-    back = noncollapse_lower_bound(prm, sobolev_constant(prm, avr))
-    assert back == pytest.approx(avr, rel=1e-12)
+        rec = sharp_constants(n, avr)
+        assert rec.rayleigh * rec.fk == pytest.approx(1.0, rel=1e-12), (n, avr)
+        assert rec.fk == fk_constant(n, avr)
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,7 +185,7 @@ def test_all_constants_positive_random_sweep():
         alpha = float(rng.uniform(1.0 + 1e-6, endpoint))
         avr = float(rng.uniform(1e-4, 1.0))
         prm = SobolevParams(n, p, alpha)
-        rec = sharp_constants(prm, avr)
+        rec = sharp_constants(n, avr, p, alpha)
         for name in ("omega_n", "at", "theta", "gn", "sobolev", "gn_sharp",
                      "fk", "rayleigh", "isoperimetric", "avr"):
             v = getattr(rec, name)
@@ -216,9 +193,16 @@ def test_all_constants_positive_random_sweep():
 
 
 def test_sharp_constants_record_invariants():
-    rec = sharp_constants(SobolevParams(3.0, 2.0, 2.0), 0.5)
+    rec = sharp_constants(3.0, 0.5, 2.0, 2.0)
     assert isinstance(rec, SharpConstants)
     assert rec.rayleigh * rec.fk == pytest.approx(1.0, rel=1e-12)
     assert rec.sobolev >= rec.at
     assert rec.gn_sharp >= rec.gn
     assert rec.theta == pytest.approx(0.5)
+    # without p the Sobolev and GN fields are None and the rest is unchanged
+    bare = sharp_constants(3.0, 0.5)
+    assert (bare.at, bare.theta, bare.gn, bare.sobolev, bare.gn_sharp) == (
+        None, None, None, None, None)
+    assert (bare.omega_n, bare.fk, bare.rayleigh, bare.isoperimetric,
+            bare.avr) == (rec.omega_n, rec.fk, rec.rayleigh,
+                          rec.isoperimetric, rec.avr)
