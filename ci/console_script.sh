@@ -76,10 +76,12 @@ expect 2 verify polya-szego --variant warped --n 2 --beta 1e160
 expect 2 verify sobolev --variant euclidean --n 103
 expect 0 verify faber-krahn --variant euclidean --n 40
 expect 2 verify faber-krahn --variant euclidean --n 41
-expect 1 verify sobolev --variant warped --n 250
+expect 2 verify sobolev --variant warped --n 250
+expect 2 verify gn --variant warped --n 300 --alpha 1.001
 expect 0 verify gn --variant euclidean --n 3 --alpha 1.000001
 expect 0 space --variant ale --n 3 --k 4.0
 expect 2 space --variant ale --n 3 --k 2.5
 expect 0 space --variant monomial --n 2 --alpha-w 0.5
 expect 0 constants --n 3.5 --avr 0.5 --format json
 expect 0 sandbox z-inclusion --seeds 3 --format json
+expect 0 space --variant warped --n 100 --sweep 0.05:5:log:30

@@ -178,13 +178,8 @@ def _fmt15(x: float) -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    # np.float64 subclasses float, and its own repr reads np.float64(...)
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def _csv_table(header, rows) -> str:

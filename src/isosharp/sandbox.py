@@ -58,13 +58,9 @@ class FiniteMetricMeasureSpace:
         if n > 1 and not np.all(off[~np.isinf(off)] > 0.0):
             raise InvariantViolation("dist(x,y)=0 for distinct points")
         slack = _TRI_SLACK * max(float(d.max()), 1.0)
-        # d(x,z) <= d(x,y) + d(y,z) for all triples, vectorized over blocks
-        # of y that keep each temporary near 2^20 floats
-        step = max(1, 2**20 // d.size)
-        worst = max(
-            float((d[:, None, :] - (d[:, y:y + step, None]
-                                    + d[None, y:y + step, :])).max())
-            for y in range(0, n, step))
+        # d(x,z) <= d(x,y) + d(y,z) for all triples, one y at a time
+        worst = max(float((d - (d[:, y, None] + d[y])).max())
+                    for y in range(n))
         if worst > slack:
             raise InvariantViolation(
                 f"triangle inequality violated by {worst:g}")
@@ -88,24 +84,16 @@ def _shortest_paths(W: np.ndarray) -> np.ndarray:
     """Shortest-path closure of the symmetric weight matrix W: 0 on the
     diagonal, inf where two points share no edge.
 
-    Dijkstra's method runs from every source at once: each step settles,
-    in each row, the nearest unsettled point u and relaxes
-    D[s, :] <- D[s, u] + W[u, :], so each path is summed from its source,
-    as one-source Dijkstra sums it.  That takes O(n^2) memory and O(n^3)
-    time.
+    Floyd-Warshall: step k relaxes D[i, j] <- D[i, k] + D[k, j] for all
+    pairs at once.  D[j, i] gets the same two terms in the other order, so
+    the closure stays exactly symmetric.  O(n^2) memory and O(n^3) time.
     """
-    n = len(W)
-    dist = W.copy()             # each source settled, its edges relaxed
-    settled = np.eye(n, dtype=bool)
-    rows = np.arange(n)
-    for _ in range(n - 1):
-        u = np.argmin(np.where(settled, math.inf, dist), axis=1)
-        settled[rows, u] = True
-        np.minimum(dist, dist[rows, u, None] + W[u], out=dist)
+    dist = W.copy()
+    for k in range(len(dist)):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
     if np.any(np.isinf(dist)):
         raise DomainError("graph is not connected")
-    # path sums from the two ends can differ by an ulp
-    return np.minimum(dist, dist.T)
+    return dist
 
 
 def path_graph(k: int) -> FiniteMetricMeasureSpace:

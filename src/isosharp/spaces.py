@@ -246,10 +246,17 @@ class WarpedProduct(ModelSpace):
 
         The profile's breaks are joined by a dyadic grid down to 2^-100 of
         the last, so no segment past the first spans more than a factor 2
-        in radius: on such a segment, or any part of one, the 12-point rule
-        holds F^{n-1} to ~1e-14 relative for n up to 30.
+        in radius, and each segment is split into ceil(n/12) equal panels:
+        on such a panel, or any part of one, the 12-point rule holds
+        F^{n-1} to ~1e-14 relative (measured up to n = 250).  Where
+        n omega_n is not a normal double (n >= 439) every volume fails
+        vol_ball's guard, and the segments stay whole.
         """
-        breaks = dyadic_breaks(self.profile.breaks, [0.0])
+        grid = dyadic_breaks(self.profile.breaks, [0.0])
+        m = -(-self.n // 12) if self._sphere_coef >= sys.float_info.min else 1
+        panel = np.arange(m) / m
+        breaks = np.append(
+            (grid[:-1, None] + np.diff(grid)[:, None] * panel).ravel(), grid[-1])
         with np.errstate(over="ignore"):
             # an overflow leaves inf in the table, which the guards reject
             seg = gauss_panels(self.content, breaks[:-1], breaks[1:])

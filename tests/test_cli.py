@@ -191,6 +191,12 @@ class TestSpaceCommand:
             for cell in row:
                 assert repr(float(cell)) == cell    # <= 1 ulp means 0 drift
 
+    def test_csv_cell_rule(self):
+        # a float, np.float64 among them, prints by repr; all else by str
+        cells = [0.1, np.float64(1e-300), np.int64(7), True, None, "x"]
+        assert [cli._csv_cell(v) for v in cells] == [
+            "0.1", "1e-300", "7", "True", "None", "x"]
+
 
 class TestVerifyCommand:
     def test_gn_extremal_margin_near_zero(self, capsys):

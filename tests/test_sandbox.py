@@ -59,8 +59,19 @@ class TestSpaceConstruction:
         with pytest.raises(DomainError, match="not connected"):
             _shortest_paths(W)
 
-    def test_closure_matches_scipy_dijkstra(self, monkeypatch):
-        # scipy's Dijkstra on the same edges is the reference, bit for bit
+    def test_triangle_violation_in_a_large_space_rejected(self):
+        # 300 points at mutual distance 2, the last one at distance 1 from
+        # all: d(0, 1) = 2.5 breaks the triangle only through y = 299
+        d = np.full((300, 300), 2.0)
+        d[-1] = d[:, -1] = 1.0
+        np.fill_diagonal(d, 0.0)
+        d[0, 1] = d[1, 0] = 2.5
+        with pytest.raises(InvariantViolation, match="triangle"):
+            FiniteMetricMeasureSpace(d)
+
+    def test_closure_matches_scipy_floyd_warshall(self, monkeypatch):
+        # scipy's Floyd-Warshall on the same edges is the reference, bit
+        # for bit; its Dijkstra adds each path's weights in another order
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import shortest_path
 
@@ -77,8 +88,10 @@ class TestSpaceConstruction:
             W = built[-1]
             i, j = np.nonzero(np.isfinite(W) & (W > 0.0))
             graph = csr_matrix((W[i, j], (i, j)), shape=W.shape)
+            ref = shortest_path(graph, method="FW", directed=False)
+            assert np.array_equal(sp.dist, ref), seed
             ref = shortest_path(graph, method="D", directed=False)
-            assert np.array_equal(sp.dist, np.minimum(ref, ref.T)), seed
+            assert np.allclose(sp.dist, ref, rtol=4e-15, atol=0.0), seed
 
 
 class TestInterpolants:
@@ -276,7 +289,7 @@ class TestSerialization:
         assert np.allclose(_shortest_paths(sp.dist), sp.dist,
                            rtol=0.0, atol=1e-12)
 
-    def test_long_path_csv_matches_scipy_dijkstra(self):
+    def test_long_path_csv_matches_scipy_floyd_warshall(self):
         # the longest shortest path has n - 1 hops, and the closure still
         # needs only n x n arrays
         from scipy.sparse import csr_matrix
@@ -289,9 +302,11 @@ class TestSerialization:
         np.fill_diagonal(W, 0.0)
         W[i, i + 1] = W[i + 1, i] = w
         graph = csr_matrix((w, (i, i + 1)), shape=(n, n))
+        dist = _shortest_paths(W)
+        ref = shortest_path(graph, method="FW", directed=False)
+        assert np.array_equal(dist, ref)
         ref = shortest_path(graph, method="D", directed=False)
-        ref = np.minimum(ref, ref.T)
-        assert np.array_equal(_shortest_paths(W), ref)
+        assert np.allclose(dist, ref, rtol=4e-15, atol=0.0)
 
 
 def test_random_space_deterministic():

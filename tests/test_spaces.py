@@ -180,6 +180,16 @@ class TestVolume:
             assert v == pytest.approx(warped_volume_oracle(3, 0.4, 2.5, r),
                                       rel=1e-11)
 
+    @pytest.mark.parametrize("n", [50, 100, 250])
+    def test_warped_large_n_matches_mpmath(self, n):
+        # ceil(n/12) Gauss panels per segment of the volume table; one
+        # panel was 5e-13 (n = 50) to 4e-6 (n = 250) off on these radii
+        space = warped(n=n, a=0.5, beta=1.0)
+        radii = np.geomspace(0.3, 30.0, 10)
+        for r, v in zip(radii, vol_ball(space, radii)):
+            assert v == pytest.approx(warped_volume_oracle(n, 0.5, 1.0, r),
+                                      rel=1e-13, abs=0.0)
+
     def test_warped_far_radius_matches_mpmath(self):
         # past the profile's curvature scale, where the volume grows like r^n
         space = warped(n=2, a=0.5, beta=1.0)
