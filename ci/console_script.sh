@@ -85,3 +85,4 @@ expect 0 space --variant monomial --n 2 --alpha-w 0.5
 expect 0 constants --n 3.5 --avr 0.5 --format json
 expect 0 sandbox z-inclusion --seeds 3 --format json
 expect 0 space --variant warped --n 100 --sweep 0.05:5:log:30
+expect 0 verify fk-sweep --variant euclidean --n 13

@@ -5,7 +5,9 @@ checks.  Bessel functions of the first kind for real nonnegative order are
 evaluated by the ascending power series for small argument and by Miller
 backward recurrence otherwise; the recurrence is normalized by the Neumann
 series identity, which works for non-integer order too.  Both kernels are
-duck-typed, so an array argument runs the same arithmetic elementwise.
+duck-typed, so an array argument runs the same arithmetic elementwise, and
+the series also takes a column of orders against a row of x, which is how
+``bessel_j_scaled`` computes several orders in one pass.
 A first positive zero is one Brent solve in a +-1 window around a McMahon /
 Olver-type guess, once per order; the same ``_brent`` finds the
 Faber-Krahn eigenvalue in ``verify``.
@@ -63,6 +65,8 @@ def omega(N: float) -> float:
 
 
 _SERIES_SWITCH = 9.0
+# terms of the ascending series before it counts as stalled
+_SERIES_TERMS = 399
 # step cap of Brent's method
 _MAX_ITER = 100
 # the Miller recurrence starts near order nu in pure Python, so a first zero
@@ -79,17 +83,23 @@ def _leading(nu, x):
 def _bessel_series(nu, x):
     # ascending series over its first term, J_nu(x) / _leading(nu, x); safe
     # for x <= ~9 where the terms never grow enough to cost more than
-    # ~1e-13 absolute in cancellation.  Duck-typed like the Miller kernel:
-    # an array x runs elementwise until every element converges
-    vector = hasattr(x, "all")
+    # ~1e-13 absolute in cancellation.  Duck-typed like the Miller kernel,
+    # with nu broadcast against x: an array x runs elementwise, and a column
+    # of orders against a row of x runs every order in one recurrence,
+    # until every element converges.  Convergence is tested on every fourth
+    # term and on the last: a term that passes is at most 1e-17 of its
+    # total, below half an ulp, and the later terms only shrink, so adding
+    # them leaves that total unchanged
+    vector = hasattr(x, "all") or hasattr(nu, "all")
     term = total = 1.0
-    q = 0.25 * x * x
-    for k in range(1, 400):
-        term = term * (-q / (k * (nu + k)))
+    minus_q = -(0.25 * x * x)
+    for k in range(1, _SERIES_TERMS + 1):
+        term = term * (minus_q / (k * (nu + k)))
         total = total + term
-        done = abs(term) <= 1e-17 * (abs(total) + 1e-300)
-        if k > 3 and (done.all() if vector else done):
-            return total
+        if k % 4 == 0 or k == _SERIES_TERMS:
+            done = abs(term) <= 1e-17 * (abs(total) + 1e-300)
+            if done.all() if vector else done:
+                return total
     raise ConvergenceError(f"bessel series stalled at nu={nu}")
 
 
@@ -136,26 +146,47 @@ def _bessel_miller(nu, x):
     return result * (0.5 * x) ** f / norm
 
 
-def _by_path(nu, x, series, miller):
-    # validates (nu, x) and sends each x to the series (x <= 9) or Miller
-    # path; a float gives a float, an array an array of its shape
+def _order(nu):
     if not (isinstance(nu, (int, float)) and math.isfinite(nu) and nu >= 0):
         raise DomainError(f"bessel_j requires order nu >= 0, got {nu!r}")
-    nu = float(nu)
+    return float(nu)
+
+
+def _by_path(nu, x, series, miller, rows=False):
+    # validates (nu, x) and sends each x to the series (x <= 9) or Miller
+    # path; a float gives a float, an array an array of its shape.  With
+    # ``rows``, nu is a sequence of orders, giving one such result per
+    # order: a tuple for a float x, the rows of one array otherwise, where
+    # the series runs once, on a column of the orders, and Miller once per
+    # order
+    orders = tuple(map(_order, nu)) if rows else (_order(nu),)
     scalar = isinstance(x, (int, float))
-    lo, hi = (x, x) if scalar or not x.size else (x.min(), x.max())
+    lo, hi = ((x, x) if scalar else (x.min(), x.max()) if x.size
+              else (0.0, 0.0))
     if not (lo >= 0 and math.isfinite(hi)):
         raise DomainError(f"bessel_j requires finite x >= 0, got {x!r}")
     if scalar:
         x = float(x)
-        return series(nu, x) if x <= _SERIES_SWITCH else miller(nu, x)
-    x = x.astype(float)     # a copy, which becomes the result
-    small = x <= _SERIES_SWITCH
+        out = tuple(series(n, x) if x <= _SERIES_SWITCH else miller(n, x)
+                    for n in orders)
+        return out if rows else out[0]
+    shape = (len(orders),) + x.shape if rows else x.shape
+    flat = x.astype(float).reshape(-1)
+    small = flat <= _SERIES_SWITCH
+    out = flat[None].repeat(len(orders), axis=0)    # becomes the result
     if small.any():
-        x[small] = series(nu, x[small])
+        if rows:
+            # a column of the orders, of x's own array type
+            nu = out[:, :1].copy()
+            nu[:, 0] = orders
+        else:
+            nu = orders[0]
+        out[:, small] = series(nu, flat[small])
     if not small.all():
-        x[~small] = miller(nu, x[~small])
-    return x
+        large = flat[~small]
+        for row, n in zip(out, orders):
+            row[~small] = miller(n, large)
+    return out.reshape(shape)
 
 
 def bessel_j(nu: float, x):
@@ -169,11 +200,19 @@ def bessel_j(nu: float, x):
                     _bessel_miller)
 
 
-def bessel_j_scaled(nu: float, x):
+def bessel_j_scaled(nu, x):
     """Gamma(nu + 1) (2/x)^nu J_nu(x), float or array as in ``bessel_j``:
-    1 at x = 0, and representable where J_nu(x) and (x/2)^nu underflow."""
+    1 at x = 0, and representable where J_nu(x) and (x/2)^nu underflow.
+
+    ``nu`` may also be a tuple or list of orders, which gives one result
+    per order: a tuple of floats for a float x, an array of shape
+    (len(nu), *x.shape) for an array x.  Each is the same bits as that
+    order's own call; the series (x <= 9) runs all the orders in one
+    recurrence, and the Miller recurrence runs each order alone.
+    """
     return _by_path(nu, x, _bessel_series,
-                    lambda nu, x: _bessel_miller(nu, x) / _leading(nu, x))
+                    lambda nu, x: _bessel_miller(nu, x) / _leading(nu, x),
+                    rows=isinstance(nu, (tuple, list)))
 
 
 def _brent(f, a, b, fa, fb, xtol, rtol):

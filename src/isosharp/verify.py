@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,10 +59,49 @@ class QuotientReport:
 
 @dataclass(frozen=True)
 class EigenResult:
+    """The first Dirichlet eigenvalue that ``fk_eigenvalue`` solved for.
+
+    ``iterations`` counts the solve's traces.  The solve stops at its root
+    mu = lambda_1 R^2 and keeps the shot (s0, grid, N) of ``_trace`` and
+    the radii of its nodes, so ``eigenfunction`` (one trace with slopes)
+    and ``mismatch`` = |phi(R)| (one end-only trace) are built on first
+    access, and never by a caller that reads lambda_1 alone.
+    """
     lambda_1: float
-    eigenfunction: RadialFunction
     iterations: int
-    mismatch: float
+    mu: float
+    radii: np.ndarray = field(repr=False, compare=False)
+    shot: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def mismatch(self) -> float:
+        """|phi(R)| at mu: the same bits as the eigenfunction trace's last
+        node, by ``_trace_end``."""
+        return abs(_trace_end(self.mu, *self.shot))
+
+    @cached_property
+    def eigenfunction(self) -> RadialFunction:
+        """The ``Hermite`` of the trace's node values and slopes at mu,
+        clipped to be nonincreasing and 0 from R on."""
+        trace, dtrace = _trace(self.mu, *self.shot, slopes=True)
+        r = self.radii
+        R = float(r[-1])
+        vals = np.minimum.accumulate(np.clip(trace, 0.0, None))
+        vals[-1] = 0.0
+        grid = np.concatenate([[0.0], r])
+        vals = np.concatenate([[1.0], vals])
+        # thin to ~256 nodes so downstream quadratures stay cheap; node
+        # values and slopes are scheme-accurate, the quotient is variational
+        stride = max(1, grid.size // 256)
+        keep = np.unique(np.concatenate([[0, grid.size - 1],
+                                         np.arange(2, grid.size, stride)]))
+        # in x = r / R: in r the cubic's coefficients scale like R^-3
+        cubic = Hermite(grid[keep] / R, vals[keep],
+                        np.append(0.0, dtrace)[keep])
+        # 0 from R on: the cubic's own value there is a rounding off 0
+        return RadialFunction(
+            grid[keep], lambda r: np.where(r < R, cubic(r / R), 0.0),
+            lambda r: cubic.jet(np.asarray(r) / R)[1] / R)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +312,9 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
     inside that bracket phi(R) changes sign only at mu_1, and Brent's
     method finds it to 1e-12 relative.  Brent's evaluations read phi(R)
     alone, so they call ``_trace_end``.  ``iterations`` counts trace
-    evaluations, Brent's included; the eigenfunction and ``mismatch`` =
-    |phi(R)| come from the trace at the returned eigenvalue.
+    evaluations, Brent's included.  The solve ends there: the result keeps
+    mu and the shot, and builds the eigenfunction and ``mismatch`` =
+    |phi(R)| from the trace at mu only when they are read.
     """
     N = space.effective_dimension
     nu = N / 2.0 - 1.0
@@ -300,10 +341,10 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
                      rho_end, 1.0 / rho_end), N)
     traces = 0
 
-    def nodes(mu, slopes=False):
+    def nodes(mu):
         nonlocal traces
         traces += 1
-        return _trace(mu, *shot, slopes)
+        return _trace(mu, *shot)
 
     def end(mu):
         nonlocal traces
@@ -339,25 +380,8 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
         lo, hi = exc.bracket
         raise ConvergenceError(
             str(exc), bracket=(lo / R / R, hi / R / R)) from None
-    trace, dtrace = nodes(mu, slopes=True)
-
-    vals = np.minimum.accumulate(np.clip(trace, 0.0, None))
-    vals[-1] = 0.0
-    grid = np.concatenate([[0.0], r])
-    vals = np.concatenate([[1.0], vals])
-    # thin to ~256 nodes so downstream quadratures stay cheap; node values
-    # and slopes are scheme-accurate, the quotient is variational
-    stride = max(1, grid.size // 256)
-    keep = np.unique(np.concatenate([[0, grid.size - 1],
-                                     np.arange(2, grid.size, stride)]))
-    # in x = r / R: in r the cubic's coefficients scale like R^-3
-    cubic = Hermite(grid[keep] / R, vals[keep], np.append(0.0, dtrace)[keep])
-    # 0 from R on: the cubic's own value there is a rounding off 0
-    phi = RadialFunction(
-        grid[keep], lambda r: np.where(r < R, cubic(r / R), 0.0),
-        lambda r: cubic.jet(np.asarray(r) / R)[1] / R)
-    return EigenResult(lambda_1=mu / R / R, eigenfunction=phi,
-                       iterations=traces, mismatch=abs(trace[-1]))
+    return EigenResult(lambda_1=mu / R / R, iterations=traces, mu=mu,
+                       radii=r, shot=shot)
 
 
 def fk_check(space: ModelSpace, R: float) -> QuotientReport:
@@ -388,11 +412,10 @@ def _bessel_jet(nu: float, x):
     where x^{-nu} J_nu(x) does not.  U is the test function
     u_R(r) = r^{-nu} J_nu(k r) = c U(k r), k = j_nu / R, at unit height,
     and U' = -x S_{nu+1} / (2 nu + 2), U'' = -U - (2 nu + 1) U' / x are
-    read from one S_nu and one S_{nu+1}.
+    read from S_nu and S_{nu+1}, both from one ``bessel_j_scaled`` call.
     """
     x = np.minimum(x, bessel_first_zero(nu))
-    s0 = bessel_j_scaled(nu, x)
-    s1 = bessel_j_scaled(nu + 1.0, x)
+    s0, s1 = bessel_j_scaled((nu, nu + 1.0), x)
     return (np.maximum(s0, 0.0), -x / (2.0 * nu + 2.0) * s1,
             (2.0 * nu + 1.0) / (2.0 * nu + 2.0) * s1 - s0)
 

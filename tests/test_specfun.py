@@ -140,6 +140,109 @@ def test_bessel_j_scaled_matches_mpmath(nu):
         assert s1 == pytest.approx(w, rel=1e-12, abs=5e-14), x
 
 
+def _per_term_check_series(nu, x):
+    # verbatim, the series kernel as it was before it took a column of
+    # orders: the convergence test on every term from the fourth on
+    vector = hasattr(x, "all")
+    term = total = 1.0
+    q = 0.25 * x * x
+    for k in range(1, 400):
+        term = term * (-q / (k * (nu + k)))
+        total = total + term
+        done = abs(term) <= 1e-17 * (abs(total) + 1e-300)
+        if k > 3 and (done.all() if vector else done):
+            return total
+    raise ConvergenceError(f"bessel series stalled at nu={nu}")
+
+
+def _per_term_check_scaled(nu, x):
+    """One order of bessel_j_scaled through the kernel above (x <= 9) and
+    one Miller recurrence for all of x > 9."""
+    def miller(x):
+        return specfun._bessel_miller(nu, x) / specfun._leading(nu, x)
+
+    if isinstance(x, float):
+        return _per_term_check_series(nu, x) if x <= 9.0 else miller(x)
+    out = x.astype(float)
+    small = out <= 9.0
+    if small.any():
+        out[small] = _per_term_check_series(nu, out[small])
+    if not small.all():
+        out[~small] = miller(out[~small])
+    return out
+
+
+BIT_ORDERS = (0.0, 0.5, 1.5, 5.5, 100.0)
+
+
+def _bit_grids(orders):
+    # 0, each j_nu and the switch at 9, arrays straddling it, empty and
+    # size-1 arrays on either side, and a 2-D array
+    zeros = [bessel_first_zero(nu) for nu in orders]
+    return [np.concatenate([[0.0, 9.0], zeros, np.linspace(0.0, 12.0, 49)]),
+            np.linspace(8.5, 9.5, 11), np.nextafter(9.0, [0.0, 10.0]),
+            np.array([]), np.array([4.0]), np.array([9.25]),
+            np.array([[0.5, 9.0], [9.5, 30.0]])]
+
+
+@pytest.mark.parametrize("orders", [(nu, nu + 1.0) for nu in BIT_ORDERS]
+                         + [BIT_ORDERS], ids=lambda o: "-".join(map(str, o)))
+def test_bessel_j_scaled_rows_are_the_per_order_bits(orders):
+    # the stacked series equals each order's own call, and the kernel that
+    # tested convergence on every term, bit for bit
+    for x in _bit_grids(orders):
+        rows = bessel_j_scaled(orders, x)
+        assert rows.shape == (len(orders),) + x.shape
+        for row, nu in zip(rows, orders):
+            own = bessel_j_scaled(nu, x)
+            assert own.shape == x.shape
+            assert row.tobytes() == own.tobytes(), (nu, x)
+            assert row.tobytes() == _per_term_check_scaled(nu, x).tobytes()
+    for x in (0.0, 2.0, bessel_first_zero(orders[0]), 9.0, 9.5, 30.0):
+        got = bessel_j_scaled(orders, x)
+        assert type(got) is tuple and len(got) == len(orders)
+        for g, nu in zip(got, orders):
+            want = _per_term_check_scaled(nu, x)
+            assert g.hex() == bessel_j_scaled(nu, x).hex() == want.hex()
+
+
+@pytest.mark.parametrize("nu", BIT_ORDERS)
+def test_bessel_j_keeps_the_per_term_check_bits(nu):
+    # the unscaled J, which the first zeros solve on, over the same kernel
+    for x in _bit_grids((nu,)):
+        small = x[x <= 9.0]
+        got = bessel_j(nu, small)
+        want = (specfun._leading(nu, small)
+                * _per_term_check_series(nu, small))
+        assert got.tobytes() == want.tobytes(), (nu, x)
+        for v in small.ravel().tolist():
+            assert bessel_j(nu, v) == specfun._leading(nu, v) \
+                * _per_term_check_series(nu, v)
+
+
+def test_bessel_series_tests_convergence_at_its_last_term(monkeypatch):
+    # with 3 terms no fourth term is reached: x = 0 converges at the last
+    # term, x = 8 has not and raises, for one order and for a stack
+    monkeypatch.setattr(specfun, "_SERIES_TERMS", 3)
+    assert bessel_j_scaled(0.0, 0.0) == 1.0
+    assert bessel_j_scaled((0.0, 1.0), np.zeros(2)).tolist() == [[1.0] * 2] * 2
+    with pytest.raises(ConvergenceError):
+        bessel_j_scaled(0.0, 8.0)
+    with pytest.raises(ConvergenceError):
+        bessel_j_scaled((0.0, 1.0), np.array([0.0, 8.0]))
+
+
+def test_bessel_j_scaled_rows_reject_bad_orders():
+    for orders in ((1.0, -1.0), [0.5, math.nan], (1.0, "2")):
+        with pytest.raises(DomainError):
+            bessel_j_scaled(orders, np.array([1.0]))
+        with pytest.raises(DomainError):
+            bessel_j_scaled(orders, 1.0)
+    with pytest.raises(DomainError):
+        bessel_j_scaled((0.0, 1.0), np.array([1.0, -2.0]))
+    assert bessel_j_scaled((), np.array([1.0, 2.0])).shape == (0, 2)
+
+
 def test_bessel_j_array_keeps_shape():
     xs = np.array([[0.0, 2.0], [11.0, 40.0]])
     got = bessel_j(2.5, xs)

@@ -9,7 +9,8 @@ import isosharp.specfun as specfun
 import isosharp.verify as verify
 from isosharp.constants import SobolevParams, aubin_talenti, gn_constant
 from isosharp.errors import ConvergenceError, DomainError
-from isosharp.rearrange import grad_lp_norm, lq_norm
+from isosharp.quadrature import Hermite
+from isosharp.rearrange import RadialFunction, grad_lp_norm, lq_norm
 from isosharp.spaces import (
     AleQuotient,
     Euclidean,
@@ -43,6 +44,13 @@ I_NU1 = 0.0811075654133428227
 
 def warped(n=3, a=0.5, beta=1.0):
     return WarpedProduct(n, ExponentialTail(a, beta))
+
+
+# the spaces of the eigenvalue work-count tests, one of each kind
+SCAN_SPACES = (Euclidean(3), EuclideanCone(2, 2.0 * math.pi),
+               MonomialHalfSpace(2, 1.0), warped(2, 0.5, 1.0),
+               warped(3, 0.5, 1.0))
+SCAN_IDS = ["euclidean_3", "cone", "monomial", "warped_2", "warped_3"]
 
 
 def generic_step_matrices(mu, h, rho_mid, rho_end):
@@ -276,12 +284,9 @@ class TestEigenvalue:
                 assert res.lambda_1 < j2 / R ** 2
 
     def test_trace_count(self):
-        # the bracket and Brent's method need about 11 traces; a bisection
+        # the bracket and Brent's method need about 10 traces; a bisection
         # of the Sturm test alone to 1e-12 took 43
-        spaces = (Euclidean(3), EuclideanCone(2, 2.0 * math.pi),
-                  MonomialHalfSpace(2, 1.0), warped(2, 0.5, 1.0),
-                  warped(3, 0.5, 1.0))
-        for sp in spaces:
+        for sp in SCAN_SPACES:
             for R in (1.0, 5.0):
                 assert fk_eigenvalue(sp, R).iterations <= 20
 
@@ -308,31 +313,74 @@ class TestEigenvalue:
                 end = verify._trace_end(mu, s0, grid, N)
                 assert end == verify._trace(mu, s0, grid, N)[-1], (R, mu)
 
-    def test_two_full_scans_per_eigenvalue(self, monkeypatch):
+    def test_one_full_scan_per_eigenvalue(self, monkeypatch):
         # below N = 12 the bracket [0, 2 j^2] holds lambda_1 alone: one
-        # full scan counts its sign changes and one builds the
-        # eigenfunction, and Brent's steps take the end-only product
-        calls = {"_trace": 0, "_trace_end": 0}
+        # full scan counts its sign changes, and Brent's steps take the
+        # end-only product.  The eigenfunction costs one slope trace on
+        # its first access and none after; so does mismatch, by the
+        # end-only product, and neither counts in iterations
+        calls = {"_trace": 0, "_trace_end": 0, "slopes": 0}
 
         def counted(name):
             fn = getattr(verify, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                calls["slopes"] += bool(kwargs.get("slopes"))
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in calls:
+        for name in ("_trace", "_trace_end"):
             monkeypatch.setattr(verify, name, counted(name))
-        spaces = (Euclidean(3), EuclideanCone(2, 2.0 * math.pi),
-                  MonomialHalfSpace(2, 1.0), warped(2, 0.5, 1.0),
-                  warped(3, 0.5, 1.0))
-        for sp in spaces:
+        for sp in SCAN_SPACES:
             for R in (1.0, 5.0):
-                calls.update(_trace=0, _trace_end=0)
+                calls.update(_trace=0, _trace_end=0, slopes=0)
                 res = fk_eigenvalue(sp, R)
-                assert calls["_trace"] <= 2
-                assert res.iterations == calls["_trace"] + calls["_trace_end"]
+                assert calls == {"_trace": 1, "_trace_end": res.iterations - 1,
+                                 "slopes": 0}
+                solve = dict(calls)
+                for _ in range(2):
+                    res.eigenfunction
+                    assert calls == {**solve, "_trace": 2, "slopes": 1}
+                for _ in range(2):
+                    res.mismatch
+                    assert calls == {**solve, "_trace": 2, "slopes": 1,
+                                     "_trace_end": res.iterations}
+                assert res.iterations == solve["_trace"] + solve["_trace_end"]
+
+    @pytest.mark.parametrize("space", SCAN_SPACES, ids=SCAN_IDS)
+    def test_lazy_eigenfunction_is_the_direct_build(self, space):
+        # the eigenfunction and mismatch built on first access against the
+        # build fk_eigenvalue made at the end of its solve before they
+        # were lazy: the Hermite of one slope trace at the root mu
+        for R in (1.0, 5.0):
+            res = fk_eigenvalue(space, R)
+            s0, grid, N = shooting_arguments(space, R)
+            r = res.radii
+            assert r[-1] == R and np.array_equal(np.diff(r) / R, grid[0])
+            trace, dtrace = verify._trace(res.mu, s0, grid, N, slopes=True)
+            vals = np.minimum.accumulate(np.clip(trace, 0.0, None))
+            vals[-1] = 0.0
+            nodes = np.concatenate([[0.0], r])
+            vals = np.concatenate([[1.0], vals])
+            stride = max(1, nodes.size // 256)
+            keep = np.unique(np.concatenate([[0, nodes.size - 1],
+                                             np.arange(2, nodes.size,
+                                                       stride)]))
+            cubic = Hermite(nodes[keep] / R, vals[keep],
+                            np.append(0.0, dtrace)[keep])
+            ref = RadialFunction(
+                nodes[keep], lambda r: np.where(r < R, cubic(r / R), 0.0),
+                lambda r: cubic.jet(np.asarray(r) / R)[1] / R)
+            phi = res.eigenfunction
+            x = ref.r_grid
+            for got, want in ((phi.r_grid, x), (phi.values, ref.values),
+                              (phi.slopes, ref.slopes),
+                              (phi.value(x), ref.value(x)),
+                              (phi.deriv(x), ref.deriv(x))):
+                assert got.tobytes() == want.tobytes(), (space, R)
+            assert res.mismatch == abs(trace[-1])
+            assert res.lambda_1 == res.mu / R / R
 
     def test_brent_matches_scipy_brentq(self, monkeypatch):
         # the port takes the bracket-end values the Sturm loop already has;
@@ -517,9 +565,9 @@ class TestSweep:
         assert not table.passed
 
     def test_one_bessel_pair_and_volume_pass_per_radius(self, monkeypatch):
-        # per radius: S_nu and S_{nu+1} on the Gauss nodes and at R
-        # (4 calls), and V on the nodes besides the two guarded vol(B_R)
-        # (3 calls)
+        # per radius: S_nu and S_{nu+1} together on the Gauss nodes and
+        # at R (2 calls), and V on the nodes besides the two guarded
+        # vol(B_R) (3 calls)
         space = warped(3, 0.45, 1.0)
         calls = {"bessel": 0, "volume": 0}
 
@@ -535,7 +583,7 @@ class TestSweep:
                             counted("volume", type(space).volume))
         radii = [2.0, 20.0, 200.0]
         fk_sharpness_sweep(space, radii)
-        assert calls["bessel"] <= 4 * len(radii)
+        assert calls["bessel"] <= 2 * len(radii)
         assert calls["volume"] <= 3 * len(radii)
 
     def test_rejects_empty_or_negative_radii(self):
