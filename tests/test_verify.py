@@ -339,20 +339,20 @@ class TestEigenvalue:
                 assert calls == {"_trace": 1, "_trace_end": res.iterations - 1,
                                  "slopes": 0}
                 solve = dict(calls)
-                for _ in range(2):
-                    res.eigenfunction
-                    assert calls == {**solve, "_trace": 2, "slopes": 1}
-                for _ in range(2):
-                    res.mismatch
-                    assert calls == {**solve, "_trace": 2, "slopes": 1,
-                                     "_trace_end": res.iterations}
+                phi = res.eigenfunction
+                assert res.eigenfunction is phi
+                assert calls == {**solve, "_trace": 2, "slopes": 1}
+                mismatch = res.mismatch
+                assert res.mismatch is mismatch
+                assert calls == {**solve, "_trace": 2, "slopes": 1,
+                                 "_trace_end": res.iterations}
                 assert res.iterations == solve["_trace"] + solve["_trace_end"]
 
     @pytest.mark.parametrize("space", SCAN_SPACES, ids=SCAN_IDS)
     def test_lazy_eigenfunction_is_the_direct_build(self, space):
         # the eigenfunction and mismatch built on first access against the
-        # build fk_eigenvalue made at the end of its solve before they
-        # were lazy: the Hermite of one slope trace at the root mu
+        # Hermite of a direct slope trace at the solve's root mu, built
+        # here step by step
         for R in (1.0, 5.0):
             res = fk_eigenvalue(space, R)
             s0, grid, N = shooting_arguments(space, R)
