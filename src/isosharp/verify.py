@@ -81,8 +81,8 @@ class EigenResult:
 
     @cached_property
     def eigenfunction(self) -> RadialFunction:
-        """The ``Hermite`` of the trace's node values and slopes at mu,
-        clipped to be nonincreasing and 0 from R on."""
+        """The ``Hermite`` of the trace's node values and slopes at mu, the
+        values clipped at 0 and made nonincreasing; 0 from R on."""
         trace, dtrace = _trace(self.mu, *self.shot, slopes=True)
         r = self.radii
         R = float(r[-1])
@@ -341,18 +341,15 @@ def fk_eigenvalue(space: ModelSpace, R: float) -> EigenResult:
                      rho_end, 1.0 / rho_end), N)
     traces = 0
 
-    def nodes(mu):
-        nonlocal traces
-        traces += 1
-        return _trace(mu, *shot)
-
     def end(mu):
         nonlocal traces
         traces += 1
         return _trace_end(mu, *shot)
 
     def end_and_changes(mu):
-        trace = nodes(mu)
+        nonlocal traces
+        traces += 1
+        trace = _trace(mu, *shot)
         positive = trace > 0.0
         return trace[-1], np.count_nonzero(positive[1:] != positive[:-1])
 
