@@ -86,3 +86,5 @@ expect 0 constants --n 3.5 --avr 0.5 --format json
 expect 0 sandbox z-inclusion --seeds 3 --format json
 expect 0 space --variant warped --n 100 --sweep 0.05:5:log:30
 expect 0 verify fk-sweep --variant euclidean --n 13
+expect 0 space --variant warped --n 30 --sweep 1e-3:60:log:25
+expect 0 verify fk-sweep --variant warped --n 12

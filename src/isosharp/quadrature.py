@@ -1,11 +1,15 @@
 """The package's one quadrature rule, composite 12-point Gauss-Legendre,
-and its one interpolant, the piecewise-cubic Hermite kernel.
+with its running integral, and its one interpolant, the piecewise-cubic
+Hermite kernel.
 
 Every integrand in the package is smooth between breakpoints known in
 advance (a radial profile between its grid nodes, a space's density between
 its own breaks), so each integral is ``gauss_on_segments`` on those breaks,
 graded dyadically (``dyadic_breaks``) toward any algebraic endpoint
 behaviour: one vectorized evaluation whose cost is known before it runs.
+``GaussAntiderivative`` integrates each panel's interpolant at the rule's
+nodes in closed form, so a running integral, the warped ball volume, is
+tabulated once and then read at any point without calling f again.
 The kernel, given its slopes, is u*'s inverse volume radius and the
 Faber-Krahn eigenfunction.
 """
@@ -18,21 +22,21 @@ import numpy as np
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
 
-
-def gauss_panels(f, a, b):
-    """12-point Gauss-Legendre integrals of ``f`` over the panels [a, b].
-
-    ``a`` and ``b`` are arrays of one shape; the result has that shape.
-    ``f`` must accept a 1-D numpy array, and is called once for all panels.
-    It may return several integrands stacked on leading axes; the result
-    then carries those axes in front.
-    """
-    a = np.asarray(a, dtype=float)
-    h = np.asarray(b, dtype=float) - a
-    x = a[..., None] + h[..., None] * _GL_NODES
-    vals = np.asarray(f(x.ravel()), dtype=float)
-    vals = vals.reshape(vals.shape[:-1] + x.shape)
-    return (vals @ _GL_WEIGHTS) * h
+# node values -> the coefficients of the antiderivative, 0 at t = -1 and
+# over dt, of the degree-11 interpolant at the nodes, in t in [-1, 1]: the
+# interpolant's Legendre coefficients are (2j + 1) sum_i W_i P_j(t_i) f_i,
+# exactly (P_j times it has degree <= 22 < 24), and legint integrates them
+# term by term.  The basis is p_j = s_j P_j, s_{j+1} = s_{j-1} (j + 1) / j
+# from s_0 = s_1 = 1, so that p_{j+1} = _ALPHA[j] t p_j - p_{j-1}.
+_LEG = np.polynomial.legendre
+_ANTI = (_LEG.legvander(2.0 * _GL_NODES - 1.0, 11) * _GL_WEIGHTS[:, None]
+         * (2.0 * np.arange(12) + 1.0)) @ _LEG.legint(np.eye(12), lbnd=-1.0).T
+_SCALE = [1.0, 1.0]
+for _j in range(1, 12):
+    _SCALE.append(_SCALE[_j - 1] * (_j + 1) / _j)
+_ANTI /= _SCALE
+_ALPHA = np.array([1.0] + [(2 * j + 1) / (j + 1) * _SCALE[j + 1] / _SCALE[j]
+                           for j in range(1, 12)])
 
 
 def gauss_on_segments(f, breaks):
@@ -40,13 +44,51 @@ def gauss_on_segments(f, breaks):
 
     Meant for integrands that are smooth on each segment between
     ``breaks``: the fixed rule then converges at spectral order, and the
-    total cost is a single vectorized evaluation.  A float for one
-    integrand, an array for integrands stacked on leading axes; fewer than
-    two breaks give zeros of that shape.
+    total cost is a single vectorized evaluation.  ``f`` must accept a 1-D
+    numpy array and is called once, on every node; it may return several
+    integrands stacked on leading axes.  A float for one integrand, an
+    array for a stack; fewer than two breaks give zeros of that shape.
     """
     breaks = np.asarray(breaks, dtype=float)
-    total = gauss_panels(f, breaks[:-1], breaks[1:]).sum(-1)
+    h = np.diff(breaks)
+    x = breaks[:-1, None] + h[:, None] * _GL_NODES
+    vals = np.asarray(f(x.ravel()), dtype=float)
+    vals = vals.reshape(vals.shape[:-1] + x.shape)
+    total = ((vals @ _GL_WEIGHTS) * h).sum(-1)
     return float(total) if total.ndim == 0 else total
+
+
+class GaussAntiderivative:
+    """Running integral from x_0, plus ``start``, of the piecewise
+    polynomial that interpolates f at the 12 Gauss-Legendre nodes of each
+    panel [x_k, x_{k+1}]; queries clamp to [x_0, x_n].
+
+    f is called once, on every node, at construction.  At each break the
+    integral is ``start`` plus the composite rule's sums of the panels
+    before; inside a panel it adds that panel's antiderivative, 13
+    coefficients of scaled Legendre polynomials in t = 2 (q - x_k) /
+    (x_{k+1} - x_k) - 1, summed by Clenshaw's three-term recurrence.  The
+    last break's value is the composite rule's integral over [x_0, x_n].
+    """
+
+    def __init__(self, f, x, start=0.0):
+        self.x = x
+        h = np.diff(x)
+        vals = np.asarray(f((x[:-1, None] + h[:, None] * _GL_NODES).ravel()),
+                          dtype=float).reshape(h.size, 12)
+        self._half = h / 2.0
+        self._c = (vals @ _ANTI).T * self._half
+        self._cum = np.cumsum(np.append(start, (vals @ _GL_WEIGHTS) * h))
+
+    def __call__(self, q):
+        q = np.minimum(np.maximum(q, self.x[0]), self.x[-1])
+        k = np.searchsorted(self.x[1:-1], q, side="right")
+        t = (q - self.x[k]) / self._half[k] - 1.0
+        c, at = np.take(self._c, k, axis=1), np.multiply.outer(_ALPHA, t)
+        b2, b1 = c[12], c[11] + at[11] * c[12]
+        for j in range(10, -1, -1):
+            b2, b1 = b1, c[j] + at[j] * b1 - b2
+        return self._cum[k] + b1
 
 
 def dyadic_breaks(breaks, targets):

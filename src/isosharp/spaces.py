@@ -41,7 +41,7 @@ import numpy as np
 
 from .constants import isoperimetric_constant
 from .errors import DomainError, UnsupportedOperationError
-from .quadrature import dyadic_breaks, gauss_panels
+from .quadrature import GaussAntiderivative, dyadic_breaks
 from .specfun import beta, omega
 
 _SLACK = 1.0 + 1e-12
@@ -227,8 +227,12 @@ class WarpedProduct(ModelSpace):
         return float(self.profile.asymptote) ** (self.n - 1)
 
     @cached_property
+    def _ball_coef(self) -> float:
+        return omega(float(self.n))
+
+    @cached_property
     def _sphere_coef(self) -> float:
-        return self.n * omega(float(self.n))
+        return self.n * self._ball_coef
 
     def content(self, r):
         F = np.asarray(self.profile.F(r), dtype=float)
@@ -241,36 +245,47 @@ class WarpedProduct(ModelSpace):
 
     @cached_property
     def _volume_table(self):
-        """(breaks, cumulative volume at each break) up to the last profile
-        break.
+        """The running integral of the content from the first dyadic break
+        to the last profile break, as a ``GaussAntiderivative``.
 
         The profile's breaks are joined by a dyadic grid down to 2^-100 of
-        the last, so no segment past the first spans more than a factor 2
-        in radius, and each segment is split into ceil(n/12) equal panels:
-        on such a panel, or any part of one, the 12-point rule holds
-        F^{n-1} to ~1e-14 relative (measured up to n = 250).  Where
-        n omega_n is not a normal double (n >= 439) every volume fails
-        vol_ball's guard, and the segments stay whole.
+        the last.  On the first segment, [0, 60 2^-100 / beta], F(r) = r in
+        double precision, so V = omega_n r^n there and the table starts at
+        its end with that volume.  Every later segment [a, b] is cut into
+        ceil(n ln(F(b) / F(a))) equal panels, so F^n grows about e-fold
+        across a panel, on which the degree-11 interpolant holds F^{n-1}
+        to ~1e-14 relative (measured up to n = 300).  Where n omega_n is
+        not a normal double (n >= 439), every volume fails vol_ball's
+        guard and the segments stay whole, as does a segment where F is
+        not a normal double.
         """
-        grid = dyadic_breaks(self.profile.breaks, [0.0])
-        m = -(-self.n // 12) if self._sphere_coef >= sys.float_info.min else 1
-        panel = np.arange(m) / m
-        breaks = np.append(
-            (grid[:-1, None] + np.diff(grid)[:, None] * panel).ravel(), grid[-1])
-        with np.errstate(over="ignore"):
+        grid = dyadic_breaks(self.profile.breaks, [0.0])[1:]
+        F = self.profile.F(grid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.where((F[:-1] >= sys.float_info.min)
+                         & (self._sphere_coef >= sys.float_info.min),
+                         np.ceil(self.n * np.log(F[1:] / F[:-1])), 1.0)
+        m = np.maximum(m, 1.0).astype(int)
+        seg = np.repeat(np.arange(m.size), m)
+        j = np.arange(seg.size) - (np.cumsum(m) - m)[seg]
+        breaks = np.append(grid[seg] + np.diff(grid)[seg] * (j / m[seg]),
+                           grid[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
             # an overflow leaves inf in the table, which the guards reject
-            seg = gauss_panels(self.content, breaks[:-1], breaks[1:])
-        return breaks, np.concatenate([[0.0], np.cumsum(seg)])
+            return GaussAntiderivative(self.content, breaks,
+                                       start=self._ball_coef * grid[0] ** self.n)
 
     def volume(self, r):
         r = np.asarray(r, dtype=float)
-        breaks, cum = self._volume_table
-        end = breaks[-1]
-        inside = np.minimum(r, end)
-        idx = np.clip(np.searchsorted(breaks, inside, side="right") - 1,
-                      0, breaks.size - 2)
-        vol = cum[idx] + gauss_panels(self.content, breaks[idx], inside)
-        if not np.any(r > end):
+        table = self._volume_table
+        start, end = table.x[0], table.x[-1]
+        vol = table(r)
+        head = r < start
+        if head.any():
+            # F(r) = r on the first dyadic segment: V = omega_n r^n
+            vol = np.where(
+                head, self._ball_coef * np.minimum(r, start) ** self.n, vol)
+        if not (r > end).any():
             return vol
         # past the last break F = F_e + a s, s = r - end, is affine, and
         # n omega_n int F^{n-1} = omega_n (F^n - F_e^n) / a exactly; F^n

@@ -182,13 +182,85 @@ class TestVolume:
 
     @pytest.mark.parametrize("n", [50, 100, 250])
     def test_warped_large_n_matches_mpmath(self, n):
-        # ceil(n/12) Gauss panels per segment of the volume table; one
-        # panel was 5e-13 (n = 50) to 4e-6 (n = 250) off on these radii
+        # ceil(n ln(F(b)/F(a))) panels per segment of the volume table, F^n
+        # growing about e-fold across each; one Gauss panel per segment was
+        # 5e-13 (n = 50) to 4e-6 (n = 250) off on these radii
         space = warped(n=n, a=0.5, beta=1.0)
         radii = np.geomspace(0.3, 30.0, 10)
         for r, v in zip(radii, vol_ball(space, radii)):
             assert v == pytest.approx(warped_volume_oracle(n, 0.5, 1.0, r),
                                       rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_warped_table_regimes_match_mpmath(self, n):
+        # table breaks (dyadic and profile ones), panel midpoints, and radii
+        # past the last break, where the closed-form tail takes over
+        space = warped(n=n, a=0.5, beta=1.0)
+        x = space._volume_table.x
+        k = np.searchsorted(x, [1e-3, 0.3, 2.0, 17.0, 59.0])
+        radii = np.concatenate([x[k], (x[k] + x[k + 1]) / 2.0, [75.0, 400.0]])
+        for r, v in zip(radii, vol_ball(space, radii)):
+            assert v == pytest.approx(warped_volume_oracle(n, 0.5, 1.0, r),
+                                      rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n, r", [(2, 0.5), (3, 3.0), (12, 20.0),
+                                      (300, 2.0)])
+    def test_warped_first_segment_matches_mpmath(self, n, r):
+        # beta = 1e-30 stretches the first dyadic segment, where F(r) = r
+        # and V = omega_n r^n, out to 60 2^-100 / beta ~ 47; the oracle is
+        # scaled to the package's omega_n, which is 1.3e-13 off at n = 300
+        space = warped(n=n, a=0.5, beta=1e-30)
+        assert r < space._volume_table.x[0]
+        assert vol_ball(space, r) == pytest.approx(
+            warped_volume_oracle(n, 0.5, 1e-30, r) * omega(float(n))
+            / float(mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1)),
+            rel=1e-13, abs=0.0)
+
+    def test_warped_n300_table_matches_mpmath(self):
+        # radii below the content's overflow (F^299 overflows past F ~ 10.7).
+        # omega(300) = exp(log omega_300) is itself 1.3e-13 off, so the
+        # table is pinned against the oracle with that factor divided out
+        space = warped(n=300, a=0.5, beta=1.0)
+        radii = np.geomspace(1.0, 20.0, 6)
+        with mp.workdps(30):
+            omega_300 = float(mp.pi ** 150 / mp.factorial(150))
+        for r, v in zip(radii, vol_ball(space, radii) / omega(300.0)):
+            assert v == pytest.approx(
+                warped_volume_oracle(300, 0.5, 1.0, r) / omega_300,
+                rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_warped_volume_increases_across_panel_ends(self, n):
+        # u*'s knots need ascending volume radii: V is strictly increasing
+        # on 1e-13-relative steps across every panel end where it is a
+        # normal double, and on a dense grid over the whole table
+        space = warped(n=n, a=0.5, beta=1.0)
+        ends = space._volume_table.x
+        ends = ends[space.volume(ends) > 1e-300]
+        steps = 1.0 + 1e-13 * np.arange(-3, 4)
+        for radii in [(ends[:, None] * steps).ravel(),
+                      np.geomspace(ends[0], 70.0, 20001)]:
+            assert np.all(np.diff(space.volume(radii)) > 0.0)
+
+    def test_one_content_call_per_table(self, monkeypatch):
+        # the table build evaluates the content once, on every node; volume
+        # on an array then calls it no more (it made 12 calls' worth of
+        # nodes per radius before)
+        count = [0]
+        content = WarpedProduct.content
+
+        def counted(self, r):
+            count[0] += 1
+            return content(self, r)
+
+        monkeypatch.setattr(WarpedProduct, "content", counted)
+        space = warped(n=3, a=0.5, beta=1.0)
+        radii = np.geomspace(1e-3, 2000.0, 4212)
+        space.volume(radii)
+        assert count[0] == 1
+        space.volume(radii)
+        vol_ball(space, radii)
+        assert count[0] == 1
 
     def test_warped_far_radius_matches_mpmath(self):
         # past the profile's curvature scale, where the volume grows like r^n
