@@ -16,7 +16,8 @@ ball volume ``volume(r)`` = vol(B_r) and its derivative, the sphere measure
 ratio AVR = lim vol(B_r)/(omega_N r^N) with N the effective dimension.  The
 power-law spaces (Euclidean, cone, monomial) have vol(B_r) = c r^N exactly,
 with c in closed form (a beta function for the monomial weight); the warped
-product integrates its sphere measure once into a cumulative Gauss table.
+product integrates its sphere measure once into a table of panel
+antiderivatives (``quadrature.GaussAntiderivative``).
 The ALE variant carries only its AVR = 1/k: computing its ball volumes
 would need metric data this package does not model, so radial operations
 reject it.  ``VARIANTS`` declares each variant's descriptor fields, their
