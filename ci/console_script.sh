@@ -88,3 +88,5 @@ expect 0 space --variant warped --n 100 --sweep 0.05:5:log:30
 expect 0 verify fk-sweep --variant euclidean --n 13
 expect 0 space --variant warped --n 30 --sweep 1e-3:60:log:25
 expect 0 verify fk-sweep --variant warped --n 12
+expect 2 verify fk-sweep --variant euclidean --n 115
+expect 0 verify fk-sweep --variant warped --n 13 --R 2 --R 20 --R 200 --R 2000

@@ -39,6 +39,24 @@ _ALPHA = np.array([1.0] + [(2 * j + 1) / (j + 1) * _SCALE[j + 1] / _SCALE[j]
                            for j in range(1, 12)])
 
 
+def gauss_nodes(breaks):
+    """(x, h): the 12 nodes of each segment between ``breaks``, segment
+    by segment in a 1-D array, and the segment widths."""
+    breaks = np.asarray(breaks, dtype=float)
+    h = np.diff(breaks)
+    return (breaks[:-1, None] + h[:, None] * _GL_NODES).ravel(), h
+
+
+def gauss_sum(vals, h):
+    """The composite rule's sum of ``vals``, the values at the nodes of
+    ``gauss_nodes`` on the last axis, segment widths ``h``: a float for
+    one integrand, an array for several stacked on leading axes."""
+    vals = np.asarray(vals, dtype=float)
+    vals = vals.reshape(vals.shape[:-1] + (h.size, 12))
+    total = ((vals @ _GL_WEIGHTS) * h).sum(-1)
+    return float(total) if total.ndim == 0 else total
+
+
 def gauss_on_segments(f, breaks):
     """Composite 12-point Gauss-Legendre over consecutive segments.
 
@@ -49,13 +67,8 @@ def gauss_on_segments(f, breaks):
     integrands stacked on leading axes.  A float for one integrand, an
     array for a stack; fewer than two breaks give zeros of that shape.
     """
-    breaks = np.asarray(breaks, dtype=float)
-    h = np.diff(breaks)
-    x = breaks[:-1, None] + h[:, None] * _GL_NODES
-    vals = np.asarray(f(x.ravel()), dtype=float)
-    vals = vals.reshape(vals.shape[:-1] + x.shape)
-    total = ((vals @ _GL_WEIGHTS) * h).sum(-1)
-    return float(total) if total.ndim == 0 else total
+    x, h = gauss_nodes(breaks)
+    return gauss_sum(f(x), h)
 
 
 class GaussAntiderivative:
@@ -73,21 +86,22 @@ class GaussAntiderivative:
 
     def __init__(self, f, x, start=0.0):
         self.x = x
-        h = np.diff(x)
-        vals = np.asarray(f((x[:-1, None] + h[:, None] * _GL_NODES).ravel()),
-                          dtype=float).reshape(h.size, 12)
+        nodes, h = gauss_nodes(x)
+        vals = np.asarray(f(nodes), dtype=float).reshape(h.size, 12)
         self._half = h / 2.0
-        self._c = (vals @ _ANTI).T * self._half
+        # one row per coefficient, read a row at a time by __call__
+        self._c = np.ascontiguousarray((vals @ _ANTI).T * self._half)
         self._cum = np.cumsum(np.append(start, (vals @ _GL_WEIGHTS) * h))
 
     def __call__(self, q):
         q = np.minimum(np.maximum(q, self.x[0]), self.x[-1])
         k = np.searchsorted(self.x[1:-1], q, side="right")
         t = (q - self.x[k]) / self._half[k] - 1.0
-        c, at = np.take(self._c, k, axis=1), np.multiply.outer(_ALPHA, t)
-        b2, b1 = c[12], c[11] + at[11] * c[12]
+        c = self._c
+        b2 = c[12][k]
+        b1 = c[11][k] + (_ALPHA[11] * t) * b2
         for j in range(10, -1, -1):
-            b2, b1 = b1, c[j] + at[j] * b1 - b2
+            b2, b1 = b1, c[j][k] + (_ALPHA[j] * t) * b1 - b2
         return self._cum[k] + b1
 
 

@@ -94,10 +94,15 @@ def _bessel_series(nu, x):
     term = total = 1.0
     minus_q = -(0.25 * x * x)
     for k in range(1, _SERIES_TERMS + 1):
-        term = term * (minus_q / (k * (nu + k)))
-        total = total + term
+        # in place once they are arrays: the same arithmetic with fewer
+        # temporaries, which set the peak memory of a long x
+        term *= minus_q / (k * (nu + k))
+        total += term
         if k % 4 == 0 or k == _SERIES_TERMS:
-            done = abs(term) <= 1e-17 * (abs(total) + 1e-300)
+            bound = abs(total)
+            bound += 1e-300
+            bound *= 1e-17
+            done = abs(term) <= bound
             if done.all() if vector else done:
                 return total
     raise ConvergenceError(f"bessel series stalled at nu={nu}")
@@ -171,7 +176,7 @@ def _by_path(nu, x, series, miller, rows=False):
                     for n in orders)
         return out if rows else out[0]
     shape = (len(orders),) + x.shape if rows else x.shape
-    flat = x.astype(float).reshape(-1)
+    flat = x.astype(float, copy=False).reshape(-1)
     small = flat <= _SERIES_SWITCH
     out = flat[None].repeat(len(orders), axis=0)    # becomes the result
     if small.any():

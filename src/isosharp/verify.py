@@ -29,7 +29,7 @@ from .constants import (
     gn_theta,
     sobolev_constant,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, InvariantViolation
 from .quadrature import Hermite
 from .rearrange import (
     RadialFunction,
@@ -444,6 +444,12 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
     1/R from the two largest radii (the last row alone for one radius) and
     checked within 1%, the raw errors at the largest R reported beside
     them.  ``passed`` needs both limits and every margin >= -1e-6 Lambda.
+
+    All the radii, ascending, go to one ``layer_cake_radial_integral``
+    call, which evaluates them in groups and returns vol(B_R) beside the
+    integrals; each row has the bits of a sweep over its radius alone.
+    Where that call raises, the radii are taken again one at a time, so
+    the smallest failing radius raises its own error, as in a loop.
     """
     R_sorted = sorted(float(R) for R in R_list)
     if not R_sorted or R_sorted[0] <= 0.0:
@@ -452,19 +458,15 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
     nu = N / 2.0 - 1.0
     lambda_g = fk_constant(N, space.avr())     # checks n before j_nu
     jnu = bessel_first_zero(nu)
-    rows, masses = [], []
-    for R in R_sorted:
-        # the volume guard rejects radii outside double precision
-        vol = vol_ball(space, R)
+
+    def integrands(r, R):
+        # (U'(kr)^2, U(kr)^2) and their slopes in r, k = j_nu / R per node
+        u, du, d2u = _bessel_jet(nu, jnu / R * r)
+        return (np.stack([du ** 2, u ** 2]),
+                jnu / R * np.stack([2.0 * du * d2u, 2.0 * u * du]))
+
+    def row(R, num, den, vol):
         k = jnu / R
-
-        def integrands(r):
-            # (U'(kr)^2, U(kr)^2) and their slopes in r
-            u, du, d2u = _bessel_jet(nu, k * r)
-            return (np.stack([du ** 2, u ** 2]),
-                    k * np.stack([2.0 * du * d2u, 2.0 * u * du]))
-
-        num, den = layer_cake_radial_integral(space, integrands, R).tolist()
         # u_R = c U(kr) with c = (k/2)^nu / Gamma(nu + 1): c^2 cancels from
         # Q and scales only the displayed integrals.  It stays below 1e307
         # wherever vol(B_R) <= omega_N R^N passes its guard
@@ -476,10 +478,23 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
             raise DomainError(f"radius {R!r} puts the test function's "
                               "integrals outside double precision")
         q = num / den * (k * vol ** (1.0 / N)) ** 2
-        rows.append(QuotientReport(
+        return QuotientReport(
             lhs=grad, rhs_constant=lambda_g, quotient=q, margin=q - lambda_g,
-            params={"R": R, "direction": "lower"}))
-        masses.append(mass)
+            params={"R": R, "direction": "lower"}), mass
+
+    try:
+        (nums, dens), vols = layer_cake_radial_integral(
+            space, integrands, np.array(R_sorted), volumes=True)
+    except (DomainError, InvariantViolation, ConvergenceError):
+        # the radii again one at a time, so that the first radius to fail
+        # raises its own error: its volume guard, its integrals, then row's
+        for R in R_sorted:
+            (num, den), vol = layer_cake_radial_integral(
+                space, integrands, R, volumes=True)
+            row(R, num, den, vol)
+        raise
+    rows, masses = zip(*map(row, R_sorted, nums.tolist(), dens.tolist(),
+                            vols.tolist()))
     # int_0^1 t J_{nu+k}(j_nu t)^2 dt for k = 0 and 1: both are
     # J_{nu+1}(j_nu)^2 / 2, by orthogonality and because u_R is the exact
     # unit-ball eigenfunction

@@ -238,7 +238,7 @@ def test_criterion_10_round_trips():
     try:
         for sp, fn, dfn, R in cases:
             layer_cake_radial_integral(
-                sp, lambda r, fn=fn, dfn=dfn: (fn(r), dfn(r)), R)
+                sp, lambda r, _, fn=fn, dfn=dfn: (fn(r), dfn(r)), R)
     except InvariantViolation:
         ok = False
     _report(10, "constant and norm round trips close to stated tolerances",

@@ -962,6 +962,16 @@ def test_failed_limits_are_named_on_stderr(capsys):
                for ln in lines)
 
 
+def test_first_radius_outside_double_precision_is_named(capsys):
+    # 500, the last default radius, is the first whose ball volume
+    # overflows at n = 115; the smaller radii all pass their guards
+    code, out, err = run_cli(capsys, "verify", "fk-sweep", "--variant",
+                             "euclidean", "--n", "115")
+    assert (code, out) == (2, "")
+    assert err == ("error: ball volume at r=500.0 lies outside double "
+                   "precision\n")
+
+
 # every float flag, each variant field included, takes finite, zero,
 # negative, subnormal, huge and non-finite values; integer flags small
 # signed ones

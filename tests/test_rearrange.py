@@ -496,7 +496,7 @@ tent = dict(curated_profiles())["tent_1"]
 lq_norm(space, tent, 2.0)
 grad_lp_norm(space, tent, 2.0)
 layer_cake_radial_integral(
-    space, lambda r: (np.ones_like(r), np.zeros_like(r)), 4.0)
+    space, lambda r, _: (np.ones_like(r), np.zeros_like(r)), 4.0)
 fk_sharpness_sweep(space, [2.0, 20.0])
 assert MonomialHalfSpace(3, 0.5).unit_ball_volume > 0.0
 fk_eigenvalue(space, 1.0)
@@ -788,19 +788,19 @@ class TestLayerCake:
     def test_constant_function(self):
         space = warped(n=3, a=0.5, beta=2.0)
         val = layer_cake_radial_integral(
-            space, lambda r: (np.ones_like(r), np.zeros_like(r)), 4.0)
+            space, lambda r, _: (np.ones_like(r), np.zeros_like(r)), 4.0)
         assert val == pytest.approx(vol_ball(space, 4.0), rel=1e-10)
 
     def test_linear_euclidean(self):
         # int_{B(1)} |x| dx = 2 pi / 3 in the plane
         val = layer_cake_radial_integral(
-            Euclidean(2), lambda r: (r, np.ones_like(r)), 1.0)
+            Euclidean(2), lambda r, _: (r, np.ones_like(r)), 1.0)
         assert val == pytest.approx(2 * math.pi / 3.0, rel=1e-10)
 
     def test_quadratic_on_cone(self):
         # m_M int_0^1 r^2 r^2 dr = 2 pi / 5
         val = layer_cake_radial_integral(EuclideanCone(2, 2 * math.pi),
-                                         lambda r: (r * r, 2.0 * r), 1.0)
+                                         lambda r, _: (r * r, 2.0 * r), 1.0)
         assert val == pytest.approx(2 * math.pi / 5.0, rel=1e-10)
 
     @pytest.mark.parametrize("n,a,beta,R", [(2, 0.7, 1.0, 5000.0),
@@ -811,7 +811,7 @@ class TestLayerCake:
         # direct one was off by 1.3e-7 at n=2, a=0.7, R=5000
         space = warped(n=n, a=a, beta=beta)
         val = layer_cake_radial_integral(
-            space, lambda r: ((1.0 - r / R) ** 2, -2.0 * (1.0 - r / R) / R),
+            space, lambda r, _: ((1.0 - r / R) ** 2, -2.0 * (1.0 - r / R) / R),
             R)
         x, w = np.polynomial.legendre.leggauss(20)
         edges = np.linspace(0.0, R, 4001)
@@ -821,20 +821,23 @@ class TestLayerCake:
         assert val == pytest.approx(ref, rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            layer_cake_radial_integral(
-                Euclidean(2), lambda r: (r, np.ones_like(r)), -1.0)
+        for R in (-1.0, np.array([1.0, -1.0]), np.array([])):
+            with pytest.raises(DomainError):
+                layer_cake_radial_integral(
+                    Euclidean(2), lambda r, _: (r, np.ones_like(r)), R)
 
     @pytest.mark.parametrize("pair,name", [
-        pytest.param(lambda r: (np.full_like(r, math.nan), np.zeros_like(r)),
+        pytest.param(lambda r, _: (np.full_like(r, math.nan),
+                                   np.zeros_like(r)),
                      "direct integral", id="nan"),
-        pytest.param(lambda r: (np.full_like(r, math.inf), np.zeros_like(r)),
+        pytest.param(lambda r, _: (np.full_like(r, math.inf),
+                                   np.zeros_like(r)),
                      "direct integral", id="inf"),
         # one route alone: the slope route, or f(R) vol(B_R)
-        pytest.param(lambda r: (np.ones_like(r), np.full_like(r, math.inf)),
+        pytest.param(lambda r, _: (np.ones_like(r), np.full_like(r, math.inf)),
                      "layer-cake integral", id="slope_inf"),
-        pytest.param(lambda r: (np.where(r < 1.0, 1.0, math.inf),
-                                np.zeros_like(r)),
+        pytest.param(lambda r, _: (np.where(r < 1.0, 1.0, math.inf),
+                                   np.zeros_like(r)),
                      "layer cake value inf", id="inf_at_R"),
     ])
     def test_non_finite_integrand_raises(self, pair, name):
@@ -844,13 +847,13 @@ class TestLayerCake:
 
     def test_stacked_integrands_equal_single_calls(self):
         R = 7.0
-        pairs = [lambda r: (np.exp(-r), -np.exp(-r)),
-                 lambda r: ((1.0 - r / R) ** 2, -2.0 * (1.0 - r / R) / R),
-                 lambda r: (1.0 / (1.0 + r * r),
-                            -2.0 * r / (1.0 + r * r) ** 2)]
+        pairs = [lambda r, _: (np.exp(-r), -np.exp(-r)),
+                 lambda r, _: ((1.0 - r / R) ** 2, -2.0 * (1.0 - r / R) / R),
+                 lambda r, _: (1.0 / (1.0 + r * r),
+                               -2.0 * r / (1.0 + r * r) ** 2)]
 
-        def stacked(r):
-            fs, slopes = zip(*(pair(r) for pair in pairs))
+        def stacked(r, _):
+            fs, slopes = zip(*(pair(r, _) for pair in pairs))
             return np.stack(fs), np.stack(slopes)
 
         for space in (warped(n=3, a=0.5, beta=1.0), Euclidean(2.5)):
@@ -858,9 +861,31 @@ class TestLayerCake:
             assert got.tolist() == [
                 layer_cake_radial_integral(space, pair, R) for pair in pairs]
 
+    def test_array_of_radii_equals_float_calls(self):
+        # (1 - r/R)^2 on each node's own ball radius, stacked with e^-r;
+        # the warped radii span several groups of nodes
+        def stacked(r, R):
+            return (np.stack([(1.0 - r / R) ** 2, np.exp(-r)]),
+                    np.stack([-2.0 * (1.0 - r / R) / R, -np.exp(-r)]))
+
+        radii = np.geomspace(2.0, 2000.0, 8)
+        for space in (warped(n=3, a=0.5, beta=1.0), Euclidean(2.5)):
+            got, vols = layer_cake_radial_integral(space, stacked, radii,
+                                                   volumes=True)
+            assert got.shape == (2, radii.size)
+            for k, R in enumerate(radii.tolist()):
+                assert got[:, k].tolist() == layer_cake_radial_integral(
+                    space, stacked, R).tolist()
+                assert vols[k] == vol_ball(space, R)
+            one = layer_cake_radial_integral(space, stacked, radii[:1])
+            assert one.tolist() == got[:, :1].tolist()
+        # int_{B(R)} (1 - |x|/R)^2 dx = pi R^2 / 6 in the plane
+        got = layer_cake_radial_integral(Euclidean(2), stacked, radii)[0]
+        assert got == pytest.approx(math.pi * radii ** 2 / 6.0, rel=1e-12)
+
     def test_stack_with_a_wrong_slope_raises(self):
         # the 1e-8 cross-check holds for each integrand of a stack
-        def stacked(r):
+        def stacked(r, _):
             return (np.stack([r, r * r]),
                     np.stack([np.ones_like(r), 2.1 * r]))
 

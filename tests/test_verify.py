@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -564,16 +566,22 @@ class TestSweep:
         assert table.failed
         assert not table.passed
 
-    def test_one_bessel_pair_and_volume_pass_per_radius(self, monkeypatch):
-        # per radius: S_nu and S_{nu+1} together on the Gauss nodes and
-        # at R (2 calls), and V on the nodes besides the two guarded
-        # vol(B_R) (3 calls)
+    def test_one_bessel_pair_per_group_of_radii(self, monkeypatch):
+        # the three radii fit in one group: S_nu and S_{nu+1} together on
+        # all its Gauss nodes and on its radii (2 calls), and V on the
+        # nodes besides each radius's guarded vol(B_R), a float call whose
+        # last bits an array's may not match (4 calls).  The nodes' call
+        # holds no x = j_nu: a Miller recurrence starts from the order its
+        # largest x needs, so f(R) among the nodes could move their bits
         space = warped(3, 0.45, 1.0)
         calls = {"bessel": 0, "volume": 0}
+        tops = []
 
         def counted(name, fn):
             def wrapper(*args):
                 calls[name] += 1
+                if name == "bessel":
+                    tops.append(args[1].max())
                 return fn(*args)
             return wrapper
 
@@ -583,8 +591,63 @@ class TestSweep:
                             counted("volume", type(space).volume))
         radii = [2.0, 20.0, 200.0]
         fk_sharpness_sweep(space, radii)
-        assert calls["bessel"] <= 2 * len(radii)
-        assert calls["volume"] <= 3 * len(radii)
+        assert calls["bessel"] == 2
+        assert calls["volume"] <= len(radii) + 1
+        assert tops[0] < (1.0 - 1e-4) * tops[1]
+        assert tops[1] == pytest.approx(bessel_first_zero(0.5), rel=1e-15)
+
+    @pytest.mark.parametrize("space", [
+        # several groups; nodes on both sides of the series/Miller switch;
+        # a power-law space with a cone's unit ball
+        warped(3, 0.5, 1.0), Euclidean(13), EuclideanCone(3, 2.0)],
+        ids=["warped", "euclidean", "cone"])
+    def test_rows_are_the_one_radius_sweeps(self, space):
+        radii = np.geomspace(2.0, 2000.0, 8)
+        table = fk_sharpness_sweep(space, radii)
+        assert table.rows == tuple(fk_sharpness_sweep(space, [R]).rows[0]
+                                   for R in radii)
+
+    def test_grouped_sweep_traced_peak(self):
+        # after a warm-up call (volume table, first zero), the groups of
+        # layer-cake nodes keep the traced peak (1.00 MB) under the 1.27 MB
+        # of one radius at a time; all 8 radii in one group take 3.36 MB
+        space, radii = warped(3, 0.5, 1.0), np.geomspace(2.0, 2000.0, 8)
+        fk_sharpness_sweep(space, radii)
+        tracemalloc.start()
+        try:
+            fk_sharpness_sweep(space, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2e6
+
+    @pytest.mark.parametrize("radii,message", [
+        # the volume guard of the smallest failing radius, before any
+        # larger radius's
+        ([1e-300, 1.0, 500.0], "ball volume at r=1e-300"),
+        ([1.0, 500.0, 1e200], "ball volume at r=500.0"),
+        ([2.0, math.inf], "radius must be a positive real, got inf")])
+    def test_first_failing_radius_names_the_error(self, radii, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fk_sharpness_sweep(Euclidean(115), radii)
+
+    def test_integrals_fail_before_a_larger_radius_volume_guard(self):
+        # R = 2 passes its volume guard but not its integrals, R = 20
+        # fails its guard: R = 2's error comes first, as in a loop
+        @dataclasses.dataclass(frozen=True)
+        class Patchy(Euclidean):
+            def volume(self, r):
+                return np.where(np.asarray(r) < 10.0, super().volume(r),
+                                math.inf)
+
+            def content(self, r):
+                return np.where((r > 1.0) & (r < 1.5), math.nan,
+                                super().content(r))
+
+        with pytest.raises(DomainError, match="direct integral of f A"):
+            fk_sharpness_sweep(Patchy(3), [2.0, 20.0])
+        with pytest.raises(DomainError, match="ball volume at r=20.0"):
+            fk_sharpness_sweep(Patchy(3), [0.5, 20.0])
 
     def test_rejects_empty_or_negative_radii(self):
         with pytest.raises(DomainError):
