@@ -353,30 +353,33 @@ def polya_szego_check(space: ModelSpace, u: RadialFunction,
     return PolyaSzegoResult(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
 
 
-def layer_cake_radial_integral(space: ModelSpace, f_and_slope, R,
-                               volumes: bool = False):
+def layer_cake_radial_integral(space: ModelSpace, f_and_slope, R):
     """int_{B(R)} f(d(x)) dm via f(R) vol(B_R) - int_0^R f'(r) vol(B_r) dr,
-    for a radius R or for each radius of a 1-D array R.
+    for a radius R or for each radius of a 1-D array R, returned with
+    vol(B_R): the pair (value, vol(B_R)).
 
     ``f_and_slope(r, R)`` is vectorized: an array of radii r and the ball
     radius each belongs to (an array of r's shape) in, the pair
     ``(f(r), f'(r))`` out, f smooth on (0, R].  f may stack several
     integrands on leading axes, returned as an array with the radii of an
-    array R on the last axis (one integrand at one radius: a float).  Each
-    is cross-checked against the direct radial quadrature int f(r) dA(r)
-    to 1e-8 relative (``_gate``); the layer-cake value is returned, and
-    with ``volumes`` the pair (value, vol(B_R)).  Both routes of a radius
-    are one graded Gauss rule (``_radial_integral``'s) on equal panels of
-    [0, R] joined with the space's breaks (past the last break F is affine
-    on a warped product).
+    array R on the last axis (one integrand at one radius: a float, and
+    vol(B_R) a float for a float R, an array for an array).  Each is
+    cross-checked against the direct radial quadrature int f(r) dA(r) to
+    1e-8 relative (``_gate``); the layer-cake value is returned.  Both
+    routes of a radius are one graded Gauss rule (``_radial_integral``'s)
+    on equal panels of [0, R] joined with the space's breaks (past the
+    last break F is affine on a warped product).
 
     Every radius passes ``vol_ball``'s guard before any grid is built.
     The radii are then taken in order, in groups that close once their
     nodes reach ``_LAYER_NODES``: a group makes one ``f_and_slope`` call
     on all its nodes and one on its radii, and one ``volume`` and one
     ``content`` call on its nodes.  Each radius keeps its own panel sums,
-    finite check and gate, in order; its values are the bits of a call
-    with that radius alone, since every evaluation is elementwise.
+    finite check and gate, in order.  Its values are the bits of a call
+    with that radius alone as long as ``f_and_slope``'s value at a node
+    depends on no other radius's nodes in the same call.  It may depend on
+    its own radius's (a Miller recurrence's start does), so f(R) takes a
+    call apart from the nodes.
     """
     radii = np.ravel(R).tolist()
     if not radii:
@@ -396,10 +399,9 @@ def layer_cake_radial_integral(space: ModelSpace, f_and_slope, R,
             group = []
     value = np.stack(values, axis=-1)
     value = value.reshape(value.shape[:-1] + np.shape(R))
-    value = float(value) if value.ndim == 0 else value
-    if not volumes:
-        return value
-    return value, vols[0] if np.ndim(R) == 0 else np.array(vols)
+    if np.ndim(R) == 0:
+        return (float(value) if value.ndim == 0 else value), vols[0]
+    return value, np.array(vols)
 
 
 def _layer_group(space: ModelSpace, f_and_slope, nodes, radii, vols) -> list:
@@ -410,8 +412,6 @@ def _layer_group(space: ModelSpace, f_and_slope, nodes, radii, vols) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         f, slope = f_and_slope(r, np.repeat(radii, [x.size for x, _ in nodes]))
         routes = np.stack([slope * space.volume(r), f * space.content(r)])
-        # f(R) apart from the nodes, whose values could otherwise depend on
-        # it: a Miller recurrence starts from the order its largest x needs
         at_R = f_and_slope(np.array(radii), np.array(radii))[0]
     values, start = [], 0
     for k, (x, h) in enumerate(nodes):

@@ -39,8 +39,8 @@ from .rearrange import (
     polya_szego_check,
 )
 from .spaces import ModelSpace, _radii, minkowski_content_ball, vol_ball
-from .specfun import (_brent, bessel_first_zero, bessel_j, bessel_j_scaled,
-                      log_gamma, omega)
+from .specfun import (_SERIES_SWITCH, _brent, bessel_first_zero, bessel_j,
+                      bessel_j_scaled, log_gamma, omega)
 
 _EXTREMAL_NODES = 241   # extremal grid, geometric from its scale to r_cut
 _SHOOT_STEPS = 1100     # RK4 steps on [R/10, R]; a third as many graded below
@@ -447,7 +447,10 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
 
     All the radii, ascending, go to one ``layer_cake_radial_integral``
     call, which evaluates them in groups and returns vol(B_R) beside the
-    integrals; each row has the bits of a sweep over its radius alone.
+    integrals.  Each row has the bits of a sweep over its radius alone:
+    the Bessel series (x <= 9) is elementwise, and where j_nu > 9 each
+    radius's nodes make their own Bessel call, as a Miller recurrence
+    starts from the order its call's largest x needs.
     Where that call raises, the radii are taken again one at a time, so
     the smallest failing radius raises its own error, as in a loop.
     """
@@ -460,8 +463,16 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
     jnu = bessel_first_zero(nu)
 
     def integrands(r, R):
-        # (U'(kr)^2, U(kr)^2) and their slopes in r, k = j_nu / R per node
-        u, du, d2u = _bessel_jet(nu, jnu / R * r)
+        # (U'(kr)^2, U(kr)^2) and their slopes in r, k = j_nu / R per node.
+        # A Miller recurrence (x > 9) starts from the order its call's
+        # largest x needs, so past 9 each ball radius's run of nodes takes
+        # a call of its own, whose bits no other radius's nodes can move
+        x = jnu / R * r
+        cuts = (np.flatnonzero(R[1:] != R[:-1]) + 1
+                if jnu > _SERIES_SWITCH else [])
+        jets = [_bessel_jet(nu, part) for part in np.split(x, cuts)]
+        u, du, d2u = jets[0] if len(jets) == 1 else map(np.concatenate,
+                                                         zip(*jets))
         return (np.stack([du ** 2, u ** 2]),
                 jnu / R * np.stack([2.0 * du * d2u, 2.0 * u * du]))
 
@@ -484,13 +495,12 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
 
     try:
         (nums, dens), vols = layer_cake_radial_integral(
-            space, integrands, np.array(R_sorted), volumes=True)
+            space, integrands, np.array(R_sorted))
     except (DomainError, InvariantViolation, ConvergenceError):
         # the radii again one at a time, so that the first radius to fail
         # raises its own error: its volume guard, its integrals, then row's
         for R in R_sorted:
-            (num, den), vol = layer_cake_radial_integral(
-                space, integrands, R, volumes=True)
+            (num, den), vol = layer_cake_radial_integral(space, integrands, R)
             row(R, num, den, vol)
         raise
     rows, masses = zip(*map(row, R_sorted, nums.tolist(), dens.tolist(),

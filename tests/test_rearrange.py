@@ -787,20 +787,22 @@ class TestShortDecayLength:
 class TestLayerCake:
     def test_constant_function(self):
         space = warped(n=3, a=0.5, beta=2.0)
-        val = layer_cake_radial_integral(
+        val, vol = layer_cake_radial_integral(
             space, lambda r, _: (np.ones_like(r), np.zeros_like(r)), 4.0)
-        assert val == pytest.approx(vol_ball(space, 4.0), rel=1e-10)
+        assert vol == vol_ball(space, 4.0)
+        assert val == pytest.approx(vol, rel=1e-10)
 
     def test_linear_euclidean(self):
         # int_{B(1)} |x| dx = 2 pi / 3 in the plane
         val = layer_cake_radial_integral(
-            Euclidean(2), lambda r, _: (r, np.ones_like(r)), 1.0)
+            Euclidean(2), lambda r, _: (r, np.ones_like(r)), 1.0)[0]
         assert val == pytest.approx(2 * math.pi / 3.0, rel=1e-10)
 
     def test_quadratic_on_cone(self):
         # m_M int_0^1 r^2 r^2 dr = 2 pi / 5
-        val = layer_cake_radial_integral(EuclideanCone(2, 2 * math.pi),
-                                         lambda r, _: (r * r, 2.0 * r), 1.0)
+        val = layer_cake_radial_integral(
+            EuclideanCone(2, 2 * math.pi), lambda r, _: (r * r, 2.0 * r),
+            1.0)[0]
         assert val == pytest.approx(2 * math.pi / 5.0, rel=1e-10)
 
     @pytest.mark.parametrize("n,a,beta,R", [(2, 0.7, 1.0, 5000.0),
@@ -812,7 +814,7 @@ class TestLayerCake:
         space = warped(n=n, a=a, beta=beta)
         val = layer_cake_radial_integral(
             space, lambda r, _: ((1.0 - r / R) ** 2, -2.0 * (1.0 - r / R) / R),
-            R)
+            R)[0]
         x, w = np.polynomial.legendre.leggauss(20)
         edges = np.linspace(0.0, R, 4001)
         half = np.diff(edges)[:, None] / 2.0
@@ -857,9 +859,10 @@ class TestLayerCake:
             return np.stack(fs), np.stack(slopes)
 
         for space in (warped(n=3, a=0.5, beta=1.0), Euclidean(2.5)):
-            got = layer_cake_radial_integral(space, stacked, R)
+            got = layer_cake_radial_integral(space, stacked, R)[0]
             assert got.tolist() == [
-                layer_cake_radial_integral(space, pair, R) for pair in pairs]
+                layer_cake_radial_integral(space, pair, R)[0]
+                for pair in pairs]
 
     def test_array_of_radii_equals_float_calls(self):
         # (1 - r/R)^2 on each node's own ball radius, stacked with e^-r;
@@ -870,17 +873,16 @@ class TestLayerCake:
 
         radii = np.geomspace(2.0, 2000.0, 8)
         for space in (warped(n=3, a=0.5, beta=1.0), Euclidean(2.5)):
-            got, vols = layer_cake_radial_integral(space, stacked, radii,
-                                                   volumes=True)
+            got, vols = layer_cake_radial_integral(space, stacked, radii)
             assert got.shape == (2, radii.size)
             for k, R in enumerate(radii.tolist()):
-                assert got[:, k].tolist() == layer_cake_radial_integral(
-                    space, stacked, R).tolist()
-                assert vols[k] == vol_ball(space, R)
-            one = layer_cake_radial_integral(space, stacked, radii[:1])
+                alone, vol = layer_cake_radial_integral(space, stacked, R)
+                assert got[:, k].tolist() == alone.tolist()
+                assert vols[k] == vol == vol_ball(space, R)
+            one = layer_cake_radial_integral(space, stacked, radii[:1])[0]
             assert one.tolist() == got[:, :1].tolist()
         # int_{B(R)} (1 - |x|/R)^2 dx = pi R^2 / 6 in the plane
-        got = layer_cake_radial_integral(Euclidean(2), stacked, radii)[0]
+        got = layer_cake_radial_integral(Euclidean(2), stacked, radii)[0][0]
         assert got == pytest.approx(math.pi * radii ** 2 / 6.0, rel=1e-12)
 
     def test_stack_with_a_wrong_slope_raises(self):

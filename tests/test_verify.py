@@ -596,13 +596,19 @@ class TestSweep:
         assert tops[0] < (1.0 - 1e-4) * tops[1]
         assert tops[1] == pytest.approx(bessel_first_zero(0.5), rel=1e-15)
 
-    @pytest.mark.parametrize("space", [
+    @pytest.mark.parametrize("space,radii", [
         # several groups; nodes on both sides of the series/Miller switch;
         # a power-law space with a cone's unit ball
-        warped(3, 0.5, 1.0), Euclidean(13), EuclideanCone(3, 2.0)],
-        ids=["warped", "euclidean", "cone"])
-    def test_rows_are_the_one_radius_sweeps(self, space):
-        radii = np.geomspace(2.0, 2000.0, 8)
+        (warped(3, 0.5, 1.0), np.geomspace(2.0, 2000.0, 8)),
+        (Euclidean(13), np.geomspace(2.0, 2000.0, 8)),
+        (EuclideanCone(3, 2.0), np.geomspace(2.0, 2000.0, 8)),
+        # j_nu = 68.05, all Miller past x = 9: a break in the last panel
+        # of 4.3 and of 20.001 lifts their top node to within 1e-5 of
+        # j_nu, whose Miller start order is 2 above that of the top node
+        # of a radius with no break there (0.99942 j_nu), such as 2 or 70
+        (warped(123, 0.5, 1.0), [2.0, 4.3, 20.001, 70.0, 100.0])],
+        ids=["warped", "euclidean", "cone", "warped_miller"])
+    def test_rows_are_the_one_radius_sweeps(self, space, radii):
         table = fk_sharpness_sweep(space, radii)
         assert table.rows == tuple(fk_sharpness_sweep(space, [R]).rows[0]
                                    for R in radii)
