@@ -40,10 +40,10 @@ from .specfun import omega
 
 _LAYER_PANELS = 16   # equal Gauss panels on [0, R] for the layer-cake routes
 # Gauss nodes that close a group of layer-cake radii: the traced peak of a
-# Faber-Krahn sweep on 8 radii from 2 to 2000 (warped, n = 3) is 1.00 MB
-# with this budget, 1.14 MB with 6144, 3.36 MB with all its radii in one
-# group and 1.27 MB with one radius at a time
-_LAYER_NODES = 4096
+# Faber-Krahn sweep on 8 radii from 2 to 2000 (warped, n = 3) is 0.70 MB
+# with this budget, 1.00 MB with 4096, 1.14 MB with 6144, 3.36 MB with
+# all its radii in one group and 1.27 MB with one radius at a time
+_LAYER_NODES = 2048
 _HALVINGS = 40       # bisection steps of a level radius in its node bracket
 _NEWTON_STEPS = 4    # Newton steps of a level radius before its certificate
 

@@ -463,16 +463,16 @@ def fk_sharpness_sweep(space: ModelSpace, R_list) -> FkSweepTable:
     jnu = bessel_first_zero(nu)
 
     def integrands(r, R):
-        # (U'(kr)^2, U(kr)^2) and their slopes in r, k = j_nu / R per node.
-        # A Miller recurrence (x > 9) starts from the order its call's
-        # largest x needs, so past 9 each ball radius's run of nodes takes
-        # a call of its own, whose bits no other radius's nodes can move
-        x = jnu / R * r
-        cuts = (np.flatnonzero(R[1:] != R[:-1]) + 1
-                if jnu > _SERIES_SWITCH else [])
-        jets = [_bessel_jet(nu, part) for part in np.split(x, cuts)]
-        u, du, d2u = jets[0] if len(jets) == 1 else map(np.concatenate,
-                                                         zip(*jets))
+        # (U'(kr)^2, U(kr)^2) and their slopes in r, k = j_nu / R per node
+        if jnu <= _SERIES_SWITCH:
+            u, du, d2u = _bessel_jet(nu, jnu / R * r)
+        else:
+            # a Miller recurrence (x > 9) starts from the order its call's
+            # largest x needs: a call per ball radius's run of nodes, whose
+            # bits no other radius's nodes can move
+            cuts = np.flatnonzero(R[1:] != R[:-1]) + 1
+            u, du, d2u = map(np.concatenate, zip(*(
+                _bessel_jet(nu, x) for x in np.split(jnu / R * r, cuts))))
         return (np.stack([du ** 2, u ** 2]),
                 jnu / R * np.stack([2.0 * du * d2u, 2.0 * u * du]))
 
