@@ -89,8 +89,10 @@ class GaussAntiderivative:
         nodes, h = gauss_nodes(x)
         vals = np.asarray(f(nodes), dtype=float).reshape(h.size, 12)
         self._half = h / 2.0
+        coef = vals @ _ANTI
+        coef *= self._half[:, None]
         # one row per coefficient, read a row at a time by __call__
-        self._c = np.ascontiguousarray((vals @ _ANTI).T * self._half)
+        self._c = coef.T.copy()
         self._cum = np.cumsum(np.append(start, (vals @ _GL_WEIGHTS) * h))
 
     def __call__(self, q):
