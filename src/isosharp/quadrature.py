@@ -7,6 +7,10 @@ advance (a radial profile between its grid nodes, a space's density between
 its own breaks), so each integral is ``gauss_on_segments`` on those breaks,
 graded dyadically (``dyadic_breaks``) toward any algebraic endpoint
 behaviour: one vectorized evaluation whose cost is known before it runs.
+The grading halves the distance to each target up to 100 times; a caller
+that knows how deep its integrand needs it passes a smaller depth (an
+r-integral against a measure ~ r^(N-1) toward r = 0, see
+``isosharp.rearrange``).
 ``GaussAntiderivative`` integrates each panel's interpolant at the rule's
 nodes in closed form, so a running integral, the warped ball volume, is
 tabulated once and then read at any point without calling f again.
@@ -21,6 +25,7 @@ import numpy as np
 # 12-point Gauss-Legendre rule moved from [-1, 1] onto [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
+LEVELS = 100    # dyadic levels toward a target, at most
 
 # node values -> the coefficients of the antiderivative, 0 at t = -1 and
 # over dt, of the degree-11 interpolant at the nodes, in t in [-1, 1]: the
@@ -107,11 +112,12 @@ class GaussAntiderivative:
         return self._cum[k] + b1
 
 
-def dyadic_breaks(breaks, targets):
+def dyadic_breaks(breaks, targets, depth=LEVELS):
     """``breaks`` joined with points graded dyadically toward each target.
 
     Toward a target x the points x - (x - lo) 2^-k and x + (hi - x) 2^-k,
-    k = 1..100, are added, [lo, hi] being the span of ``breaks``.  Past
+    k = 1..depth, are added, [lo, hi] being the span of ``breaks`` and
+    ``depth`` (at most 100) one for every target or one per target.  Past
     the segments next to x, no segment spans more than a factor 2 in its
     distance to x, so a fixed rule resolves an algebraic behaviour at x
     (r^(N-1) at r = 0 for real N, a square-root level radius at a flat
@@ -120,9 +126,12 @@ def dyadic_breaks(breaks, targets):
     breaks = np.asarray(breaks, dtype=float)
     lo, hi = breaks[0], breaks[-1]
     x = np.asarray(targets, dtype=float)[:, None]
-    step = 2.0 ** -np.arange(1, 101)
+    k = np.arange(1, LEVELS + 1)
+    step = 2.0 ** -k
+    keep = np.broadcast_to(k <= np.reshape(depth, (-1, 1)),
+                           (x.shape[0], k.size))
     return np.unique(np.concatenate(
-        [breaks, (x - (x - lo) * step).ravel(), (x + (hi - x) * step).ravel()]))
+        [breaks, (x - (x - lo) * step)[keep], (x + (hi - x) * step)[keep]]))
 
 
 def _power_sum(c, s):

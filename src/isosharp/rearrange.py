@@ -18,10 +18,12 @@ nodes.  Every radial grid, a profile's or the layer cake's equal panels, is
 joined with the space's own breaks by one rule (``_joined``).  Every
 integral, in r on that join or in t, is one graded Gauss rule that rejects
 a value that is not finite (``_graded_gauss``, see ``isosharp.quadrature``),
-and every pair of routes passes one gate (``_gate``).  A level radius r(t)
-of the Cavalieri route is a Newton candidate that u's own values certify
-to 2^-41 of its node bracket, or else 40 halvings of that bracket
-(``_level_radii``): u's slope steers, it never decides.
+and every pair of routes passes one gate (``_gate``).  An r-integral is
+graded toward r = 0 only as deep as its measure ~ r^(N-1) can move a
+double (``_radial_breaks``); a t-integral takes the full 100 levels.  A
+level radius r(t) of the Cavalieri route is a Newton candidate that u's
+own values certify to 2^-41 of its node bracket, or else 40 halvings of
+that bracket (``_level_radii``): u's slope steers, it never decides.
 """
 
 from __future__ import annotations
@@ -33,16 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .quadrature import (Hermite, dyadic_breaks, gauss_nodes,
+from .quadrature import (LEVELS, Hermite, dyadic_breaks, gauss_nodes,
                          gauss_on_segments, gauss_sum)
 from .spaces import Euclidean, ModelSpace, vol_ball
 from .specfun import omega
 
 _LAYER_PANELS = 16   # equal Gauss panels on [0, R] for the layer-cake routes
-# Gauss nodes that close a group of layer-cake radii: the traced peak of a
-# Faber-Krahn sweep on 8 radii from 2 to 2000 (warped, n = 3) is 0.70 MB
-# with this budget, 1.00 MB with 4096, 1.14 MB with 6144, 3.36 MB with
-# all its radii in one group and 1.27 MB with one radius at a time
+# Gauss nodes that close a group of layer-cake radii: a Faber-Krahn sweep
+# on 8 radii from 2 to 2000 (warped, n = 3; 408 to 3,384 nodes a radius)
+# makes 6 groups and has a traced peak of 0.46 MB with this budget, the
+# same as one radius at a time; 0.91 MB with 4096 and 2.41 MB with all
+# its radii in one group
 _LAYER_NODES = 2048
 _HALVINGS = 40       # bisection steps of a level radius in its node bracket
 _NEWTON_STEPS = 4    # Newton steps of a level radius before its certificate
@@ -201,14 +204,13 @@ def _zero_ends(u: RadialFunction, vanishing) -> np.ndarray:
     return vanishing & (np.append(live, False) | np.insert(live, 0, False))
 
 
-def _graded_gauss(f, grid, targets, names):
-    """int f over [grid[0], grid[-1]], composite Gauss on the ascending
-    ``grid`` graded toward the points ``targets``.  f may stack integrands
-    on leading axes (an array out; one integrand: a float), named along
-    the first by ``names``.  f may overflow, or give 0 * inf = NaN where
-    an overflowing measure meets a zero of |u|^q; an integral that is not
-    finite raises DomainError naming its integrand."""
-    breaks = dyadic_breaks(grid, targets)
+def _graded_gauss(f, breaks, names):
+    """int f over [breaks[0], breaks[-1]], composite Gauss on the
+    ascending, graded ``breaks``.  f may stack integrands on leading axes
+    (an array out; one integrand: a float), named along the first by
+    ``names``.  f may overflow, or give 0 * inf = NaN where an overflowing
+    measure meets a zero of |u|^q; an integral that is not finite raises
+    DomainError naming its integrand."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(gauss_on_segments(f, breaks), names)
 
@@ -236,12 +238,32 @@ def _gate(value, direct, rtol, name):
     return value
 
 
+def _radial_breaks(space: ModelSpace, grid, targets=()) -> np.ndarray:
+    """``_joined(space, grid)`` graded toward the radii ``targets`` > 0
+    (ends of f), ``LEVELS`` levels each, and toward r = 0, where the
+    measure ~ r^(N-1) is not smooth for real N, to the depth
+    K = ceil(log2(S / r_1)) + ceil(54 / N), at most ``LEVELS``: S is the
+    joined grid's end and r_1 its first positive break.
+
+    The levels past the first ceil(log2(S / r_1)) halve [0, r_1]
+    m = ceil(54 / N) times, so the one panel they leave at 0,
+    [0, r_1 2^-m], holds at most 2^-mN <= 2^-54 of the measure of
+    [0, r_1]: for f bounded near 0, a deeper level changes no double."""
+    grid = _joined(space, grid)
+    targets = np.asarray(targets, dtype=float)
+    targets = targets[targets > 0.0]
+    depth = min(LEVELS, math.ceil(math.log2(grid[-1] / grid[1]))
+                + math.ceil(54.0 / space.effective_dimension))
+    return dyadic_breaks(grid, np.append(targets, 0.0),
+                         np.append(np.full(targets.size, LEVELS), depth))
+
+
 def _radial_integral(space: ModelSpace, grid, f, names, targets=()):
-    """``_graded_gauss`` of f dr, f smooth on ``_joined(space, grid)`` and
-    carrying its own measure, graded toward r = 0 (a measure ~ r^(N-1),
-    not smooth for real N) and the radii ``targets`` (ends of f)."""
-    return _graded_gauss(f, _joined(space, grid), np.append(targets, 0.0),
-                         names)
+    """``_graded_gauss`` of f dr on ``_radial_breaks(space, grid,
+    targets)``: f is smooth between those breaks and carries its own
+    measure ~ r^(N-1), times a factor bounded near r = 0 (|u|^q, |u'|^p),
+    so the grading toward 0 stops at ``_radial_breaks``'s depth."""
+    return _graded_gauss(f, _radial_breaks(space, grid, targets), names)
 
 
 def _cavalieri_integral(space: ModelSpace, u: RadialFunction, qs):
@@ -260,7 +282,8 @@ def _cavalieri_integral(space: ModelSpace, u: RadialFunction, qs):
     return _graded_gauss(
         lambda t: np.stack([q * t ** (q - 1.0) for q in qs])
         * space.volume(_level_radii(u, t)),
-        np.unique(levels), np.unique(np.concatenate([flat, levels[[0, -1]]])),
+        dyadic_breaks(np.unique(levels),
+                      np.unique(np.concatenate([flat, levels[[0, -1]]]))),
         [f"the Cavalieri integral of |u|^q at q={q!r}" for q in qs])
 
 
@@ -366,9 +389,11 @@ def layer_cake_radial_integral(space: ModelSpace, f_and_slope, R):
     vol(B_R) a float for a float R, an array for an array).  Each is
     cross-checked against the direct radial quadrature int f(r) dA(r) to
     1e-8 relative (``_gate``); the layer-cake value is returned.  Both
-    routes of a radius are one graded Gauss rule (``_radial_integral``'s)
-    on equal panels of [0, R] joined with the space's breaks (past the
-    last break F is affine on a warped product).
+    routes of a radius are one Gauss rule on ``_radial_breaks`` of equal
+    panels of [0, R] (past the space's last break F is affine on a warped
+    product): f and f' are bounded near r = 0, so f A and f' V are
+    bounded times r^(N-1) and the grading toward 0 stops at that
+    helper's depth.
 
     Every radius passes ``vol_ball``'s guard before any grid is built.
     The radii are then taken in order, in groups that close once their
@@ -389,8 +414,8 @@ def layer_cake_radial_integral(space: ModelSpace, f_and_slope, R):
     vols = [vol_ball(space, radius) for radius in radii]
     values, group = [], []
     for i, radius in enumerate(radii):
-        group.append(gauss_nodes(dyadic_breaks(_joined(space, np.linspace(
-            0.0, radius, _LAYER_PANELS + 1)), [0.0])))
+        group.append(gauss_nodes(_radial_breaks(
+            space, np.linspace(0.0, radius, _LAYER_PANELS + 1))))
         if (i + 1 == len(radii)
                 or sum(x.size for x, _ in group) >= _LAYER_NODES):
             first = i + 1 - len(group)

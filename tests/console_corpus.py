@@ -8,8 +8,10 @@ with it: labels, column names and JSON keys exactly, numeric tokens to
 
 Run as a script to bring the corpus up to the ``isosharp`` on the path:
 it rewrites each file that is missing or whose ``mismatch`` is not None,
-printing its name and first difference, keeps the files that match, and
-deletes the files of argv no longer in the script:
+printing its name, its first difference and every numeric token whose
+text moved (``moved_numbers``: line, old -> new, absolute and relative
+change), keeps the files that match, and deletes the files of argv no
+longer in the script:
 
     PYTHONPATH=src python tests/console_corpus.py
 """
@@ -85,6 +87,17 @@ def mismatch(expected, actual):
     return None
 
 
+def moved_numbers(expected, actual):
+    """(line number, old, new) of each numeric token whose text differs
+    between ``expected`` and ``actual``, compared line by line and token
+    by token in order."""
+    for i, (want, got) in enumerate(
+            zip(expected.splitlines(), actual.splitlines()), start=1):
+        for a, b in zip(_NUMBER.split(want)[1::2], _NUMBER.split(got)[1::2]):
+            if a != b:
+                yield i, a, b
+
+
 def main():
     os.makedirs(GOLDEN, exist_ok=True)
     names = set()
@@ -93,9 +106,11 @@ def main():
         names.add(name)
         path = os.path.join(GOLDEN, name)
         out = run_quiet(argv)[1]
+        old = None
         if os.path.exists(path):
             with open(path) as f:
-                diff = mismatch(f.read(), out)
+                old = f.read()
+            diff = mismatch(old, out)
             if diff is None:
                 continue
         else:
@@ -103,6 +118,11 @@ def main():
         with open(path, "w") as f:
             f.write(out)
         print(f"rewrote {name}: {diff}")
+        for line, a, b in moved_numbers(old or "", out):
+            change = abs(float(b) - float(a))
+            scale = max(abs(float(a)), abs(float(b)))
+            print(f"  line {line}: {a} -> {b} (abs {change:.3g}, "
+                  f"rel {change / scale if scale else 0.0:.3g})")
     for stale in set(os.listdir(GOLDEN)) - names:
         os.remove(os.path.join(GOLDEN, stale))
         print(f"removed {stale}")
