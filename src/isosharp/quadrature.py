@@ -117,7 +117,7 @@ def dyadic_breaks(breaks, targets, depth=LEVELS):
 
     Toward a target x the points x - (x - lo) 2^-k and x + (hi - x) 2^-k,
     k = 1..depth, are added, [lo, hi] being the span of ``breaks`` and
-    ``depth`` (at most 100) one for every target or one per target.  Past
+    ``depth`` (1 to 100) one for every target or one per target.  Past
     the segments next to x, no segment spans more than a factor 2 in its
     distance to x, so a fixed rule resolves an algebraic behaviour at x
     (r^(N-1) at r = 0 for real N, a square-root level radius at a flat
@@ -126,12 +126,11 @@ def dyadic_breaks(breaks, targets, depth=LEVELS):
     breaks = np.asarray(breaks, dtype=float)
     lo, hi = breaks[0], breaks[-1]
     x = np.asarray(targets, dtype=float)[:, None]
-    k = np.arange(1, LEVELS + 1)
-    step = 2.0 ** -k
-    keep = np.broadcast_to(k <= np.reshape(depth, (-1, 1)),
-                           (x.shape[0], k.size))
+    # a level past its target's depth repeats the deepest one
+    step = 2.0 ** -np.minimum(np.arange(1, LEVELS + 1),
+                              np.reshape(depth, (-1, 1)))
     return np.unique(np.concatenate(
-        [breaks, (x - (x - lo) * step)[keep], (x + (hi - x) * step)[keep]]))
+        [breaks, (x - (x - lo) * step).ravel(), (x + (hi - x) * step).ravel()]))
 
 
 def _power_sum(c, s):

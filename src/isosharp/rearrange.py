@@ -241,21 +241,20 @@ def _gate(value, direct, rtol, name):
 def _radial_breaks(space: ModelSpace, grid, targets=()) -> np.ndarray:
     """``_joined(space, grid)`` graded toward the radii ``targets`` > 0
     (ends of f), ``LEVELS`` levels each, and toward r = 0, where the
-    measure ~ r^(N-1) is not smooth for real N, to the depth
-    K = ceil(log2(S / r_1)) + ceil(54 / N), at most ``LEVELS``: S is the
-    joined grid's end and r_1 its first positive break.
+    measure ~ r^(N-1) is not smooth for real N (a target there too), to
+    the depth K = ceil(log2(S / r_1)) + ceil(54 / N), at most ``LEVELS``:
+    S is the joined grid's end and r_1 its first positive break.
 
     The levels past the first ceil(log2(S / r_1)) halve [0, r_1]
     m = ceil(54 / N) times, so the one panel they leave at 0,
     [0, r_1 2^-m], holds at most 2^-mN <= 2^-54 of the measure of
-    [0, r_1]: for f bounded near 0, a deeper level changes no double."""
+    [0, r_1]: for f bounded near 0, deeper levels could move the integral
+    by at most 2^-54 of sup f times that measure."""
     grid = _joined(space, grid)
-    targets = np.asarray(targets, dtype=float)
-    targets = targets[targets > 0.0]
     depth = min(LEVELS, math.ceil(math.log2(grid[-1] / grid[1]))
                 + math.ceil(54.0 / space.effective_dimension))
-    return dyadic_breaks(grid, np.append(targets, 0.0),
-                         np.append(np.full(targets.size, LEVELS), depth))
+    targets = np.append(targets, 0.0)
+    return dyadic_breaks(grid, targets, np.where(targets > 0.0, LEVELS, depth))
 
 
 def _radial_integral(space: ModelSpace, grid, f, names, targets=()):

@@ -19,8 +19,8 @@ from isosharp.spaces import VARIANTS, Euclidean, EuclideanCone, \
     ExponentialTail, MonomialHalfSpace, PowerLawSpace, WarpedProduct
 from isosharp.verify import SUITES, QuotientReport, SuiteRow
 
-from console_corpus import (GOLDEN, golden_name, mismatch, run_quiet,
-                            script_argv)
+from console_corpus import (GOLDEN, golden_name, mismatch, moved_numbers,
+                            run_quiet, script_argv)
 
 
 def run_cli(capsys, *argv):
@@ -1120,3 +1120,11 @@ def test_golden_comparison_rules():
     assert mismatch(row, row.replace("R=2", "R=2 1")) is not None
     assert mismatch(row, row + "\n") is not None
     assert mismatch("m,-3\n", "m,-3.0\n") is not None
+
+
+def test_moved_numbers_lists_every_moved_token():
+    old = "R=2,7.5,1e-12\nR=4,3.25,2e-12\n"
+    new = "R=2,7.5,3e-12\nR=4,3.2500000000000004,-2e-12\n"
+    assert list(moved_numbers(old, new)) == [
+        (1, "1e-12", "3e-12"),
+        (2, "3.25", "3.2500000000000004"), (2, "2e-12", "-2e-12")]

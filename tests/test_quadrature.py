@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isosharp.quadrature import (_ALPHA, GaussAntiderivative,
-                                 gauss_on_segments)
+                                 dyadic_breaks, gauss_on_segments)
 from isosharp.spaces import ExponentialTail, WarpedProduct
 
 
@@ -64,3 +64,16 @@ def test_row_wise_clenshaw_is_the_gathered_kernel(table):
         assert np.array_equal(table(q), _gathered_clenshaw(table, q))
     for q in (x[0], float(inside[0]), x[-1] + 1.0):
         assert table(q) == _gathered_clenshaw(table, q)
+
+
+def test_dyadic_depth_per_target():
+    # toward 0 only 4 2^-k for k <= 5; toward 2 all 100 levels, each side
+    grid = np.array([0.0, 1.0, 4.0])
+    k = np.arange(1, 101)
+    want = np.unique(np.concatenate([grid, 4.0 * 2.0 ** -k[:5],
+                                     2.0 - 2.0 ** (1 - k),
+                                     2.0 + 2.0 ** (1 - k)]))
+    assert dyadic_breaks(grid, [0.0, 2.0], [5, 100]).tolist() == want.tolist()
+    assert (dyadic_breaks(grid, [0.0, 2.0], 100).tolist()
+            == dyadic_breaks(grid, [0.0, 2.0]).tolist())
+    assert dyadic_breaks(grid, [0.0], 1).tolist() == [0.0, 1.0, 2.0, 4.0]

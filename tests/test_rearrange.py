@@ -893,3 +893,55 @@ class TestLayerCake:
 
         with pytest.raises(InvariantViolation, match="disagrees"):
             layer_cake_radial_integral(warped(n=2), stacked, 3.0)
+
+
+def _omega_mp(N):
+    return mp.pi ** (mp.mpf(N) / 2) / mp.gamma(mp.mpf(N) / 2 + 1)
+
+
+class TestGradingTowardZero:
+    """The r-integrals grade toward r = 0 to ceil(log2(S / r_1)) +
+    ceil(54 / N) dyadic levels (at most 100) instead of 100: a panel left
+    at 0 holds at most 2^-54 of the measure of [0, r_1]."""
+
+    def test_layer_cake_nodes_on_euclidean_3(self):
+        # [0, 2] in 16 panels (r_1 = 1/8): 4 levels at or above r_1 and
+        # 18 below it, 34 panels of 12 nodes; 100 levels took 112 panels
+        sizes = []
+
+        def pair(r, _):
+            sizes.append(r.size)
+            return np.ones_like(r), np.zeros_like(r)
+
+        layer_cake_radial_integral(Euclidean(3), pair, 2.0)
+        assert sizes == [408, 1]
+
+    @pytest.mark.parametrize("N", [1.05, 1.5, 2.5, 3.0, 13.0, 60.0])
+    def test_direct_routes_match_mpmath(self, N):
+        space, om = Euclidean(N), _omega_mp(N)
+        # a tent: |u'|^p = 1 on the unit ball, and (1 - r)^q against
+        # N omega_N r^(N-1), a beta function
+        u = tent()
+        assert grad_lp_norm(space, u, 1.5) == pytest.approx(
+            float(om ** (1 / mp.mpf(1.5))), rel=1e-11)
+        direct = rearrange._route_pairs(space, u, [3.5])[0][0]
+        assert direct == pytest.approx(float(N * om * mp.beta(N, 4.5)),
+                                       rel=1e-11)
+        # u'(0) = 0: r = 0 is a flat node, graded to the same depth
+        g = gaussian()
+        grad = N * om * mp.quad(
+            lambda r: (2 * r * mp.exp(-r * r)) ** 1.5 * r ** (N - 1), [0, 3])
+        assert grad_lp_norm(space, g, 1.5) == pytest.approx(
+            float(grad ** (1 / mp.mpf(1.5))), rel=1e-11)
+        # the layer cake of e^-r and of (1 - r/R)^2 on B(R): N omega_N
+        # gamma(N, R) and N omega_N R^N B(N, 3)
+        R = 2.0
+
+        def stacked(r, _):
+            return (np.stack([np.exp(-r), (1.0 - r / R) ** 2]),
+                    np.stack([-np.exp(-r), -2.0 * (1.0 - r / R) / R]))
+
+        got = layer_cake_radial_integral(space, stacked, R)[0]
+        want = [N * om * mp.gammainc(N, 0, R), N * om * R ** N * mp.beta(N, 3)]
+        assert got.tolist() == pytest.approx([float(w) for w in want],
+                                             rel=1e-10)

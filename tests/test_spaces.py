@@ -262,6 +262,16 @@ class TestVolume:
         vol_ball(space, radii)
         assert count[0] == 1
 
+    @pytest.mark.parametrize("n, panels", [(3, 520), (12, 1088)])
+    def test_volume_table_keeps_100_dyadic_levels(self, n, panels):
+        # vol_ball pins pointwise relative accuracy inside the table's
+        # first segment, so the table grades toward r = 0 to 2^-100 of the
+        # last profile break, however deep the r-integrals of rearrange go
+        space = warped(n=n, a=0.5, beta=1.0)
+        x = space._volume_table.x
+        assert x.size - 1 == panels
+        assert x[0] == space.profile.breaks[-1] * 2.0 ** -100
+
     def test_warped_far_radius_matches_mpmath(self):
         # past the profile's curvature scale, where the volume grows like r^n
         space = warped(n=2, a=0.5, beta=1.0)

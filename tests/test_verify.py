@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import isosharp.rearrange as rearrange
 import isosharp.specfun as specfun
 import isosharp.verify as verify
 from isosharp.constants import SobolevParams, aubin_talenti, gn_constant
@@ -567,8 +568,8 @@ class TestSweep:
         assert not table.passed
 
     def test_one_bessel_pair_per_group_of_radii(self, monkeypatch):
-        # the two radii fit in one group (1,344 and 2,112 nodes; a third
-        # radius would open another): S_nu and S_{nu+1} together on
+        # the two radii fit in one group (408 and 1,212 nodes, under the
+        # 2,048 that close it): S_nu and S_{nu+1} together on
         # all its Gauss nodes and on its radii (2 calls), and V on the
         # nodes besides each radius's guarded vol(B_R), a float call whose
         # last bits an array's may not match (4 calls).  The nodes' call
@@ -616,9 +617,9 @@ class TestSweep:
 
     def test_grouped_sweep_traced_peak(self):
         # after a warm-up call (volume table, first zero), the groups of
-        # layer-cake nodes keep the traced peak (0.70 MB) under the 1.27 MB
-        # of one radius at a time and the 1.00 MB of a 4,096-node budget;
-        # all 8 radii in one group take 3.36 MB
+        # layer-cake nodes keep the traced peak (0.46 MB, as one radius at
+        # a time) under the 0.91 MB of a 4,096-node budget; all 8 radii in
+        # one group take 2.41 MB
         space, radii = warped(3, 0.5, 1.0), np.geomspace(2.0, 2000.0, 8)
         fk_sharpness_sweep(space, radii)
         tracemalloc.start()
@@ -627,7 +628,26 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.9e6
+        assert peak <= 0.6e6
+
+    def test_layer_cake_nodes_of_the_benchmark_spaces(self, monkeypatch):
+        # the six spaces of a faber-krahn benchmark pass at their nominal
+        # parameters, 8 radii from 2 to 2000 each: grading toward r = 0
+        # only as deep as r^(N-1) needs takes 50,280 nodes in 20 groups,
+        # where 100 levels took 93,096 in 28
+        sizes = []
+        group = rearrange._layer_group
+
+        def counted(space, f, nodes, radii, vols):
+            sizes.append(sum(x.size for x, _ in nodes))
+            return group(space, f, nodes, radii, vols)
+
+        monkeypatch.setattr(rearrange, "_layer_group", counted)
+        for space in (Euclidean(3), Euclidean(2.5),
+                      EuclideanCone(2, 0.6 * 4.0 * math.pi),
+                      MonomialHalfSpace(2, 1.0), warped(2), warped(3)):
+            fk_sharpness_sweep(space, np.geomspace(2.0, 2000.0, 8))
+        assert (sum(sizes), len(sizes)) == (50280, 20)
 
     @pytest.mark.parametrize("radii,message", [
         # the volume guard of the smallest failing radius, before any
