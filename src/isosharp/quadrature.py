@@ -26,6 +26,8 @@ import numpy as np
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
 LEVELS = 100    # dyadic levels toward a target, at most
+_LEVEL = np.arange(1, LEVELS + 1)
+_STEPS = 2.0 ** -_LEVEL
 
 # node values -> the coefficients of the antiderivative, 0 at t = -1 and
 # over dt, of the degree-11 interpolant at the nodes, in t in [-1, 1]: the
@@ -127,8 +129,7 @@ def dyadic_breaks(breaks, targets, depth=LEVELS):
     lo, hi = breaks[0], breaks[-1]
     x = np.asarray(targets, dtype=float)[:, None]
     # a level past its target's depth repeats the deepest one
-    step = 2.0 ** -np.minimum(np.arange(1, LEVELS + 1),
-                              np.reshape(depth, (-1, 1)))
+    step = _STEPS[np.minimum(_LEVEL, np.reshape(depth, (-1, 1))) - 1]
     return np.unique(np.concatenate(
         [breaks, (x - (x - lo) * step).ravel(), (x + (hi - x) * step).ravel()]))
 
