@@ -106,7 +106,7 @@ def main():
         names.add(name)
         path = os.path.join(GOLDEN, name)
         out = run_quiet(argv)[1]
-        old = None
+        old = ""
         if os.path.exists(path):
             with open(path) as f:
                 old = f.read()
@@ -118,7 +118,7 @@ def main():
         with open(path, "w") as f:
             f.write(out)
         print(f"rewrote {name}: {diff}")
-        for line, a, b in moved_numbers(old or "", out):
+        for line, a, b in moved_numbers(old, out):
             change = abs(float(b) - float(a))
             scale = max(abs(float(a)), abs(float(b)))
             print(f"  line {line}: {a} -> {b} (abs {change:.3g}, "
