@@ -224,6 +224,24 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "gn", "--variant", *argv)
         assert (code, err) == (0, "")
 
+    @pytest.mark.filterwarnings("error")
+    def test_gn_near_one_alpha_scan(self):
+        # 240 argv: 8 spaces, p = 2 and 1.5, alpha = 1 + 0.1 .. 1e-12; none
+        # fails its check, and the 17 that exit 2 are inadmissible (p = n
+        # on warped n = 2, alpha = 1.1 at n = 40)
+        codes = []
+        for space in (["euclidean", "--n", "3"], ["euclidean", "--n", "40"],
+                      ["euclidean", "--n", "10"], ["euclidean", "--n", "2.5"],
+                      ["warped", "--n", "3"], ["warped", "--n", "2"],
+                      ["cone", "--n", "2", "--m", "5"],
+                      ["monomial", "--n", "2"]):
+            for p in ("2", "1.5"):
+                for alpha in 1.0 + np.geomspace(0.1, 1e-12, 15):
+                    codes.append(run_quiet(
+                        ["verify", "gn", "--variant", *space, "--p", p,
+                         "--alpha", repr(float(alpha))])[0])
+        assert [codes.count(c) for c in (0, 1, 2)] == [223, 0, 17]
+
     def test_faber_krahn_warped_positive_margin(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "faber-krahn", "--variant",
                                "warped", "--a", "0.5", "--R", "5")
